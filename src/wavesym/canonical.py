@@ -377,10 +377,14 @@ def _exact_div(p: Poly, g: Poly) -> Poly:
 
 
 def _prem(a: Poly, b: Poly, v: str) -> Poly:
-    """Pseudo-remainder of a by b with respect to the variable v."""
+    """Pseudo-remainder of a by b with respect to the variable v: the
+    remainder of lc(b)^(deg a - deg b + 1) * a.  The subresultant sequence
+    divides exactly only with that full power, so a step that drops the
+    degree by more than one still owes its factors of lc(b)."""
     db = b.degree_in(v)
     lb = b.coeffs_in(v)[db]
     r = a
+    steps = a.degree_in(v) - db + 1
     while not r.is_zero():
         dr = r.degree_in(v)
         if dr < db:
@@ -388,6 +392,9 @@ def _prem(a: Poly, b: Poly, v: str) -> Poly:
         lr = r.coeffs_in(v)[dr]
         shift = Poly.var(v) ** (dr - db)
         r = r * lb - b * lr * shift
+        steps -= 1
+    if steps > 0:
+        r = r * lb ** steps
     return r
 
 

@@ -11,10 +11,18 @@ generator at the monomials u^k.  Two coefficient sources are supported:
                        internal inconsistencies can be reported rather than
                        silently overwritten.
 
-Structure is verified exactly: brackets are decomposed in the basis by an
-exact linear solve on polynomial coefficients.  Generic ranks of prolonged
-coefficient matrices are computed by exact evaluation at seeded random
-integer points, taking the maximum over samples.
+Structure is verified exactly.  Each first-order generator is flattened
+once into a sparse row of rational coefficients keyed by (coordinate,
+monomial), and the rows are brought to one semi-echelon form in generator
+order (``span_basis``, cached per generator set).  The generators are
+linearly independent, so every bracket has at most one decomposition in
+them; each pairwise bracket is reduced against the basis once, giving that
+decomposition or None when a residual is left.  The commutator table reads
+these decompositions, and the closure sweep reads their supports: a subset
+is bracket-closed when every bracket of two members decomposes into
+members only.  Generic ranks of prolonged coefficient matrices are computed
+by exact evaluation at seeded random integer points, taking the maximum over
+samples.
 """
 
 from __future__ import annotations
@@ -194,11 +202,14 @@ def build_generators(source: Source | str = Source.DERIVED,
 # ---------------------------------------------------------------------------
 # exact span decomposition and the commutator table
 
+_Key = tuple[str, tuple]  # (coordinate, monomial)
+_Row = dict[_Key, Fraction]
 
-def _field_coefficient_table(f: VectorField) -> dict[tuple[str, tuple], Fraction]:
+
+def _field_coefficient_table(f: VectorField) -> _Row:
     """Flatten a field with polynomial coefficients into (coordinate,
     monomial) -> rational entries."""
-    out: dict[tuple[str, tuple], Fraction] = {}
+    out: _Row = {}
     for v, coeff in f.coefficients.items():
         cf = canonicalize(coeff)
         if not cf.is_polynomial():
@@ -208,20 +219,75 @@ def _field_coefficient_table(f: VectorField) -> dict[tuple[str, tuple], Fraction
     return out
 
 
-def solve_in_span(basis: dict[str, VectorField],
+def _add_multiple(target: dict, a: Fraction, source: dict) -> None:
+    """target += a * source in place, dropping entries that cancel."""
+    for key, c in source.items():
+        v = target.get(key, 0) + a * c
+        if v:
+            target[key] = v
+        else:
+            del target[key]
+
+
+@dataclass(frozen=True)
+class SpanBasis:
+    """Sparse semi-echelon form of linearly independent generator fields.
+
+    Row i is generator i reduced against rows 0..i-1: it carries a pivot
+    key, on which it is 1 and every later row is 0, and its combination of
+    the original generators by index.  Reducing a vector against the rows
+    once, in order, leaves its residual outside the span.
+    """
+
+    names: tuple[str, ...]
+    rows: tuple[tuple[_Key, _Row, dict[int, Fraction]], ...]
+
+
+def _eliminate(basis_rows, vector: _Row) -> tuple[_Row, dict[int, Fraction]]:
+    """Subtract basis rows from ``vector``; returns the residual and the
+    generator combination that was subtracted."""
+    residual = dict(vector)
+    removed: dict[int, Fraction] = {}
+    for pivot, row, combination in basis_rows:
+        a = residual.get(pivot)
+        if a is not None:
+            _add_multiple(residual, -a, row)
+            _add_multiple(removed, a, combination)
+    return residual, removed
+
+
+def span_basis(g: GeneratorSet) -> SpanBasis:
+    """The echelon basis of g's first-order fields, built once per set in
+    generator order.  Raises ValueError when a generator lies in the span
+    of those before it, since decompositions would then not be unique."""
+    key = "span"
+    if key not in g._cache:
+        rows = []
+        for i, (name, f) in enumerate(zip(g.names, g.prolonged(1))):
+            residual, removed = _eliminate(rows, _field_coefficient_table(f))
+            if not residual:
+                raise ValueError(
+                    f"generator {name} lies in the span of the generators "
+                    f"before it; bracket decompositions would not be unique")
+            pivot = min(residual)
+            inv = 1 / residual[pivot]
+            combination = {j: -c * inv for j, c in removed.items()}
+            combination[i] = inv
+            rows.append((pivot, {k: c * inv for k, c in residual.items()},
+                         combination))
+        g._cache[key] = SpanBasis(g.names, tuple(rows))
+    return g._cache[key]
+
+
+def solve_in_span(basis: SpanBasis,
                   target: VectorField) -> dict[str, Fraction] | None:
-    """Express ``target`` as an exact rational combination of ``basis``
-    fields, or None when it lies outside their span."""
-    names = list(basis)
-    tables = [_field_coefficient_table(basis[n]) for n in names]
-    target_table = _field_coefficient_table(target)
-    keys = sorted(set().union(target_table, *tables))
-    a = [[table.get(key, Fraction(0)) for table in tables] for key in keys]
-    b = [target_table.get(key, Fraction(0)) for key in keys]
-    solution = linalg.solve(a, b)
-    if solution is None:
+    """The exact rational combination of basis generators equal to
+    ``target``, in generator order, or None when it lies outside their
+    span."""
+    residual, removed = _eliminate(basis.rows, _field_coefficient_table(target))
+    if residual:
         return None
-    return {n: c for n, c in zip(names, solution) if c != 0}
+    return {basis.names[j]: removed[j] for j in sorted(removed)}
 
 
 @dataclass(frozen=True)
@@ -251,25 +317,28 @@ class CommutatorTable:
         return [pair for pair, e in self.entries.items() if not e.in_span]
 
 
-def _pair_brackets(g: GeneratorSet) -> dict[tuple[str, str], VectorField]:
+def _bracket_decompositions(
+        g: GeneratorSet) -> dict[tuple[str, str], dict[str, Fraction] | None]:
+    """Every pairwise bracket (left before right in generator order),
+    reduced once against ``span_basis(g)``."""
     key = "brackets"
     if key not in g._cache:
-        fields = g.prolonged_named(1)
-        out = {}
-        names = list(g.names)
-        for i, left in enumerate(names):
-            for right in names[i + 1:]:
-                out[(left, right)] = bracket(fields[left], fields[right])
-        g._cache[key] = out
+        basis = span_basis(g)
+        fields = g.prolonged(1)
+        names = g.names
+        g._cache[key] = {
+            (names[i], names[j]): solve_in_span(
+                basis, bracket(fields[i], fields[j]))
+            for i in range(len(names)) for j in range(i + 1, len(names))}
     return g._cache[key]
 
 
 def commutator_table(g: GeneratorSet) -> CommutatorTable:
     """Every pairwise bracket, decomposed exactly in the generator basis."""
-    fields = g.prolonged_named(1)
-    entries = {}
-    for (left, right), br in _pair_brackets(g).items():
-        entries[(left, right)] = BracketEntry(left, right, solve_in_span(fields, br))
+    entries = {
+        (left, right): BracketEntry(
+            left, right, None if d is None else dict(d))
+        for (left, right), d in _bracket_decompositions(g).items()}
     return CommutatorTable(g.source, g.truncation, entries)
 
 
@@ -329,21 +398,24 @@ def verify_commutator_table(g: GeneratorSet) -> dict:
 
 
 def bracket_closed(g: GeneratorSet, subset: tuple[str, ...]) -> bool:
-    """Whether the span of the named subset is closed under brackets."""
-    fields = g.prolonged_named(1)
-    chosen = {n: fields[n] for n in subset}
-    brackets = _pair_brackets(g)
-    names = list(subset)
-    for i, left in enumerate(names):
-        for right in names[i + 1:]:
-            pair = (left, right) if (left, right) in brackets else (right, left)
-            if solve_in_span(chosen, brackets[pair]) is None:
-                return False
+    """Whether the span of the named subset is closed under brackets: every
+    bracket of two members decomposes, and only into members.  The
+    decomposition in the whole basis is unique, so this holds for any
+    subset."""
+    members = set(subset)
+    unknown = members.difference(g.names)
+    if unknown:
+        raise ValueError(f"not generators of this set: {sorted(unknown)}")
+    for (left, right), d in _bracket_decompositions(g).items():
+        if left in members and right in members and (
+                d is None or not members.issuperset(d)):
+            return False
     return True
 
 
 def closure_max_k(g: GeneratorSet) -> int:
-    """Largest k with span{Y0..Y3, Y^0..Y^k} bracket-closed."""
+    """Largest k with span{Y0..Y3, Y^0..Y^k} bracket-closed, read from the
+    supports of the bracket decompositions."""
     if g.truncation < 4:
         raise ValueError("closure sweep needs truncation K >= 4")
     best = -1

@@ -1,5 +1,5 @@
-"""Exact linear algebra over Fraction: row reduction, rank, span solving,
-and integer kernels."""
+"""Exact linear algebra over Fraction: row reduction, rank and integer
+kernels."""
 
 from __future__ import annotations
 
@@ -38,22 +38,6 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 def rank(rows: Matrix) -> int:
     _, pivots = rref(rows)
     return len(pivots)
-
-
-def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of A x = b (free variables set to zero), or None
-    if the system is inconsistent."""
-    if not a:
-        return None if any(v != 0 for v in b) else []
-    ncols = len(a[0])
-    augmented = [row + [rhs] for row, rhs in zip(a, b)]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][ncols]
-    return x
 
 
 def nullspace(a: Matrix) -> list[list[Fraction]]:

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wavesym.canonical import canonicalize, equals, poly_gcd
+from wavesym.canonical import Poly, canonicalize, equals, poly_gcd
 from wavesym.expr import DivisionByZeroExpressionError, parse
 from wavesym.jetspace import JetSpace
 
@@ -99,6 +100,42 @@ def test_poly_gcd_symmetry_up_to_unit():
     ratio = [c / expected.terms[m] for m, c in g.terms.items() if m in expected.terms]
     assert g.terms.keys() == expected.terms.keys()
     assert len(set(ratio)) == 1
+
+
+# small polynomials in (u, sigma): lists of (coefficient, deg u, deg sigma)
+_terms = st.lists(st.tuples(st.integers(-3, 3).filter(bool),
+                            st.integers(0, 3), st.integers(0, 4)),
+                  min_size=1, max_size=3)
+
+
+def _poly(terms) -> Poly:
+    out = Poly()
+    for c, eu, es in terms:
+        out = out + Poly.const(c) * Poly.var("u") ** eu * Poly.var("sigma") ** es
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terms, _terms, _terms)
+# one pseudo-remainder step in sigma drops the degree by two
+@example([(2, 3, 1)], [(-2, 2, 2), (2, 1, 0)], [(2, 0, 3)])
+def test_poly_gcd_agrees_with_sympy(a, b, c):
+    """gcd(a*b, a*c) against sympy.gcd, up to a rational unit."""
+    sympy = pytest.importorskip("sympy")
+    u, sigma = sympy.symbols("u sigma")
+
+    def to_sympy(p: Poly):
+        return sum((sympy.Rational(k.numerator, k.denominator)
+                    * sympy.Mul(*(sympy.Symbol(n) ** e for n, e in m))
+                    for m, k in p.terms.items()), sympy.Integer(0))
+
+    p, q = _poly(a) * _poly(b), _poly(a) * _poly(c)
+    if p.is_zero() or q.is_zero():
+        return
+    ours = sympy.Poly(to_sympy(poly_gcd(p, q)), u, sigma)
+    theirs = sympy.gcd(sympy.Poly(to_sympy(p), u, sigma),
+                       sympy.Poly(to_sympy(q), u, sigma))
+    assert ours.monic() == theirs.monic()
 
 
 def test_canonical_string_reparses():

@@ -134,6 +134,17 @@ def test_equiv_parse_error(capsys):
     assert "parse error" in err
 
 
+def test_equiv_gcd_with_multi_degree_pseudo_remainder_step(capsys):
+    # the gcd behind rho1 hits a pseudo-remainder step that drops the degree
+    # in u by more than one; it used to raise "not an exact division"
+    code, out, _ = run_cli(capsys, "--output", "json", "equiv",
+                           "u^2*sigma^4 + u^4", "sigma^2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "not-equivalent"
+    assert report["a"]["rho1"] == "12*sigma^4/(3*sigma^4 - u^2)"
+
+
 def test_equiv_orbit_search(capsys):
     code, out, _ = run_cli(capsys, "--output", "json", "equiv",
                            "u*sigma^2", "(u - 1)*sigma^2", "--orbit-search")

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wavesym.canonical import equals
+from wavesym import eqalgebra, linalg
+from wavesym.canonical import canonicalize, equals
+from wavesym.cli import main
 from wavesym.eqalgebra import (
     GeneratorSet,
     NotSolvableError,
@@ -17,11 +20,16 @@ from wavesym.eqalgebra import (
     minimal_generating_set,
     prolonged_rank,
     rank_on_manifold,
+    solve_in_span,
+    span_basis,
     stabilized_truncation,
     verify_commutator_table,
 )
 from wavesym.expr import Coord, parse
 from wavesym.jetspace import JetSpace
+from wavesym.vfields import VectorField, bracket
+
+from helpers import field_combination
 
 R_EXPR = parse("sigma*f_sigma - f", JetSpace(1))
 
@@ -99,6 +107,96 @@ def test_structure_constants_match_where_printed_in_span(derived6, printed6):
         assert printed_entry.decomposition == derived_table.entry(*pair).decomposition
         compared += 1
     assert compared >= 30
+
+
+# --- span basis --------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.fractions(-50, 50, max_denominator=50),
+                min_size=11, max_size=11))
+def test_combination_decomposes_to_its_coefficients(derived6, coefficients):
+    fields = derived6.prolonged(1)
+    target = field_combination(*zip(coefficients, fields))
+    expected = {n: c for n, c in zip(derived6.names, coefficients) if c != 0}
+    decomposition = solve_in_span(span_basis(derived6), target)
+    assert decomposition == expected
+    assert list(decomposition) == list(expected)  # generator order
+
+
+def test_field_outside_span_has_no_decomposition(derived6):
+    outside = VectorField(JetSpace(1), {"u": Coord("sigma")})
+    assert solve_in_span(span_basis(derived6), outside) is None
+
+
+def test_dependent_generators_are_rejected():
+    g = build_generators("derived", 0)
+    y1, y2 = g.field_named("Y1"), g.field_named("Y2")
+    dup = GeneratorSet(Source.DERIVED, 0, ("A", "B", "C"), (y1, y2, y1), 0)
+    with pytest.raises(ValueError, match="C lies in the span"):
+        span_basis(dup)
+
+
+def _flat(f: VectorField) -> dict:
+    return {(v, m): c for v, coeff in f.coefficients.items()
+            for m, c in canonicalize(coeff).numerator.terms.items()}
+
+
+def _rank_reference(g: GeneratorSet):
+    """Brute force: span(subset) is closed when adding every bracket of two
+    members leaves the rank of the coefficient matrix unchanged."""
+    fields = g.prolonged_named(1)
+    flat = {n: _flat(fields[n]) for n in g.names}
+    brackets = {(a, b): _flat(bracket(fields[a], fields[b]))
+                for i, a in enumerate(g.names) for b in g.names[i + 1:]}
+
+    def closed(subset) -> bool:
+        rows = [flat[n] for n in subset]
+        extra = [t for (a, b), t in brackets.items()
+                 if a in subset and b in subset]
+        keys = sorted(set().union(*rows, *extra))
+
+        def rank(tables):
+            return linalg.rank([[t.get(k, Fraction(0)) for k in keys]
+                                for t in tables])
+
+        return rank(rows) == rank(rows + extra)
+
+    return closed
+
+
+@pytest.mark.parametrize("source", ["derived", "paper"])
+@pytest.mark.parametrize("K", [4, 5, 6, 7, 8])
+def test_closure_matches_rank_reference(source, K):
+    g = build_generators(source, K)
+    closed_by_rank = _rank_reference(g)
+    prefixes = [g.names[:5 + k] for k in range(K + 1)]
+    reference = [closed_by_rank(p) for p in prefixes]
+    assert [bracket_closed(g, p) for p in prefixes] == reference
+    assert closure_max_k(g) == max(k for k, ok in enumerate(reference) if ok)
+    for subset in (("Y1", "Y3"), ("Y^0", "Y^1", "Y^2"), ("Y0", "Y^1", "Y^3"),
+                   ("Y3", "Y^2", "Y^4")):
+        assert bracket_closed(g, subset) == closed_by_rank(subset)
+
+
+def test_verify_algebra_reduces_each_bracket_once(monkeypatch, capsys):
+    calls = []
+    original = eqalgebra.solve_in_span
+
+    def counted(basis, target):
+        calls.append(basis)
+        return original(basis, target)
+
+    monkeypatch.setattr(eqalgebra, "solve_in_span", counted)
+    assert main(["--K", "4", "--source", "paper", "verify-algebra"]) == 0
+    capsys.readouterr()
+    # 9 generators, 36 pairs, once for the derived and once for the printed set
+    assert len(calls) == 2 * 36
+    assert len({id(basis) for basis in calls}) == 2
+
+
+def test_bracket_closed_rejects_unknown_names(derived6):
+    with pytest.raises(ValueError):
+        bracket_closed(derived6, ("Y1", "Y^7"))
 
 
 # --- closure -----------------------------------------------------------------
