@@ -66,7 +66,7 @@ def main():
     sig = signature_of(square)
     first, second = pde_residual(square, sig.rho1.to_expr(), sig.rho2.to_expr())
     print(f"  residuals for sigma^2 at its own signature: "
-          f"({to_string(first)}, {to_string(second)})")
+          f"({first}, {second})")
 
     print("\nclassifying a small corpus:")
     corpus = ["sigma^2", "3*sigma^2", "sigma^3", "u + sigma", "sigma"]

@@ -44,7 +44,7 @@ def main():
     gens = g.prolonged_named(1)
     for name in ("Y3", "Y^1", "Y^2", "Y^3"):
         weight = relative_weight(r, gens[name])
-        print(f"  {name}(R) = ({to_string(weight)}) * R")
+        print(f"  {name}(R) = ({weight}) * R")
 
     manifold = rank_on_manifold(g, r, 1)
     print(f"on the special manifold R = 0 the rank drops to {manifold.rank}")
@@ -60,7 +60,7 @@ def main():
               for text in ("sigma", "sigma*f_sigma - f",
                            "sigma^2*f_sigmasigma")]
     for block in blocks:
-        shown = {n: to_string(w) for n, w in block.weights.items()
+        shown = {n: str(w) for n, w in block.weights.items()
                  if n in ("Y3", "Y^1", "Y^2")}
         print(f"  block {to_string(block.expr)}: weights {shown}")
     kernel = weight_kernel_search(blocks, gens2)

@@ -10,7 +10,6 @@ from .eqalgebra import (
     build_generators,
     closure_max_k,
     commutator_table,
-    invariant_count,
     minimal_generating_set,
     prolonged_rank,
     rank_on_manifold,
@@ -52,7 +51,7 @@ from .invariants import (
     verify_paper_invariants,
     weight_kernel_search,
 )
-from .jetspace import JetSpace, enumerate_coordinates, total_derivative
+from .jetspace import JetSpace
 from .vfields import (
     PointAction,
     VectorField,

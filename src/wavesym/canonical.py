@@ -15,25 +15,35 @@ canonicalization idempotent and equality a dictionary comparison.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
+from typing import Mapping
 
 from .expr import (
+    ATOM_ARG,
     AtomApp,
     Const,
     Coord,
     DivisionByZeroExpressionError,
     Expr,
+    ExprLike,
     Power,
     Product,
     Sum,
+    UnboundSymbolError,
     UnknownIdentifierError,
+    ZeroDenominatorError,
+    _retarget,
     add,
+    as_expr,
     atom_registration_index,
+    atom_rule,
     mul,
     pow_,
+    to_string,
 )
 
 # ---------------------------------------------------------------------------
@@ -44,6 +54,14 @@ _F_DERIV_RE = re.compile(r"^f_(u*)((?:sigma)*)$")
 _U_DERIV_RE = re.compile(r"^u_(t*)(x*)$")
 
 _KEY_CACHE: dict[str, tuple[int, ...]] = {}
+
+
+def _atom_parts(name: str) -> tuple[str, str] | None:
+    """(atom, argument) for an atom-instance generator such as exp(u); None
+    for a coordinate."""
+    if name.endswith(")") and "(" in name:
+        return tuple(name[:-1].split("(", 1))
+    return None
 
 
 def gen_key(name: str) -> tuple[int, ...]:
@@ -65,8 +83,8 @@ def gen_key(name: str) -> tuple[int, ...]:
                 a = len(m.group(1))
                 b = len(m.group(2))
                 key = (2, a + b, b)
-            elif name.endswith(")") and "(" in name:
-                atom, arg = name[:-1].split("(", 1)
+            elif (parts := _atom_parts(name)) is not None:
+                atom, arg = parts
                 key = (3, atom_registration_index(atom)) + gen_key(arg)
             else:
                 raise UnknownIdentifierError(name)
@@ -287,8 +305,8 @@ class Poly:
 
     def diff(self, name: str) -> "Poly":
         """Partial derivative with the generator treated as a plain
-        indeterminate (no chain rule through atoms; callers restrict to
-        atom-free polynomials)."""
+        indeterminate; the chain rule through atoms is applied by
+        ``CanonicalForm.derive``."""
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             for i, (n, e) in enumerate(m):
@@ -301,9 +319,6 @@ class Poly:
                 else:
                     out.pop(rest, None)
         return Poly(out)
-
-    def has_atom_generators(self) -> bool:
-        return any("(" in n for m in self.terms for n, _ in m)
 
     def eval_partial(self, point: dict[str, Fraction]) -> "Poly":
         out: dict[Monomial, Fraction] = {}
@@ -492,7 +507,12 @@ def _poly_gcd_uncached(p: Poly, q: Poly) -> Poly:
 @dataclass(frozen=True)
 class CanonicalForm:
     """Reduced fraction of polynomials; the unique normal form of an
-    expression (atoms taken as independent indeterminates)."""
+    expression (atoms taken as independent indeterminates).
+
+    Arithmetic and differentiation return reduced forms again, so a value
+    can be computed on without returning to expression trees.  The other
+    operand of ``+ - * /`` may be an expression or a rational number.
+    """
 
     numerator: Poly
     denominator: Poly
@@ -510,22 +530,137 @@ class CanonicalForm:
         return mul(num, pow_(_poly_to_expr(self.denominator), -1))
 
     def __str__(self) -> str:
-        from .expr import to_string
         return to_string(self.to_expr())
+
+    def __add__(self, other: "CanonicalForm | ExprLike") -> "CanonicalForm":
+        other = canonicalize(other)
+        return _normalized(*_fraction_sum(self.numerator, self.denominator,
+                                          other.numerator, other.denominator))
+
+    def __neg__(self) -> "CanonicalForm":
+        return CanonicalForm(-self.numerator, self.denominator)
+
+    def __sub__(self, other: "CanonicalForm | ExprLike") -> "CanonicalForm":
+        return self + -canonicalize(other)
+
+    def __mul__(self, other: "CanonicalForm | ExprLike") -> "CanonicalForm":
+        other = canonicalize(other)
+        return _normalized(self.numerator * other.numerator,
+                           self.denominator * other.denominator)
+
+    def __truediv__(self, other: "CanonicalForm | ExprLike") -> "CanonicalForm":
+        other = canonicalize(other)
+        return _normalized(self.numerator * other.denominator,
+                           self.denominator * other.numerator)
+
+    def free_coordinates(self) -> frozenset[str]:
+        """All coordinate names referenced, including atom arguments."""
+        names = self.numerator.variables() | self.denominator.variables()
+        return frozenset(parts[1] if (parts := _atom_parts(n)) else n
+                         for n in names)
+
+    def derive(self, coefficients: Mapping[str, "CanonicalForm"]) -> "CanonicalForm":
+        """Image under the derivation sum_v c_v * d/dv, keyed by coordinate,
+        with the chain rule through atoms.  X(N/D) = (X(N) D - N X(D)) / D^2
+        is reduced once, at the end."""
+        num, den = self.numerator, self.denominator
+        xn, xn_den = _derive_poly(num, coefficients)
+        if den.is_one():
+            return _normalized(xn, xn_den)
+        xd, xd_den = _derive_poly(den, coefficients)
+        return _normalized(xn * xd_den * den - num * xd * xn_den,
+                           xn_den * xd_den * den * den)
+
+    def diff(self, v: str) -> "CanonicalForm":
+        """Partial derivative by the coordinate ``v``."""
+        return self.derive({v: ONE_FORM})
+
+    def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
+        """Exact rational value at ``point``, which binds coordinates.  As
+        ``expr.eval_at`` without atom values, a pole raises
+        ZeroDenominatorError and a missing coordinate or any atom instance
+        raises UnboundSymbolError."""
+        den = _eval_poly(self.denominator, point)
+        if den == 0:
+            raise ZeroDenominatorError("zero denominator at evaluation point")
+        return _eval_poly(self.numerator, point) / den
+
+
+# the denominator of every polynomial form: one shared object keeps the many
+# polynomial coefficients of prolonged fields small
+_POLY_ONE = Poly.const(1)
 
 
 def _normalized(num: Poly, den: Poly) -> CanonicalForm:
     if den.is_zero():
         raise DivisionByZeroExpressionError("denominator is identically zero")
     if num.is_zero():
-        return CanonicalForm(Poly(), Poly.const(1))
+        return CanonicalForm(Poly(), _POLY_ONE)
     if not den.is_const():
         g = poly_gcd(num, den)
         if not g.is_const():
             num = _exact_div(num, g)
             den = _exact_div(den, g)
+    if den.is_const():
+        return CanonicalForm(num.scale(1 / den.as_const()), _POLY_ONE)
     c = _content_rational(den)
     return CanonicalForm(num.scale(1 / c), den.scale(1 / c))
+
+
+ONE_FORM = CanonicalForm(Poly.const(1), _POLY_ONE)
+
+
+def _fraction_sum(num: Poly, den: Poly, tn: Poly, td: Poly) -> tuple[Poly, Poly]:
+    """num/den + tn/td, unreduced; the common factor of the denominators is
+    divided out to keep the denominator from swelling multiplicatively."""
+    if td == den:
+        return num + tn, den
+    g = poly_gcd(den, td)
+    if g.is_const():
+        return num * td + tn * den, den * td
+    den_red = _exact_div(den, g)
+    td_red = _exact_div(td, g)
+    return num * td_red + tn * den_red, den * td_red
+
+
+@functools.cache
+def _atom_derivative(name: str) -> CanonicalForm:
+    """d atom(arg)/d arg for an atom-instance generator, from the atom's
+    registered rule."""
+    atom, arg = _atom_parts(name)
+    rule = atom_rule(atom)
+    if rule is None:
+        raise UnknownIdentifierError(atom)
+    return canonicalize(_retarget(rule.derivative, ATOM_ARG, arg))
+
+
+def _derive_poly(p: Poly, coefficients: Mapping[str, CanonicalForm]) -> tuple[Poly, Poly]:
+    """sum_v c_v * dp/dv as an unreduced fraction; an atom instance a(v)
+    contributes c_v * a'(v) * dp/da(v)."""
+    num, den = Poly(), _POLY_ONE
+    for name in p.variables():
+        parts = _atom_parts(name)
+        c = coefficients.get(name if parts is None else parts[1])
+        if c is None:
+            continue
+        if parts is not None:
+            c = c * _atom_derivative(name)
+        num, den = _fraction_sum(num, den, c.numerator * p.diff(name),
+                                 c.denominator)
+    return num, den
+
+
+def _eval_poly(p: Poly, point: Mapping[str, Fraction]) -> Fraction:
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        for name, e in m:
+            if _atom_parts(name) is not None:
+                raise UnboundSymbolError(f"atom {name!r} is unbound")
+            if name not in point:
+                raise UnboundSymbolError(f"coordinate {name!r} is unbound")
+            c *= Fraction(point[name]) ** e
+        total += c
+    return total
 
 
 def _poly_to_expr(p: Poly) -> Expr:
@@ -544,10 +679,8 @@ def _poly_to_expr(p: Poly) -> Expr:
 
 
 def _gen_to_expr(name: str) -> Expr:
-    if name.endswith(")") and "(" in name:
-        atom, arg = name[:-1].split("(", 1)
-        return AtomApp(atom, arg)
-    return Coord(name)
+    parts = _atom_parts(name)
+    return Coord(name) if parts is None else AtomApp(*parts)
 
 
 def _to_fraction(e: Expr) -> tuple[Poly, Poly]:
@@ -563,21 +696,7 @@ def _to_fraction(e: Expr) -> tuple[Poly, Poly]:
     if isinstance(e, Sum):
         num, den = Poly(), Poly.const(1)
         for t in e.terms:
-            tn, td = _to_fraction(t)
-            if td == den:
-                num = num + tn
-            else:
-                # reduce by the common denominator factor to keep the
-                # accumulated denominator from swelling multiplicatively
-                g = poly_gcd(den, td)
-                if g.is_const():
-                    num = num * td + tn * den
-                    den = den * td
-                else:
-                    den_red = _exact_div(den, g)
-                    td_red = _exact_div(td, g)
-                    num = num * td_red + tn * den_red
-                    den = den * td_red
+            num, den = _fraction_sum(num, den, *_to_fraction(t))
         return num, den
     if isinstance(e, Product):
         num, den = Poly.const(1), Poly.const(1)
@@ -599,17 +718,16 @@ def _to_fraction(e: Expr) -> tuple[Poly, Poly]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def canonicalize(e: Expr) -> CanonicalForm:
+def canonicalize(e: CanonicalForm | ExprLike) -> CanonicalForm:
     """Normalize to the reduced numerator/denominator pair.  Algebraically
-    equal inputs produce identical forms."""
-    num, den = _to_fraction(e)
+    equal inputs produce identical forms; a form is returned unchanged."""
+    if isinstance(e, CanonicalForm):
+        return e
+    num, den = _to_fraction(as_expr(e))
     return _normalized(num, den)
 
 
-def equals(a: Expr, b: Expr) -> bool:
-    """Exact algebraic equality (modulo atom independence)."""
-    return canonicalize(add(a, mul(Const(Fraction(-1)), b))).is_zero()
-
-
-def is_zero_expr(e: Expr) -> bool:
-    return canonicalize(e).is_zero()
+def equals(a: CanonicalForm | ExprLike, b: CanonicalForm | ExprLike) -> bool:
+    """Exact algebraic equality (modulo atom independence): the canonical
+    forms are unique, so they are compared directly."""
+    return canonicalize(a) == canonicalize(b)

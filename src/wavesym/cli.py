@@ -32,7 +32,7 @@ from .equivalence import (
     classify_corpus,
     search_orbit_match,
 )
-from .expr import ExprError, parse, to_string
+from .expr import DivisionByZeroExpressionError, ExprError, parse, to_string
 from .invariants import (
     NAMED_EXPRESSIONS,
     WeightedBlock,
@@ -416,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except _IOError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
+        return 1
+    except DivisionByZeroExpressionError as exc:
+        sys.stderr.write(f"math error: {exc}\n")
         return 1
     except ExprError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

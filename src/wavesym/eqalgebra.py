@@ -43,7 +43,6 @@ from .expr import (
     ZERO,
     ZeroDenominatorError,
     add,
-    eval_at,
     mul,
     pow_,
 )
@@ -211,10 +210,9 @@ def _field_coefficient_table(f: VectorField) -> _Row:
     monomial) -> rational entries."""
     out: _Row = {}
     for v, coeff in f.coefficients.items():
-        cf = canonicalize(coeff)
-        if not cf.is_polynomial():
+        if not coeff.is_polynomial():
             raise ValueError(f"coefficient on {v} is not polynomial: {coeff}")
-        for m, c in cf.numerator.terms.items():
+        for m, c in coeff.numerator.terms.items():
             out[(v, m)] = c
     return out
 
@@ -460,8 +458,38 @@ def _sample_point(rng: random.Random, coords: tuple[str, ...],
 
 
 def _evaluate_matrix(fields, coords, point) -> list[list[Fraction]]:
-    return [[eval_at(f.coefficient(c), point) if c in f.coefficients
+    return [[f.coefficients[c].eval_at(point) if c in f.coefficients
              else Fraction(0) for c in coords] for f in fields]
+
+
+def _sampled_matrices(fields, coords, samples, seed, coordinate_range,
+                      point_filter=None):
+    """The coefficient matrix at one valid point per sample seed.
+
+    Sample seeds are drawn from ``seed`` up front; each seeds its own stream
+    of candidate points, retried on poles or rejection by ``point_filter``.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = random.Random(seed)
+    sample_seeds = [rng.randrange(2 ** 32) for _ in range(samples)]
+    for s in sample_seeds:
+        sub = random.Random(s)
+        for _ in range(_MAX_RESAMPLES):
+            point = _sample_point(sub, coords, coordinate_range)
+            if point_filter is not None:
+                point = point_filter(point)
+                if point is None:
+                    continue
+            try:
+                rows = _evaluate_matrix(fields, coords, point)
+            except ZeroDenominatorError:
+                continue
+            yield rows
+            break
+        else:
+            raise SamplingExhaustedError(
+                f"no valid sample point found in {_MAX_RESAMPLES} tries")
 
 
 def matrix_rank_at_samples(
@@ -479,31 +507,9 @@ def matrix_rank_at_samples(
     constraint locus) or reject it by returning None.  Returns (rank,
     samples_used).
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = random.Random(seed)
-    sample_seeds = [rng.randrange(2 ** 32) for _ in range(samples)]
-    best = 0
-    used = 0
-    for s in sample_seeds:
-        sub = random.Random(s)
-        for _ in range(_MAX_RESAMPLES):
-            point = _sample_point(sub, coords, coordinate_range)
-            if point_filter is not None:
-                point = point_filter(point)
-                if point is None:
-                    continue
-            try:
-                rows = _evaluate_matrix(fields, coords, point)
-            except (ZeroDenominatorError, ZeroDivisionError):
-                continue
-            best = max(best, linalg.rank(rows))
-            used += 1
-            break
-        else:
-            raise SamplingExhaustedError(
-                f"no valid sample point found in {_MAX_RESAMPLES} tries")
-    return best, used
+    ranks = [linalg.rank(rows) for rows in _sampled_matrices(
+        fields, coords, samples, seed, coordinate_range, point_filter)]
+    return max(ranks), len(ranks)
 
 
 def prolonged_rank(
@@ -613,27 +619,9 @@ def minimal_generating_set(
     (greedy-minimal) but is not guaranteed to be a globally minimum subset.
     ``exhaustive=True`` searches all subsets (only for up to 10 generators).
     """
-    fields = g.prolonged_named(order)
     coords = JetSpace(order).coordinates
-    rng = random.Random(seed)
-    sample_seeds = [rng.randrange(2 ** 32) for _ in range(samples)]
-    matrices = []
-    for s in sample_seeds:
-        sub = random.Random(s)
-        for _ in range(_MAX_RESAMPLES):
-            point = _sample_point(sub, coords, coordinate_range)
-            try:
-                matrices.append({
-                    name: [eval_at(f.coefficient(c), point)
-                           if c in f.coefficients else Fraction(0)
-                           for c in coords]
-                    for name, f in fields.items()})
-            except (ZeroDenominatorError, ZeroDivisionError):
-                continue
-            break
-        else:
-            raise SamplingExhaustedError(
-                f"no valid sample point found in {_MAX_RESAMPLES} tries")
+    matrices = [dict(zip(g.names, rows)) for rows in _sampled_matrices(
+        g.prolonged(order), coords, samples, seed, coordinate_range)]
 
     def subset_rank(names) -> int:
         return max(linalg.rank([mat[n] for n in names]) for mat in matrices)
@@ -659,21 +647,6 @@ def minimal_generating_set(
                 current = trial
                 changed = True
     return tuple(current)
-
-
-def invariant_count(
-    g: GeneratorSet,
-    order: int,
-    *,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    coordinate_range: int = DEFAULT_COORDINATE_RANGE,
-) -> int:
-    """Functional-basis size at this order: variable count minus generic
-    rank."""
-    report = prolonged_rank(g, order, samples=samples, seed=seed,
-                            coordinate_range=coordinate_range)
-    return report.invariant_count
 
 
 @dataclass(frozen=True)

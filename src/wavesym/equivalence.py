@@ -211,18 +211,15 @@ def apply_finite_transformation(eq: EquationInstance,
     return EquationInstance(canonicalize(new_f).to_expr())
 
 
-def pde_residual(eq: EquationInstance, rho1: Expr, rho2: Expr) -> tuple[Expr, Expr]:
+def pde_residual(eq: EquationInstance, rho1: Expr | CanonicalForm,
+                 rho2: Expr | CanonicalForm) -> tuple[CanonicalForm, CanonicalForm]:
     """Residuals of the signature system at (rho1, rho2); (0, 0) certifies
     membership in that equivalence class."""
     sig = signature_of(eq)
     if sig.degenerate:
         raise DegenerateEquationError(
             "the equation lies on the special manifold sigma*f_sigma - f = 0")
-    first = canonicalize(add(sig.rho1.to_expr(),
-                             mul(Const(Fraction(-1)), as_expr(rho1)))).to_expr()
-    second = canonicalize(add(sig.rho2.to_expr(),
-                              mul(Const(Fraction(-1)), as_expr(rho2)))).to_expr()
-    return first, second
+    return sig.rho1 - rho1, sig.rho2 - rho2
 
 
 # ---------------------------------------------------------------------------

@@ -158,14 +158,6 @@ def as_expr(value: ExprLike) -> Expr:
     raise TypeError(f"cannot interpret {value!r} as an expression")
 
 
-def const(value) -> Const:
-    return Const(Fraction(value))
-
-
-def coord(name: str) -> Coord:
-    return Coord(name)
-
-
 # ---------------------------------------------------------------------------
 # atom registry
 
@@ -328,25 +320,6 @@ def _collect_coords(e: Expr, out: set[str]) -> None:
         _collect_coords(e.base, out)
 
 
-def atom_instances(e: Expr) -> frozenset[AtomApp]:
-    out: set[AtomApp] = set()
-    _collect_atoms(e, out)
-    return frozenset(out)
-
-
-def _collect_atoms(e: Expr, out: set[AtomApp]) -> None:
-    if isinstance(e, AtomApp):
-        out.add(e)
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            _collect_atoms(t, out)
-    elif isinstance(e, Product):
-        for f in e.factors:
-            _collect_atoms(f, out)
-    elif isinstance(e, Power):
-        _collect_atoms(e.base, out)
-
-
 # ---------------------------------------------------------------------------
 # calculus and substitution
 
@@ -455,6 +428,10 @@ def eval_at(
 
 _OPS = set("+-*/^()")
 
+# Parentheses and unary minus recurse in the parser; deeper input is
+# rejected as a syntax error before it can exhaust the interpreter stack.
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
@@ -490,6 +467,7 @@ class _Parser:
         self.tokens = tokens
         self.coords = coords
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -506,6 +484,15 @@ class _Parser:
                 f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2]
             )
         return self.advance()
+
+    def nested(self, position: int, parse_inner) -> Expr:
+        if self.depth == _MAX_NESTING:
+            raise ExpressionSyntaxError(
+                f"nesting deeper than {_MAX_NESTING} levels", position)
+        self.depth += 1
+        inner = parse_inner()
+        self.depth -= 1
+        return inner
 
     def parse_expr(self) -> Expr:
         terms = [self.parse_term()]
@@ -542,10 +529,10 @@ class _Parser:
             return Const(Fraction(int(text)))
         if kind == "-":
             self.advance()
-            return mul(MINUS_ONE, self.parse_factor())
+            return mul(MINUS_ONE, self.nested(position, self.parse_factor))
         if kind == "(":
             self.advance()
-            inner = self.parse_expr()
+            inner = self.nested(position, self.parse_expr)
             self.expect(")")
             return inner
         if kind == "ident":

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .canonical import canonicalize
-from .expr import Const, Expr, free_coordinates, mul, parse, pow_, to_string
+from .canonical import CanonicalForm, canonicalize
+from .expr import Const, Expr, mul, parse, pow_, to_string
 from .eqalgebra import (
     DEFAULT_COORDINATE_RANGE,
     DEFAULT_K,
@@ -58,22 +58,21 @@ NAMED_EXPRESSIONS: dict[str, Expr] = {
 }
 
 
-def relative_weight(f_expr: Expr, x: VectorField) -> Expr | None:
+def relative_weight(f_expr: Expr | CanonicalForm,
+                    x: VectorField) -> CanonicalForm | None:
     """The weight lambda with X(F) = lambda * F, when the exact quotient
     X(F)/F is a polynomial after cancellation; None otherwise."""
-    if canonicalize(f_expr).is_zero():
+    form = canonicalize(f_expr)
+    if form.is_zero():
         raise ZeroCandidateError("cannot compute a weight for the zero expression")
-    image = apply(x, f_expr)
-    quotient = canonicalize(mul(image, pow_(f_expr, -1)))
-    if not quotient.is_polynomial():
-        return None
-    return quotient.to_expr()
+    weight = apply(x, form) / form
+    return weight if weight.is_polynomial() else None
 
 
 @dataclass(frozen=True)
 class InvariantReport:
     candidate: Expr
-    verdicts: dict[str, tuple[str, Expr | None]]  # name -> (kind, weight)
+    verdicts: dict[str, tuple[str, CanonicalForm | None]]  # name -> (kind, weight)
 
     @property
     def overall(self) -> str:
@@ -94,25 +93,27 @@ class InvariantReport:
             "overall": self.overall,
             "verdicts": {
                 name: {"kind": kind,
-                       "weight": None if weight is None else to_string(weight)}
+                       "weight": None if weight is None else str(weight)}
                 for name, (kind, weight) in self.verdicts.items()
             },
         }
 
 
 def is_absolute(f_expr: Expr, g: GeneratorSet, order: int) -> InvariantReport:
-    """Apply every prolonged generator; absolute iff all images vanish."""
-    verdicts: dict[str, tuple[str, Expr | None]] = {}
+    """Apply every prolonged generator once; absolute iff all images
+    vanish, relative where the image is a polynomial multiple of F."""
+    form = canonicalize(f_expr)
+    verdicts: dict[str, tuple[str, CanonicalForm | None]] = {}
     for name, x in g.prolonged_named(order).items():
-        image = apply(x, f_expr)
-        if canonicalize(image).is_zero():
+        image = apply(x, form)
+        if image.is_zero():
             verdicts[name] = ("absolute", None)
             continue
-        weight = relative_weight(f_expr, x)
-        if weight is None:
-            verdicts[name] = ("neither", None)
-        else:
+        weight = image / form
+        if weight.is_polynomial():
             verdicts[name] = ("relative", weight)
+        else:
+            verdicts[name] = ("neither", None)
     return InvariantReport(f_expr, verdicts)
 
 
@@ -128,20 +129,8 @@ def functional_independence(
     has full generic rank (sampled exactly)."""
     if not candidates:
         raise ValueError("need at least one candidate")
-    from .expr import diff_partial
-
-    class _Row:
-        def __init__(self, expr):
-            self.coefficients = {}
-            for c in space.coordinates:
-                if c in free_coordinates(expr):
-                    self.coefficients[c] = canonicalize(diff_partial(expr, c)).to_expr()
-
-        def coefficient(self, c):
-            from .expr import ZERO
-            return self.coefficients.get(c, ZERO)
-
-    rows = [_Row(e) for e in candidates]
+    rows = [VectorField(space, {c: form.diff(c) for c in form.free_coordinates()})
+            for form in map(canonicalize, candidates)]
     best, _ = matrix_rank_at_samples(
         rows, space.coordinates, samples=samples, seed=seed,
         coordinate_range=coordinate_range)
@@ -154,7 +143,7 @@ class WeightedBlock:
     together with its weights."""
 
     expr: Expr
-    weights: dict[str, Expr]
+    weights: dict[str, CanonicalForm]
 
     @classmethod
     def measure(cls, expr: Expr, gens: dict[str, VectorField]) -> "WeightedBlock":
@@ -185,7 +174,7 @@ def weight_kernel_search(
             w = block.weights.get(gname)
             if w is None:
                 raise ValueError("every block needs a weight for every generator")
-            for m, c in canonicalize(w).numerator.terms.items():
+            for m, c in w.numerator.terms.items():
                 column[(gname, m)] = c
         columns.append(column)
         keys.extend(column)
@@ -198,8 +187,7 @@ def weight_kernel_search(
     for vec in vectors:
         candidate = mul(*(pow_(b.expr, e) for b, e in zip(blocks, vec) if e != 0))
         for gname, x in scaling_gens.items():
-            image = apply(x, candidate)
-            if not canonicalize(image).is_zero():
+            if not apply(x, candidate).is_zero():
                 raise AssertionError(
                     f"kernel vector {vec} failed re-verification under {gname}")
     return vectors

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import Coord, Expr, add, diff_partial, free_coordinates, mul
+from .canonical import ONE_FORM, CanonicalForm, canonicalize
+from .expr import Coord, Expr
 
 
 class OrderOverflowError(Exception):
@@ -67,18 +68,8 @@ class JetSpace:
         counts = self.derivative_counts(name)
         return 0 if counts is None else counts[0] + counts[1]
 
-    def index(self, name: str) -> int:
-        return self.coordinates.index(name)
-
     def __contains__(self, name: str) -> bool:
         return name in self.coordinates
-
-    def jet_coordinates(self, max_order: int) -> list[str]:
-        """Dependent-derivative coordinates (including the dependent) of
-        order at most max_order."""
-        return [c for c in self.coordinates
-                if self.derivative_counts(c) is not None
-                and self.coordinate_order(c) <= max_order]
 
     def bump(self, name: str, base: str) -> str:
         counts = self.derivative_counts(name)
@@ -91,7 +82,7 @@ class JetSpace:
             return self.derivative_name(a, b + 1)
         raise ValueError(f"{base!r} is not a base coordinate")
 
-    def total_derivative(self, e: Expr, base_var: str) -> Expr:
+    def total_derivative(self, e: Expr | CanonicalForm, base_var: str) -> CanonicalForm:
         """D_v e = d_v e + sum over jet coordinates f_J of f_{J,v} * d_{f_J} e.
 
         Passengers have zero total derivative.  The input may only use
@@ -100,8 +91,9 @@ class JetSpace:
         """
         if base_var not in self.bases:
             raise ValueError(f"{base_var!r} is not a base coordinate")
-        free = free_coordinates(e)
-        for name in free:
+        form = canonicalize(e)
+        coefficients = {base_var: ONE_FORM}
+        for name in form.free_coordinates():
             if name not in self:
                 raise ValueError(f"{name!r} is not a coordinate of this chart")
             if self.coordinate_order(name) >= self.order:
@@ -109,25 +101,11 @@ class JetSpace:
                     f"{name!r} has order {self.coordinate_order(name)}; "
                     f"its total derivative leaves the order-{self.order} chart"
                 )
-        terms = [diff_partial(e, base_var)]
-        for jname in self.jet_coordinates(self.order - 1):
-            if jname not in free:
-                continue
-            d = diff_partial(e, jname)
-            terms.append(mul(Coord(self.bump(jname, base_var)), d))
-        return add(*terms)
-
-
-def enumerate_coordinates(order: int) -> tuple[str, ...]:
-    """Coordinates of the order-``order`` wave-class chart; the count is
-    4 + (order+1)(order+2)/2."""
-    return JetSpace(order).coordinates
+            if self.derivative_counts(name) is not None:
+                coefficients[name] = canonicalize(Coord(self.bump(name, base_var)))
+        return form.derive(coefficients)
 
 
 def u_jet(order: int = 2) -> JetSpace:
     """Chart of u over (t, x), used to prolong point transformations."""
     return JetSpace(order, passengers=(), bases=("t", "x"), dependent="u")
-
-
-def total_derivative(e: Expr, base_var: str, space: JetSpace) -> Expr:
-    return space.total_derivative(e, base_var)

@@ -1,8 +1,11 @@
 """Vector fields on jet charts.
 
 A field is a first-order operator sum(coeff_v * d_v) stored as a sparse map
-from coordinate names to coefficient expressions.  Prolongation follows the
-usual recursion zeta_{J,i} = D_i(zeta_J) - sum_j f_{J,j} D_i(xi^j) with
+from coordinate names to coefficients, each a canonical form (a reduced
+polynomial fraction, see :mod:`wavesym.canonical`).  Applying, bracketing
+and prolonging fields compute on those forms; expression trees enter only
+through the constructor and leave only when printed.  Prolongation follows
+the usual recursion zeta_{J,i} = D_i(zeta_J) - sum_j f_{J,j} D_i(xi^j) with
 zeta_empty the coefficient on the dependent coordinate.
 
 Point transformations acting on (t, x, u) induce generators on the chart
@@ -15,23 +18,10 @@ result must come out independent of the remaining u-derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
-from .canonical import Poly, canonicalize, _normalized
-from .expr import (
-    Coord,
-    Const,
-    Expr,
-    ZERO,
-    add,
-    as_expr,
-    diff_partial,
-    free_coordinates,
-    mul,
-    substitute,
-    to_string,
-)
+from .canonical import CanonicalForm, Poly, _normalized, canonicalize
+from .expr import Coord, Expr, ExprLike, as_expr, free_coordinates
 from .jetspace import JetSpace, u_jet
 
 
@@ -40,80 +30,42 @@ class NotProjectableError(Exception):
     (u, sigma, f) chart."""
 
 
-def _simplify(e: Expr) -> Expr:
-    return canonicalize(e).to_expr()
+_ZERO = canonicalize(0)
 
 
 @dataclass(frozen=True)
 class VectorField:
+    """Coefficients may be given as expressions, numbers or forms; they are
+    stored as nonzero canonical forms."""
+
     space: JetSpace
-    coefficients: Mapping[str, Expr] = field(default_factory=dict)
+    coefficients: Mapping[str, CanonicalForm] = field(default_factory=dict)
 
     def __post_init__(self):
-        cleaned: dict[str, Expr] = {}
+        cleaned: dict[str, CanonicalForm] = {}
         for name, coeff in self.coefficients.items():
             if name not in self.space:
                 raise ValueError(f"{name!r} is not a coordinate of the chart")
-            e = as_expr(coeff)
-            if not (isinstance(e, Const) and e.value == 0):
-                cleaned[name] = e
+            form = canonicalize(coeff)
+            if not form.is_zero():
+                cleaned[name] = form
         object.__setattr__(self, "coefficients", cleaned)
 
-    def coefficient(self, name: str) -> Expr:
-        return self.coefficients.get(name, ZERO)
+    def coefficient(self, name: str) -> CanonicalForm:
+        return self.coefficients.get(name, _ZERO)
 
     def is_zero(self) -> bool:
-        return all(canonicalize(c).is_zero() for c in self.coefficients.values())
+        return not self.coefficients
 
     def __str__(self):
-        parts = [f"({to_string(c)}) d_{v}" for v, c in self.coefficients.items()]
+        parts = [f"({c}) d_{v}" for v, c in self.coefficients.items()]
         return " + ".join(parts) if parts else "0"
 
 
-def apply(x: VectorField, f_expr: Expr) -> Expr:
-    """X(F) = sum coeff_v * d_v F, canonicalized.
-
-    Atom-free inputs with polynomial coefficients take a direct route on the
-    canonical fraction N/D via X(N/D) = (X(N) D - N X(D)) / D^2, which keeps
-    the rational-invariant computations from churning expression trees.
-    """
-    fast = _apply_polynomial(x, f_expr)
-    if fast is not None:
-        return fast
-    free = free_coordinates(f_expr)
-    terms = []
-    for name, coeff in x.coefficients.items():
-        if name not in free:
-            continue
-        terms.append(mul(coeff, diff_partial(f_expr, name)))
-    return _simplify(add(*terms))
-
-
-def _apply_polynomial(x: VectorField, f_expr: Expr) -> Expr | None:
-    cf = canonicalize(f_expr)
-    num, den = cf.numerator, cf.denominator
-    if num.has_atom_generators() or den.has_atom_generators():
-        return None
-    coeff_polys = {}
-    for name, coeff in x.coefficients.items():
-        ccf = canonicalize(coeff)
-        if not ccf.is_polynomial() or ccf.numerator.has_atom_generators():
-            return None
-        coeff_polys[name] = ccf.numerator
-
-    def derive(p: Poly) -> Poly:
-        out = Poly()
-        for name, cp in coeff_polys.items():
-            d = p.diff(name)
-            if not d.is_zero():
-                out = out + cp * d
-        return out
-
-    x_num = derive(num)
-    if den.is_one():
-        return _normalized(x_num, den).to_expr()
-    x_den = derive(den)
-    return _normalized(x_num * den - num * x_den, den * den).to_expr()
+def apply(x: VectorField, f: CanonicalForm | ExprLike) -> CanonicalForm:
+    """X(F) = sum coeff_v * d_v F, reduced once: on F = N/D it is
+    (X(N) D - N X(D)) / D^2."""
+    return canonicalize(f).derive(x.coefficients)
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -121,14 +73,9 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     if x.space != y.space:
         raise ValueError("bracket requires fields on the same chart")
     coords = set(x.coefficients) | set(y.coefficients)
-    coeffs: dict[str, Expr] = {}
-    for v in coords:
-        e = add(apply(x, y.coefficient(v)),
-                mul(Const(Fraction(-1)), apply(y, x.coefficient(v))))
-        e = _simplify(e)
-        if not (isinstance(e, Const) and e.value == 0):
-            coeffs[v] = e
-    return VectorField(x.space, coeffs)
+    return VectorField(x.space, {
+        v: apply(x, y.coefficient(v)) - apply(y, x.coefficient(v))
+        for v in coords})
 
 
 def prolong(x: VectorField, target_order: int, given_order: int = 0) -> VectorField:
@@ -144,12 +91,13 @@ def prolong(x: VectorField, target_order: int, given_order: int = 0) -> VectorFi
     if target_order <= given_order:
         return VectorField(space, coeffs)
     b0, b1 = space.bases
-    xi = {b0: x.coefficient(b0), b1: x.coefficient(b1)}
-    zeta: dict[tuple[int, int], Expr] = {}
+    d_xi = {(base, direction): space.total_derivative(x.coefficient(base), direction)
+            for base in space.bases for direction in space.bases}
+    zeta: dict[tuple[int, int], CanonicalForm] = {}
     for m in range(given_order + 1):
         for a in range(m, -1, -1):
             name = space.derivative_name(a, m - a)
-            zeta[(a, m - a)] = coeffs.get(name, ZERO)
+            zeta[(a, m - a)] = coeffs.get(name, _ZERO)
     for m in range(given_order + 1, target_order + 1):
         for a in range(m, -1, -1):
             b = m - a
@@ -158,16 +106,12 @@ def prolong(x: VectorField, target_order: int, given_order: int = 0) -> VectorFi
             else:
                 parent, direction = (0, b - 1), b1
             pa, pb = parent
-            e = space.total_derivative(zeta[parent], direction)
+            z = space.total_derivative(zeta[parent], direction)
             for j, base in enumerate(space.bases):
-                d_xi = space.total_derivative(xi[base], direction)
                 bumped = (pa + 1, pb) if j == 0 else (pa, pb + 1)
-                e = add(e, mul(Const(Fraction(-1)),
-                               Coord(space.derivative_name(*bumped)), d_xi))
-            z = _simplify(e)
+                z = z - d_xi[(base, direction)] * Coord(space.derivative_name(*bumped))
             zeta[(a, b)] = z
-            if not (isinstance(z, Const) and z.value == 0):
-                coeffs[space.derivative_name(a, b)] = z
+            coeffs[space.derivative_name(a, b)] = z
     return VectorField(space, coeffs)
 
 
@@ -222,62 +166,57 @@ def induce_from_point_action(action: PointAction) -> VectorField:
     u_xx raises NotProjectableError.
     """
     jet = u_jet(2)
-    xi_t = as_expr(action.xi_t)
-    xi_x = as_expr(action.xi_x)
-    eta = as_expr(action.eta_u)
+    xi_t = canonicalize(action.xi_t)
+    xi_x = canonicalize(action.xi_x)
+    eta = canonicalize(action.eta_u)
 
-    def dt(e: Expr) -> Expr:
+    def dt(e: CanonicalForm) -> CanonicalForm:
         return jet.total_derivative(e, "t")
 
-    def dx(e: Expr) -> Expr:
+    def dx(e: CanonicalForm) -> CanonicalForm:
         return jet.total_derivative(e, "x")
 
     u_t, u_x = Coord("u_t"), Coord("u_x")
     u_tt, u_tx, u_xx = Coord("u_tt"), Coord("u_tx"), Coord("u_xx")
-    minus = Const(Fraction(-1))
 
     if action.zeta_ut is not None:
-        zeta_t = as_expr(action.zeta_ut)
+        zeta_t = canonicalize(action.zeta_ut)
     else:
-        zeta_t = add(dt(eta), mul(minus, u_t, dt(xi_t)), mul(minus, u_x, dt(xi_x)))
+        zeta_t = dt(eta) - dt(xi_t) * u_t - dt(xi_x) * u_x
     if action.zeta_ux is not None:
-        zeta_x = as_expr(action.zeta_ux)
+        zeta_x = canonicalize(action.zeta_ux)
     else:
-        zeta_x = add(dx(eta), mul(minus, u_t, dx(xi_t)), mul(minus, u_x, dx(xi_x)))
+        zeta_x = dx(eta) - dx(xi_t) * u_t - dx(xi_x) * u_x
 
-    zeta_tt = add(dt(zeta_t), mul(minus, u_tt, dt(xi_t)), mul(minus, u_tx, dt(xi_x)))
-    zeta_xx = add(dx(zeta_x), mul(minus, u_tx, dx(xi_t)), mul(minus, u_xx, dx(xi_x)))
+    zeta_tt = dt(zeta_t) - dt(xi_t) * u_tt - dt(xi_x) * u_tx
+    zeta_xx = dx(zeta_x) - dx(xi_t) * u_tx - dx(xi_x) * u_xx
 
-    delta_sigma = add(mul(Const(Fraction(2)), u_t, zeta_t),
-                      mul(Const(Fraction(-2)), u_x, zeta_x))
-    delta_f = add(zeta_tt, mul(minus, zeta_xx))
+    delta_sigma = zeta_t * (2 * u_t) - zeta_x * (2 * u_x)
+    delta_f = zeta_tt - zeta_xx
 
     sigma_plus_ux2 = Poly.var("sigma") + Poly.var("u_x") * Poly.var("u_x")
     f_plus_uxx = Poly.var("f") + Poly.var("u_xx")
     residual_vars = ("u_t", "u_x", "u_tt", "u_tx", "u_xx")
 
-    def project(e: Expr, label: str) -> Expr:
-        e = substitute(e, {"u_tt": add(Coord("f"), u_xx)})
-        cf = canonicalize(e)
-        num = _fold_even_powers(cf.numerator.substitute("u_tt", f_plus_uxx),
+    def project(form: CanonicalForm, label: str) -> CanonicalForm:
+        num = _fold_even_powers(form.numerator.substitute("u_tt", f_plus_uxx),
                                 "u_t", sigma_plus_ux2)
-        den = _fold_even_powers(cf.denominator.substitute("u_tt", f_plus_uxx),
+        den = _fold_even_powers(form.denominator.substitute("u_tt", f_plus_uxx),
                                 "u_t", sigma_plus_ux2)
         reduced = _normalized(num, den)
-        leftover = ((reduced.numerator.variables() | reduced.denominator.variables())
-                    & set(residual_vars))
+        leftover = reduced.free_coordinates() & set(residual_vars)
         if leftover:
             raise NotProjectableError(
                 f"the induced {label}-coefficient still depends on "
                 f"{sorted(leftover)}; the point action does not project to "
                 f"the (u, sigma, f) chart"
             )
-        return reduced.to_expr()
+        return reduced
 
     coeffs = {
-        "t": _simplify(xi_t),
-        "x": _simplify(xi_x),
-        "u": _simplify(eta),
+        "t": xi_t,
+        "x": xi_x,
+        "u": eta,
         "sigma": project(delta_sigma, "sigma"),
         "f": project(delta_f, "f"),
     }

@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import strategies as st
+
 from wavesym.canonical import canonicalize, equals
-from wavesym.expr import Const, add, mul
+from wavesym.jetspace import JetSpace
 from wavesym.vfields import VectorField
 
 
@@ -25,9 +28,30 @@ def field_combination(*pairs) -> VectorField:
         coords |= set(f.coefficients)
     out = {}
     for v in coords:
-        out[v] = add(*(mul(Const(Fraction(c)), f.coefficient(v))
-                       for c, f in pairs))
+        out[v] = sum((f.coefficient(v) * Fraction(c) for c, f in pairs),
+                     canonicalize(0))
     return VectorField(pairs[0][1].space, out)
+
+
+def polynomial_text(gens):
+    """Strategy: up to three terms with coefficients in -3..3 and degree at
+    most 2 in each of ``gens`` (coordinates or atom instances such as
+    exp(u)), written in the wavesym grammar."""
+    term = st.tuples(st.integers(-3, 3).filter(bool),
+                     st.lists(st.integers(0, 2), min_size=len(gens),
+                              max_size=len(gens)))
+    return st.lists(term, min_size=1, max_size=3).map(lambda terms: " + ".join(
+        "*".join([f"({c})"] + [f"{g}^{e}" for g, e in zip(gens, exps) if e])
+        for c, exps in terms))
+
+
+def sympy_of(text):
+    """sympy's reading of a wavesym-grammar string over the order-2 chart;
+    skips the test when sympy is absent."""
+    sympy = pytest.importorskip("sympy")
+    names = {c: sympy.Symbol(c) for c in JetSpace(2).coordinates}
+    return sympy.parse_expr(str(text).replace("^", "**"),
+                            local_dict={**names, "exp": sympy.exp})
 
 
 def in_integer_lattice(vector, basis) -> bool:

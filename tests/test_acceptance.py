@@ -213,13 +213,11 @@ def test_criterion_9_property_suites():
         f_expr = parse("sigma*f_u + u^2", space)
         g_expr = parse("f - sigma", space)
         assert equals(apply(y3, mul(f_expr, g_expr)),
-                      add(mul(apply(y3, f_expr), g_expr),
-                          mul(f_expr, apply(y3, g_expr))))
+                      apply(y3, f_expr) * g_expr + apply(y3, g_expr) * f_expr)
         space2 = JetSpace(2)
         du = space2.total_derivative
         assert equals(du(mul(f_expr, g_expr), "u"),
-                      add(mul(du(f_expr, "u"), g_expr),
-                          mul(f_expr, du(g_expr, "u"))))
+                      du(f_expr, "u") * g_expr + du(g_expr, "u") * f_expr)
 
         fixtures = ["sigma^2", "sigma^3", "3*sigma^2", "sigma^2 + 1",
                     "u + sigma", "u^2 + sigma", "u*sigma^2", "sigma^2 + u^2",

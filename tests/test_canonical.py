@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import polynomial_text, sympy_of
 from wavesym.canonical import Poly, canonicalize, equals, poly_gcd
 from wavesym.expr import DivisionByZeroExpressionError, parse
 from wavesym.jetspace import JetSpace
@@ -143,3 +144,64 @@ def test_canonical_string_reparses():
               " + f*(sigma*f_sigma - f))/(sigma*f_sigma - f)^2")
     again = canonicalize(parse(str(form), CHART2))
     assert again == form
+
+
+# random rational functions in (u, sigma, f, f_sigma) with exp(u) factors
+_poly_text = polynomial_text(("u", "sigma", "f", "f_sigma", "exp(u)"))
+_fraction_text = st.tuples(_poly_text, _poly_text).map(
+    lambda pair: f"({pair[0]})/({pair[1]})")
+
+
+def _agrees(form, expected) -> bool:
+    sympy = pytest.importorskip("sympy")
+    return sympy.cancel(sympy_of(form) - expected) == 0
+
+
+def _form_or_skip(text):
+    try:
+        return cf(text)
+    except DivisionByZeroExpressionError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fraction_text, _fraction_text)
+def test_form_arithmetic_agrees_with_sympy(a_text, b_text):
+    a, b = _form_or_skip(a_text), _form_or_skip(b_text)
+    if a is None or b is None:
+        return
+    sa, sb = sympy_of(a_text), sympy_of(b_text)
+    assert _agrees(a + b, sa + sb)
+    assert _agrees(a - b, sa - sb)
+    assert _agrees(a * b, sa * sb)
+    if b.is_zero():
+        with pytest.raises(DivisionByZeroExpressionError):
+            a / b
+    else:
+        assert _agrees(a / b, sa / sb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fraction_text, st.sampled_from(("u", "sigma", "f", "f_sigma")))
+def test_form_diff_agrees_with_sympy(text, v):
+    sympy = pytest.importorskip("sympy")
+    form = _form_or_skip(text)
+    if form is None:
+        return
+    assert _agrees(form.diff(v), sympy.diff(sympy_of(text), sympy.Symbol(v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fraction_text, _fraction_text, st.booleans())
+def test_equals_agrees_with_sympy(a_text, b_text, rewrite):
+    """equals compares canonical forms; it must agree with sympy.cancel both
+    on unrelated pairs and on a rewriting of the same function."""
+    sympy = pytest.importorskip("sympy")
+    if rewrite:  # the same function, multiplied through by b/b
+        b_text = f"({a_text})*({b_text})/({b_text})"
+    a, b = _form_or_skip(a_text), _form_or_skip(b_text)
+    if a is None or b is None:
+        return
+    expected = sympy.cancel(sympy_of(a_text) - sympy_of(b_text)) == 0
+    assert equals(a, b) == expected
+    assert equals(a, parse(b_text, CHART2)) == expected

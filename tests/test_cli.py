@@ -196,3 +196,37 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "rank" in proc.stdout
+
+
+def test_deep_parentheses_are_a_parse_error(capsys):
+    deep = "(" * 3000 + "u" + ")" * 3000
+    code, _, err = run_cli(capsys, "equiv", deep, "sigma")
+    assert code == 1
+    assert err.startswith("parse error: nesting deeper than")
+    code, _, err = run_cli(capsys, "invariants", "verify", "--expr", deep)
+    assert code == 1
+    assert err.startswith("parse error: nesting deeper than")
+
+
+def test_deep_unary_minus_is_a_parse_error(capsys):
+    code, _, err = run_cli(capsys, "equiv", "u + " + "-" * 3000 + "sigma^2", "sigma")
+    assert code == 1
+    assert err.startswith("parse error: nesting deeper than")
+
+
+def test_fifty_nested_levels_still_parse(capsys):
+    nested = "(" * 50 + "sigma^2" + ")" * 50
+    code, out, _ = run_cli(capsys, "--output", "json", "equiv", nested, "sigma^2")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "equivalent-per-criterion"
+    code, out, _ = run_cli(capsys, "--output", "json", "invariants", "verify",
+                           "--expr=" + "-(" * 25 + "sigma" + ")" * 25)
+    assert code == 0
+    assert json.loads(out)["report"]["overall"] == "relative"
+
+
+def test_division_by_zero_is_a_math_error(capsys):
+    code, out, err = run_cli(capsys, "equiv", "1/(sigma-sigma)", "sigma^2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("math error: ")

@@ -15,7 +15,6 @@ from wavesym.eqalgebra import (
     closure_max_k,
     commutator_table,
     expected_relations,
-    invariant_count,
     matrix_rank_at_samples,
     minimal_generating_set,
     prolonged_rank,
@@ -327,13 +326,13 @@ def test_exhaustive_matches_greedy_rank(derived6):
 # --- invariant counts and stabilization --------------------------------------
 
 def test_invariant_counts(derived6):
-    assert invariant_count(derived6, 1) == 0
-    assert invariant_count(derived6, 2) == 2
+    assert prolonged_rank(derived6, 1).invariant_count == 0
+    assert prolonged_rank(derived6, 2).invariant_count == 2
 
 
 def test_empty_generator_set_leaves_everything_invariant():
     empty = GeneratorSet(Source.DERIVED, 0, (), (), 0)
-    assert invariant_count(empty, 1) == 7
+    assert prolonged_rank(empty, 1).invariant_count == 7
 
 
 def test_stabilization_first_order():

@@ -110,10 +110,10 @@ def test_single_coordinate_is_independent():
 
 
 def test_counting_consistency(derived6):
-    from wavesym.eqalgebra import invariant_count
+    from wavesym.eqalgebra import prolonged_rank
     found = [R1_CORRECTED, R2]
     assert functional_independence(found, JetSpace(2))
-    assert len(found) <= invariant_count(derived6, 2)
+    assert len(found) <= prolonged_rank(derived6, 2).invariant_count
     assert not functional_independence(found + [mul(R1_CORRECTED, R2)], JetSpace(2))
 
 

@@ -1,10 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import field_combination, field_is_zero, fields_equal
-from wavesym.canonical import equals
-from wavesym.expr import ONE, ZERO, Coord, mul, parse
+from helpers import (
+    field_combination,
+    field_is_zero,
+    fields_equal,
+    polynomial_text,
+    sympy_of,
+)
+from wavesym.canonical import canonicalize, equals
+from wavesym.expr import ONE, ZERO, Coord, DivisionByZeroExpressionError, mul, parse
 from wavesym.jetspace import JetSpace
 from wavesym.vfields import (
     NotProjectableError,
@@ -103,8 +110,29 @@ def test_apply_is_a_derivation():
     f_expr = parse("sigma*f_u + u", space)
     g_expr = parse("f - sigma^2", space)
     lhs = apply(y3, mul(f_expr, g_expr))
-    rhs = mul(apply(y3, f_expr), g_expr) + mul(f_expr, apply(y3, g_expr))
+    rhs = apply(y3, f_expr) * g_expr + apply(y3, g_expr) * f_expr
     assert equals(lhs, rhs)
+
+
+# candidates in the order-2 chart with exp(u) factors
+_poly_text = polynomial_text(("u", "sigma", "f", "f_sigma", "f_sigmasigma", "exp(u)"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_poly_text, _poly_text, st.sampled_from(["Y0", "Y3", "Y^0", "Y^2", "Y^3"]))
+def test_apply_agrees_with_sympy(num_text, den_text, name):
+    """apply(prolonged Y, F) against sympy's sum of c_v * dF/dv."""
+    sympy = pytest.importorskip("sympy")
+    text = f"({num_text})/({den_text})"
+    candidate = parse(text, JetSpace(2))
+    try:
+        canonicalize(candidate)
+    except DivisionByZeroExpressionError:
+        return
+    y = prolong(derived(name), 2)
+    expected = sum((sympy_of(c) * sympy.diff(sympy_of(text), sympy.Symbol(v))
+                    for v, c in y.coefficients.items()), sympy.Integer(0))
+    assert sympy.cancel(sympy_of(apply(y, candidate)) - expected) == 0
 
 
 # --- bracket -----------------------------------------------------------------
