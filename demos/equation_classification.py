@@ -21,7 +21,6 @@ from wavesym import (
     pde_residual,
     search_orbit_match,
     signature_of,
-    to_string,
 )
 
 
@@ -46,7 +45,7 @@ def main():
                                    Fraction(9, 4))
     moved = apply_finite_transformation(square, stretch)
     print(f"  sigma^2 pushed through u -> 2u+1, sigma scale 9/4: "
-          f"f = {to_string(moved.f)}")
+          f"f = {moved.f}")
     print(f"  verdict against the original: "
           f"{check_equivalence(square, moved).verdict.value}")
 
@@ -64,7 +63,7 @@ def main():
     print("\nresidual certificate: an equation belongs to the class labeled "
           "(rho1, rho2) iff both residuals vanish")
     sig = signature_of(square)
-    first, second = pde_residual(square, sig.rho1.to_expr(), sig.rho2.to_expr())
+    first, second = pde_residual(square, sig.rho1, sig.rho2)
     print(f"  residuals for sigma^2 at its own signature: "
           f"({first}, {second})")
 

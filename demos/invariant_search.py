@@ -67,7 +67,7 @@ def main():
     for vector in kernel:
         candidate = candidate_from_exponents(blocks, vector)
         verdict = is_absolute(candidate, g, 2).overall
-        print(f"  exponents {vector} -> {to_string(candidate)} [{verdict}]")
+        print(f"  exponents {vector} -> {candidate} [{verdict}]")
 
     r1c = NAMED_EXPRESSIONS["R1_corrected"]
     r2 = NAMED_EXPRESSIONS["R2"]

@@ -25,6 +25,7 @@ from typing import Mapping
 from .expr import (
     ATOM_ARG,
     AtomApp,
+    AtomArgumentError,
     Const,
     Coord,
     DivisionByZeroExpressionError,
@@ -297,12 +298,6 @@ class Poly:
             out.setdefault(e, {})[tuple(rest)] = c
         return {e: Poly(t) for e, t in out.items()}
 
-    def substitute(self, name: str, replacement: "Poly") -> "Poly":
-        out = Poly()
-        for e, coeff in self.coeffs_in(name).items():
-            out = out + coeff * (replacement ** e)
-        return out
-
     def diff(self, name: str) -> "Poly":
         """Partial derivative with the generator treated as a plain
         indeterminate; the chain rule through atoms is applied by
@@ -452,7 +447,8 @@ _GCD_CACHE: dict[tuple, Poly] = {}
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """GCD up to a rational unit."""
+    """GCD up to a rational unit, computed ones made primitive integer
+    polynomials: contents chain gcds, and a unit would grow along a chain."""
     if p.is_zero():
         return q
     if q.is_zero():
@@ -464,6 +460,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if cached is not None:
         return cached
     out = _poly_gcd_uncached(p, q)
+    out = out.scale(1 / _content_rational(out))
     _GCD_CACHE[key] = out
     return out
 
@@ -575,6 +572,17 @@ class CanonicalForm:
         """Partial derivative by the coordinate ``v``."""
         return self.derive({v: ONE_FORM})
 
+    def substitute(self, bindings: Mapping[str, "CanonicalForm | ExprLike"]
+                   ) -> "CanonicalForm":
+        """Simultaneous substitution of coordinates by forms, reduced once;
+        unbound coordinates stay.  An atom whose argument is bound must have
+        it bound to a plain coordinate, which renames the argument; any
+        other binding there raises AtomArgumentError."""
+        forms = {v: canonicalize(b) for v, b in bindings.items()}
+        num, num_den = _substitute_poly(self.numerator, forms)
+        den, den_den = _substitute_poly(self.denominator, forms)
+        return _normalized(num * den_den, den * num_den)
+
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact rational value at ``point``, which binds coordinates.  As
         ``expr.eval_at`` without atom values, a pole raises
@@ -647,6 +655,38 @@ def _derive_poly(p: Poly, coefficients: Mapping[str, CanonicalForm]) -> tuple[Po
             c = c * _atom_derivative(name)
         num, den = _fraction_sum(num, den, c.numerator * p.diff(name),
                                  c.denominator)
+    return num, den
+
+
+def _plain_coordinate(form: CanonicalForm) -> str | None:
+    """The coordinate name when the form is exactly that coordinate."""
+    for name in form.numerator.variables():
+        if (_atom_parts(name) is None
+                and form == CanonicalForm(Poly.var(name), _POLY_ONE)):
+            return name
+    return None
+
+
+def _substitute_poly(p: Poly, forms: Mapping[str, CanonicalForm]) -> tuple[Poly, Poly]:
+    """p with coordinates replaced by forms, as an unreduced fraction."""
+    num, den = Poly(), _POLY_ONE
+    for m, c in p.terms.items():
+        kept, term_num, term_den = MONO_ONE, _POLY_ONE, _POLY_ONE
+        for name, e in m:
+            if name in forms:
+                term_num = term_num * forms[name].numerator ** e
+                term_den = term_den * forms[name].denominator ** e
+                continue
+            parts = _atom_parts(name)
+            if parts is not None and parts[1] in forms:
+                target = _plain_coordinate(forms[parts[1]])
+                if target is None:
+                    raise AtomArgumentError(
+                        f"cannot substitute non-coordinate expression for "
+                        f"{parts[1]!r} inside {name}")
+                name = f"{parts[0]}({target})"
+            kept = mono_mul(kept, ((name, e),))
+        num, den = _fraction_sum(num, den, Poly({kept: c}) * term_num, term_den)
     return num, den
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .eqalgebra import (
     DEFAULT_COORDINATE_RANGE,
     DEFAULT_K,
-    DEFAULT_K_MAX,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     Source,
@@ -36,6 +35,7 @@ from .expr import DivisionByZeroExpressionError, ExprError, parse, to_string
 from .invariants import (
     NAMED_EXPRESSIONS,
     WeightedBlock,
+    candidate_from_exponents,
     compare_sources,
     is_absolute,
     weight_kernel_search,
@@ -60,13 +60,12 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     samples: int = DEFAULT_SAMPLES
     K: int = DEFAULT_K
-    K_max: int = DEFAULT_K_MAX
     coordinate_range: int = DEFAULT_COORDINATE_RANGE
     source: Source = Source.DERIVED
     output: str = "text"
 
     def validate(self):
-        for name in ("samples", "K_max", "coordinate_range"):
+        for name in ("samples", "coordinate_range"):
             if getattr(self, name) < 1:
                 raise _UsageError(f"{name} must be positive")
         for name in ("seed", "K"):
@@ -74,7 +73,7 @@ class RunConfig:
                 raise _UsageError(f"{name} must be non-negative")
 
 
-_INT_KEYS = ("seed", "samples", "K", "K_max", "coordinate_range")
+_INT_KEYS = ("seed", "samples", "K", "coordinate_range")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -260,10 +259,7 @@ def cmd_invariants_search(config: RunConfig, blocks_text: str) -> tuple[int, dic
     except ValueError as exc:
         raise _UsageError(str(exc))
     vectors = weight_kernel_search(blocks, gens)
-    candidates = []
-    from .invariants import candidate_from_exponents
-    for vec in vectors:
-        candidates.append(to_string(candidate_from_exponents(blocks, vec)))
+    candidates = [str(candidate_from_exponents(blocks, vec)) for vec in vectors]
     report = {
         "schema": SCHEMA,
         "command": "invariants-search",

@@ -1,10 +1,11 @@
 """Invariant signatures of concrete wave-class equations and the
 signature-based equivalence criterion.
 
-For an equation u_tt - u_xx = f(u, sigma) the verified second-order basis is
-evaluated on f, producing a pair (rho1, rho2) of exact rational functions of
-(u, sigma).  Equations with sigma*f_sigma - f identically zero sit on the
-special manifold and carry no signature.
+For an equation u_tt - u_xx = f(u, sigma), held as the canonical form of f
+(see :mod:`wavesym.canonical`), the verified second-order basis is evaluated
+on f by form derivatives and arithmetic, producing a pair (rho1, rho2) of
+exact rational functions of (u, sigma).  Equations with sigma*f_sigma - f
+identically zero sit on the special manifold and carry no signature.
 
 The criterion compares signatures at identical (u, sigma) arguments; that is
 the published statement, sound as-is for constant signatures.  An orbit-aware
@@ -12,7 +13,9 @@ grid search over affine u-reparameterizations and rational dilations is
 offered separately and clearly labeled heuristic.
 
 A finite-transformation oracle provides the exact push-forward of f under
-u' = phi(u) composed with a t, x dilation, for end-to-end validation.
+u' = phi(u) composed with a t, x dilation, for end-to-end validation, by
+substituting forms into f.  Expression trees enter only through the
+constructors and leave only when printed.
 """
 
 from __future__ import annotations
@@ -23,21 +26,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canonical import CanonicalForm, canonicalize, equals
-from .expr import (
-    Const,
-    Coord,
-    Expr,
-    add,
-    as_expr,
-    diff_partial,
-    free_coordinates,
-    mul,
-    parse,
-    pow_,
-    substitute,
-    to_string,
-)
+from .canonical import CanonicalForm, canonicalize
+from .expr import Coord, Expr, ExprError, parse
 
 
 class NonInvertibleError(Exception):
@@ -49,17 +39,20 @@ class DegenerateEquationError(Exception):
 
 
 _EQUATION_COORDS = ("u", "sigma")
+_U = canonicalize(Coord("u"))
+_SIGMA = canonicalize(Coord("sigma"))
 
 
 @dataclass(frozen=True)
 class EquationInstance:
-    """One member of the class, given by its parameter function f(u, sigma)."""
+    """One member of the class, given by its parameter function f(u, sigma)
+    as an expression, a number or a form; it is stored as a form."""
 
-    f: Expr
+    f: CanonicalForm
 
     def __post_init__(self):
-        object.__setattr__(self, "f", as_expr(self.f))
-        extra = free_coordinates(self.f) - set(_EQUATION_COORDS)
+        object.__setattr__(self, "f", canonicalize(self.f))
+        extra = self.f.free_coordinates() - set(_EQUATION_COORDS)
         if extra:
             raise ValueError(
                 f"the parameter function may only use (u, sigma); found "
@@ -70,12 +63,7 @@ class EquationInstance:
         return cls(parse(text, _EQUATION_COORDS))
 
     def __str__(self):
-        return to_string(self.f)
-
-
-def _special_manifold_residual(f: Expr) -> Expr:
-    return add(mul(Coord("sigma"), diff_partial(f, "sigma")),
-               mul(Const(Fraction(-1)), f))
+        return str(self.f)
 
 
 @dataclass(frozen=True)
@@ -99,24 +87,20 @@ class Signature:
 
 
 def signature_of(eq: EquationInstance) -> Signature:
-    """Evaluate the verified second-order basis on f and its partials."""
+    """Evaluate the verified second-order basis on f and its partials: with
+    R = sigma*f_sigma - f, rho1 = sigma^2*f_sigmasigma/R and
+    rho2 = (f*(R - 2*sigma^2*f_sigmasigma) + sigma*(f_u - sigma*f_usigma))/R^2.
+    """
     f = eq.f
-    f_u = diff_partial(f, "u")
-    f_s = diff_partial(f, "sigma")
-    f_ss = diff_partial(f_s, "sigma")
-    f_su = diff_partial(f_s, "u")
-    sigma = Coord("sigma")
-    r = _special_manifold_residual(f)
-    if canonicalize(r).is_zero():
+    f_s = f.diff("sigma")
+    r = _SIGMA * f_s - f
+    if r.is_zero():
         return Signature(degenerate=True)
-    rho1 = mul(pow_(sigma, 2), f_ss, pow_(r, -1))
-    rho2 = mul(
-        add(mul(Const(Fraction(-2)), pow_(sigma, 2), f, f_ss),
-            mul(sigma, add(f_u, mul(Const(Fraction(-1)), sigma, f_su))),
-            mul(f, r)),
-        pow_(r, -2),
-    )
-    return Signature(False, canonicalize(rho1), canonicalize(rho2))
+    sigma2_f_ss = _SIGMA * _SIGMA * f_s.diff("sigma")
+    rho1 = sigma2_f_ss / r
+    rho2 = (f * (r - sigma2_f_ss * 2)
+            + _SIGMA * (f.diff("u") - _SIGMA * f_s.diff("u"))) / (r * r)
+    return Signature(False, rho1, rho2)
 
 
 class Verdict(str, enum.Enum):
@@ -162,32 +146,30 @@ def check_equivalence(a: EquationInstance, b: EquationInstance) -> EquivalenceRe
 @dataclass(frozen=True)
 class FiniteTransformation:
     """u' = phi(u) composed with the t, x dilation scaling sigma by
-    ``dilation``.  The inverse must be supplied; it is verified, not
-    computed."""
+    ``dilation``; phi and its inverse are stored as forms.  The inverse
+    must be supplied; it is verified, not computed."""
 
-    phi: Expr
-    phi_inverse: Expr
+    phi: CanonicalForm
+    phi_inverse: CanonicalForm
     dilation: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", as_expr(self.phi))
-        object.__setattr__(self, "phi_inverse", as_expr(self.phi_inverse))
+        object.__setattr__(self, "phi", canonicalize(self.phi))
+        object.__setattr__(self, "phi_inverse", canonicalize(self.phi_inverse))
         object.__setattr__(self, "dilation", Fraction(self.dilation))
-        for label, e in (("phi", self.phi), ("phi_inverse", self.phi_inverse)):
-            extra = free_coordinates(e) - {"u"}
-            if extra:
+        for label, form in (("phi", self.phi), ("phi_inverse", self.phi_inverse)):
+            if form.free_coordinates() - {"u"}:
                 raise ValueError(f"{label} must be an expression in u alone")
         if self.dilation <= 0:
             raise ValueError("the dilation factor must be positive")
-        if canonicalize(diff_partial(self.phi, "u")).is_zero():
+        if self.phi.diff("u").is_zero():
             raise NonInvertibleError("phi has identically zero derivative")
-        composed = substitute(self.phi, {"u": self.phi_inverse})
-        if not equals(composed, Coord("u")):
+        if self.phi.substitute({"u": self.phi_inverse}) != _U:
             raise NonInvertibleError(
                 "phi(phi_inverse(u)) does not simplify to u")
 
     def __str__(self):
-        return (f"u -> {to_string(self.phi)}, sigma scale {self.dilation}")
+        return f"u -> {self.phi}, sigma scale {self.dilation}"
 
 
 def apply_finite_transformation(eq: EquationInstance,
@@ -199,16 +181,13 @@ def apply_finite_transformation(eq: EquationInstance,
     Atom-bearing f can only be pushed forward when the substitution keeps
     atom arguments plain coordinates (e.g. identity phi with a dilation).
     """
-    c = Const(t.dilation)
-    w = t.phi_inverse
-    phi_prime = diff_partial(t.phi, "u")
-    phi_second = diff_partial(phi_prime, "u")
-    pp_w = substitute(phi_prime, {"u": w})
-    ps_w = substitute(phi_second, {"u": w})
-    sigma_scaled = mul(Coord("sigma"), pow_(mul(c, pow_(pp_w, 2)), -1))
-    f_moved = substitute(eq.f, {"u": w, "sigma": sigma_scaled})
-    new_f = mul(c, add(mul(pp_w, f_moved), mul(ps_w, sigma_scaled)))
-    return EquationInstance(canonicalize(new_f).to_expr())
+    at_w = {"u": t.phi_inverse}
+    phi_prime = t.phi.diff("u")
+    pp_w = phi_prime.substitute(at_w)
+    ps_w = phi_prime.diff("u").substitute(at_w)
+    sigma_scaled = _SIGMA / (pp_w * pp_w * t.dilation)
+    f_moved = eq.f.substitute({**at_w, "sigma": sigma_scaled})
+    return EquationInstance((pp_w * f_moved + ps_w * sigma_scaled) * t.dilation)
 
 
 def pde_residual(eq: EquationInstance, rho1: Expr | CanonicalForm,
@@ -238,10 +217,7 @@ def affine_transformation(a, b, c) -> FiniteTransformation:
     if a == 0:
         raise NonInvertibleError("affine scale must be nonzero")
     b = Fraction(b)
-    u = Coord("u")
-    phi = add(mul(Const(a), u), Const(b))
-    inverse = mul(add(u, Const(-b)), Const(1 / a))
-    return FiniteTransformation(phi, inverse, Fraction(c))
+    return FiniteTransformation(_U * a + b, (_U - b) / a, Fraction(c))
 
 
 def search_orbit_match(
@@ -257,8 +233,6 @@ def search_orbit_match(
     sig_b = signature_of(b)
     if sig_b.degenerate:
         return None
-    from .expr import ExprError
-
     for av, bv, cv in itertools.product(scales, shifts, dilations):
         t = affine_transformation(av, bv, cv)
         try:
@@ -283,13 +257,18 @@ def class_id_of(sig: Signature) -> str:
 
 def classify_corpus(lines: list[str]) -> list[dict]:
     """One record per corpus expression: signature fields plus a stable
-    class id (hash of the canonical signature strings)."""
+    class id (hash of the canonical signature strings).  An expression
+    error is re-raised with its 1-based line number in the message."""
     records = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        eq = EquationInstance.from_text(text)
+        try:
+            eq = EquationInstance.from_text(text)
+        except ExprError as exc:
+            exc.args = (f"line {number}: {exc}",)
+            raise
         sig = signature_of(eq)
         record = {"input": text, **sig.as_dict(), "class_id": class_id_of(sig)}
         records.append(record)

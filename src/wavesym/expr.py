@@ -295,32 +295,6 @@ def pow_(base: Expr, exponent: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# structural queries
-
-
-def free_coordinates(e: Expr) -> frozenset[str]:
-    """All coordinate names referenced, including atom arguments."""
-    out: set[str] = set()
-    _collect_coords(e, out)
-    return frozenset(out)
-
-
-def _collect_coords(e: Expr, out: set[str]) -> None:
-    if isinstance(e, Coord):
-        out.add(e.name)
-    elif isinstance(e, AtomApp):
-        out.add(e.arg)
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            _collect_coords(t, out)
-    elif isinstance(e, Product):
-        for f in e.factors:
-            _collect_coords(f, out)
-    elif isinstance(e, Power):
-        _collect_coords(e.base, out)
-
-
-# ---------------------------------------------------------------------------
 # calculus and substitution
 
 
@@ -518,15 +492,21 @@ class _Parser:
             if self.peek()[0] == "-":
                 self.advance()
                 sign = -1
-            tok = self.expect("number")
-            return pow_(base, sign * int(tok[1]))
+            return pow_(base, sign * self.integer())
         return base
+
+    def integer(self) -> int:
+        _, text, position = self.expect("number")
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts (Python >= 3.11)
+            raise ExpressionSyntaxError(
+                f"number of {len(text)} digits is too long", position) from None
 
     def parse_base(self) -> Expr:
         kind, text, position = self.peek()
         if kind == "number":
-            self.advance()
-            return Const(Fraction(int(text)))
+            return Const(Fraction(self.integer()))
         if kind == "-":
             self.advance()
             return mul(MINUS_ONE, self.nested(position, self.parse_factor))

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import linalg
 from .canonical import CanonicalForm, canonicalize
-from .expr import Const, Expr, mul, parse, pow_, to_string
+from .expr import Expr, mul, parse, pow_, to_string
 from .eqalgebra import (
     DEFAULT_COORDINATE_RANGE,
     DEFAULT_K,
@@ -71,7 +71,7 @@ def relative_weight(f_expr: Expr | CanonicalForm,
 
 @dataclass(frozen=True)
 class InvariantReport:
-    candidate: Expr
+    candidate: Expr | CanonicalForm
     verdicts: dict[str, tuple[str, CanonicalForm | None]]  # name -> (kind, weight)
 
     @property
@@ -89,7 +89,7 @@ class InvariantReport:
 
     def as_dict(self) -> dict:
         return {
-            "candidate": to_string(self.candidate),
+            "candidate": str(self.candidate),
             "overall": self.overall,
             "verdicts": {
                 name: {"kind": kind,
@@ -99,7 +99,8 @@ class InvariantReport:
         }
 
 
-def is_absolute(f_expr: Expr, g: GeneratorSet, order: int) -> InvariantReport:
+def is_absolute(f_expr: Expr | CanonicalForm, g: GeneratorSet,
+                order: int) -> InvariantReport:
     """Apply every prolonged generator once; absolute iff all images
     vanish, relative where the image is a polynomial multiple of F."""
     form = canonicalize(f_expr)
@@ -185,7 +186,7 @@ def weight_kernel_search(
         for i in range(len(blocks))]
     vectors = [linalg.primitive_integer_vector(v) for v in kernel]
     for vec in vectors:
-        candidate = mul(*(pow_(b.expr, e) for b, e in zip(blocks, vec) if e != 0))
+        candidate = candidate_from_exponents(blocks, vec)
         for gname, x in scaling_gens.items():
             if not apply(x, candidate).is_zero():
                 raise AssertionError(
@@ -194,11 +195,9 @@ def weight_kernel_search(
 
 
 def candidate_from_exponents(blocks: list[WeightedBlock],
-                             exponents: tuple[int, ...]) -> Expr:
-    return canonicalize(
-        mul(*(pow_(b.expr, e) for b, e in zip(blocks, exponents) if e != 0))
-        if any(exponents) else Const(Fraction(1))
-    ).to_expr()
+                             exponents: tuple[int, ...]) -> CanonicalForm:
+    """The product of the blocks raised to ``exponents``, as a form."""
+    return canonicalize(mul(*(pow_(b.expr, e) for b, e in zip(blocks, exponents))))
 
 
 def verify_paper_invariants(source: Source | str = Source.DERIVED,

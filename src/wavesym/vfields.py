@@ -10,9 +10,10 @@ zeta_empty the coefficient on the dependent coordinate.
 
 Point transformations acting on (t, x, u) induce generators on the chart
 (t, x, u, sigma, f) via their second prolongation in the u-jet: the increments
-of sigma = u_t^2 - u_x^2 and of f = u_tt - u_xx are computed, u_tt is
-eliminated through the equation itself and u_t^2 through sigma, and the
-result must come out independent of the remaining u-derivatives.
+of sigma = u_t^2 - u_x^2 and of f = u_tt - u_xx are computed as forms, u_tt
+is eliminated through the equation itself by substituting f + u_xx into the
+form, u_t^2 is folded into sigma + u_x^2 in its numerator and denominator, and
+the result must come out independent of the remaining u-derivatives.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .canonical import CanonicalForm, Poly, _normalized, canonicalize
-from .expr import Coord, Expr, ExprLike, as_expr, free_coordinates
+from .expr import Coord, Expr, ExprLike
 from .jetspace import JetSpace, u_jet
 
 
@@ -134,13 +135,13 @@ class PointAction:
     def __post_init__(self):
         for label, e in (("xi_t", self.xi_t), ("xi_x", self.xi_x),
                          ("eta_u", self.eta_u)):
-            bad = free_coordinates(as_expr(e)) - {"t", "x", "u"}
+            bad = canonicalize(e).free_coordinates() - {"t", "x", "u"}
             if bad:
                 raise ValueError(f"{label} may only use (t, x, u); found {sorted(bad)}")
         for label, e in (("zeta_ut", self.zeta_ut), ("zeta_ux", self.zeta_ux)):
             if e is None:
                 continue
-            bad = free_coordinates(as_expr(e)) - {"t", "x", "u", "u_t", "u_x"}
+            bad = canonicalize(e).free_coordinates() - {"t", "x", "u", "u_t", "u_x"}
             if bad:
                 raise ValueError(
                     f"{label} may only use (t, x, u, u_t, u_x); found {sorted(bad)}")
@@ -195,14 +196,13 @@ def induce_from_point_action(action: PointAction) -> VectorField:
     delta_f = zeta_tt - zeta_xx
 
     sigma_plus_ux2 = Poly.var("sigma") + Poly.var("u_x") * Poly.var("u_x")
-    f_plus_uxx = Poly.var("f") + Poly.var("u_xx")
+    u_tt_by_f = {"u_tt": Coord("f") + u_xx}
     residual_vars = ("u_t", "u_x", "u_tt", "u_tx", "u_xx")
 
     def project(form: CanonicalForm, label: str) -> CanonicalForm:
-        num = _fold_even_powers(form.numerator.substitute("u_tt", f_plus_uxx),
-                                "u_t", sigma_plus_ux2)
-        den = _fold_even_powers(form.denominator.substitute("u_tt", f_plus_uxx),
-                                "u_t", sigma_plus_ux2)
+        eliminated = form.substitute(u_tt_by_f)
+        num = _fold_even_powers(eliminated.numerator, "u_t", sigma_plus_ux2)
+        den = _fold_even_powers(eliminated.denominator, "u_t", sigma_plus_ux2)
         reduced = _normalized(num, den)
         leftover = reduced.free_coordinates() & set(residual_vars)
         if leftover:

@@ -33,16 +33,22 @@ def field_combination(*pairs) -> VectorField:
     return VectorField(pairs[0][1].space, out)
 
 
-def polynomial_text(gens):
+def polynomial_text(gens, max_degree=2):
     """Strategy: up to three terms with coefficients in -3..3 and degree at
-    most 2 in each of ``gens`` (coordinates or atom instances such as
-    exp(u)), written in the wavesym grammar."""
+    most ``max_degree`` in each of ``gens`` (coordinates or atom instances
+    such as exp(u)), written in the wavesym grammar."""
     term = st.tuples(st.integers(-3, 3).filter(bool),
-                     st.lists(st.integers(0, 2), min_size=len(gens),
+                     st.lists(st.integers(0, max_degree), min_size=len(gens),
                               max_size=len(gens)))
     return st.lists(term, min_size=1, max_size=3).map(lambda terms: " + ".join(
         "*".join([f"({c})"] + [f"{g}^{e}" for g, e in zip(gens, exps) if e])
         for c, exps in terms))
+
+
+def fraction_text(gens, max_degree=2):
+    """Strategy: a quotient of two ``polynomial_text`` strings."""
+    poly = polynomial_text(gens, max_degree)
+    return st.tuples(poly, poly).map(lambda pair: f"({pair[0]})/({pair[1]})")
 
 
 def sympy_of(text):
@@ -52,6 +58,13 @@ def sympy_of(text):
     names = {c: sympy.Symbol(c) for c in JetSpace(2).coordinates}
     return sympy.parse_expr(str(text).replace("^", "**"),
                             local_dict={**names, "exp": sympy.exp})
+
+
+def agrees(form, expected) -> bool:
+    """Whether a form and a sympy expression are the same rational
+    function."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.cancel(sympy_of(form) - expected) == 0
 
 
 def in_integer_lattice(vector, basis) -> bool:

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import polynomial_text, sympy_of
+from helpers import agrees, fraction_text, sympy_of
 from wavesym.canonical import Poly, canonicalize, equals, poly_gcd
-from wavesym.expr import DivisionByZeroExpressionError, parse
+from wavesym.expr import AtomArgumentError, DivisionByZeroExpressionError, parse
 from wavesym.jetspace import JetSpace
 
 CHART2 = JetSpace(2).coordinates
@@ -147,14 +147,7 @@ def test_canonical_string_reparses():
 
 
 # random rational functions in (u, sigma, f, f_sigma) with exp(u) factors
-_poly_text = polynomial_text(("u", "sigma", "f", "f_sigma", "exp(u)"))
-_fraction_text = st.tuples(_poly_text, _poly_text).map(
-    lambda pair: f"({pair[0]})/({pair[1]})")
-
-
-def _agrees(form, expected) -> bool:
-    sympy = pytest.importorskip("sympy")
-    return sympy.cancel(sympy_of(form) - expected) == 0
+_fraction_text = fraction_text(("u", "sigma", "f", "f_sigma", "exp(u)"))
 
 
 def _form_or_skip(text):
@@ -171,14 +164,14 @@ def test_form_arithmetic_agrees_with_sympy(a_text, b_text):
     if a is None or b is None:
         return
     sa, sb = sympy_of(a_text), sympy_of(b_text)
-    assert _agrees(a + b, sa + sb)
-    assert _agrees(a - b, sa - sb)
-    assert _agrees(a * b, sa * sb)
+    assert agrees(a + b, sa + sb)
+    assert agrees(a - b, sa - sb)
+    assert agrees(a * b, sa * sb)
     if b.is_zero():
         with pytest.raises(DivisionByZeroExpressionError):
             a / b
     else:
-        assert _agrees(a / b, sa / sb)
+        assert agrees(a / b, sa / sb)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,7 +181,7 @@ def test_form_diff_agrees_with_sympy(text, v):
     form = _form_or_skip(text)
     if form is None:
         return
-    assert _agrees(form.diff(v), sympy.diff(sympy_of(text), sympy.Symbol(v)))
+    assert agrees(form.diff(v), sympy.diff(sympy_of(text), sympy.Symbol(v)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,3 +198,42 @@ def test_equals_agrees_with_sympy(a_text, b_text, rewrite):
     expected = sympy.cancel(sympy_of(a_text) - sympy_of(b_text)) == 0
     assert equals(a, b) == expected
     assert equals(a, parse(b_text, CHART2)) == expected
+
+
+# bindings of degree at most 1 in each of (u, sigma): they include the
+# push-forwards under affine phi, u -> (u - b)/a and sigma -> sigma/(c*a^2)
+_uv_binding_text = fraction_text(("u", "sigma"), max_degree=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_text(("u", "sigma")), _uv_binding_text, _uv_binding_text)
+def test_substitute_agrees_with_sympy(text, u_text, sigma_text):
+    """Simultaneous substitution of forms for (u, sigma) is sympy's
+    subs(..., simultaneous=True), cancelled; a denominator that vanishes
+    identically after substitution raises."""
+    sympy = pytest.importorskip("sympy")
+    form, u_form, sigma_form = map(_form_or_skip, (text, u_text, sigma_text))
+    if form is None or u_form is None or sigma_form is None:
+        return
+    u, sigma = sympy.symbols("u sigma")
+    images = {u: sympy_of(u_form), sigma: sympy_of(sigma_form)}
+    num, den = sympy.fraction(sympy_of(form))
+    den_image = sympy.cancel(den.subs(images, simultaneous=True))
+    bindings = {"u": u_form, "sigma": sigma_form}
+    if den_image == 0:
+        with pytest.raises(DivisionByZeroExpressionError):
+            form.substitute(bindings)
+    else:
+        assert agrees(form.substitute(bindings),
+                      num.subs(images, simultaneous=True) / den_image)
+
+
+def test_substitute_renames_a_bound_atom_argument():
+    assert cf("exp(u)*sigma").substitute({"u": cf("u"), "sigma": cf("2*sigma")}) \
+        == cf("2*exp(u)*sigma")
+    assert cf("exp(u) + u").substitute({"u": cf("sigma")}) == cf("exp(sigma) + sigma")
+
+
+def test_substitute_into_an_atom_argument_raises():
+    with pytest.raises(AtomArgumentError):
+        cf("exp(u) + sigma").substitute({"u": cf("2*u")})

@@ -230,3 +230,36 @@ def test_division_by_zero_is_a_math_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("math error: ")
+
+
+def test_overlong_number_is_a_parse_error(capsys):
+    nines = "9" * 5000
+    code, out, err = run_cli(capsys, "equiv", nines + "*sigma^2", "sigma")
+    assert (code, out) == (1, "")
+    assert err == "parse error: number of 5000 digits is too long at offset 0\n"
+    code, out, err = run_cli(capsys, "equiv", "sigma^" + nines, "sigma")
+    assert (code, out) == (1, "")
+    assert err == "parse error: number of 5000 digits is too long at offset 6\n"
+
+
+def test_k_max_is_not_an_option(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--K-max", "3", "rank", "--order", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"K_max": 3}))
+    code, out, err = run_cli(capsys, "--config", str(config), "rank", "--order", "1")
+    assert (code, out) == (1, "")
+    assert err == "usage error: unknown config key 'K_max'\n"
+
+
+def test_classify_error_names_the_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("sigma^2\n\n# comment\nsigma +* 2\n")
+    code, out, err = run_cli(capsys, "classify", str(corpus))
+    assert (code, out) == (1, "")
+    assert err == "parse error: line 4: unexpected '*' at offset 7\n"
+    corpus.write_text("sigma^2\n1/(sigma - sigma)\n")
+    code, out, err = run_cli(capsys, "classify", str(corpus))
+    assert (code, out) == (1, "")
+    assert err.startswith("math error: line 2: ")

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import agrees, polynomial_text, sympy_of
 from wavesym.canonical import canonicalize, equals
 from wavesym.equivalence import (
     DegenerateEquationError,
@@ -19,7 +21,7 @@ from wavesym.equivalence import (
     search_orbit_match,
     signature_of,
 )
-from wavesym.expr import Const, parse, substitute
+from wavesym.expr import Const, DivisionByZeroExpressionError, parse, substitute
 
 U_ONLY = ("u",)
 EQ_CHART = ("u", "sigma")
@@ -59,6 +61,42 @@ def test_signature_of_u_plus_sigma():
     sig = signature_of(eq("u + sigma"))
     assert str(sig.rho1) == "0"
     assert sig.rho2 == canonicalize(parse("(sigma - sigma*u - u^2)/u^2", EQ_CHART))
+
+
+def test_signature_of_rational_f_whose_gcd_chains_contents():
+    # the gcd behind rho1 computes contents as chains of gcds; it used to
+    # carry each gcd's rational unit into the next, and never finished
+    sig = signature_of(eq("(5*u + 2)/(3*u*sigma + 2*u + 2)"))
+    assert sig.rho1 == canonicalize(parse(
+        "-9*u^2*sigma^2/((3*u*sigma + u + 1)*(3*u*sigma + 2*u + 2))", EQ_CHART))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(polynomial_text(("u", "sigma")),
+                 polynomial_text(("u", "sigma"), max_degree=1)).map(
+    lambda pair: f"({pair[0]})/({pair[1]})"))
+@example("(sigma^2)/(1)")
+@example("((1)*u^2*sigma^1)/((3))")
+def test_signature_agrees_with_sympy(text):
+    """rho1 = sigma^2*f_sigmasigma/R and the published rho2, evaluated by
+    sympy on the same f; the signature is degenerate exactly when R = 0."""
+    sympy = pytest.importorskip("sympy")
+    try:
+        instance = eq(text)
+    except DivisionByZeroExpressionError:
+        return
+    u, sigma = sympy.symbols("u sigma")
+    f = sympy_of(instance.f)
+    f_s = sympy.diff(f, sigma)
+    f_ss = sympy.diff(f_s, sigma)
+    r = sympy.cancel(sigma * f_s - f)
+    sig = signature_of(instance)
+    assert sig.degenerate == (r == 0)
+    if r != 0:
+        assert agrees(sig.rho1, sigma**2 * f_ss / r)
+        f_u, f_su = sympy.diff(f, u), sympy.diff(f_s, u)
+        assert agrees(sig.rho2, (-2 * sigma**2 * f * f_ss + sigma * (f_u - sigma * f_su)
+                                 + f * r) / r**2)
 
 
 def test_parameter_function_chart_is_validated():

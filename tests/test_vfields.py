@@ -203,3 +203,10 @@ def test_prolongation_naturality():
 def test_coefficients_must_live_on_the_chart():
     with pytest.raises(ValueError):
         VectorField(JetSpace(0), {"f_u": ONE})
+
+
+def test_point_action_rejects_foreign_coordinates():
+    with pytest.raises(ValueError):
+        PointAction(parse("sigma", ["sigma"]), ZERO, ZERO)
+    with pytest.raises(ValueError):
+        PointAction(ZERO, ZERO, ZERO, zeta_ut=parse("u_xx", ["u_xx"]))
