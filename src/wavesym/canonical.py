@@ -182,7 +182,7 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and MONO_ONE in self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {MONO_ONE: Fraction(1)}
+        return len(self.terms) == 1 and self.terms.get(MONO_ONE) == 1
 
     def as_const(self) -> Fraction:
         if not self.terms:
@@ -584,14 +584,16 @@ class CanonicalForm:
         return _normalized(num * den_den, den * num_den)
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Exact rational value at ``point``, which binds coordinates.  As
-        ``expr.eval_at`` without atom values, a pole raises
-        ZeroDenominatorError and a missing coordinate or any atom instance
-        raises UnboundSymbolError."""
-        den = _eval_poly(self.denominator, point)
-        if den == 0:
+        """Exact rational value at ``point``, which binds coordinates to
+        rationals.  The sums run on integer numerators and denominators, and
+        one Fraction is built at the end.  As ``expr.eval_at`` without atom
+        values, a pole raises ZeroDenominatorError and a missing coordinate
+        or an atom instance raises UnboundSymbolError."""
+        den_num, den_den = _eval_poly(self.denominator, point)
+        if den_num == 0:
             raise ZeroDenominatorError("zero denominator at evaluation point")
-        return _eval_poly(self.numerator, point) / den
+        num_num, num_den = _eval_poly(self.numerator, point)
+        return Fraction(num_num * den_den, num_den * den_num)
 
 
 # the denominator of every polynomial form: one shared object keeps the many
@@ -609,6 +611,8 @@ def _normalized(num: Poly, den: Poly) -> CanonicalForm:
         if not g.is_const():
             num = _exact_div(num, g)
             den = _exact_div(den, g)
+    if den.is_one():
+        return CanonicalForm(num, _POLY_ONE)
     if den.is_const():
         return CanonicalForm(num.scale(1 / den.as_const()), _POLY_ONE)
     c = _content_rational(den)
@@ -690,17 +694,33 @@ def _substitute_poly(p: Poly, forms: Mapping[str, CanonicalForm]) -> tuple[Poly,
     return num, den
 
 
-def _eval_poly(p: Poly, point: Mapping[str, Fraction]) -> Fraction:
-    total = Fraction(0)
-    for m, c in p.terms.items():
-        for name, e in m:
-            if _atom_parts(name) is not None:
-                raise UnboundSymbolError(f"atom {name!r} is unbound")
-            if name not in point:
-                raise UnboundSymbolError(f"coordinate {name!r} is unbound")
-            c *= Fraction(point[name]) ** e
-        total += c
-    return total
+def _eval_poly(p: Poly, point: Mapping[str, Fraction]) -> tuple[int, int]:
+    """Value of p at point as an unreduced integer fraction (numerator,
+    positive denominator), summed over the terms without a Fraction."""
+    num, den = 0, 1
+    try:
+        for m, c in p.terms.items():
+            n, d = c.numerator, c.denominator
+            for name, e in m:
+                v = point[name]
+                n *= v.numerator ** e
+                d *= v.denominator ** e
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+    except KeyError:
+        raise _unbound_symbol(p, point) from None
+    return num, den
+
+
+def _unbound_symbol(p: Poly, point: Mapping[str, Fraction]) -> UnboundSymbolError:
+    """The error for the first generator of p, in term order, that point
+    cannot bind: any atom instance, or a coordinate missing from it."""
+    name = next(n for m in p.terms for n, _ in m
+                if _atom_parts(n) is not None or n not in point)
+    kind = "coordinate" if _atom_parts(name) is None else "atom"
+    return UnboundSymbolError(f"{kind} {name!r} is unbound")
 
 
 def _poly_to_expr(p: Poly) -> Expr:

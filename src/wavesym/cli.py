@@ -31,7 +31,13 @@ from .equivalence import (
     classify_corpus,
     search_orbit_match,
 )
-from .expr import DivisionByZeroExpressionError, ExprError, parse, to_string
+from .expr import (
+    DivisionByZeroExpressionError,
+    ExprError,
+    NumberTooLongError,
+    parse,
+    to_string,
+)
 from .invariants import (
     NAMED_EXPRESSIONS,
     WeightedBlock,
@@ -415,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except DivisionByZeroExpressionError as exc:
         sys.stderr.write(f"math error: {exc}\n")
+        return 1
+    except NumberTooLongError as exc:
+        sys.stderr.write(f"output error: {exc}\n")
         return 1
     except ExprError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

@@ -22,7 +22,10 @@ these decompositions, and the closure sweep reads their supports: a subset
 is bracket-closed when every bracket of two members decomposes into
 members only.  Generic ranks of prolonged coefficient matrices are computed
 by exact evaluation at seeded random integer points, taking the maximum over
-samples.
+samples.  Entries are evaluated on integer numerators and denominators
+(``CanonicalForm.eval_at``) and ranks taken by fraction-free elimination
+(``linalg.rank``); no modular or floating-point shortcut is made, as a rank
+modulo a prime can fall below the rank over the rationals.
 """
 
 from __future__ import annotations

@@ -265,11 +265,10 @@ def classify_corpus(lines: list[str]) -> list[dict]:
         if not text or text.startswith("#"):
             continue
         try:
-            eq = EquationInstance.from_text(text)
+            sig = signature_of(EquationInstance.from_text(text))
+            records.append({"input": text, **sig.as_dict(),
+                            "class_id": class_id_of(sig)})
         except ExprError as exc:
             exc.args = (f"line {number}: {exc}",)
             raise
-        sig = signature_of(eq)
-        record = {"input": text, **sig.as_dict(), "class_id": class_id_of(sig)}
-        records.append(record)
     return records

@@ -13,6 +13,7 @@ trees stay small.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -54,6 +55,10 @@ class UnboundSymbolError(ExprError):
 
 class AtomArgumentError(ExprError):
     """A substitution would place a non-coordinate expression inside an atom."""
+
+
+class NumberTooLongError(ExprError):
+    """A number has more digits than Python converts to text."""
 
 
 class Expr:
@@ -267,7 +272,7 @@ def mul(*factors: ExprLike) -> Expr:
             coeff *= f.value
         else:
             flat.append(f)
-    if coeff == 0:
+    if coeff == 0 and not any(map(_has_negative_power, flat)):
         return ZERO
     if coeff != 1:
         flat.insert(0, Const(coeff))
@@ -276,6 +281,19 @@ def mul(*factors: ExprLike) -> Expr:
     if len(flat) == 1:
         return flat[0]
     return Product(tuple(flat))
+
+
+def _has_negative_power(e: Expr) -> bool:
+    """Whether e divides by something.  A zero product keeps such factors,
+    so that a zero denominator, as in 0/(sigma - sigma), is still seen when
+    the product is canonicalized or evaluated."""
+    if isinstance(e, Power):
+        return e.exponent < 0 or _has_negative_power(e.base)
+    if isinstance(e, Sum):
+        return any(map(_has_negative_power, e.terms))
+    if isinstance(e, Product):
+        return any(map(_has_negative_power, e.factors))
+    return False
 
 
 def pow_(base: Expr, exponent: int) -> Expr:
@@ -575,9 +593,15 @@ def _split_sign(t: Expr) -> tuple[bool, Expr]:
 
 def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Const):
+        try:
+            text = str(e.value)
+        except ValueError:  # more digits than str() converts (Python >= 3.11)
+            raise NumberTooLongError(
+                f"number of more than {sys.get_int_max_str_digits()} digits "
+                "is too long to print") from None
         if e.value < 0 or e.value.denominator != 1:
-            return str(e.value), _P_PROD
-        return str(e.value), _P_ATOM
+            return text, _P_PROD
+        return text, _P_ATOM
     if isinstance(e, Coord):
         return e.name, _P_ATOM
     if isinstance(e, AtomApp):

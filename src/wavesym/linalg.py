@@ -1,10 +1,17 @@
-"""Exact linear algebra over Fraction: row reduction, rank and integer
-kernels."""
+"""Exact linear algebra over the rationals: row reduction, rank and integer
+kernels.
+
+``rank`` runs on integers: each row is scaled by the lcm of its
+denominators, which keeps the rank, and the rows are brought to echelon
+form by fraction-free (Bareiss) elimination, whose entries are minors of
+the scaled matrix, so every division is exact.  ``rref`` and ``nullspace``
+keep Fraction entries, since a kernel basis needs the reduced rows.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm as int_lcm
 
 Matrix = list[list[Fraction]]
 
@@ -36,8 +43,43 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(rows: Matrix) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
+    """Exact rank of a matrix of rationals."""
+    return len(_fraction_free_pivots([_integer_row(row) for row in rows]))
+
+
+def _integer_row(row) -> list[int]:
+    """The row times the lcm of its denominators."""
+    scale = int_lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _fraction_free_pivots(m: list[list[int]]) -> list[int]:
+    """Pivots of Bareiss elimination of an integer matrix, which is
+    overwritten.  After step k every entry below the pivot rows is the
+    (k+1)-minor on the pivot rows and columns so far plus its own row and
+    column, so dividing by the previous pivot is exact and the k-th pivot
+    is a k-minor: for a nonsingular square matrix the last pivot is the
+    determinant up to sign."""
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            a = row[c]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        pivots.append(p)
+        prev = p
+        r += 1
+        if r == len(m):
+            break
+    return pivots
 
 
 def nullspace(a: Matrix) -> list[list[Fraction]]:
@@ -60,10 +102,7 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
 def primitive_integer_vector(v: list[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers; the first nonzero entry
     is made positive."""
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // int_gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
+    ints = _integer_row(v)
     g = 0
     for x in ints:
         g = int_gcd(g, abs(x))

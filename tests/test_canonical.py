@@ -1,9 +1,17 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import agrees, fraction_text, sympy_of
 from wavesym.canonical import Poly, canonicalize, equals, poly_gcd
-from wavesym.expr import AtomArgumentError, DivisionByZeroExpressionError, parse
+from wavesym.expr import (
+    AtomArgumentError,
+    DivisionByZeroExpressionError,
+    UnboundSymbolError,
+    ZeroDenominatorError,
+    parse,
+)
 from wavesym.jetspace import JetSpace
 
 CHART2 = JetSpace(2).coordinates
@@ -76,6 +84,11 @@ def test_denominator_sign_normalized():
 def test_zero_denominator_raises():
     with pytest.raises(DivisionByZeroExpressionError):
         cf("u/(sigma - sigma)")
+    for text in ("0/(sigma - sigma)", "(1 - 1)/(u*sigma - u*sigma)",
+                 "u + 0*(1 + 1/(sigma - sigma))"):
+        with pytest.raises(DivisionByZeroExpressionError):
+            cf(text)
+    assert cf("0/sigma + 0*u").is_zero()
 
 
 def test_idempotence_on_fraction():
@@ -237,3 +250,62 @@ def test_substitute_renames_a_bound_atom_argument():
 def test_substitute_into_an_atom_argument_raises():
     with pytest.raises(AtomArgumentError):
         cf("exp(u) + sigma").substitute({"u": cf("2*u")})
+
+
+# points of small rationals on the coordinates of _eval_text
+_eval_coords = ("u", "sigma", "f", "f_sigma")
+_eval_text = fraction_text(_eval_coords)
+_points = st.lists(st.fractions(-5, 5, max_denominator=4), min_size=4,
+                   max_size=4).map(lambda values: dict(zip(_eval_coords, values)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_eval_text, _points)
+@example("(u^2 - u)/(u)", {"u": Fraction(0), "sigma": Fraction(1),
+                           "f": Fraction(1), "f_sigma": Fraction(1)})
+@example("(u*sigma)/(2*u - 1)", {"u": Fraction(1, 2), "sigma": Fraction(3),
+                                 "f": Fraction(0), "f_sigma": Fraction(0)})
+def test_eval_at_agrees_with_sympy(text, point):
+    """The value of the reduced form is the value of sympy's cancelled
+    fraction; a pole of that fraction raises ZeroDenominatorError."""
+    sympy = pytest.importorskip("sympy")
+    form = _form_or_skip(text)
+    if form is None:
+        return
+    subs = {sympy.Symbol(v): sympy.Rational(x.numerator, x.denominator)
+            for v, x in point.items()}
+    num, den = sympy.fraction(sympy.cancel(sympy_of(text)))
+    den_value = den.subs(subs)
+    if den_value == 0:
+        with pytest.raises(ZeroDenominatorError):
+            form.eval_at(point)
+        return
+    value = form.eval_at(point)
+    assert isinstance(value, Fraction)
+    assert value == num.subs(subs) / den_value
+
+
+def test_eval_at_takes_integer_and_rational_values():
+    form = cf("(u^2*sigma - 1/3)/(2*sigma + f)")
+    assert form.eval_at({"u": 2, "sigma": Fraction(1, 2), "f": 3}) == Fraction(5, 12)
+    assert form.eval_at({"u": Fraction(-1), "sigma": 1, "f": Fraction(1, 4)}) \
+        == Fraction(8, 27)
+
+
+def test_eval_at_pole_raises():
+    with pytest.raises(ZeroDenominatorError,
+                       match="^zero denominator at evaluation point$"):
+        cf("u/(sigma - 1)").eval_at({"u": 2, "sigma": 1})
+
+
+def test_eval_at_names_the_first_unbound_generator():
+    with pytest.raises(UnboundSymbolError,
+                       match="^coordinate 'sigma' is unbound$"):
+        cf("u*sigma + f").eval_at({"u": 1, "f": 2})
+    with pytest.raises(UnboundSymbolError, match=r"^atom 'exp\(u\)' is unbound$"):
+        cf("exp(u)*sigma + f_sigma").eval_at({"u": 1, "sigma": 2})
+    with pytest.raises(UnboundSymbolError,
+                       match="^coordinate 'sigma' is unbound$"):
+        cf("sigma*exp(u) + f").eval_at({"u": 1})
+    with pytest.raises(UnboundSymbolError, match="^coordinate 'u' is unbound$"):
+        cf("1/(u + 1)").eval_at({})

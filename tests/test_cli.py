@@ -1,9 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from wavesym.cli import main
 from wavesym.expr import parse
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *args):
@@ -191,9 +197,14 @@ def test_config_file(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # pytest's pythonpath setting reaches this process only, so the child
+    # is given src on its PYTHONPATH
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "wavesym.cli", "rank", "--order", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "rank" in proc.stdout
 
@@ -230,6 +241,37 @@ def test_division_by_zero_is_a_math_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("math error: ")
+
+
+def test_zero_over_zero_is_a_math_error(capsys):
+    """A zero numerator does not hide an identically zero denominator."""
+    for text in ("0/(sigma - sigma)", "(1 - 1)/(u*sigma - u*sigma)",
+                 "0*(u + 1/(sigma - sigma)) + sigma^2"):
+        code, out, err = run_cli(capsys, "equiv", text, "sigma^2")
+        assert (code, out) == (1, "")
+        assert err.startswith("math error: ")
+    code, out, _ = run_cli(capsys, "--output", "json", "equiv",
+                           "0/sigma + sigma^2", "sigma^2")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "equivalent-per-criterion"
+
+
+def test_number_too_long_to_print_is_an_output_error(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    big = "9" * (limit // 2 + 1)
+    message = f"number of more than {limit} digits is too long to print\n"
+    for output in ("text", "json"):
+        code, out, err = run_cli(capsys, "--output", output, "equiv",
+                                 f"{big}^2*u*sigma^2 + sigma^3", "sigma")
+        assert (code, out) == (1, "")
+        assert err == "output error: " + message
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"sigma^2\n{big}^2*u*sigma^2 + sigma^3\n")
+    code, out, err = run_cli(capsys, "classify", str(corpus))
+    assert (code, out) == (1, "")
+    assert err == "output error: line 2: " + message
 
 
 def test_overlong_number_is_a_parse_error(capsys):

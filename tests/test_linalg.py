@@ -1,9 +1,16 @@
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wavesym.linalg import nullspace, primitive_integer_vector, rank, rref
+from wavesym.linalg import (
+    _fraction_free_pivots,
+    nullspace,
+    primitive_integer_vector,
+    rank,
+    rref,
+)
 
 F = Fraction
 
@@ -49,6 +56,62 @@ def test_rank_of_wide_and_tall_matrices():
     assert rank([[1, 2, 3, 4], [2, 4, 6, 8]]) == 1
     assert rank([[1, 0], [0, 1], [1, 1], [2, 3]]) == 2
     assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+
+
+# entries from small integers up to about 10^12, integral and rational
+_BIG = 10 ** 12
+_entries = st.one_of(st.integers(-3, 3), st.integers(-_BIG, _BIG),
+                     st.fractions(-_BIG, _BIG, max_denominator=10 ** 4)).map(F)
+
+
+def _matrix(nrows, ncols, entries=_entries):
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Wide, tall and square matrices up to 8x8; half of them products B*C
+    through an inner dimension of at most 3, so rank deficient; some rows
+    replaced by zeros."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 3))
+        b, c = draw(_matrix(nrows, inner)), draw(_matrix(inner, ncols))
+        rows = [[sum((b[i][k] * c[k][j] for k in range(inner)), F(0))
+                 for j in range(ncols)] for i in range(nrows)]
+    else:
+        rows = draw(_matrix(nrows, ncols))
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        rows[i] = [F(0)] * ncols
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrices())
+def test_rank_agrees_with_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    before = [list(row) for row in rows]
+    expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                              for x in row] for row in rows]).rank()
+    assert rank(rows) == expected
+    assert rows == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: _matrix(n, n, st.integers(-50, 50))))
+@example([[2, 3, 1], [4, 1, 5], [7, 8, -2]])
+@example([[0, 1, 2], [3, 0, 1], [1, 1, 0]])
+def test_fraction_free_pivots_end_in_the_determinant(a):
+    """The k-th Bareiss pivot is a k-minor, so on a square matrix the last
+    one is the determinant up to the sign of the row swaps."""
+    sympy = pytest.importorskip("sympy")
+    det = sympy.Matrix(a).det()
+    pivots = _fraction_free_pivots([list(row) for row in a])
+    assert len(pivots) == sympy.Matrix(a).rank()
+    if det:
+        assert abs(pivots[-1]) == abs(det)
 
 
 # --- nullspace -----------------------------------------------------------------
