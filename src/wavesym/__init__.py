@@ -34,11 +34,7 @@ from .expr import (
     Coord,
     Expr,
     Rational,
-    diff_partial,
-    eval_at,
     parse,
-    register_atom,
-    substitute,
     to_string,
 )
 from .invariants import (

@@ -4,9 +4,12 @@ An expression canonicalizes to a reduced fraction of expanded multivariate
 polynomials over exact rationals.  The monomial order is total degree first,
 then lexicographic over a fixed generator order: t, x, u, sigma, f, then
 f-derivatives by total order then index, then internal u-derivatives, then
-atom instances by registration order.  Registered atoms are treated as
-algebraically independent indeterminates, so equality is decided modulo that
-assumption (the only one this module makes).
+instances of the atom exp by their argument.  Each exp(v) is treated as an
+algebraically independent indeterminate whose derivative by v is itself, so
+equality is decided modulo that assumption (the only one this module makes).
+
+Expression trees become forms only in :func:`canonicalize`; computation
+starts from forms built by :func:`coordinate` and from rational numbers.
 
 The denominator is normalized to a primitive integer polynomial with positive
 leading coefficient; zero is (0, 1).  This makes the form unique, hence
@@ -23,7 +26,7 @@ from math import gcd as int_gcd
 from typing import Mapping
 
 from .expr import (
-    ATOM_ARG,
+    ATOM,
     AtomApp,
     AtomArgumentError,
     Const,
@@ -37,11 +40,8 @@ from .expr import (
     UnboundSymbolError,
     UnknownIdentifierError,
     ZeroDenominatorError,
-    _retarget,
     add,
     as_expr,
-    atom_registration_index,
-    atom_rule,
     mul,
     pow_,
     to_string,
@@ -86,7 +86,9 @@ def gen_key(name: str) -> tuple[int, ...]:
                 key = (2, a + b, b)
             elif (parts := _atom_parts(name)) is not None:
                 atom, arg = parts
-                key = (3, atom_registration_index(atom)) + gen_key(arg)
+                if atom != ATOM:
+                    raise UnknownIdentifierError(atom)
+                key = (3, 0) + gen_key(arg)
             else:
                 raise UnknownIdentifierError(name)
     _KEY_CACHE[name] = key
@@ -150,7 +152,6 @@ def mono_cmp(a: Monomial, b: Monomial) -> int:
 
 
 def _mono_sort_terms(terms) -> list:
-    import functools
     return sorted(terms, key=functools.cmp_to_key(lambda p, q: mono_cmp(p[0], q[0])))
 
 
@@ -313,24 +314,6 @@ class Poly:
                     out[rest] = s
                 else:
                     out.pop(rest, None)
-        return Poly(out)
-
-    def eval_partial(self, point: dict[str, Fraction]) -> "Poly":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            rest = []
-            for n, e in m:
-                if n in point:
-                    c = c * point[n] ** e
-                else:
-                    rest.append((n, e))
-            if c:
-                key = tuple(rest)
-                s = out.get(key, Fraction(0)) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
         return Poly(out)
 
     def __repr__(self):
@@ -508,7 +491,8 @@ class CanonicalForm:
 
     Arithmetic and differentiation return reduced forms again, so a value
     can be computed on without returning to expression trees.  The other
-    operand of ``+ - * /`` may be an expression or a rational number.
+    operand of ``+ - * /`` may be an expression or a rational number; ``**``
+    takes an integer.
     """
 
     numerator: Poly
@@ -549,6 +533,13 @@ class CanonicalForm:
         other = canonicalize(other)
         return _normalized(self.numerator * other.denominator,
                            self.denominator * other.numerator)
+
+    def __pow__(self, n: int) -> "CanonicalForm":
+        """Integer power; a negative power of zero raises."""
+        num, den = self.numerator, self.denominator
+        if n < 0:
+            num, den, n = den, num, -n
+        return _normalized(num ** n, den ** n)
 
     def free_coordinates(self) -> frozenset[str]:
         """All coordinate names referenced, including atom arguments."""
@@ -622,6 +613,12 @@ def _normalized(num: Poly, den: Poly) -> CanonicalForm:
 ONE_FORM = CanonicalForm(Poly.const(1), _POLY_ONE)
 
 
+def coordinate(name: str) -> CanonicalForm:
+    """The form of one coordinate, or of an atom instance such as exp(u)."""
+    gen_key(name)  # validates the name
+    return CanonicalForm(Poly.var(name), _POLY_ONE)
+
+
 def _fraction_sum(num: Poly, den: Poly, tn: Poly, td: Poly) -> tuple[Poly, Poly]:
     """num/den + tn/td, unreduced; the common factor of the denominators is
     divided out to keep the denominator from swelling multiplicatively."""
@@ -635,38 +632,26 @@ def _fraction_sum(num: Poly, den: Poly, tn: Poly, td: Poly) -> tuple[Poly, Poly]
     return num * td_red + tn * den_red, den * td_red
 
 
-@functools.cache
-def _atom_derivative(name: str) -> CanonicalForm:
-    """d atom(arg)/d arg for an atom-instance generator, from the atom's
-    registered rule."""
-    atom, arg = _atom_parts(name)
-    rule = atom_rule(atom)
-    if rule is None:
-        raise UnknownIdentifierError(atom)
-    return canonicalize(_retarget(rule.derivative, ATOM_ARG, arg))
-
-
 def _derive_poly(p: Poly, coefficients: Mapping[str, CanonicalForm]) -> tuple[Poly, Poly]:
-    """sum_v c_v * dp/dv as an unreduced fraction; an atom instance a(v)
-    contributes c_v * a'(v) * dp/da(v)."""
+    """sum_v c_v * dp/dv as an unreduced fraction; an atom instance exp(v)
+    contributes c_v * exp(v) * dp/dexp(v)."""
     num, den = Poly(), _POLY_ONE
     for name in p.variables():
         parts = _atom_parts(name)
         c = coefficients.get(name if parts is None else parts[1])
         if c is None:
             continue
+        dp = p.diff(name)
         if parts is not None:
-            c = c * _atom_derivative(name)
-        num, den = _fraction_sum(num, den, c.numerator * p.diff(name),
-                                 c.denominator)
+            dp = dp * Poly.var(name)
+        num, den = _fraction_sum(num, den, c.numerator * dp, c.denominator)
     return num, den
 
 
 def _plain_coordinate(form: CanonicalForm) -> str | None:
     """The coordinate name when the form is exactly that coordinate."""
     for name in form.numerator.variables():
-        if (_atom_parts(name) is None
-                and form == CanonicalForm(Poly.var(name), _POLY_ONE)):
+        if _atom_parts(name) is None and form == coordinate(name):
             return name
     return None
 

@@ -37,18 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .canonical import canonicalize
-from .expr import (
-    Const,
-    Coord,
-    Expr,
-    ONE,
-    ZERO,
-    ZeroDenominatorError,
-    add,
-    mul,
-    pow_,
-)
+from .canonical import CanonicalForm, Poly, canonicalize, coordinate
+from .expr import ExprLike, ZeroDenominatorError
 from .jetspace import JetSpace
 from .vfields import PointAction, VectorField, bracket, induce_from_point_action, prolong
 
@@ -85,69 +75,64 @@ def family_name(k: int) -> str:
     return f"{FAMILY_PREFIX}{k}"
 
 
-def _u_power(k: int, drop: int) -> Expr:
+def _u_power(k: int, drop: int) -> CanonicalForm:
     """d^drop/du^drop of u^k: the falling-factorial coefficient times
     u^(k-drop), identically zero once drop exceeds k."""
     if drop > k:
-        return ZERO
+        return canonicalize(0)
     c = 1
     for i in range(drop):
         c *= k - i
-    return mul(Const(Fraction(c)), pow_(Coord("u"), k - drop))
+    return coordinate("u") ** (k - drop) * c
 
 
 @functools.lru_cache(maxsize=None)
 def _derived_static(name: str) -> VectorField:
-    t, x = Coord("t"), Coord("x")
+    t, x = coordinate("t"), coordinate("x")
     actions = {
-        "Y0": PointAction(x, t, ZERO),
-        "Y1": PointAction(ONE, ZERO, ZERO),
-        "Y2": PointAction(ZERO, ONE, ZERO),
-        "Y3": PointAction(t, x, ZERO),
+        "Y0": PointAction(x, t, 0),
+        "Y1": PointAction(1, 0, 0),
+        "Y2": PointAction(0, 1, 0),
+        "Y3": PointAction(t, x, 0),
     }
     return induce_from_point_action(actions[name])
 
 
 @functools.lru_cache(maxsize=None)
 def _derived_family(k: int) -> VectorField:
-    return induce_from_point_action(PointAction(ZERO, ZERO, _u_power(k, 0)))
+    return induce_from_point_action(PointAction(0, 0, _u_power(k, 0)))
 
 
 def _printed_static(name: str) -> VectorField:
     space = JetSpace(1)
-    t, x = Coord("t"), Coord("x")
+    t, x = coordinate("t"), coordinate("x")
     if name == "Y0":
         return VectorField(space, {"t": x, "x": t})
     if name == "Y1":
-        return VectorField(space, {"t": ONE})
+        return VectorField(space, {"t": 1})
     if name == "Y2":
-        return VectorField(space, {"x": ONE})
+        return VectorField(space, {"x": 1})
     # printed Y3 carries -sigma (not -2*sigma) and no f_sigma coefficient
     return VectorField(space, {
         "t": t,
         "x": x,
-        "sigma": mul(Const(Fraction(-1)), Coord("sigma")),
-        "f": mul(Const(Fraction(-2)), Coord("f")),
-        "f_u": mul(Const(Fraction(-2)), Coord("f_u")),
+        "sigma": -coordinate("sigma"),
+        "f": coordinate("f") * -2,
+        "f_u": coordinate("f_u") * -2,
     })
 
 
 def _printed_family(k: int) -> VectorField:
     space = JetSpace(1)
-    sigma, f, f_sigma = Coord("sigma"), Coord("f"), Coord("f_sigma")
-    phi = _u_power(k, 0)
-    phi1 = _u_power(k, 1)
-    phi2 = _u_power(k, 2)
-    phi3 = _u_power(k, 3)
-    two = Const(Fraction(2))
+    sigma, f, f_sigma = map(coordinate, ("sigma", "f", "f_sigma"))
+    phi, phi1, phi2, phi3 = (_u_power(k, drop) for drop in range(4))
     return VectorField(space, {
         "u": phi,
-        "sigma": mul(two, phi1, sigma),
+        "sigma": phi1 * sigma * 2,
         # printed f-coefficient has the doubled bracket 2(phi' f + phi'' sigma)
-        "f": mul(two, add(mul(phi1, f), mul(phi2, sigma))),
-        "f_u": add(mul(phi2, f), mul(phi3, sigma),
-                   mul(Const(Fraction(-2)), sigma, f_sigma, phi2)),
-        "f_sigma": add(phi2, mul(Const(Fraction(-1)), f_sigma, phi1)),
+        "f": (phi1 * f + phi2 * sigma) * 2,
+        "f_u": phi2 * f + phi3 * sigma - sigma * f_sigma * phi2 * 2,
+        "f_sigma": phi2 - f_sigma * phi1,
     })
 
 
@@ -384,7 +369,7 @@ def verify_commutator_table(g: GeneratorSet) -> dict:
             statuses[pair] = "exact"
         else:
             statuses[pair] = "mismatch"
-    unexpected = [pair for pair in table.outside_span() if pair in expected]
+    unexpected = [pair for pair in table.outside_span() if pair not in expected]
     all_exact = all(s == "exact" for s in statuses.values())
     return {
         "source": g.source.value,
@@ -393,7 +378,7 @@ def verify_commutator_table(g: GeneratorSet) -> dict:
         "all_exact": all_exact,
         "statuses": statuses,
         "failing": sorted(p for p, s in statuses.items() if s != "exact"),
-        "outside_span_expected_zero_or_family": unexpected,
+        "outside_span_unlisted": unexpected,
         "table": table,
     }
 
@@ -532,22 +517,23 @@ def prolonged_rank(
     return RankReport(order, best, used, seed, len(coords))
 
 
-def _linear_solve_coordinate(constraint: Expr, coords: tuple[str, ...],
+def _linear_solve_coordinate(constraint: CanonicalForm, coords: tuple[str, ...],
                              solve_for: str | None):
-    """Pick the coordinate to isolate: the constraint numerator must be
-    degree 1 in it.  Constant-coefficient candidates are preferred; ties go
-    to the earlier chart coordinate."""
-    num = canonicalize(constraint).numerator
+    """Pick the coordinate v to isolate from a*v + b, the constraint
+    numerator: it must be degree 1 in v, with a and b polynomials in the
+    other chart coordinates, so no atom instance such as exp(u).
+    Constant-coefficient candidates are preferred; ties go to the earlier
+    chart coordinate."""
+    num = constraint.numerator
+    chart = set(coords)
     candidates = []
     for v in coords:
         if num.degree_in(v) != 1:
             continue
         decomposition = num.coeffs_in(v)
-        a = decomposition[1]
-        b = decomposition.get(0, None)
-        if v in a.variables():
-            continue
-        candidates.append((v, a, b))
+        a, b = decomposition[1], decomposition.get(0, Poly())
+        if a.variables() | b.variables() <= chart:
+            candidates.append((v, a, b))
     if solve_for is not None:
         for v, a, b in candidates:
             if v == solve_for:
@@ -557,7 +543,8 @@ def _linear_solve_coordinate(constraint: Expr, coords: tuple[str, ...],
             f"rational rearrangement")
     if not candidates:
         raise NotSolvableError(
-            "constraint is not linear in any chart coordinate")
+            "constraint cannot be solved for any chart coordinate by exact "
+            "rational rearrangement")
     constant_first = sorted(
         candidates,
         key=lambda item: (not item[1].is_const(), coords.index(item[0])))
@@ -566,7 +553,7 @@ def _linear_solve_coordinate(constraint: Expr, coords: tuple[str, ...],
 
 def rank_on_manifold(
     g: GeneratorSet,
-    constraint: Expr,
+    constraint: CanonicalForm | ExprLike,
     order: int,
     *,
     solve_for: str | None = None,
@@ -576,28 +563,25 @@ def rank_on_manifold(
 ) -> RankReport:
     """Generic rank on the locus ``constraint = 0``.
 
-    The constraint must isolate one chart coordinate by exact rational
-    rearrangement; sample points are then drawn on the locus.
+    The constraint must isolate one chart coordinate v from a*v + b = 0 by
+    exact rational rearrangement; sample points are then drawn on the
+    locus.  a and b are evaluated apart, so a point where a vanishes is
+    rejected even when b shares the vanishing factor.
     """
     coords = JetSpace(order).coordinates
     cf = canonicalize(constraint)
     if cf.is_zero():
         return prolonged_rank(g, order, samples=samples, seed=seed,
                               coordinate_range=coordinate_range)
-    v, a, b = _linear_solve_coordinate(constraint, coords, solve_for)
+    v, a, b = _linear_solve_coordinate(cf, coords, solve_for)
+    a, b = (CanonicalForm(p, Poly.const(1)) for p in (a, b))
 
     def on_locus(point):
         partial = {name: value for name, value in point.items() if name != v}
-        denom = a.eval_partial(partial)
-        if not denom.is_const() or denom.as_const() == 0:
+        denom = a.eval_at(partial)
+        if denom == 0:
             return None
-        value = Fraction(0)
-        if b is not None:
-            numer = b.eval_partial(partial)
-            if not numer.is_const():
-                return None
-            value = -numer.as_const() / denom.as_const()
-        partial[v] = value
+        partial[v] = -b.eval_at(partial) / denom
         return partial
 
     fields = g.prolonged(order)

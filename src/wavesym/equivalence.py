@@ -26,8 +26,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canonical import CanonicalForm, canonicalize
-from .expr import Coord, Expr, ExprError, parse
+from .canonical import CanonicalForm, canonicalize, coordinate
+from .expr import ExprError, ExprLike, parse
 
 
 class NonInvertibleError(Exception):
@@ -39,8 +39,8 @@ class DegenerateEquationError(Exception):
 
 
 _EQUATION_COORDS = ("u", "sigma")
-_U = canonicalize(Coord("u"))
-_SIGMA = canonicalize(Coord("sigma"))
+_U = coordinate("u")
+_SIGMA = coordinate("sigma")
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,8 @@ def apply_finite_transformation(eq: EquationInstance,
     return EquationInstance((pp_w * f_moved + ps_w * sigma_scaled) * t.dilation)
 
 
-def pde_residual(eq: EquationInstance, rho1: Expr | CanonicalForm,
-                 rho2: Expr | CanonicalForm) -> tuple[CanonicalForm, CanonicalForm]:
+def pde_residual(eq: EquationInstance, rho1: CanonicalForm | ExprLike,
+                 rho2: CanonicalForm | ExprLike) -> tuple[CanonicalForm, CanonicalForm]:
     """Residuals of the signature system at (rho1, rho2); (0, 0) certifies
     membership in that equivalence class."""
     sig = signature_of(eq)
@@ -220,20 +220,16 @@ def affine_transformation(a, b, c) -> FiniteTransformation:
     return FiniteTransformation(_U * a + b, (_U - b) / a, Fraction(c))
 
 
-def search_orbit_match(
-    a: EquationInstance,
-    b: EquationInstance,
-    scales=_ORBIT_SCALES,
-    shifts=_ORBIT_SHIFTS,
-    dilations=_ORBIT_DILATIONS,
-) -> FiniteTransformation | None:
-    """Heuristic: scan affine reparameterizations and rational dilations for
-    a transformation whose push-forward of ``a`` matches ``b``'s signature
-    literally.  Finding none proves nothing."""
+def search_orbit_match(a: EquationInstance,
+                       b: EquationInstance) -> FiniteTransformation | None:
+    """Heuristic: scan the affine reparameterizations and rational dilations
+    of the grid above for a transformation whose push-forward of ``a``
+    matches ``b``'s signature literally.  Finding none proves nothing."""
     sig_b = signature_of(b)
     if sig_b.degenerate:
         return None
-    for av, bv, cv in itertools.product(scales, shifts, dilations):
+    for av, bv, cv in itertools.product(_ORBIT_SCALES, _ORBIT_SHIFTS,
+                                        _ORBIT_DILATIONS):
         t = affine_transformation(av, bv, cv)
         try:
             moved = apply_finite_transformation(a, t)

@@ -1,14 +1,17 @@
-"""Exact symbolic expression trees over rational coefficients.
+"""Exact symbolic expression trees: the parse-and-print edge of wavesym.
 
-Nodes are rational constants, coordinate references, atom applications
-(registered unary function symbols such as ``exp`` applied to a single
-coordinate), sums, products, and integer powers.  Division is a power with
-exponent -1; there is no floating-point mode anywhere.
+Nodes are rational constants, coordinate references, the one atom ``exp``
+applied to a single coordinate, sums, products, and integer powers.  Division
+is a power with exponent -1; there is no floating-point mode anywhere.
 
-Expressions are immutable and structurally hashable.  Algebraic equality is
-decided in :mod:`wavesym.canonical`, not here; the constructors below only do
-cheap local folding (flattening, constant arithmetic, dropping zeros/ones) so
-trees stay small.
+Text becomes a tree in :func:`parse`, and a tree becomes a canonical form in
+:func:`wavesym.canonical.canonicalize`; all computation happens on forms,
+which turn back into trees only to be printed by :func:`to_string`.  Trees
+have no arithmetic operators.  The constructors below only do cheap local
+folding (flattening, constant arithmetic, dropping zeros/ones) so trees stay
+small.  ``diff_partial``, ``substitute`` and ``eval_at`` are a tree calculus
+that nothing in the package calls; they stay while the benchmark's
+per-layer metrics name them.
 """
 
 from __future__ import annotations
@@ -64,36 +67,6 @@ class NumberTooLongError(ExprError):
 class Expr:
     __slots__ = ()
 
-    def __add__(self, other: ExprLike) -> "Expr":
-        return add(self, as_expr(other))
-
-    def __radd__(self, other: ExprLike) -> "Expr":
-        return add(as_expr(other), self)
-
-    def __sub__(self, other: ExprLike) -> "Expr":
-        return add(self, mul(MINUS_ONE, as_expr(other)))
-
-    def __rsub__(self, other: ExprLike) -> "Expr":
-        return add(as_expr(other), mul(MINUS_ONE, self))
-
-    def __mul__(self, other: ExprLike) -> "Expr":
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other: ExprLike) -> "Expr":
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other: ExprLike) -> "Expr":
-        return mul(self, pow_(as_expr(other), -1))
-
-    def __rtruediv__(self, other: ExprLike) -> "Expr":
-        return mul(as_expr(other), pow_(self, -1))
-
-    def __pow__(self, exponent: int) -> "Expr":
-        return pow_(self, exponent)
-
-    def __neg__(self) -> "Expr":
-        return mul(MINUS_ONE, self)
-
     def __str__(self) -> str:
         return to_string(self)
 
@@ -116,7 +89,7 @@ class Coord(Expr):
 
 @dataclass(frozen=True, slots=True)
 class AtomApp(Expr):
-    """A registered atom applied to a coordinate, e.g. exp(u)."""
+    """The atom applied to a coordinate, e.g. exp(u)."""
 
     name: str
     arg: str
@@ -150,6 +123,9 @@ class Power(Expr):
         return f"Power({self.base!r}, {self.exponent})"
 
 
+# the one atom; its derivative is itself
+ATOM = "exp"
+
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 MINUS_ONE = Const(Fraction(-1))
@@ -161,70 +137,6 @@ def as_expr(value: ExprLike) -> Expr:
     if isinstance(value, (int, Fraction)):
         return Const(Fraction(value))
     raise TypeError(f"cannot interpret {value!r} as an expression")
-
-
-# ---------------------------------------------------------------------------
-# atom registry
-
-ATOM_ARG = "@arg"  # placeholder coordinate used inside derivative rules
-
-
-@dataclass(frozen=True, slots=True)
-class AtomRule:
-    """A named atom together with d(atom)/d(argument) as an expression in
-    the placeholder coordinate ATOM_ARG."""
-
-    name: str
-    derivative: Expr
-
-
-_ATOM_REGISTRY: dict[str, tuple[AtomRule, int]] = {}
-
-
-def register_atom(name: str, derivative: Expr) -> AtomRule:
-    """Register an atom; re-registering with an identical rule is a no-op.
-
-    The derivative rule must be closed over already-registered atoms plus
-    rational operations, written in the placeholder coordinate ATOM_ARG.
-    """
-    rule = AtomRule(name, derivative)
-    if name in _ATOM_REGISTRY:
-        existing, _ = _ATOM_REGISTRY[name]
-        if existing.derivative != derivative:
-            raise ValueError(f"atom {name!r} already registered with a different rule")
-        return existing
-    _ATOM_REGISTRY[name] = (rule, len(_ATOM_REGISTRY))
-    return rule
-
-
-def atom_rule(name: str) -> AtomRule | None:
-    entry = _ATOM_REGISTRY.get(name)
-    return entry[0] if entry else None
-
-
-def atom_registration_index(name: str) -> int:
-    try:
-        return _ATOM_REGISTRY[name][1]
-    except KeyError:
-        raise UnknownIdentifierError(name) from None
-
-
-register_atom("exp", AtomApp("exp", ATOM_ARG))
-
-
-def _retarget(e: Expr, old: str, new: str) -> Expr:
-    """Rename a coordinate everywhere, including inside atom arguments."""
-    if isinstance(e, Coord):
-        return Coord(new) if e.name == old else e
-    if isinstance(e, AtomApp):
-        return AtomApp(e.name, new) if e.arg == old else e
-    if isinstance(e, Sum):
-        return Sum(tuple(_retarget(t, old, new) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(tuple(_retarget(f, old, new) for f in e.factors))
-    if isinstance(e, Power):
-        return Power(_retarget(e.base, old, new), e.exponent)
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +235,8 @@ def diff_partial(e: Expr, v: str) -> Expr:
     if isinstance(e, Coord):
         return ONE if e.name == v else ZERO
     if isinstance(e, AtomApp):
-        if e.arg != v:
-            return ZERO
-        rule = atom_rule(e.name)
-        if rule is None:
-            raise UnknownIdentifierError(e.name)
-        return _retarget(rule.derivative, ATOM_ARG, e.arg)
+        # exp' = exp, the one atom
+        return e if e.arg == v else ZERO
     if isinstance(e, Sum):
         return add(*(diff_partial(t, v) for t in e.terms))
     if isinstance(e, Product):
@@ -536,7 +444,7 @@ class _Parser:
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "(":
-                if atom_rule(text) is None:
+                if text != ATOM:
                     raise UnknownIdentifierError(text, position)
                 self.advance()
                 arg_kind, arg_text, arg_pos = self.expect("ident")
@@ -554,7 +462,7 @@ class _Parser:
 
 def parse(text: str, coords: Iterable[str]) -> Expr:
     """Parse ``text`` against the grammar; identifiers must be chart
-    coordinates or registered atom names applied to chart coordinates."""
+    coordinates or the atom ``exp`` applied to a chart coordinate."""
     chart = getattr(coords, "coordinates", coords)
     parser = _Parser(_tokenize(text), frozenset(chart))
     e = parser.parse_expr()

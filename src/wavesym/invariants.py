@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .canonical import CanonicalForm, canonicalize
-from .expr import Expr, mul, parse, pow_, to_string
+from .canonical import ONE_FORM, CanonicalForm, canonicalize
+from .expr import Expr, parse, to_string
 from .eqalgebra import (
     DEFAULT_COORDINATE_RANGE,
     DEFAULT_K,
@@ -197,7 +197,10 @@ def weight_kernel_search(
 def candidate_from_exponents(blocks: list[WeightedBlock],
                              exponents: tuple[int, ...]) -> CanonicalForm:
     """The product of the blocks raised to ``exponents``, as a form."""
-    return canonicalize(mul(*(pow_(b.expr, e) for b, e in zip(blocks, exponents))))
+    out = ONE_FORM
+    for block, e in zip(blocks, exponents):
+        out = out * canonicalize(block.expr) ** e
+    return out
 
 
 def verify_paper_invariants(source: Source | str = Source.DERIVED,

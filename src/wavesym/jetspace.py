@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canonical import ONE_FORM, CanonicalForm, canonicalize
-from .expr import Coord, Expr
+from .canonical import ONE_FORM, CanonicalForm, canonicalize, coordinate
+from .expr import ExprLike
 
 
 class OrderOverflowError(Exception):
@@ -82,7 +82,8 @@ class JetSpace:
             return self.derivative_name(a, b + 1)
         raise ValueError(f"{base!r} is not a base coordinate")
 
-    def total_derivative(self, e: Expr | CanonicalForm, base_var: str) -> CanonicalForm:
+    def total_derivative(self, e: CanonicalForm | ExprLike,
+                         base_var: str) -> CanonicalForm:
         """D_v e = d_v e + sum over jet coordinates f_J of f_{J,v} * d_{f_J} e.
 
         Passengers have zero total derivative.  The input may only use
@@ -102,7 +103,7 @@ class JetSpace:
                     f"its total derivative leaves the order-{self.order} chart"
                 )
             if self.derivative_counts(name) is not None:
-                coefficients[name] = canonicalize(Coord(self.bump(name, base_var)))
+                coefficients[name] = coordinate(self.bump(name, base_var))
         return form.derive(coefficients)
 
 

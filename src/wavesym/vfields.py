@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .canonical import CanonicalForm, Poly, _normalized, canonicalize
-from .expr import Coord, Expr, ExprLike
+from .canonical import CanonicalForm, Poly, _normalized, canonicalize, coordinate
+from .expr import ExprLike
 from .jetspace import JetSpace, u_jet
 
 
@@ -110,7 +110,8 @@ def prolong(x: VectorField, target_order: int, given_order: int = 0) -> VectorFi
             z = space.total_derivative(zeta[parent], direction)
             for j, base in enumerate(space.bases):
                 bumped = (pa + 1, pb) if j == 0 else (pa, pb + 1)
-                z = z - d_xi[(base, direction)] * Coord(space.derivative_name(*bumped))
+                z = z - d_xi[(base, direction)] * coordinate(
+                    space.derivative_name(*bumped))
             zeta[(a, b)] = z
             coeffs[space.derivative_name(a, b)] = z
     return VectorField(space, coeffs)
@@ -122,29 +123,21 @@ def prolong(x: VectorField, target_order: int, given_order: int = 0) -> VectorFi
 
 @dataclass(frozen=True)
 class PointAction:
-    """Infinitesimal point transformation of (t, x, u); coefficients are
-    expressions in (t, x, u).  Explicit first-prolongation coefficients on
-    (u_t, u_x) may be supplied, otherwise they are derived."""
+    """Infinitesimal point transformation of (t, x, u).  The coefficients
+    may be given as expressions, numbers or forms in (t, x, u); they are
+    stored as forms."""
 
-    xi_t: Expr
-    xi_x: Expr
-    eta_u: Expr
-    zeta_ut: Expr | None = None
-    zeta_ux: Expr | None = None
+    xi_t: CanonicalForm
+    xi_x: CanonicalForm
+    eta_u: CanonicalForm
 
     def __post_init__(self):
-        for label, e in (("xi_t", self.xi_t), ("xi_x", self.xi_x),
-                         ("eta_u", self.eta_u)):
-            bad = canonicalize(e).free_coordinates() - {"t", "x", "u"}
+        for label in ("xi_t", "xi_x", "eta_u"):
+            form = canonicalize(getattr(self, label))
+            bad = form.free_coordinates() - {"t", "x", "u"}
             if bad:
                 raise ValueError(f"{label} may only use (t, x, u); found {sorted(bad)}")
-        for label, e in (("zeta_ut", self.zeta_ut), ("zeta_ux", self.zeta_ux)):
-            if e is None:
-                continue
-            bad = canonicalize(e).free_coordinates() - {"t", "x", "u", "u_t", "u_x"}
-            if bad:
-                raise ValueError(
-                    f"{label} may only use (t, x, u, u_t, u_x); found {sorted(bad)}")
+            object.__setattr__(self, label, form)
 
 
 def _fold_even_powers(p: Poly, var: str, replacement: Poly) -> Poly:
@@ -167,9 +160,7 @@ def induce_from_point_action(action: PointAction) -> VectorField:
     u_xx raises NotProjectableError.
     """
     jet = u_jet(2)
-    xi_t = canonicalize(action.xi_t)
-    xi_x = canonicalize(action.xi_x)
-    eta = canonicalize(action.eta_u)
+    xi_t, xi_x, eta = action.xi_t, action.xi_x, action.eta_u
 
     def dt(e: CanonicalForm) -> CanonicalForm:
         return jet.total_derivative(e, "t")
@@ -177,26 +168,19 @@ def induce_from_point_action(action: PointAction) -> VectorField:
     def dx(e: CanonicalForm) -> CanonicalForm:
         return jet.total_derivative(e, "x")
 
-    u_t, u_x = Coord("u_t"), Coord("u_x")
-    u_tt, u_tx, u_xx = Coord("u_tt"), Coord("u_tx"), Coord("u_xx")
+    u_t, u_x, u_tt, u_tx, u_xx = map(
+        coordinate, ("u_t", "u_x", "u_tt", "u_tx", "u_xx"))
 
-    if action.zeta_ut is not None:
-        zeta_t = canonicalize(action.zeta_ut)
-    else:
-        zeta_t = dt(eta) - dt(xi_t) * u_t - dt(xi_x) * u_x
-    if action.zeta_ux is not None:
-        zeta_x = canonicalize(action.zeta_ux)
-    else:
-        zeta_x = dx(eta) - dx(xi_t) * u_t - dx(xi_x) * u_x
-
+    zeta_t = dt(eta) - dt(xi_t) * u_t - dt(xi_x) * u_x
+    zeta_x = dx(eta) - dx(xi_t) * u_t - dx(xi_x) * u_x
     zeta_tt = dt(zeta_t) - dt(xi_t) * u_tt - dt(xi_x) * u_tx
     zeta_xx = dx(zeta_x) - dx(xi_t) * u_tx - dx(xi_x) * u_xx
 
-    delta_sigma = zeta_t * (2 * u_t) - zeta_x * (2 * u_x)
+    delta_sigma = (zeta_t * u_t - zeta_x * u_x) * 2
     delta_f = zeta_tt - zeta_xx
 
     sigma_plus_ux2 = Poly.var("sigma") + Poly.var("u_x") * Poly.var("u_x")
-    u_tt_by_f = {"u_tt": Coord("f") + u_xx}
+    u_tt_by_f = {"u_tt": coordinate("f") + u_xx}
     residual_vars = ("u_t", "u_x", "u_tt", "u_tx", "u_xx")
 
     def project(form: CanonicalForm, label: str) -> CanonicalForm:

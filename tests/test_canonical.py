@@ -180,11 +180,15 @@ def test_form_arithmetic_agrees_with_sympy(a_text, b_text):
     assert agrees(a + b, sa + sb)
     assert agrees(a - b, sa - sb)
     assert agrees(a * b, sa * sb)
+    assert agrees(a ** 2, sa ** 2)
     if b.is_zero():
         with pytest.raises(DivisionByZeroExpressionError):
             a / b
+        with pytest.raises(DivisionByZeroExpressionError):
+            b ** -1
     else:
         assert agrees(a / b, sa / sb)
+        assert b ** -2 == cf(f"({b_text})^-2")
 
 
 @settings(max_examples=60, deadline=None)

@@ -83,6 +83,14 @@ def test_derived_table_reproduces_every_relation(derived6):
     assert report["relations_checked"] == len(expected_relations(6)) == 49
 
 
+def test_outside_span_lists_the_brackets_the_table_leaves_out(derived6):
+    # [Y^n, Y^m] = (m-n) Y^(m+n-1) leaves the K = 6 span once m+n-1 > 6
+    report = verify_commutator_table(derived6)
+    assert report["outside_span_unlisted"] == [
+        ("Y^2", "Y^6"), ("Y^3", "Y^5"), ("Y^3", "Y^6"),
+        ("Y^4", "Y^5"), ("Y^4", "Y^6"), ("Y^5", "Y^6")]
+
+
 def test_printed_table_has_documented_failures(printed6):
     """The printed first-order coefficients do not satisfy the published
     family brackets (the f-coefficient normalization is inconsistent);
@@ -286,6 +294,12 @@ def test_rank_on_sigma_zero(derived6):
 def test_unsolvable_constraint(derived6):
     with pytest.raises(NotSolvableError):
         rank_on_manifold(derived6, parse("sigma^2 - f^2", JetSpace(1)), 1)
+
+
+def test_constraint_with_an_atom_coefficient_is_not_solvable(derived6):
+    # sigma = 1/exp(u) has no exact rational value at a sample point
+    with pytest.raises(NotSolvableError):
+        rank_on_manifold(derived6, parse("exp(u)*sigma - 1", JetSpace(1)), 1)
 
 
 # --- minimal generating sets -------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import in_integer_lattice
 from wavesym.canonical import equals
-from wavesym.expr import Const, Coord, mul, parse, pow_
+from wavesym.expr import Const, Coord, add, mul, parse, pow_
 from wavesym.invariants import (
     NAMED_EXPRESSIONS,
     WeightedBlock,
@@ -87,7 +87,7 @@ def test_constant_is_absolute(derived6):
 
 def test_absolute_invariants_form_a_field(derived6):
     combos = [
-        R1_CORRECTED + R2,
+        add(R1_CORRECTED, R2),
         mul(R1_CORRECTED, R2),
         mul(R1_CORRECTED, pow_(R2, -1)),
     ]

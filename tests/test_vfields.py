@@ -11,7 +11,15 @@ from helpers import (
     sympy_of,
 )
 from wavesym.canonical import canonicalize, equals
-from wavesym.expr import ONE, ZERO, Coord, DivisionByZeroExpressionError, mul, parse
+from wavesym.expr import (
+    ONE,
+    ZERO,
+    Coord,
+    DivisionByZeroExpressionError,
+    add,
+    mul,
+    parse,
+)
 from wavesym.jetspace import JetSpace
 from wavesym.vfields import (
     NotProjectableError,
@@ -71,20 +79,12 @@ def test_induce_family_matches_template():
         phi2 = parse(f"{k*(k-1)}*u^{k-2}" if k >= 2 else "0", ["u"])
         sigma, f = Coord("sigma"), Coord("f")
         assert equals(field.coefficient("sigma"), mul(2, phi1, sigma))
-        assert equals(field.coefficient("f"), mul(phi1, f) + mul(phi2, sigma))
+        assert equals(field.coefficient("f"), add(mul(phi1, f), mul(phi2, sigma)))
 
 
 def test_non_projectable_action_rejected():
     with pytest.raises(NotProjectableError):
         induce_from_point_action(PointAction(U, ZERO, ZERO))
-
-
-def test_explicit_prolongation_coefficients_used():
-    # the boost written with its textbook u_t, u_x coefficients
-    explicit = PointAction(X, T, ZERO,
-                           zeta_ut=parse("-u_x", ["u_x"]),
-                           zeta_ux=parse("-u_t", ["u_t"]))
-    assert fields_equal(induce_from_point_action(explicit), derived("Y0"))
 
 
 # --- apply -------------------------------------------------------------------
@@ -208,5 +208,3 @@ def test_coefficients_must_live_on_the_chart():
 def test_point_action_rejects_foreign_coordinates():
     with pytest.raises(ValueError):
         PointAction(parse("sigma", ["sigma"]), ZERO, ZERO)
-    with pytest.raises(ValueError):
-        PointAction(ZERO, ZERO, ZERO, zeta_ut=parse("u_xx", ["u_xx"]))
