@@ -42,8 +42,7 @@ def main():
     table = commutator_table(derived)
     for pair in (("Y0", "Y1"), ("Y1", "Y3"), ("Y^0", "Y^2"), ("Y^1", "Y^2"),
                  ("Y^2", "Y^3"), ("Y3", "Y^4")):
-        entry = table.entry(*pair)
-        print(f"  [{pair[0]}, {pair[1]}] = {pretty(entry.decomposition)}")
+        print(f"  [{pair[0]}, {pair[1]}] = {pretty(table[pair])}")
 
     check = verify_commutator_table(derived)
     print(f"\nall {check['relations_checked']} published relations reproduce "

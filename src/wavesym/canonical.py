@@ -207,32 +207,16 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        _add_terms(out, other.terms)
+        return _poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        _add_terms(out, other.terms, negate=True)
+        return _poly(out)
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict[Monomial, Fraction] = {}
@@ -244,16 +228,12 @@ class Poly:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return _poly(out)
 
     def scale(self, c: Fraction) -> "Poly":
         if c == 0:
             return Poly()
-        p = Poly.__new__(Poly)
-        p.terms = {m: v * c for m, v in self.terms.items()}
-        return p
+        return _poly({m: v * c for m, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -316,14 +296,29 @@ class Poly:
                     out.pop(rest, None)
         return Poly(out)
 
-    def __repr__(self):
-        if not self.terms:
-            return "Poly(0)"
-        parts = []
-        for m, c in _mono_sort_terms(self.terms.items())[::-1]:
-            body = "*".join(f"{n}^{e}" if e > 1 else n for n, e in m) or "1"
-            parts.append(f"{c}*{body}")
-        return "Poly(" + " + ".join(parts) + ")"
+
+def _poly(terms: dict[Monomial, Fraction]) -> Poly:
+    """A Poly that takes ownership of ``terms``, which must hold no zero
+    coefficient."""
+    p = Poly.__new__(Poly)
+    p.terms = terms
+    return p
+
+
+def _add_terms(out: dict[Monomial, Fraction], terms: dict[Monomial, Fraction],
+               negate: bool = False) -> None:
+    """out += terms (out -= terms when ``negate``) in place; coefficients
+    that cancel are dropped."""
+    for m, c in terms.items():
+        old = out.get(m)
+        if old is None:
+            out[m] = -c if negate else c
+            continue
+        s = old - c if negate else old + c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
 
 
 def _content_rational(p: Poly) -> Fraction:
@@ -345,11 +340,11 @@ def _exact_div(p: Poly, g: Poly) -> Poly:
         raise ZeroDivisionError("division by zero polynomial")
     if g.is_const():
         return p.scale(1 / g.as_const())
-    quotient = Poly()
-    r = p
+    quotient: dict[Monomial, Fraction] = {}
+    r = _poly(dict(p.terms))
     gm, gc = g.leading()
     gdict = dict(gm)
-    while not r.is_zero():
+    while r.terms:
         rm, rc = r.leading()
         rdict = dict(rm)
         tdict = {}
@@ -363,10 +358,11 @@ def _exact_div(p: Poly, g: Poly) -> Poly:
             if n not in gdict and e:
                 tdict[n] = e
         t = tuple(sorted(tdict.items(), key=lambda item: gen_key(item[0])))
-        term = Poly({t: rc / gc})
-        quotient = quotient + term
-        r = r - term * g
-    return quotient
+        qc = rc / gc
+        quotient[t] = qc
+        _add_terms(r.terms, {mono_mul(t, m): qc * c for m, c in g.terms.items()},
+                   negate=True)
+    return _poly(quotient)
 
 
 def _prem(a: Poly, b: Poly, v: str) -> Poly:

@@ -41,6 +41,7 @@ from .expr import (
 from .invariants import (
     NAMED_EXPRESSIONS,
     WeightedBlock,
+    ZeroCandidateError,
     candidate_from_exponents,
     compare_sources,
     is_absolute,
@@ -89,9 +90,14 @@ def _resolve_config(args) -> RunConfig:
         try:
             with open(args.config) as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # bad JSON, UTF-8 or digit count
             raise _UsageError(f"cannot read config file: {exc}")
+        if not isinstance(data, dict):
+            raise _UsageError("config file must hold a JSON object")
         for key, value in data.items():
+            # int() would read 1.5 and true as 1; a JSON integer is required
+            if key in _INT_KEYS and type(value) is not int:
+                raise _UsageError(f"{key} must be an integer, got {value!r}")
             _assign(config, key, value)
     for key in _INT_KEYS + ("source", "output"):
         env = os.environ.get(ENV_PREFIX + key.upper())
@@ -262,10 +268,17 @@ def cmd_invariants_search(config: RunConfig, blocks_text: str) -> tuple[int, dic
     gens = g.prolonged_named(2)
     try:
         blocks = [WeightedBlock.measure(e, gens) for e in exprs]
-    except ValueError as exc:
+    except (ValueError, ZeroCandidateError) as exc:
         raise _UsageError(str(exc))
     vectors = weight_kernel_search(blocks, gens)
-    candidates = [str(candidate_from_exponents(blocks, vec)) for vec in vectors]
+    candidates = []
+    for vec in vectors:
+        candidate = candidate_from_exponents(blocks, vec)
+        if not candidate.free_coordinates():
+            raise _UsageError(
+                f"blocks are multiplicatively dependent: exponents "
+                f"{tuple(vec)} give the constant {candidate}")
+        candidates.append(str(candidate))
     report = {
         "schema": SCHEMA,
         "command": "invariants-search",

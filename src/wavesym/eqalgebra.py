@@ -17,15 +17,16 @@ monomial), and the rows are brought to one semi-echelon form in generator
 order (``span_basis``, cached per generator set).  The generators are
 linearly independent, so every bracket has at most one decomposition in
 them; each pairwise bracket is reduced against the basis once, giving that
-decomposition or None when a residual is left.  The commutator table reads
-these decompositions, and the closure sweep reads their supports: a subset
-is bracket-closed when every bracket of two members decomposes into
-members only.  Generic ranks of prolonged coefficient matrices are computed
-by exact evaluation at seeded random integer points, taking the maximum over
-samples.  Entries are evaluated on integer numerators and denominators
-(``CanonicalForm.eval_at``) and ranks taken by fraction-free elimination
-(``linalg.rank``); no modular or floating-point shortcut is made, as a rank
-modulo a prime can fall below the rank over the rationals.
+decomposition or None when a residual is left.  The commutator table is the
+dict of these decompositions keyed by generator pair (left, right), and the
+closure sweep reads their supports: a subset is bracket-closed when every
+bracket of two members decomposes into members only.  Generic ranks of
+prolonged coefficient matrices are computed by exact evaluation at seeded
+random integer points, taking the maximum over samples.  Entries are
+evaluated on integer numerators and denominators (``CanonicalForm.eval_at``)
+and ranks taken by fraction-free elimination (``linalg.rank``); no modular or
+floating-point shortcut is made, as a rank modulo a prime can fall below the
+rank over the rationals.
 """
 
 from __future__ import annotations
@@ -276,37 +277,13 @@ def solve_in_span(basis: SpanBasis,
     return {basis.names[j]: removed[j] for j in sorted(removed)}
 
 
-@dataclass(frozen=True)
-class BracketEntry:
-    left: str
-    right: str
-    decomposition: dict[str, Fraction] | None  # None means outside the span
-
-    @property
-    def in_span(self) -> bool:
-        return self.decomposition is not None
-
-    def is_zero(self) -> bool:
-        return self.decomposition == {}
-
-
-@dataclass(frozen=True)
-class CommutatorTable:
-    source: Source
-    truncation: int
-    entries: dict[tuple[str, str], BracketEntry]
-
-    def entry(self, left: str, right: str) -> BracketEntry:
-        return self.entries[(left, right)]
-
-    def outside_span(self) -> list[tuple[str, str]]:
-        return [pair for pair, e in self.entries.items() if not e.in_span]
-
-
-def _bracket_decompositions(
+def commutator_table(
         g: GeneratorSet) -> dict[tuple[str, str], dict[str, Fraction] | None]:
-    """Every pairwise bracket (left before right in generator order),
-    reduced once against ``span_basis(g)``."""
+    """Every pairwise bracket, keyed by (left, right) with left before right
+    in generator order, decomposed exactly in the generator basis: a dict of
+    generator coefficients, or None when the bracket lies outside the span.
+    Each bracket is reduced once against ``span_basis(g)``; the table is
+    cached on ``g`` and shared by every caller."""
     key = "brackets"
     if key not in g._cache:
         basis = span_basis(g)
@@ -317,15 +294,6 @@ def _bracket_decompositions(
                 basis, bracket(fields[i], fields[j]))
             for i in range(len(names)) for j in range(i + 1, len(names))}
     return g._cache[key]
-
-
-def commutator_table(g: GeneratorSet) -> CommutatorTable:
-    """Every pairwise bracket, decomposed exactly in the generator basis."""
-    entries = {
-        (left, right): BracketEntry(
-            left, right, None if d is None else dict(d))
-        for (left, right), d in _bracket_decompositions(g).items()}
-    return CommutatorTable(g.source, g.truncation, entries)
 
 
 def expected_relations(truncation: int) -> dict[tuple[str, str], dict[str, Fraction]]:
@@ -362,14 +330,14 @@ def verify_commutator_table(g: GeneratorSet) -> dict:
     expected = expected_relations(g.truncation)
     statuses = {}
     for pair, decomposition in expected.items():
-        entry = table.entry(*pair)
-        if entry.decomposition is None:
+        if table[pair] is None:
             statuses[pair] = "outside_span"
-        elif entry.decomposition == decomposition:
+        elif table[pair] == decomposition:
             statuses[pair] = "exact"
         else:
             statuses[pair] = "mismatch"
-    unexpected = [pair for pair in table.outside_span() if pair not in expected]
+    unexpected = [pair for pair, d in table.items()
+                  if d is None and pair not in expected]
     all_exact = all(s == "exact" for s in statuses.values())
     return {
         "source": g.source.value,
@@ -379,7 +347,6 @@ def verify_commutator_table(g: GeneratorSet) -> dict:
         "statuses": statuses,
         "failing": sorted(p for p, s in statuses.items() if s != "exact"),
         "outside_span_unlisted": unexpected,
-        "table": table,
     }
 
 
@@ -392,7 +359,7 @@ def bracket_closed(g: GeneratorSet, subset: tuple[str, ...]) -> bool:
     unknown = members.difference(g.names)
     if unknown:
         raise ValueError(f"not generators of this set: {sorted(unknown)}")
-    for (left, right), d in _bracket_decompositions(g).items():
+    for (left, right), d in commutator_table(g).items():
         if left in members and right in members and (
                 d is None or not members.issuperset(d)):
             return False

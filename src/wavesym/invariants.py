@@ -83,10 +83,6 @@ class InvariantReport:
             return "relative"
         return "neither"
 
-    @property
-    def is_absolute(self) -> bool:
-        return self.overall == "absolute"
-
     def as_dict(self) -> dict:
         return {
             "candidate": str(self.candidate),

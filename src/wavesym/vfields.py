@@ -9,11 +9,13 @@ the usual recursion zeta_{J,i} = D_i(zeta_J) - sum_j f_{J,j} D_i(xi^j) with
 zeta_empty the coefficient on the dependent coordinate.
 
 Point transformations acting on (t, x, u) induce generators on the chart
-(t, x, u, sigma, f) via their second prolongation in the u-jet: the increments
-of sigma = u_t^2 - u_x^2 and of f = u_tt - u_xx are computed as forms, u_tt
-is eliminated through the equation itself by substituting f + u_xx into the
-form, u_t^2 is folded into sigma + u_x^2 in its numerator and denominator, and
-the result must come out independent of the remaining u-derivatives.
+(t, x, u, sigma, f): the action is a field on the u-jet chart (t, x, u), and
+:func:`prolong` lifts it to second order, the same recursion as above.  From
+its u_t, u_x, u_tt and u_xx coefficients come the increments of
+sigma = u_t^2 - u_x^2 and of f = u_tt - u_xx; u_tt is eliminated through the
+equation itself by substituting f + u_xx into the form, u_t^2 is folded into
+sigma + u_x^2 in its numerator and denominator, and the result must come out
+independent of the remaining u-derivatives.
 """
 
 from __future__ import annotations
@@ -159,25 +161,13 @@ def induce_from_point_action(action: PointAction) -> VectorField:
     u_t^2 = sigma + u_x^2.  Residual dependence on u_t, u_x, u_tt, u_tx or
     u_xx raises NotProjectableError.
     """
-    jet = u_jet(2)
     xi_t, xi_x, eta = action.xi_t, action.xi_x, action.eta_u
+    zeta = prolong(VectorField(u_jet(0), {"t": xi_t, "x": xi_x, "u": eta}),
+                   2).coefficient
+    u_t, u_x, u_xx = map(coordinate, ("u_t", "u_x", "u_xx"))
 
-    def dt(e: CanonicalForm) -> CanonicalForm:
-        return jet.total_derivative(e, "t")
-
-    def dx(e: CanonicalForm) -> CanonicalForm:
-        return jet.total_derivative(e, "x")
-
-    u_t, u_x, u_tt, u_tx, u_xx = map(
-        coordinate, ("u_t", "u_x", "u_tt", "u_tx", "u_xx"))
-
-    zeta_t = dt(eta) - dt(xi_t) * u_t - dt(xi_x) * u_x
-    zeta_x = dx(eta) - dx(xi_t) * u_t - dx(xi_x) * u_x
-    zeta_tt = dt(zeta_t) - dt(xi_t) * u_tt - dt(xi_x) * u_tx
-    zeta_xx = dx(zeta_x) - dx(xi_t) * u_tx - dx(xi_x) * u_xx
-
-    delta_sigma = (zeta_t * u_t - zeta_x * u_x) * 2
-    delta_f = zeta_tt - zeta_xx
+    delta_sigma = (zeta("u_t") * u_t - zeta("u_x") * u_x) * 2
+    delta_f = zeta("u_tt") - zeta("u_xx")
 
     sigma_plus_ux2 = Poly.var("sigma") + Poly.var("u_x") * Poly.var("u_x")
     u_tt_by_f = {"u_tt": coordinate("f") + u_xx}

@@ -115,6 +115,25 @@ def test_invariants_search_non_relative_block(capsys):
     assert "not relative" in err
 
 
+def test_invariants_search_zero_block(capsys):
+    code, out, err = run_cli(capsys, "invariants", "search", "--blocks", "0")
+    assert (code, out) == (1, "")
+    assert err == "usage error: cannot compute a weight for the zero expression\n"
+
+
+@pytest.mark.parametrize("blocks, vector, constant", [
+    ("1", "(1,)", "1"),
+    ("2,sigma", "(1, 0)", "2"),
+    ("sigma,sigma^2,R", "(2, -1, 0)", "1"),
+])
+def test_invariants_search_rejects_constant_products(capsys, blocks, vector,
+                                                     constant):
+    code, out, err = run_cli(capsys, "invariants", "search", "--blocks", blocks)
+    assert (code, out) == (1, "")
+    assert err == (f"usage error: blocks are multiplicatively dependent: "
+                   f"exponents {vector} give the constant {constant}\n")
+
+
 def test_equiv_verdicts(capsys):
     code, out, _ = run_cli(capsys, "--output", "json",
                            "equiv", "sigma^2", "3*sigma^2")
@@ -194,6 +213,27 @@ def test_config_file(tmp_path, capsys):
     report = json.loads(out)
     assert report["seed"] == 321
     assert report["samples_used"] == 4
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[1, 2]", "config file must hold a JSON object"),
+    (b'"seed"', "config file must hold a JSON object"),
+    (b'{"seed": 1.5}', "seed must be an integer, got 1.5"),
+    (b'{"seed": true}', "seed must be an integer, got True"),
+    (b'{"samples": "4"}', "samples must be an integer, got '4'"),
+    (b'{"K": null}', "K must be an integer, got None"),
+    (b"{", "cannot read config file: "),
+    (b"\xff\xfe", "cannot read config file: "),
+    (b'{"seed": ' + b"9" * 5000 + b"}", "cannot read config file: "),
+])
+def test_config_file_errors_are_usage_errors(tmp_path, capsys, content,
+                                              message):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    code, out, err = run_cli(capsys, "--config", str(config), "rank",
+                             "--order", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
 
 
 def test_console_entry_point():

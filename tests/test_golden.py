@@ -73,6 +73,7 @@ CASES = {
     "error_usage_block_not_relative_paper": [
         "--source", "paper", "invariants", "search", "--blocks",
         "sigma,R,sigma^2*f_sigmasigma"],
+    "error_usage_zero_block": ["invariants", "search", "--blocks", "sigma,0"],
     "error_io_missing_corpus": ["classify", "missing.txt"],
     "error_parse": ["equiv", "sigma +* 2", "sigma"],
     "error_parse_unknown_atom": ["equiv", "sin(u)", "sigma"],
