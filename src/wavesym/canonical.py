@@ -1,19 +1,23 @@
 """Canonical rational normal forms for expressions.
 
-An expression canonicalizes to a reduced fraction of expanded multivariate
-polynomials over exact rationals.  The monomial order is total degree first,
-then lexicographic over a fixed generator order: t, x, u, sigma, f, then
-f-derivatives by total order then index, then internal u-derivatives, then
-instances of the atom exp by their argument.  Each exp(v) is treated as an
-algebraically independent indeterminate whose derivative by v is itself, so
-equality is decided modulo that assumption (the only one this module makes).
+An expression canonicalizes to a reduced fraction N/D of expanded
+multivariate polynomials with integer coefficients.  The monomial order is
+total degree first, then lexicographic over a fixed generator order: t, x,
+u, sigma, f, then f-derivatives by total order then index, then internal
+u-derivatives, then instances of the atom exp by their argument.  Each
+exp(v) is treated as an algebraically independent indeterminate whose
+derivative by v is itself, so equality is decided modulo that assumption
+(the only one this module makes).
 
 Expression trees become forms only in :func:`canonicalize`; computation
 starts from forms built by :func:`coordinate` and from rational numbers.
 
-The denominator is normalized to a primitive integer polynomial with positive
-leading coefficient; zero is (0, 1).  This makes the form unique, hence
-canonicalization idempotent and equality a dictionary comparison.
+One rule normalizes the pair: gcd(N, D) is constant, the integer contents
+of N and D are coprime and lc(D) > 0; so u/2 is (u, 2) and zero is (0, 1).
+The form is unique, hence canonicalization idempotent and equality a
+dictionary comparison.  Rationals exist only at the edges: parser constants
+enter as (p, q); ``eval_at``, the printer and ``rational_coefficients``
+return them.
 """
 
 from __future__ import annotations
@@ -160,21 +164,20 @@ def _mono_sort_terms(terms) -> list:
 
 
 class Poly:
-    """Sparse multivariate polynomial over Fraction."""
+    """Sparse multivariate polynomial with integer coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, terms: dict[Monomial, int] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
     @classmethod
-    def const(cls, value) -> "Poly":
-        c = Fraction(value)
-        return cls({MONO_ONE: c} if c else {})
+    def const(cls, value: int) -> "Poly":
+        return cls({MONO_ONE: value} if value else {})
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls({mono(name): Fraction(1)})
+        return cls({mono(name): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -184,13 +187,6 @@ class Poly:
 
     def is_one(self) -> bool:
         return len(self.terms) == 1 and self.terms.get(MONO_ONE) == 1
-
-    def as_const(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if self.is_const():
-            return self.terms[MONO_ONE]
-        raise ValueError("polynomial is not constant")
 
     def variables(self) -> set[str]:
         out: set[str] = set()
@@ -219,21 +215,16 @@ class Poly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
                     out.pop(m, None)
         return _poly(out)
-
-    def scale(self, c: Fraction) -> "Poly":
-        if c == 0:
-            return Poly()
-        return _poly({m: v * c for m, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -247,7 +238,7 @@ class Poly:
             n >>= 1
         return out
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, int]:
         best = None
         for m in self.terms:
             if best is None or mono_cmp(m, best) > 0:
@@ -267,7 +258,7 @@ class Poly:
     def coeffs_in(self, name: str) -> dict[int, "Poly"]:
         """Decompose as a univariate polynomial in ``name`` with Poly
         coefficients."""
-        out: dict[int, dict[Monomial, Fraction]] = {}
+        out: dict[int, dict[Monomial, int]] = {}
         for m, c in self.terms.items():
             e = 0
             rest = []
@@ -283,13 +274,13 @@ class Poly:
         """Partial derivative with the generator treated as a plain
         indeterminate; the chain rule through atoms is applied by
         ``CanonicalForm.derive``."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
             for i, (n, e) in enumerate(m):
                 if n != name:
                     continue
                 rest = m[:i] + ((n, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
-                s = out.get(rest, Fraction(0)) + c * e
+                s = out.get(rest, 0) + c * e
                 if s:
                     out[rest] = s
                 else:
@@ -297,7 +288,7 @@ class Poly:
         return Poly(out)
 
 
-def _poly(terms: dict[Monomial, Fraction]) -> Poly:
+def _poly(terms: dict[Monomial, int]) -> Poly:
     """A Poly that takes ownership of ``terms``, which must hold no zero
     coefficient."""
     p = Poly.__new__(Poly)
@@ -305,7 +296,7 @@ def _poly(terms: dict[Monomial, Fraction]) -> Poly:
     return p
 
 
-def _add_terms(out: dict[Monomial, Fraction], terms: dict[Monomial, Fraction],
+def _add_terms(out: dict[Monomial, int], terms: dict[Monomial, int],
                negate: bool = False) -> None:
     """out += terms (out -= terms when ``negate``) in place; coefficients
     that cancel are dropped."""
@@ -321,28 +312,23 @@ def _add_terms(out: dict[Monomial, Fraction], terms: dict[Monomial, Fraction],
             del out[m]
 
 
-def _content_rational(p: Poly) -> Fraction:
-    """Positive rational c such that p/c is a primitive integer polynomial;
-    the sign is chosen so p/c has positive leading coefficient."""
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = int_gcd(num, abs(c.numerator))
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    content = Fraction(num, den)
-    _, lc = p.leading()
-    return -content if lc < 0 else content
+def _content(p: Poly, *rest: Poly) -> int:
+    """The gcd of the coefficients of p and of ``rest``, signed like the
+    leading coefficient of p."""
+    c = int_gcd(*p.terms.values(), *(v for q in rest for v in q.terms.values()))
+    return -c if p.leading()[1] < 0 else c
 
 
 def _exact_div(p: Poly, g: Poly) -> Poly:
-    """Quotient p/g; raises ValueError if the division is not exact."""
+    """Quotient p/g over the integers; raises ValueError if the division is
+    not exact."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if g.is_const():
-        return p.scale(1 / g.as_const())
-    quotient: dict[Monomial, Fraction] = {}
-    r = _poly(dict(p.terms))
     gm, gc = g.leading()
+    if not gm:
+        return _poly({m: _exact_quotient(c, gc) for m, c in p.terms.items()})
+    quotient: dict[Monomial, int] = {}
+    r = _poly(dict(p.terms))
     gdict = dict(gm)
     while r.terms:
         rm, rc = r.leading()
@@ -358,11 +344,18 @@ def _exact_div(p: Poly, g: Poly) -> Poly:
             if n not in gdict and e:
                 tdict[n] = e
         t = tuple(sorted(tdict.items(), key=lambda item: gen_key(item[0])))
-        qc = rc / gc
+        qc = _exact_quotient(rc, gc)
         quotient[t] = qc
         _add_terms(r.terms, {mono_mul(t, m): qc * c for m, c in g.terms.items()},
                    negate=True)
     return _poly(quotient)
+
+
+def _exact_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ValueError("not an exact division")
+    return q
 
 
 def _prem(a: Poly, b: Poly, v: str) -> Poly:
@@ -426,8 +419,8 @@ _GCD_CACHE: dict[tuple, Poly] = {}
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """GCD up to a rational unit, computed ones made primitive integer
-    polynomials: contents chain gcds, and a unit would grow along a chain."""
+    """GCD up to a unit, computed ones made primitive with positive leading
+    coefficient: contents chain gcds, and a unit would grow along a chain."""
     if p.is_zero():
         return q
     if q.is_zero():
@@ -439,7 +432,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if cached is not None:
         return cached
     out = _poly_gcd_uncached(p, q)
-    out = out.scale(1 / _content_rational(out))
+    out = _exact_div(out, Poly.const(_content(out)))
     _GCD_CACHE[key] = out
     return out
 
@@ -498,13 +491,23 @@ class CanonicalForm:
         return self.numerator.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.denominator.is_one()
+        return self.denominator.is_const()
+
+    def rational_coefficients(self) -> dict[Monomial, Fraction]:
+        """Monomial -> rational coefficient of a polynomial form; raises
+        ValueError when the denominator is not constant."""
+        if not self.is_polynomial():
+            raise ValueError(f"not polynomial: {self}")
+        d = _content(self.denominator)
+        return {m: Fraction(c, d) for m, c in self.numerator.terms.items()}
 
     def to_expr(self) -> Expr:
-        num = _poly_to_expr(self.numerator)
-        if self.denominator.is_one():
+        """The printed tree: N/d over D/d, d the content of D."""
+        d = _content(self.denominator)
+        num = _poly_to_expr(self.numerator, d)
+        if self.is_polynomial():
             return num
-        return mul(num, pow_(_poly_to_expr(self.denominator), -1))
+        return mul(num, pow_(_poly_to_expr(self.denominator, d), -1))
 
     def __str__(self) -> str:
         return to_string(self.to_expr())
@@ -549,8 +552,8 @@ class CanonicalForm:
         is reduced once, at the end."""
         num, den = self.numerator, self.denominator
         xn, xn_den = _derive_poly(num, coefficients)
-        if den.is_one():
-            return _normalized(xn, xn_den)
+        if den.is_const():
+            return _normalized(xn, xn_den * den)
         xd, xd_den = _derive_poly(den, coefficients)
         return _normalized(xn * xd_den * den - num * xd * xn_den,
                            xn_den * xd_den * den * den)
@@ -572,10 +575,10 @@ class CanonicalForm:
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact rational value at ``point``, which binds coordinates to
-        rationals.  The sums run on integer numerators and denominators, and
-        one Fraction is built at the end.  As ``expr.eval_at`` without atom
-        values, a pole raises ZeroDenominatorError and a missing coordinate
-        or an atom instance raises UnboundSymbolError."""
+        rationals.  The sums run on integers, and one Fraction is built at
+        the end.  As ``expr.eval_at`` without atom values, a pole raises
+        ZeroDenominatorError and a missing coordinate or an atom instance
+        raises UnboundSymbolError."""
         den_num, den_den = _eval_poly(self.denominator, point)
         if den_num == 0:
             raise ZeroDenominatorError("zero denominator at evaluation point")
@@ -583,7 +586,7 @@ class CanonicalForm:
         return Fraction(num_num * den_den, num_den * den_num)
 
 
-# the denominator of every polynomial form: one shared object keeps the many
+# the denominator of every form with D = 1: one shared object keeps the many
 # polynomial coefficients of prolonged fields small
 _POLY_ONE = Poly.const(1)
 
@@ -593,17 +596,13 @@ def _normalized(num: Poly, den: Poly) -> CanonicalForm:
         raise DivisionByZeroExpressionError("denominator is identically zero")
     if num.is_zero():
         return CanonicalForm(Poly(), _POLY_ONE)
-    if not den.is_const():
-        g = poly_gcd(num, den)
-        if not g.is_const():
-            num = _exact_div(num, g)
-            den = _exact_div(den, g)
-    if den.is_one():
-        return CanonicalForm(num, _POLY_ONE)
-    if den.is_const():
-        return CanonicalForm(num.scale(1 / den.as_const()), _POLY_ONE)
-    c = _content_rational(den)
-    return CanonicalForm(num.scale(1 / c), den.scale(1 / c))
+    # the gcd is primitive with lc > 0, so the content and sign of the
+    # pair's coefficients survive its division
+    g = poly_gcd(num, den) * Poly.const(_content(den, num))
+    if not g.is_one():
+        num = _exact_div(num, g)
+        den = _exact_div(den, g)
+    return CanonicalForm(num, _POLY_ONE if den.is_one() else den)
 
 
 ONE_FORM = CanonicalForm(Poly.const(1), _POLY_ONE)
@@ -681,7 +680,7 @@ def _eval_poly(p: Poly, point: Mapping[str, Fraction]) -> tuple[int, int]:
     num, den = 0, 1
     try:
         for m, c in p.terms.items():
-            n, d = c.numerator, c.denominator
+            n, d = c, 1
             for name, e in m:
                 v = point[name]
                 n *= v.numerator ** e
@@ -704,14 +703,15 @@ def _unbound_symbol(p: Poly, point: Mapping[str, Fraction]) -> UnboundSymbolErro
     return UnboundSymbolError(f"{kind} {name!r} is unbound")
 
 
-def _poly_to_expr(p: Poly) -> Expr:
+def _poly_to_expr(p: Poly, d: int) -> Expr:
+    """The tree of p/d."""
     if p.is_zero():
         return Const(Fraction(0))
     terms = []
     for m, c in _mono_sort_terms(p.terms.items())[::-1]:
         factors: list[Expr] = []
-        if c != 1 or not m:
-            factors.append(Const(c))
+        if c != d or not m:
+            factors.append(Const(Fraction(c, d)))
         for name, e in m:
             base = _gen_to_expr(name)
             factors.append(pow_(base, e))
@@ -726,7 +726,7 @@ def _gen_to_expr(name: str) -> Expr:
 
 def _to_fraction(e: Expr) -> tuple[Poly, Poly]:
     if isinstance(e, Const):
-        return Poly.const(e.value), Poly.const(1)
+        return Poly.const(e.value.numerator), Poly.const(e.value.denominator)
     if isinstance(e, Coord):
         gen_key(e.name)  # validates the name
         return Poly.var(e.name), Poly.const(1)

@@ -33,10 +33,10 @@ from .equivalence import (
 )
 from .expr import (
     DivisionByZeroExpressionError,
+    Expr,
     ExprError,
     NumberTooLongError,
     parse,
-    to_string,
 )
 from .invariants import (
     NAMED_EXPRESSIONS,
@@ -219,8 +219,7 @@ def cmd_invariants_verify(config: RunConfig, expr_text: str | None) -> tuple[int
         bundle = compare_sources(config.K)
         report = {"schema": SCHEMA, "command": "invariants-verify", **bundle}
         return 0, report
-    chart = JetSpace(2)
-    expr = parse(_expand_names(expr_text), chart.coordinates)
+    expr = _expression(expr_text)
     g = build_generators(config.source, config.K)
     rep = is_absolute(expr, g, 2)
     report = {"schema": SCHEMA, "command": "invariants-verify",
@@ -250,20 +249,19 @@ def _invariants_verify_text(report: dict):
         yield f"note: {note}"
 
 
-_NAME_TABLE = {name: to_string(expr) for name, expr in NAMED_EXPRESSIONS.items()}
-
-
-def _expand_names(text: str) -> str:
+def _expression(text: str) -> Expr:
+    """The stored tree of a named expression such as R, else the text
+    parsed on the order-2 chart."""
     stripped = text.strip()
-    return _NAME_TABLE.get(stripped, stripped)
+    named = NAMED_EXPRESSIONS.get(stripped)
+    return named if named is not None else parse(stripped, JetSpace(2).coordinates)
 
 
 def cmd_invariants_search(config: RunConfig, blocks_text: str) -> tuple[int, dict]:
-    chart = JetSpace(2)
     block_sources = [b.strip() for b in blocks_text.split(",") if b.strip()]
     if not block_sources:
         raise _UsageError("--blocks needs a comma-separated expression list")
-    exprs = [parse(_expand_names(b), chart.coordinates) for b in block_sources]
+    exprs = [_expression(b) for b in block_sources]
     g = build_generators(config.source, config.K)
     gens = g.prolonged_named(2)
     try:
@@ -336,7 +334,7 @@ def cmd_classify(config: RunConfig, corpus_path: str) -> tuple[int, dict]:
     try:
         with open(corpus_path) as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _IOError(str(exc))
     records = classify_corpus(lines)
     classes: dict[str, int] = {}

@@ -197,13 +197,8 @@ _Row = dict[_Key, Fraction]
 def _field_coefficient_table(f: VectorField) -> _Row:
     """Flatten a field with polynomial coefficients into (coordinate,
     monomial) -> rational entries."""
-    out: _Row = {}
-    for v, coeff in f.coefficients.items():
-        if not coeff.is_polynomial():
-            raise ValueError(f"coefficient on {v} is not polynomial: {coeff}")
-        for m, c in coeff.numerator.terms.items():
-            out[(v, m)] = c
-    return out
+    return {(v, m): c for v, coeff in f.coefficients.items()
+            for m, c in coeff.rational_coefficients().items()}
 
 
 def _add_multiple(target: dict, a: Fraction, source: dict) -> None:

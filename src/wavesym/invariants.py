@@ -171,7 +171,7 @@ def weight_kernel_search(
             w = block.weights.get(gname)
             if w is None:
                 raise ValueError("every block needs a weight for every generator")
-            for m, c in w.numerator.terms.items():
+            for m, c in w.rational_coefficients().items():
                 column[(gname, m)] = c
         columns.append(column)
         keys.extend(column)

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import agrees, fraction_text, sympy_of
+from helpers import agrees, fraction_text, polynomial_text, sympy_of
 from wavesym.canonical import Poly, canonicalize, equals, poly_gcd
 from wavesym.expr import (
     AtomArgumentError,
@@ -70,7 +71,11 @@ def test_multivariate_gcd_cancellation():
 
 def test_rational_content_normalization():
     assert cf("(u+sigma)/2") == cf("(2*u+2*sigma)/4")
-    assert cf("(u+sigma)/2").denominator.is_one()
+    form = cf("(u+sigma)/2")
+    assert form.numerator == cf("u + sigma").numerator
+    assert form.denominator == Poly.const(2)
+    assert form.is_polynomial()
+    assert str(form) == "1/2*u + 1/2*sigma"
 
 
 def test_denominator_sign_normalized():
@@ -111,7 +116,8 @@ def test_poly_gcd_symmetry_up_to_unit():
     q = canonicalize(parse("(u+sigma)^2*(f-u)", CHART2)).numerator
     g = poly_gcd(p, q)
     expected = canonicalize(parse("(u+sigma)*(f-u)", CHART2)).numerator
-    ratio = [c / expected.terms[m] for m, c in g.terms.items() if m in expected.terms]
+    ratio = [Fraction(c, expected.terms[m]) for m, c in g.terms.items()
+             if m in expected.terms]
     assert g.terms.keys() == expected.terms.keys()
     assert len(set(ratio)) == 1
 
@@ -243,6 +249,39 @@ def test_substitute_agrees_with_sympy(text, u_text, sigma_text):
     else:
         assert agrees(form.substitute(bindings),
                       num.subs(images, simultaneous=True) / den_image)
+
+
+def _assert_normalized(form):
+    """The one normalization rule of a form (N, D): integer coefficients,
+    coprime integer contents, lc(D) > 0 and gcd(N, D) constant."""
+    num, den = form.numerator, form.denominator
+    coefficients = [*num.terms.values(), *den.terms.values()]
+    assert all(type(c) is int for c in coefficients)
+    assert math.gcd(*coefficients) == 1
+    assert den.leading()[1] > 0
+    assert poly_gcd(num, den).is_const()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fraction_text, _fraction_text, st.integers(-3, 3).filter(bool),
+       polynomial_text(("u", "sigma"), max_degree=1), _uv_binding_text)
+def test_normalization_rule_after_every_operation(a_text, b_text, n,
+                                                   sigma_text, f_text):
+    """Bindings avoid u, the argument of exp(u), which only a coordinate
+    may replace."""
+    a, b, f_form = map(_form_or_skip, (a_text, b_text, f_text))
+    if a is None or b is None or f_form is None:
+        return
+    bindings = {"sigma": cf(sigma_text), "f": f_form}
+    operations = [lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b,
+                  lambda: a / n, lambda: a ** n, lambda: a.diff("u"),
+                  lambda: a.diff("sigma"), lambda: a.substitute(bindings)]
+    for operation in operations:
+        try:
+            form = operation()
+        except DivisionByZeroExpressionError:  # a zero divisor or base
+            continue
+        _assert_normalized(form)
 
 
 def test_substitute_renames_a_bound_atom_argument():

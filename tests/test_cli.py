@@ -205,6 +205,15 @@ def test_classify_unreadable_path(capsys):
     assert "i/o error" in err
 
 
+def test_classify_corpus_that_is_not_utf8(tmp_path, capsys):
+    corpus = tmp_path / "bad.txt"
+    corpus.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "classify", str(corpus))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("i/o error: ") and "can't decode" in err
+
+
 def test_config_file(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 321, "samples": 4}))
