@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import agrees, fraction_text, polynomial_text, sympy_of
+from wavesym import canonical
 from wavesym.canonical import Poly, canonicalize, equals, poly_gcd
 from wavesym.expr import (
     AtomArgumentError,
@@ -122,40 +123,111 @@ def test_poly_gcd_symmetry_up_to_unit():
     assert len(set(ratio)) == 1
 
 
-# small polynomials in (u, sigma): lists of (coefficient, deg u, deg sigma)
+# small polynomials: lists of (coefficient, exponents of _GCD_GENS in order);
+# a term shorter than _GCD_GENS leaves the remaining generators out
+_GCD_GENS = ("u", "sigma", "f", "f_sigma", "exp(u)")
 _terms = st.lists(st.tuples(st.integers(-3, 3).filter(bool),
-                            st.integers(0, 3), st.integers(0, 4)),
+                            st.integers(0, 3), st.integers(0, 4),
+                            st.integers(0, 2), st.integers(0, 1),
+                            st.integers(0, 1)),
                   min_size=1, max_size=3)
 
 
 def _poly(terms) -> Poly:
     out = Poly()
-    for c, eu, es in terms:
-        out = out + Poly.const(c) * Poly.var("u") ** eu * Poly.var("sigma") ** es
+    for c, *exponents in terms:
+        term = Poly.const(c)
+        for name, e in zip(_GCD_GENS, exponents):
+            term = term * Poly.var(name) ** e
+        out = out + term
     return out
+
+
+def _sympy_poly(p: Poly):
+    """p as a sympy Poly over _GCD_GENS, each generator a plain symbol."""
+    sympy = pytest.importorskip("sympy")
+    gens = [sympy.Symbol(n) for n in _GCD_GENS]
+    return sympy.Poly(sum((c * sympy.Mul(*(sympy.Symbol(n) ** e for n, e in m))
+                           for m, c in p.terms.items()), sympy.Integer(0)), *gens)
+
+
+def _assert_gcd_agrees_with_sympy(p: Poly, q: Poly):
+    sympy = pytest.importorskip("sympy")
+    ours = _sympy_poly(poly_gcd(p, q))
+    assert ours.monic() == sympy.gcd(_sympy_poly(p), _sympy_poly(q)).monic()
 
 
 @settings(max_examples=150, deadline=None)
 @given(_terms, _terms, _terms)
 # one pseudo-remainder step in sigma drops the degree by two
 @example([(2, 3, 1)], [(-2, 2, 2), (2, 1, 0)], [(2, 0, 3)])
+# a common factor in all five generators
+@example([(1, 1, 0, 1, 0, 1), (-2, 0, 1, 0, 1, 0)],
+         [(3, 0, 2, 0, 0, 1), (1, 1, 0, 2, 0, 0)], [(-1, 2, 0, 0, 1, 1)])
 def test_poly_gcd_agrees_with_sympy(a, b, c):
     """gcd(a*b, a*c) against sympy.gcd, up to a rational unit."""
-    sympy = pytest.importorskip("sympy")
-    u, sigma = sympy.symbols("u sigma")
-
-    def to_sympy(p: Poly):
-        return sum((sympy.Rational(k.numerator, k.denominator)
-                    * sympy.Mul(*(sympy.Symbol(n) ** e for n, e in m))
-                    for m, k in p.terms.items()), sympy.Integer(0))
-
     p, q = _poly(a) * _poly(b), _poly(a) * _poly(c)
     if p.is_zero() or q.is_zero():
         return
-    ours = sympy.Poly(to_sympy(poly_gcd(p, q)), u, sigma)
-    theirs = sympy.gcd(sympy.Poly(to_sympy(p), u, sigma),
-                       sympy.Poly(to_sympy(q), u, sigma))
-    assert ours.monic() == theirs.monic()
+    _assert_gcd_agrees_with_sympy(p, q)
+
+
+def test_poly_gcd_over_the_size_guard_takes_the_prs(monkeypatch):
+    """The gcd behind rho1 of (u+sigma)^60 estimates far above the guard, so
+    the heuristic never sees it and the subresultant PRS answers."""
+    f = cf("(u+sigma)^60")
+    p = (cf("sigma^2") * f.diff("sigma").diff("sigma")).numerator
+    q = (cf("sigma") * f.diff("sigma") - f).numerator
+    assert canonical._heu_gcd_bits(p, q) > canonical._HEU_GCD_MAX_BITS
+    heuristic_inputs = []
+    heuristic = canonical._heu_gcd
+    monkeypatch.setattr(canonical, "_heu_gcd", lambda a, b: (
+        heuristic_inputs.append((a, b)) or heuristic(a, b)))
+    monkeypatch.setattr(canonical, "_GCD_CACHE", {})
+    _assert_gcd_agrees_with_sympy(p, q)
+    assert (p, q) not in heuristic_inputs and (q, p) not in heuristic_inputs
+
+
+def test_heuristic_candidate_that_fails_trial_division_is_rejected(monkeypatch):
+    """gcd(u, u + 31) starts at xi = 2*1 + 29 = 31, where the integer gcd
+    gcd(31, 62) = 31 interpolates to u, which does not divide u + 31; the
+    next xi, 169, gives gcd(169, 200) = 1."""
+    points = []
+    interpolate = canonical._interpolate
+    monkeypatch.setattr(canonical, "_interpolate", lambda h, v, xi: (
+        points.append(xi) or interpolate(h, v, xi)))
+    monkeypatch.setattr(canonical, "_GCD_CACHE", {})
+    u = Poly.var("u")
+    assert poly_gcd(u, u + Poly.const(31)).is_one()
+    assert points == [31, 169]
+
+
+def test_heuristic_that_gives_up_falls_back_to_the_prs(monkeypatch):
+    """When no evaluation point gives a candidate that divides both inputs,
+    the subresultant PRS computes the gcd."""
+    points, prs_calls = [], []
+    subresultant_gcd = canonical._subresultant_gcd
+    monkeypatch.setattr(canonical, "_interpolate", lambda h, v, xi: (
+        points.append(xi) or Poly.var(v) ** 7))
+    monkeypatch.setattr(canonical, "_subresultant_gcd", lambda a, b, v: (
+        prs_calls.append(v) or subresultant_gcd(a, b, v)))
+    monkeypatch.setattr(canonical, "_GCD_CACHE", {})
+    p = cf("(u + sigma)*(u - 2*sigma)").numerator
+    q = cf("(u + sigma)*(3*u + sigma^2)").numerator
+    assert poly_gcd(p, q) == cf("u + sigma").numerator
+    assert len(points) >= canonical._HEU_GCD_TRIES and prs_calls
+
+
+def test_gcd_cache_is_bounded_and_evicts_in_place(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(canonical, "_GCD_CACHE", cache)
+    monkeypatch.setattr(canonical, "_GCD_CACHE_MAX_ENTRIES", 4)
+    u, sigma = Poly.var("u"), Poly.var("sigma")
+    for k in range(1, 13):
+        a = u + Poly.const(k) * sigma
+        assert poly_gcd(a * (u - sigma), a * (u + sigma ** 2)) == a
+        assert 0 < len(cache) <= 4
+    assert canonical._GCD_CACHE is cache
 
 
 def test_canonical_string_reparses():
@@ -223,9 +295,9 @@ def test_equals_agrees_with_sympy(a_text, b_text, rewrite):
     assert equals(a, parse(b_text, CHART2)) == expected
 
 
-# bindings of degree at most 1 in each of (u, sigma): they include the
+# bindings of degree at most 2 in each of (u, sigma): they include the
 # push-forwards under affine phi, u -> (u - b)/a and sigma -> sigma/(c*a^2)
-_uv_binding_text = fraction_text(("u", "sigma"), max_degree=1)
+_uv_binding_text = fraction_text(("u", "sigma"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,7 +336,7 @@ def _assert_normalized(form):
 
 @settings(max_examples=60, deadline=None)
 @given(_fraction_text, _fraction_text, st.integers(-3, 3).filter(bool),
-       polynomial_text(("u", "sigma"), max_degree=1), _uv_binding_text)
+       polynomial_text(("u", "sigma")), _uv_binding_text)
 def test_normalization_rule_after_every_operation(a_text, b_text, n,
                                                    sigma_text, f_text):
     """Bindings avoid u, the argument of exp(u), which only a coordinate

@@ -73,7 +73,7 @@ def test_signature_of_rational_f_whose_gcd_chains_contents():
 
 @settings(max_examples=30, deadline=None)
 @given(st.tuples(polynomial_text(("u", "sigma")),
-                 polynomial_text(("u", "sigma"), max_degree=1)).map(
+                 polynomial_text(("u", "sigma"))).map(
     lambda pair: f"({pair[0]})/({pair[1]})"))
 @example("(sigma^2)/(1)")
 @example("((1)*u^2*sigma^1)/((3))")
