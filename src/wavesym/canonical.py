@@ -702,15 +702,27 @@ class CanonicalForm:
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact rational value at ``point``, which binds coordinates to
-        rationals.  The sums run on integers, and one Fraction is built at
-        the end.  As ``expr.eval_at`` without atom values, a pole raises
-        ZeroDenominatorError and a missing coordinate or an atom instance
-        raises UnboundSymbolError."""
+        rationals; ``eval_pair`` on the point's integer pairs."""
+        return Fraction(*self.eval_pair(
+            {name: (v.numerator, v.denominator) for name, v in point.items()}))
+
+    def eval_pair(self, point: Mapping[str, tuple[int, int]]) -> tuple[int, int]:
+        """Exact value at ``point``, which binds coordinates to integer pairs
+        (numerator, positive denominator), as such a pair in lowest terms.
+        The sums run on integers.  As ``expr.eval_at`` without atom values,
+        a pole raises ZeroDenominatorError and a missing coordinate or an
+        atom instance raises UnboundSymbolError."""
         den_num, den_den = _eval_poly(self.denominator, point)
         if den_num == 0:
             raise ZeroDenominatorError("zero denominator at evaluation point")
         num_num, num_den = _eval_poly(self.numerator, point)
-        return Fraction(num_num * den_den, num_den * den_num)
+        n, d = num_num * den_den, num_den * den_num
+        if d < 0:
+            n, d = -n, -d
+        if d != 1:
+            g = int_gcd(n, d)
+            n, d = n // g, d // g
+        return n, d
 
 
 # the denominator of every form with D = 1: one shared object keeps the many
@@ -801,17 +813,17 @@ def _substitute_poly(p: Poly, forms: Mapping[str, CanonicalForm]) -> tuple[Poly,
     return num, den
 
 
-def _eval_poly(p: Poly, point: Mapping[str, Fraction]) -> tuple[int, int]:
-    """Value of p at point as an unreduced integer fraction (numerator,
-    positive denominator), summed over the terms without a Fraction."""
+def _eval_poly(p: Poly, point: Mapping[str, tuple[int, int]]) -> tuple[int, int]:
+    """Value of p at point, which binds coordinates to integer pairs, as an
+    unreduced integer fraction (numerator, positive denominator)."""
     num, den = 0, 1
     try:
         for m, c in p.terms.items():
             n, d = c, 1
             for name, e in m:
-                v = point[name]
-                n *= v.numerator ** e
-                d *= v.denominator ** e
+                vn, vd = point[name]
+                n *= vn ** e
+                d *= vd ** e
             if d == den:
                 num += n
             else:
@@ -821,7 +833,7 @@ def _eval_poly(p: Poly, point: Mapping[str, Fraction]) -> tuple[int, int]:
     return num, den
 
 
-def _unbound_symbol(p: Poly, point: Mapping[str, Fraction]) -> UnboundSymbolError:
+def _unbound_symbol(p: Poly, point: Mapping) -> UnboundSymbolError:
     """The error for the first generator of p, in term order, that point
     cannot bind: any atom instance, or a coordinate missing from it."""
     name = next(n for m in p.terms for n, _ in m

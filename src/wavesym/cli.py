@@ -51,6 +51,8 @@ from .jetspace import JetSpace
 
 ENV_PREFIX = "WAVESYM_"
 SCHEMA = 1
+# highest jet order that `rank --order` accepts
+MAX_RANK_ORDER = 6
 
 
 class _UsageError(Exception):
@@ -197,8 +199,14 @@ def _verify_algebra_text(report: dict):
 
 
 def cmd_rank(config: RunConfig, order: int) -> tuple[int, dict]:
-    if order not in (0, 1, 2):
-        raise _UsageError("order must be 0, 1, or 2")
+    if not 0 <= order <= MAX_RANK_ORDER:
+        raise _UsageError(f"order must be between 0 and {MAX_RANK_ORDER}, "
+                          f"the cap on rank --order")
+    # order k reaches its generic rank k + 6 only from K = k + 2 on; a
+    # smaller truncation would report too low a rank
+    if config.K < order + 2:
+        raise _UsageError(f"order {order} needs K >= {order + 2}: at K = "
+                          f"{config.K} the generators cannot reach its rank")
     g = build_generators(config.source, config.K)
     rep = prolonged_rank(g, order, samples=config.samples, seed=config.seed,
                          coordinate_range=config.coordinate_range)

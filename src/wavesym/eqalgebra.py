@@ -20,13 +20,22 @@ them; each pairwise bracket is reduced against the basis once, giving that
 decomposition or None when a residual is left.  The commutator table is the
 dict of these decompositions keyed by generator pair (left, right), and the
 closure sweep reads their supports: a subset is bracket-closed when every
-bracket of two members decomposes into members only.  Generic ranks of
-prolonged coefficient matrices are computed by exact evaluation at seeded
-random integer points, taking the maximum over samples.  Entries are
-evaluated on integer numerators and denominators (``CanonicalForm.eval_at``)
-and ranks taken by fraction-free elimination (``linalg.rank``); no modular or
-floating-point shortcut is made, as a rank modulo a prime can fall below the
-rank over the rationals.
+bracket of two members decomposes into members only.
+
+``GeneratorSet.prolonged`` takes its fields from one bounded cache of the
+process, keyed by the field's value, the order and the base order, so sets
+share a field's prolongations while the cache holds them.  A field missing
+there is built from the set's own order k - 1 by one step of the recursion,
+so one set never prolongs a field twice, however many fields it holds.
+
+Generic ranks of prolonged coefficient matrices are computed by exact
+evaluation at seeded random integer points, taking the maximum over
+samples.  A point is turned into integer pairs (numerator, denominator)
+once, each entry is evaluated on them (``CanonicalForm.eval_pair``), each
+row is scaled to integers by the lcm of its denominators
+(``linalg.integer_row``), and the rank is taken by fraction-free
+elimination (``linalg.rank``); no modular or floating-point shortcut is
+made, as a rank modulo a prime can fall below the rank over the rationals.
 """
 
 from __future__ import annotations
@@ -87,7 +96,7 @@ def _u_power(k: int, drop: int) -> CanonicalForm:
     return coordinate("u") ** (k - drop) * c
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=len(STATIC_NAMES))
 def _derived_static(name: str) -> VectorField:
     t, x = coordinate("t"), coordinate("x")
     actions = {
@@ -99,7 +108,7 @@ def _derived_static(name: str) -> VectorField:
     return induce_from_point_action(actions[name])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _derived_family(k: int) -> VectorField:
     return induce_from_point_action(PointAction(0, 0, _u_power(k, 0)))
 
@@ -159,14 +168,40 @@ class GeneratorSet:
 
     def prolonged(self, order: int) -> tuple[VectorField, ...]:
         if order not in self._cache:
+            below = (self.prolonged(order - 1) if order > self.base_order + 1
+                     else self.base_fields)
             self._cache[order] = tuple(
-                prolong(f, order, given_order=self.base_order)
-                for f in self.base_fields
-            )
+                _prolonged(f, order, self.base_order, prev)
+                for f, prev in zip(self.base_fields, below))
         return self._cache[order]
 
     def prolonged_named(self, order: int) -> dict[str, VectorField]:
         return dict(zip(self.names, self.prolonged(order)))
+
+
+# the prolongations of base fields, shared by every generator set of the
+# process and keyed by (field, order, base_order): fields compare by value,
+# not by the name a set gives them.  Bounded: emptied in place once it holds
+# _PROLONGED_MAX_ENTRIES fields, three times the 39 (13 fields, orders 1 to
+# 3) that one rank-invariants benchmark pass leaves.
+_PROLONGED_MAX_ENTRIES = 128
+_PROLONGED: dict[tuple, VectorField] = {}
+
+
+def _prolonged(f: VectorField, order: int, base_order: int,
+               below: VectorField) -> VectorField:
+    """f lifted to the order-``order`` chart, its coefficients up to
+    ``base_order`` taken as given.  ``below`` is f at order - 1, or f itself
+    up to order base_order + 1; a field missing from the cache is one step
+    of the recursion from it."""
+    key = (f, order, base_order)
+    out = _PROLONGED.get(key)
+    if out is None:
+        out = prolong(below, order, given_order=max(order - 1, base_order))
+        if len(_PROLONGED) >= _PROLONGED_MAX_ENTRIES:
+            _PROLONGED.clear()
+        _PROLONGED[key] = out
+    return out
 
 
 def build_generators(source: Source | str = Source.DERIVED,
@@ -402,14 +437,18 @@ class RankReport:
 
 
 def _sample_point(rng: random.Random, coords: tuple[str, ...],
-                  coordinate_range: int) -> dict[str, Fraction]:
-    return {c: Fraction(rng.randint(-coordinate_range, coordinate_range))
-            for c in coords}
+                  coordinate_range: int) -> dict[str, int]:
+    return {c: rng.randint(-coordinate_range, coordinate_range) for c in coords}
 
 
-def _evaluate_matrix(fields, coords, point) -> list[list[Fraction]]:
-    return [[f.coefficients[c].eval_at(point) if c in f.coefficients
-             else Fraction(0) for c in coords] for f in fields]
+def _integer_rows(fields, coords, point) -> list[list[int]]:
+    """The coefficient matrix at a rational point, each row scaled to
+    integers by ``linalg.integer_row``, which keeps the rank.  The point is
+    turned into integer pairs once and every entry evaluated on them."""
+    pairs = {c: (v.numerator, v.denominator) for c, v in point.items()}
+    return [linalg.integer_row([
+        f.coefficients[c].eval_pair(pairs) if c in f.coefficients else (0, 1)
+        for c in coords]) for f in fields]
 
 
 def _sampled_matrices(fields, coords, samples, seed, coordinate_range,
@@ -432,7 +471,7 @@ def _sampled_matrices(fields, coords, samples, seed, coordinate_range,
                 if point is None:
                     continue
             try:
-                rows = _evaluate_matrix(fields, coords, point)
+                rows = _integer_rows(fields, coords, point)
             except ZeroDenominatorError:
                 continue
             yield rows

@@ -2,10 +2,11 @@
 kernels.
 
 ``rank`` runs on integers: each row is scaled by the lcm of its
-denominators, which keeps the rank, and the rows are brought to echelon
-form by fraction-free (Bareiss) elimination, whose entries are minors of
-the scaled matrix, so every division is exact.  ``rref`` and ``nullspace``
-keep Fraction entries, since a kernel basis needs the reduced rows.
+denominators (``integer_row``), which keeps the rank, and the rows are
+brought to echelon form by fraction-free (Bareiss) elimination, whose
+entries are minors of the scaled matrix, so every division is exact.
+``rref`` and ``nullspace`` keep Fraction entries, since a kernel basis
+needs the reduced rows.
 """
 
 from __future__ import annotations
@@ -43,14 +44,23 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(rows: Matrix) -> int:
-    """Exact rank of a matrix of rationals."""
+    """Exact rank of a matrix of rationals (ints or Fractions)."""
     return len(_fraction_free_pivots([_integer_row(row) for row in rows]))
 
 
+def integer_row(pairs) -> list[int]:
+    """A row of rationals given as (numerator, positive denominator) pairs,
+    times the lcm of its denominators."""
+    scale = int_lcm(*(d for _, d in pairs))
+    return [n * (scale // d) for n, d in pairs]
+
+
 def _integer_row(row) -> list[int]:
-    """The row times the lcm of its denominators."""
-    scale = int_lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+    """The row times the lcm of its denominators.  A row of integers, as
+    sampling hands over, is taken by its numerators, unscaled."""
+    if int_lcm(*(x.denominator for x in row)) == 1:
+        return [x.numerator for x in row]
+    return integer_row([(x.numerator, x.denominator) for x in row])
 
 
 def _fraction_free_pivots(m: list[list[int]]) -> list[int]:

@@ -20,6 +20,7 @@ independent of the remaining u-derivatives.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -39,7 +40,9 @@ _ZERO = canonicalize(0)
 @dataclass(frozen=True)
 class VectorField:
     """Coefficients may be given as expressions, numbers or forms; they are
-    stored as nonzero canonical forms."""
+    stored as nonzero canonical forms.  Fields compare and hash by value
+    (chart and coefficients), so equal fields share cache entries; the hash
+    is computed once."""
 
     space: JetSpace
     coefficients: Mapping[str, CanonicalForm] = field(default_factory=dict)
@@ -53,6 +56,13 @@ class VectorField:
             if not form.is_zero():
                 cleaned[name] = form
         object.__setattr__(self, "coefficients", cleaned)
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.space, frozenset(self.coefficients.items())))
+
+    def __hash__(self):
+        return self._hash
 
     def coefficient(self, name: str) -> CanonicalForm:
         return self.coefficients.get(name, _ZERO)

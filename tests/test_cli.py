@@ -60,9 +60,35 @@ def test_rank_second_order(capsys):
 
 
 def test_rank_out_of_scope_order(capsys):
-    code, _, err = run_cli(capsys, "rank", "--order", "3")
-    assert code == 1
-    assert "order" in err
+    for order in ("7", "-1"):
+        code, out, err = run_cli(capsys, "rank", "--order", order)
+        assert (code, out) == (1, "")
+        assert "usage error" in err and "cap" in err and "6" in err
+
+
+def test_rank_refuses_an_order_beyond_the_truncation(capsys):
+    # at the default K = 6 orders 5 and 6 would read rank 10
+    for order in ("5", "6"):
+        code, out, err = run_cli(capsys, "rank", "--order", order)
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: order {order} needs K >= "
+                       f"{int(order) + 2}: at K = 6 the generators cannot "
+                       f"reach its rank\n")
+    code, out, _ = run_cli(capsys, "--K", "7", "--output", "json",
+                           "rank", "--order", "5")
+    assert code == 0
+    assert json.loads(out)["invariant_count"] == 14
+
+
+def test_rank_is_order_plus_six_up_to_the_cap(capsys):
+    # the order-k chart has 5 + k(k+3)/2 coordinates and generic rank k + 6
+    for k in range(1, 7):
+        code, out, _ = run_cli(capsys, "--K", "8", "--output", "json",
+                               "rank", "--order", str(k))
+        report = json.loads(out)
+        assert code == 0
+        assert (report["rank"], report["variable_count"]) == (
+            k + 6, 5 + k * (k + 3) // 2)
 
 
 def test_json_output_is_byte_identical(capsys):

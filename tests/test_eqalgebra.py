@@ -1,7 +1,8 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wavesym import eqalgebra, linalg
 from wavesym.canonical import equals
@@ -24,9 +25,9 @@ from wavesym.eqalgebra import (
     stabilized_truncation,
     verify_commutator_table,
 )
-from wavesym.expr import Coord, parse
+from wavesym.expr import Coord, UnboundSymbolError, parse
 from wavesym.jetspace import JetSpace
-from wavesym.vfields import VectorField, bracket
+from wavesym.vfields import VectorField, bracket, prolong
 
 from helpers import field_combination
 
@@ -57,6 +58,61 @@ def test_derived_zeroth_family_member_is_u_shift():
 def test_generator_names():
     g = build_generators("derived", 3)
     assert g.names == ("Y0", "Y1", "Y2", "Y3", "Y^0", "Y^1", "Y^2", "Y^3")
+
+
+# --- the shared prolongation cache ------------------------------------------
+
+@pytest.mark.parametrize("source", ["derived", "paper"])
+def test_cached_tower_matches_a_fresh_prolongation(source):
+    g = build_generators(source, 4)
+    for order in range(1, 5):
+        for name, f, cached in zip(g.names, g.base_fields, g.prolonged(order)):
+            fresh = prolong(f, order, given_order=g.base_order)
+            assert cached == fresh, (name, order)
+
+
+def test_a_set_gets_the_prolongations_of_its_own_fields():
+    # the cache is keyed by the field, not by the name it has in a set
+    g = build_generators("derived", 0)
+    y1, y2 = g.field_named("Y1"), g.field_named("Y2")
+    g.prolonged(2)
+    swapped = GeneratorSet(Source.DERIVED, 0, ("Y1", "Y2"), (y2, y1), 0)
+    fields = swapped.prolonged_named(2)
+    assert fields["Y1"] == prolong(y2, 2)
+    assert fields["Y2"] == prolong(y1, 2)
+
+
+def test_prolongation_cache_is_bounded_and_evicts(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(eqalgebra, "_PROLONGED", cache)
+    monkeypatch.setattr(eqalgebra, "_PROLONGED_MAX_ENTRIES", 4)
+    for source in ("derived", "paper"):
+        for k in range(3):
+            g = build_generators(source, k)
+            for order in (3, 2):
+                for f, cached in zip(g.base_fields, g.prolonged(order)):
+                    assert cached == prolong(f, order, given_order=g.base_order)
+                assert 0 < len(cache) <= 4
+    assert eqalgebra._PROLONGED is cache
+
+
+def test_a_set_larger_than_the_cache_prolongs_no_field_twice(monkeypatch):
+    monkeypatch.setattr(eqalgebra, "_PROLONGED", {})
+    monkeypatch.setattr(eqalgebra, "_PROLONGED_MAX_ENTRIES", 4)
+    calls = []
+
+    def counted(f, order, given_order):
+        calls.append((f, order))
+        return prolong(f, order, given_order=given_order)
+
+    monkeypatch.setattr(eqalgebra, "prolong", counted)
+    g = build_generators("derived", 3)             # 8 fields, bound 4
+    for order in (1, 2, 3):
+        g.prolonged(order)
+        assert len(calls) == order * len(g.base_fields)
+        assert len(set(calls)) == len(calls)
+    prolonged_rank(g, 3)                           # the set's own tuples
+    assert len(calls) == 3 * len(g.base_fields)
 
 
 # --- commutator table --------------------------------------------------------
@@ -276,6 +332,57 @@ def test_rank_monotone_in_order_and_truncation():
         assert ranks[(0, k)] <= ranks[(1, k)] <= ranks[(2, k)]
 
 
+def _sympy_rational(sympy, value: Fraction):
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+# on-locus constraints whose solved coordinate (sigma, f_sigma) is rational
+_RATIONAL_LOCI = ("3*sigma - u*f", "2*f_sigma - u*sigma")
+
+
+@settings(max_examples=20, deadline=None)
+@given(source=st.sampled_from(["derived", "paper"]), order=st.integers(1, 3),
+       weights=st.lists(st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+                        min_size=1, max_size=10),
+       constraint=st.sampled_from((None,) + _RATIONAL_LOCI),
+       seed=st.integers(0, 10 ** 6))
+# Y^1, Y^2 and their sum: rank 2 only if each row keeps its own scale
+@example(source="derived", order=1,
+         weights=[[0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0],
+                  [0, 0, 0, 0, 0, 1, 1, 0]],
+         constraint="2*f_sigma - u*sigma", seed=0)
+def test_integer_row_rank_agrees_with_sympy(source, order, weights,
+                                            constraint, seed):
+    """Random combinations of prolonged generators, sampled at integer
+    points and at rational points on a locus: the rank of the scaled
+    integer rows is sympy's rank of the Fraction matrix of eval_at."""
+    sympy = pytest.importorskip("sympy")
+    g = build_generators(source, 3)
+    combos = tuple(field_combination(*zip(w, g.base_fields)) for w in weights)
+    names = tuple(f"Z{i}" for i in range(len(combos)))
+    sub = GeneratorSet(g.source, 3, names, combos, g.base_order)
+    seen = []
+    integer_rows = eqalgebra._integer_rows
+
+    def recorded(fields, coords, point):
+        rows = integer_rows(fields, coords, point)
+        seen.append((fields, coords, point, rows))
+        return rows
+
+    with mock.patch.object(eqalgebra, "_integer_rows", recorded):
+        if constraint is None:
+            prolonged_rank(sub, order, samples=2, seed=seed)
+        else:
+            rank_on_manifold(sub, parse(constraint, JetSpace(1)), order,
+                             samples=2, seed=seed)
+    assert len(seen) == 2
+    for fields, coords, point, rows in seen:
+        assert all(type(x) is int for row in rows for x in row)
+        exact = sympy.Matrix([[_sympy_rational(sympy, f.coefficient(c).eval_at(point))
+                               for c in coords] for f in fields])
+        assert linalg.rank(rows) == exact.rank()
+
+
 def test_rank_on_special_manifold(derived6):
     report = rank_on_manifold(derived6, R_EXPR, 1)
     assert report.rank == 6
@@ -371,6 +478,18 @@ def test_stabilization_cap_exceeded():
     from wavesym.eqalgebra import CapExceededError
     with pytest.raises(CapExceededError):
         stabilized_truncation(1, k_max=2)
+
+
+def test_sampling_resamples_poles_and_refuses_atoms():
+    chart = JetSpace(1)
+    # at coordinates in -1..1 five points in nine hit a pole, u = 0 or sigma = 0
+    pole = VectorField(chart, {"u": parse("1/u", chart),
+                               "sigma": parse("1/(u*sigma)", chart)})
+    assert matrix_rank_at_samples([pole], chart.coordinates,
+                                  coordinate_range=1) == (1, 8)
+    atom = VectorField(chart, {"u": parse("exp(u)", chart)})
+    with pytest.raises(UnboundSymbolError, match=r"^atom 'exp\(u\)' is unbound$"):
+        matrix_rank_at_samples([atom], chart.coordinates)
 
 
 def test_sampling_exhausted():

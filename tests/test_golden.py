@@ -36,6 +36,7 @@ CASES = {
                                   "verify-algebra"],
     "rank_order1_text": ["rank", "--order", "1"],
     "rank_order2_json": ["--output", "json", "rank", "--order", "2"],
+    "rank_order3_text": ["rank", "--order", "3"],
     "rank_paper_order2_text": ["--source", "paper", "rank", "--order", "2"],
     "rank_paper_order1_json": ["--source", "paper", "--output", "json",
                                "rank", "--order", "1"],
@@ -68,7 +69,7 @@ CASES = {
     "classify_text": ["classify", "corpus.txt"],
     "classify_json": ["--output", "json", "classify", "corpus.txt"],
     "error_usage_small_k": ["--K", "1", "verify-algebra"],
-    "error_usage_rank_order": ["rank", "--order", "3"],
+    "error_usage_rank_order": ["rank", "--order", "7"],
     "error_usage_block_not_relative": ["invariants", "search", "--blocks", "f"],
     "error_usage_block_not_relative_paper": [
         "--source", "paper", "invariants", "search", "--blocks",
