@@ -10,10 +10,10 @@ from .eqalgebra import (
     build_generators,
     closure_max_k,
     commutator_table,
+    min_truncation,
     minimal_generating_set,
     prolonged_rank,
     rank_on_manifold,
-    stabilized_truncation,
     verify_commutator_table,
 )
 from .equivalence import (

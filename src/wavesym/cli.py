@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .eqalgebra import (
+    CLOSURE_MIN_K,
     DEFAULT_COORDINATE_RANGE,
     DEFAULT_K,
     DEFAULT_SAMPLES,
@@ -22,6 +23,7 @@ from .eqalgebra import (
     Source,
     build_generators,
     closure_max_k,
+    min_truncation,
     prolonged_rank,
     verify_commutator_table,
 )
@@ -53,6 +55,8 @@ ENV_PREFIX = "WAVESYM_"
 SCHEMA = 1
 # highest jet order that `rank --order` accepts
 MAX_RANK_ORDER = 6
+# the chart order of every invariant verdict and block
+_INVARIANT_ORDER = 2
 
 
 class _UsageError(Exception):
@@ -138,6 +142,8 @@ def _emit(report: dict, config: RunConfig, text_lines) -> None:
     else:
         for line in text_lines(report):
             sys.stdout.write(line + "\n")
+    # a closed reader then fails here, inside main, not at interpreter exit
+    sys.stdout.flush()
 
 
 def _pair_key(pair: tuple[str, str]) -> str:
@@ -155,8 +161,8 @@ def cmd_verify_algebra(config: RunConfig) -> tuple[int, dict]:
     source); requesting the printed source adds its per-relation statuses to
     the report as discrepancies without failing the gate.
     """
-    if config.K < 4:
-        raise _UsageError("the closure sweep needs K >= 4")
+    if config.K < CLOSURE_MIN_K:
+        raise _UsageError(f"the closure sweep needs K >= {CLOSURE_MIN_K}")
     derived = build_generators(Source.DERIVED, config.K)
     check = verify_commutator_table(derived)
     max_k = closure_max_k(derived)
@@ -198,15 +204,21 @@ def _verify_algebra_text(report: dict):
             yield "printed failing: " + ", ".join(printed["failing_relations"])
 
 
+def _require_truncation(config: RunConfig, order: int) -> None:
+    """Refuse a truncation too small to reach the generic rank at
+    ``order``: a rank or a verdict there would hold for the truncation
+    only, not for the algebra."""
+    needed = min_truncation(order)
+    if config.K < needed:
+        raise _UsageError(f"order {order} needs K >= {needed}: at K = "
+                          f"{config.K} the generators cannot reach its rank")
+
+
 def cmd_rank(config: RunConfig, order: int) -> tuple[int, dict]:
     if not 0 <= order <= MAX_RANK_ORDER:
         raise _UsageError(f"order must be between 0 and {MAX_RANK_ORDER}, "
                           f"the cap on rank --order")
-    # order k reaches its generic rank k + 6 only from K = k + 2 on; a
-    # smaller truncation would report too low a rank
-    if config.K < order + 2:
-        raise _UsageError(f"order {order} needs K >= {order + 2}: at K = "
-                          f"{config.K} the generators cannot reach its rank")
+    _require_truncation(config, order)
     g = build_generators(config.source, config.K)
     rep = prolonged_rank(g, order, samples=config.samples, seed=config.seed,
                          coordinate_range=config.coordinate_range)
@@ -223,13 +235,14 @@ def _rank_text(report: dict):
 
 
 def cmd_invariants_verify(config: RunConfig, expr_text: str | None) -> tuple[int, dict]:
+    _require_truncation(config, _INVARIANT_ORDER)
     if expr_text is None:
         bundle = compare_sources(config.K)
         report = {"schema": SCHEMA, "command": "invariants-verify", **bundle}
         return 0, report
     expr = _expression(expr_text)
     g = build_generators(config.source, config.K)
-    rep = is_absolute(expr, g, 2)
+    rep = is_absolute(expr, g, _INVARIANT_ORDER)
     report = {"schema": SCHEMA, "command": "invariants-verify",
               "source": config.source.value, "K": config.K,
               "report": rep.as_dict()}
@@ -266,12 +279,13 @@ def _expression(text: str) -> Expr:
 
 
 def cmd_invariants_search(config: RunConfig, blocks_text: str) -> tuple[int, dict]:
+    _require_truncation(config, _INVARIANT_ORDER)
     block_sources = [b.strip() for b in blocks_text.split(",") if b.strip()]
     if not block_sources:
         raise _UsageError("--blocks needs a comma-separated expression list")
     exprs = [_expression(b) for b in block_sources]
     g = build_generators(config.source, config.K)
-    gens = g.prolonged_named(2)
+    gens = g.prolonged_named(_INVARIANT_ORDER)
     try:
         blocks = [WeightedBlock.measure(e, gens) for e in exprs]
     except (ValueError, ZeroCandidateError) as exc:
@@ -446,6 +460,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ExprError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (as ``| head -1`` does); point it at
+        # devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

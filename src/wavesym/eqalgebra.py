@@ -56,7 +56,8 @@ DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 8
 DEFAULT_COORDINATE_RANGE = 50
 DEFAULT_K = 6
-DEFAULT_K_MAX = 12
+# the smallest truncation the closure sweep accepts
+CLOSURE_MIN_K = 4
 _MAX_RESAMPLES = 200
 
 
@@ -66,10 +67,6 @@ class SamplingExhaustedError(Exception):
 
 class NotSolvableError(Exception):
     """A manifold constraint cannot be solved for any chart coordinate."""
-
-
-class CapExceededError(Exception):
-    """The truncation sweep hit its cap before the rank stabilized."""
 
 
 class Source(str, enum.Enum):
@@ -399,8 +396,8 @@ def bracket_closed(g: GeneratorSet, subset: tuple[str, ...]) -> bool:
 def closure_max_k(g: GeneratorSet) -> int:
     """Largest k with span{Y0..Y3, Y^0..Y^k} bracket-closed, read from the
     supports of the bracket decompositions."""
-    if g.truncation < 4:
-        raise ValueError("closure sweep needs truncation K >= 4")
+    if g.truncation < CLOSURE_MIN_K:
+        raise ValueError(f"closure sweep needs truncation K >= {CLOSURE_MIN_K}")
     best = -1
     for k in range(g.truncation + 1):
         subset = STATIC_NAMES + tuple(family_name(i) for i in range(k + 1))
@@ -411,6 +408,18 @@ def closure_max_k(g: GeneratorSet) -> int:
 
 # ---------------------------------------------------------------------------
 # generic ranks by exact sampling
+
+
+def min_truncation(order: int) -> int:
+    """The smallest truncation K at which Y0..Y3, Y^0..Y^K reach the
+    generic rank of the whole algebra at jet order ``order``.
+
+    Measured on both sources: the rank is k + 6 from K = k + 2 on and one
+    less at K = k + 1, for k = 1..6.  Order 0 reaches its rank 5 at K = 1
+    already; it keeps k + 2 so that one rule covers every order.  A rank or
+    an invariant verdict at a smaller K holds for the truncation only.
+    """
+    return order + 2
 
 
 @dataclass(frozen=True)
@@ -518,8 +527,7 @@ def prolonged_rank(
     return RankReport(order, best, used, seed, len(coords))
 
 
-def _linear_solve_coordinate(constraint: CanonicalForm, coords: tuple[str, ...],
-                             solve_for: str | None):
+def _linear_solve_coordinate(constraint: CanonicalForm, coords: tuple[str, ...]):
     """Pick the coordinate v to isolate from a*v + b, the constraint
     numerator: it must be degree 1 in v, with a and b polynomials in the
     other chart coordinates, so no atom instance such as exp(u).
@@ -535,13 +543,6 @@ def _linear_solve_coordinate(constraint: CanonicalForm, coords: tuple[str, ...],
         a, b = decomposition[1], decomposition.get(0, Poly())
         if a.variables() | b.variables() <= chart:
             candidates.append((v, a, b))
-    if solve_for is not None:
-        for v, a, b in candidates:
-            if v == solve_for:
-                return v, a, b
-        raise NotSolvableError(
-            f"constraint cannot be solved for {solve_for!r} by exact "
-            f"rational rearrangement")
     if not candidates:
         raise NotSolvableError(
             "constraint cannot be solved for any chart coordinate by exact "
@@ -557,7 +558,6 @@ def rank_on_manifold(
     constraint: CanonicalForm | ExprLike,
     order: int,
     *,
-    solve_for: str | None = None,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     coordinate_range: int = DEFAULT_COORDINATE_RANGE,
@@ -574,7 +574,7 @@ def rank_on_manifold(
     if cf.is_zero():
         return prolonged_rank(g, order, samples=samples, seed=seed,
                               coordinate_range=coordinate_range)
-    v, a, b = _linear_solve_coordinate(cf, coords, solve_for)
+    v, a, b = _linear_solve_coordinate(cf, coords)
     a, b = (CanonicalForm(p, Poly.const(1)) for p in (a, b))
 
     def on_locus(point):
@@ -623,55 +623,13 @@ def minimal_generating_set(
             for combo in itertools.combinations(g.names, size):
                 if subset_rank(combo) == full_rank:
                     return combo
+    # one pass suffices: a member kept once stays needed, since dropping
+    # rows from a set can only lower its rank at every sample
     current = list(g.names)
-    changed = True
-    while changed:
-        changed = False
-        for name in list(current):
-            if len(current) == 1:
-                break
-            trial = [n for n in current if n != name]
-            if subset_rank(trial) == full_rank:
-                current = trial
-                changed = True
+    for name in g.names:
+        if len(current) == 1:
+            break
+        trial = [n for n in current if n != name]
+        if subset_rank(trial) == full_rank:
+            current = trial
     return tuple(current)
-
-
-@dataclass(frozen=True)
-class StabilizationReport:
-    order: int
-    k_star: int
-    window: int
-    ranks: dict[int, int]
-
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "k_star": self.k_star,
-            "window": self.window,
-            "ranks": {str(k): r for k, r in sorted(self.ranks.items())},
-        }
-
-
-def stabilized_truncation(
-    order: int,
-    *,
-    seed: int = DEFAULT_SEED,
-    source: Source | str = Source.DERIVED,
-    samples: int = DEFAULT_SAMPLES,
-    coordinate_range: int = DEFAULT_COORDINATE_RANGE,
-    k_max: int = DEFAULT_K_MAX,
-    window: int = 4,
-) -> StabilizationReport:
-    """Smallest truncation K whose generic rank repeats over a window of
-    ``window`` consecutive K values; the sweep is returned with it."""
-    ranks: dict[int, int] = {}
-    for k in range(k_max + 1):
-        g = build_generators(source, k)
-        ranks[k] = prolonged_rank(g, order, samples=samples, seed=seed,
-                                  coordinate_range=coordinate_range).rank
-        start = k - window + 1
-        if start >= 0 and len({ranks[i] for i in range(start, k + 1)}) == 1:
-            return StabilizationReport(order, start, window, ranks)
-    raise CapExceededError(
-        f"rank did not stabilize over a window of {window} with K <= {k_max}")

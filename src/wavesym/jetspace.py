@@ -27,60 +27,27 @@ class JetSpace:
     bases: tuple[str, ...] = ("u", "sigma")
     dependent: str = "f"
     coordinates: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    # (a, b) of the dependent's derivative f_{u^a sigma^b}, keyed by name,
+    # (0, 0) for the dependent itself
+    _counts: dict[str, tuple[int, int]] = field(init=False, compare=False,
+                                                repr=False)
 
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("jet order must be non-negative")
-        coords = list(self.passengers) + list(self.bases) + [self.dependent]
-        for m in range(1, self.order + 1):
-            for a in range(m, -1, -1):
-                coords.append(self.derivative_name(a, m - a))
-        object.__setattr__(self, "coordinates", tuple(coords))
+        counts = {self.derivative_name(a, m - a): (a, m - a)
+                  for m in range(self.order + 1) for a in range(m, -1, -1)}
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "coordinates", tuple(
+            list(self.passengers) + list(self.bases) + list(counts)))
 
     def derivative_name(self, a: int, b: int) -> str:
         if a == b == 0:
             return self.dependent
         return self.dependent + "_" + self.bases[0] * a + self.bases[1] * b
 
-    def derivative_counts(self, name: str) -> tuple[int, int] | None:
-        """(a, b) for the dependent's derivative coordinates, including
-        (0, 0) for the dependent itself; None for other coordinates."""
-        if name == self.dependent:
-            return (0, 0)
-        prefix = self.dependent + "_"
-        if not name.startswith(prefix):
-            return None
-        tail = name[len(prefix):]
-        first, second = self.bases
-        a = 0
-        while tail.startswith(first):
-            tail = tail[len(first):]
-            a += 1
-        b = 0
-        while tail.startswith(second):
-            tail = tail[len(second):]
-            b += 1
-        if tail or (a == 0 and b == 0):
-            return None
-        return (a, b)
-
-    def coordinate_order(self, name: str) -> int:
-        counts = self.derivative_counts(name)
-        return 0 if counts is None else counts[0] + counts[1]
-
     def __contains__(self, name: str) -> bool:
         return name in self.coordinates
-
-    def bump(self, name: str, base: str) -> str:
-        counts = self.derivative_counts(name)
-        if counts is None:
-            raise ValueError(f"{name!r} is not a jet coordinate of {self.dependent!r}")
-        a, b = counts
-        if base == self.bases[0]:
-            return self.derivative_name(a + 1, b)
-        if base == self.bases[1]:
-            return self.derivative_name(a, b + 1)
-        raise ValueError(f"{base!r} is not a base coordinate")
 
     def total_derivative(self, e: CanonicalForm | ExprLike,
                          base_var: str) -> CanonicalForm:
@@ -92,18 +59,21 @@ class JetSpace:
         """
         if base_var not in self.bases:
             raise ValueError(f"{base_var!r} is not a base coordinate")
+        da, db = (1, 0) if base_var == self.bases[0] else (0, 1)
         form = canonicalize(e)
         coefficients = {base_var: ONE_FORM}
         for name in form.free_coordinates():
             if name not in self:
                 raise ValueError(f"{name!r} is not a coordinate of this chart")
-            if self.coordinate_order(name) >= self.order:
+            a, b = self._counts.get(name, (0, 0))
+            if a + b >= self.order:
                 raise OrderOverflowError(
-                    f"{name!r} has order {self.coordinate_order(name)}; "
+                    f"{name!r} has order {a + b}; "
                     f"its total derivative leaves the order-{self.order} chart"
                 )
-            if self.derivative_counts(name) is not None:
-                coefficients[name] = coordinate(self.bump(name, base_var))
+            if name in self._counts:
+                coefficients[name] = coordinate(
+                    self.derivative_name(a + da, b + db))
         return form.derive(coefficients)
 
 

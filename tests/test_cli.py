@@ -91,6 +91,25 @@ def test_rank_is_order_plus_six_up_to_the_cap(capsys):
             k + 6, 5 + k * (k + 3) // 2)
 
 
+INVARIANT_COMMANDS = (
+    ("invariants", "verify"),
+    ("invariants", "verify", "--expr", "R"),
+    ("invariants", "search", "--blocks", "sigma,R,sigma^2*f_sigmasigma"),
+)
+
+
+@pytest.mark.parametrize("command", INVARIANT_COMMANDS)
+def test_invariants_refuse_a_truncation_below_order_plus_two(capsys, command):
+    # invariants live on the order-2 chart, whose rank 8 needs K >= 4
+    code, out, err = run_cli(capsys, "--K", "3", *command)
+    assert (code, out) == (1, "")
+    assert err == ("usage error: order 2 needs K >= 4: at K = 3 the "
+                   "generators cannot reach its rank\n")
+    code, out, err = run_cli(capsys, "--K", "4", *command)
+    assert (code, err) == (0, "")
+    assert out
+
+
 def test_json_output_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "--output", "json", "rank", "--order", "1")
     _, second, _ = run_cli(capsys, "--output", "json", "rank", "--order", "1")
@@ -271,17 +290,34 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys, content,
     assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
 
 
-def test_console_entry_point():
-    # pytest's pythonpath setting reaches this process only, so the child
+def _child_env() -> dict:
+    # pytest's pythonpath setting reaches this process only, so a child
     # is given src on its PYTHONPATH
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "wavesym.cli", "rank", "--order", "0"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "rank" in proc.stdout
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_closed_stdout_exits_1_without_a_traceback(output):
+    # the reader goes away before the first write, as with `| head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wavesym.cli", "--output", output,
+         "invariants", "verify"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
 
 
 def test_deep_parentheses_are_a_parse_error(capsys):

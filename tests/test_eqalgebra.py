@@ -17,12 +17,12 @@ from wavesym.eqalgebra import (
     commutator_table,
     expected_relations,
     matrix_rank_at_samples,
+    min_truncation,
     minimal_generating_set,
     prolonged_rank,
     rank_on_manifold,
     solve_in_span,
     span_basis,
-    stabilized_truncation,
     verify_commutator_table,
 )
 from wavesym.expr import Coord, UnboundSymbolError, parse
@@ -444,7 +444,7 @@ def test_exhaustive_matches_greedy_rank(derived6):
     assert prolonged_rank(sub, 1).rank == prolonged_rank(g, 1).rank
 
 
-# --- invariant counts and stabilization --------------------------------------
+# --- invariant counts and the truncation rule -------------------------------
 
 def test_invariant_counts(derived6):
     assert prolonged_rank(derived6, 1).invariant_count == 0
@@ -456,28 +456,23 @@ def test_empty_generator_set_leaves_everything_invariant():
     assert prolonged_rank(empty, 1).invariant_count == 7
 
 
-def test_stabilization_first_order():
-    report = stabilized_truncation(1)
-    assert report.ranks[report.k_star] == 7
-    assert report.k_star == 3
-    for k in range(report.k_star, max(report.ranks)):
-        assert report.ranks[k] == 7
+@pytest.mark.parametrize("source", list(Source))
+@pytest.mark.parametrize("order", range(7))
+def test_min_truncation_reaches_the_generic_rank(source, order):
+    # rank 5 at order 0 and k + 6 at order k from K = k + 2 on, one short
+    # at K = k + 1; order 0 keeps the same rule though K = 1 reaches 5
+    generic = 5 if order == 0 else order + 6
+    K = min_truncation(order)
+    assert K == order + 2
+    assert prolonged_rank(build_generators(source, K), order).rank == generic
+    if order:
+        assert prolonged_rank(build_generators(source, K - 1),
+                              order).rank == generic - 1
 
 
-def test_stabilization_second_order():
-    report = stabilized_truncation(2)
-    assert report.ranks[report.k_star] == 8
-
-
-def test_stabilization_zeroth_order():
-    report = stabilized_truncation(0)
-    assert report.ranks[report.k_star] == 5
-
-
-def test_stabilization_cap_exceeded():
-    from wavesym.eqalgebra import CapExceededError
-    with pytest.raises(CapExceededError):
-        stabilized_truncation(1, k_max=2)
+def test_order_three_rank_grows_with_the_truncation():
+    assert [prolonged_rank(build_generators("derived", K), 3).rank
+            for K in (3, 4, 5)] == [7, 8, 9]
 
 
 def test_sampling_resamples_poles_and_refuses_atoms():

@@ -70,6 +70,9 @@ CASES = {
     "classify_json": ["--output", "json", "classify", "corpus.txt"],
     "error_usage_small_k": ["--K", "1", "verify-algebra"],
     "error_usage_rank_order": ["rank", "--order", "7"],
+    "error_usage_invariants_small_k": [
+        "--K", "1", "invariants", "search", "--blocks",
+        "sigma,R,sigma^2*f_sigmasigma,f_uu*sigma^2"],
     "error_usage_block_not_relative": ["invariants", "search", "--blocks", "f"],
     "error_usage_block_not_relative_paper": [
         "--source", "paper", "invariants", "search", "--blocks",

@@ -55,6 +55,17 @@ def test_order_overflow():
         space.total_derivative(Coord("f_u"), "u")
 
 
+def test_total_derivative_errors():
+    with pytest.raises(ValueError, match="not a coordinate of this chart"):
+        JetSpace(1).total_derivative(Coord("f_uu"), "u")
+    with pytest.raises(ValueError, match="not a base coordinate"):
+        JetSpace(1).total_derivative(Coord("f"), "t")
+    # on the order-0 chart every coordinate leaves it, passengers included
+    for name in ("f", "t"):
+        with pytest.raises(OrderOverflowError, match="order-0 chart"):
+            JetSpace(0).total_derivative(Coord(name), "sigma")
+
+
 def test_total_derivatives_commute():
     space = JetSpace(2)
     for text in ("f", "u*f + sigma^2", "t*f - x*u", "f^2 + u*sigma*f"):
