@@ -10,7 +10,10 @@ identically zero sit on the special manifold and carry no signature.
 The criterion compares signatures at identical (u, sigma) arguments; that is
 the published statement, sound as-is for constant signatures.  An orbit-aware
 grid search over affine u-reparameterizations and rational dilations is
-offered separately and clearly labeled heuristic.
+offered separately and clearly labeled heuristic.  Since rho1 and rho2 are
+absolute invariants, the signature of a pushed-forward equation is the
+original signature composed with the inverse map: the search tests each grid
+map on that composition and pushes f forward only to confirm a hit.
 
 A finite-transformation oracle provides the exact push-forward of f under
 u' = phi(u) composed with a t, x dilation, for end-to-end validation, by
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -223,20 +225,39 @@ def affine_transformation(a, b, c) -> FiniteTransformation:
 def search_orbit_match(a: EquationInstance,
                        b: EquationInstance) -> FiniteTransformation | None:
     """Heuristic: scan the affine reparameterizations and rational dilations
-    of the grid above for a transformation whose push-forward of ``a``
-    matches ``b``'s signature literally.  Finding none proves nothing."""
+    of the grid above, in its order, for a transformation whose push-forward
+    of ``a`` matches ``b``'s signature literally.  Finding none proves
+    nothing.
+
+    rho1 and rho2 are absolute invariants, so the push-forward by T has the
+    signature (rho1, rho2) of ``a`` composed with T^-1 = {u: (u - b)/a,
+    sigma: sigma/(c*a^2)}: each grid point is tested by that substitution,
+    rho1 first, without pushing f forward.  A point that passes is
+    confirmed by one exact push-forward and signature comparison, so a
+    returned transformation is proven; an unconfirmed one is passed over.
+    A degenerate ``a`` stays degenerate under every push-forward and
+    matches nothing.  A point whose substitution breaks the atom rule is
+    skipped, as its push-forward would fail too."""
+    sig_a = signature_of(a)
     sig_b = signature_of(b)
-    if sig_b.degenerate:
+    if sig_a.degenerate or sig_b.degenerate:
         return None
-    for av, bv, cv in itertools.product(_ORBIT_SCALES, _ORBIT_SHIFTS,
-                                        _ORBIT_DILATIONS):
-        t = affine_transformation(av, bv, cv)
-        try:
-            moved = apply_finite_transformation(a, t)
-        except (ExprError, ValueError):
-            continue
-        if signature_of(moved).matches(sig_b):
-            return t
+    for av in _ORBIT_SCALES:
+        sigma_at = [_SIGMA / (Fraction(av) ** 2 * cv) for cv in _ORBIT_DILATIONS]
+        for bv in _ORBIT_SHIFTS:
+            u_at = (_U - bv) / av
+            for cv, s_at in zip(_ORBIT_DILATIONS, sigma_at):
+                inverse = {"u": u_at, "sigma": s_at}
+                try:
+                    if (sig_a.rho1.substitute(inverse) != sig_b.rho1
+                            or sig_a.rho2.substitute(inverse) != sig_b.rho2):
+                        continue
+                    t = affine_transformation(av, bv, cv)
+                    moved = apply_finite_transformation(a, t)
+                except (ExprError, ValueError):
+                    continue
+                if signature_of(moved).matches(sig_b):
+                    return t
     return None
 
 

@@ -1,11 +1,16 @@
+import importlib.util
+import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import agrees, polynomial_text, sympy_of
-from wavesym.canonical import canonicalize, equals
+from helpers import agrees, fraction_text, polynomial_text, sympy_of
+from wavesym import equivalence
+from wavesym.canonical import canonicalize, coordinate, equals
 from wavesym.equivalence import (
     DegenerateEquationError,
     EquationInstance,
@@ -21,7 +26,13 @@ from wavesym.equivalence import (
     search_orbit_match,
     signature_of,
 )
-from wavesym.expr import Const, DivisionByZeroExpressionError, parse, substitute
+from wavesym.expr import (
+    Const,
+    DivisionByZeroExpressionError,
+    ExprError,
+    parse,
+    substitute,
+)
 
 U_ONLY = ("u",)
 EQ_CHART = ("u", "sigma")
@@ -245,6 +256,136 @@ def test_orbit_search_finds_a_shift():
 
 def test_orbit_search_gives_up_quietly():
     assert search_orbit_match(eq("sigma^2"), eq("sigma^3")) is None
+
+
+def _rational(numerators, denominators):
+    return st.builds(Fraction, numerators, denominators)
+
+
+@settings(max_examples=25, deadline=None)
+@given(fraction_text(EQ_CHART),
+       _rational(st.integers(-7, 7).filter(bool), st.integers(1, 5)),
+       _rational(st.integers(-7, 7), st.integers(1, 5)),
+       _rational(st.integers(1, 7), st.integers(1, 5)))
+@example("(u*sigma^2 + sigma^3)/(1)", Fraction(5), Fraction(7, 3), Fraction(3, 2))
+def test_pushforward_signature_is_the_signature_after_the_inverse(text, a, b, c):
+    """rho1 and rho2 are absolute invariants: the signature of T.f is the
+    signature of f composed with T^-1 = {u: (u - b)/a, sigma: sigma/(c*a^2)},
+    exactly, also for maps off the search grid."""
+    try:
+        instance = eq(text)
+    except DivisionByZeroExpressionError:
+        assume(False)
+    sig = signature_of(instance)
+    assume(not sig.degenerate)
+    moved = signature_of(apply_finite_transformation(
+        instance, affine_transformation(a, b, c)))
+    inverse = {"u": (coordinate("u") - b) / a,
+               "sigma": coordinate("sigma") / (c * a * a)}
+    assert moved.rho1 == sig.rho1.substitute(inverse)
+    assert moved.rho2 == sig.rho2.substitute(inverse)
+
+
+def _push_forward_scan(a, b):
+    """Reference: the orbit search as one push-forward and one signature per
+    grid point, in grid order."""
+    sig_b = signature_of(b)
+    if sig_b.degenerate:
+        return None
+    for av, bv, cv in itertools.product(equivalence._ORBIT_SCALES,
+                                        equivalence._ORBIT_SHIFTS,
+                                        equivalence._ORBIT_DILATIONS):
+        t = affine_transformation(av, bv, cv)
+        try:
+            moved = apply_finite_transformation(a, t)
+        except (ExprError, ValueError):
+            continue
+        if signature_of(moved).matches(sig_b):
+            return t
+    return None
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, read as a module; the benchmark is not a
+    package."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _orbit_workload_pairs(seed):
+    """(f1, f2) of every equiv operation of the orbit-search workload."""
+    plan = _perfbench_workloads().orbit_search(seed)
+    return [tuple(op.spec["argv"][3:5]) for op in plan.ops]
+
+
+_RATIONAL_F = "(u+1)*sigma^2/(u^2+sigma)"
+_RATIONAL_F_MOVED = str(apply_finite_transformation(
+    eq(_RATIONAL_F), affine_transformation(2, -1, 3)))
+
+
+_ORBIT_CASES = {
+    **{f"workload-seed1-op{i}": pair
+       for i, pair in enumerate(_orbit_workload_pairs(1))},
+    "exp-u-no-match": ("exp(u) + sigma^2", "exp(u) + 2*sigma^2"),
+    "exp-sigma-match": ("exp(sigma)*u + sigma^2", "exp(sigma)*u/4 + sigma^2/2"),
+    "degenerate-a": ("u*sigma", "sigma^2"),
+    "rational-on-grid": (_RATIONAL_F, _RATIONAL_F_MOVED),
+}
+
+
+@pytest.mark.parametrize("f1, f2", list(_ORBIT_CASES.values()), ids=list(_ORBIT_CASES))
+def test_orbit_search_agrees_with_the_push_forward_scan(f1, f2):
+    found = search_orbit_match(eq(f1), eq(f2))
+    assert str(found) == str(_push_forward_scan(eq(f1), eq(f2)))
+
+
+def test_orbit_search_known_answers():
+    """The golden files pin the exp(sigma) match and the degenerate case."""
+    assert search_orbit_match(eq("exp(u) + sigma^2"),
+                              eq("exp(u) + 2*sigma^2")) is None
+    assert search_orbit_match(eq(_RATIONAL_F), eq(_RATIONAL_F_MOVED)) is not None
+
+
+def test_orbit_search_returns_only_a_confirmed_match(monkeypatch):
+    """u*sigma^2 against (u - 1)*sigma^2 has two grid matches, u -> u + 1 and
+    u -> -u + 1.  A push-forward that disagrees with the invariants rejects
+    each candidate in turn, so the search keeps scanning and ends empty."""
+    calls = []
+
+    def wrong(instance, t):
+        calls.append(str(t))
+        return eq("sigma^3")
+
+    monkeypatch.setattr(equivalence, "apply_finite_transformation", wrong)
+    assert search_orbit_match(eq("u*sigma^2"), eq("(u - 1)*sigma^2")) is None
+    assert calls == ["u -> u + 1, sigma scale 1", "u -> -u + 1, sigma scale 1"]
+
+
+def test_orbit_search_scans_on_past_an_unconfirmed_candidate(monkeypatch):
+    real = equivalence.apply_finite_transformation
+    calls = []
+
+    def wrong_once(instance, t):
+        calls.append(str(t))
+        return eq("sigma^3") if len(calls) == 1 else real(instance, t)
+
+    monkeypatch.setattr(equivalence, "apply_finite_transformation", wrong_once)
+    found = search_orbit_match(eq("u*sigma^2"), eq("(u - 1)*sigma^2"))
+    assert str(found) == "u -> -u + 1, sigma scale 1"
+
+
+def test_orbit_grid_matches_the_benchmark_grid():
+    """The orbit-search workload places its matches at grid positions of its
+    own copy of the grid; the two copies must not drift apart."""
+    workloads = _perfbench_workloads()
+    assert workloads.ORBIT_SCALES == equivalence._ORBIT_SCALES
+    assert workloads.ORBIT_SHIFTS == equivalence._ORBIT_SHIFTS
+    assert workloads.ORBIT_DILATIONS == equivalence._ORBIT_DILATIONS
 
 
 def test_classify_corpus():

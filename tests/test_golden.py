@@ -66,6 +66,11 @@ CASES = {
                                "(u - 1)*sigma^2", "--orbit-search"],
     "equiv_orbit_no_match_text": ["equiv", "u*sigma^2", "u^2*sigma^3",
                                   "--orbit-search"],
+    "equiv_orbit_atom_match_text": ["equiv", "exp(sigma)*u + sigma^2",
+                                    "exp(sigma)*u/4 + sigma^2/2",
+                                    "--orbit-search"],
+    "equiv_orbit_degenerate_json": ["--output", "json", "equiv", "u*sigma",
+                                    "sigma^2", "--orbit-search"],
     "classify_text": ["classify", "corpus.txt"],
     "classify_json": ["--output", "json", "classify", "corpus.txt"],
     "error_usage_small_k": ["--K", "1", "verify-algebra"],
