@@ -55,9 +55,9 @@ def main():
     shifted = apply_finite_transformation(
         bumpy, FiniteTransformation(parse("u + 1", ["u"]),
                                     parse("u - 1", ["u"]), 1))
-    print(f"  u*sigma^2 vs its shift: "
-          f"{check_equivalence(bumpy, shifted).verdict.value}")
-    found = search_orbit_match(bumpy, shifted)
+    checked = check_equivalence(bumpy, shifted)
+    print(f"  u*sigma^2 vs its shift: {checked.verdict.value}")
+    found = search_orbit_match(bumpy, checked)
     print(f"  heuristic orbit search recovers: {found}")
 
     print("\nresidual certificate: an equation belongs to the class labeled "

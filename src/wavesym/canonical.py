@@ -33,11 +33,13 @@ input whose evaluated integers are estimated above ``_HEU_GCD_MAX_BITS``.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt, prod
-from typing import Mapping
+from itertools import accumulate, chain
+from math import gcd as int_gcd, isqrt, lcm, prod
+from typing import Mapping, Sequence
 
 from .expr import (
     ATOM,
@@ -702,27 +704,9 @@ class CanonicalForm:
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact rational value at ``point``, which binds coordinates to
-        rationals; ``eval_pair`` on the point's integer pairs."""
-        return Fraction(*self.eval_pair(
-            {name: (v.numerator, v.denominator) for name, v in point.items()}))
-
-    def eval_pair(self, point: Mapping[str, tuple[int, int]]) -> tuple[int, int]:
-        """Exact value at ``point``, which binds coordinates to integer pairs
-        (numerator, positive denominator), as such a pair in lowest terms.
-        The sums run on integers.  As ``expr.eval_at`` without atom values,
-        a pole raises ZeroDenominatorError and a missing coordinate or an
-        atom instance raises UnboundSymbolError."""
-        den_num, den_den = _eval_poly(self.denominator, point)
-        if den_num == 0:
-            raise ZeroDenominatorError("zero denominator at evaluation point")
-        num_num, num_den = _eval_poly(self.numerator, point)
-        n, d = num_num * den_den, num_den * den_num
-        if d < 0:
-            n, d = -n, -d
-        if d != 1:
-            g = int_gcd(n, d)
-            n, d = n // g, d // g
-        return n, d
+        integers or rationals; a one-form ``EvaluationPlan``."""
+        nums, dens = EvaluationPlan((self,)).at(point)
+        return Fraction(nums[0], dens[0] if dens else 1)
 
 
 # the denominator of every form with D = 1: one shared object keeps the many
@@ -751,6 +735,103 @@ def coordinate(name: str) -> CanonicalForm:
     """The form of one coordinate, or of an atom instance such as exp(u)."""
     gen_key(name)  # validates the name
     return CanonicalForm(Poly.var(name), _POLY_ONE)
+
+
+class EvaluationPlan:
+    """Forms compiled once for exact evaluation at many points.
+
+    The plan lists the distinct monomials of every numerator and
+    denominator, each one the listed monomial without its last generator
+    times a power of that generator, and keeps each form's numerator and
+    denominator apart as (monomial, integer coefficient) terms.  At a point
+    every monomial is evaluated once, by one product, and each form is summed
+    from those values, on integers: the point's values are written over
+    one denominator q and every monomial value is lifted to the denominator
+    q^top, top the largest degree in the plan, which then cancels between
+    numerator and denominator.
+    """
+
+    def __init__(self, forms: Sequence[CanonicalForm]):
+        # slot 0 is the monomial 1; a prefix gets its slot before what it
+        # builds.  Each step is (prefix slot, generator, exponent).
+        slot: dict[Monomial, int] = {MONO_ONE: 0}
+        steps: list[tuple[int, str, int]] = []
+        degrees = [0]
+
+        def add(m: Monomial) -> int:
+            i = slot.get(m)
+            if i is None:
+                name, e = m[-1]
+                prefix = add(m[:-1])
+                i = slot[m] = len(degrees)
+                steps.append((prefix, name, e))
+                degrees.append(degrees[prefix] + e)
+            return i
+
+        numerators = [f.numerator.terms for f in forms]
+        denominators = [f.denominator.terms for f in forms]
+        for m in chain.from_iterable(numerators + denominators):
+            if m not in slot:
+                add(m)
+        self._steps, self._degrees, self._top = steps, degrees, max(degrees)
+
+        def terms(polys: list[dict[Monomial, int]]):
+            """All terms of ``polys`` as parallel slot and coefficient
+            tuples, and where each polynomial's run of them starts and
+            ends."""
+            bounds = list(accumulate(map(len, polys), initial=0))
+            return (tuple(map(slot.__getitem__, chain.from_iterable(polys))),
+                    tuple(chain.from_iterable(p.values() for p in polys)),
+                    bounds[:-1], bounds[1:])
+
+        self._numerators = terms(numerators)
+        self._denominators = terms(denominators)
+        # every denominator is 1 when all their terms sit on slot 0, the
+        # monomial 1, with coefficient 1: a nonzero constant has one term
+        den_slots, den_coeffs = self._denominators[:2]
+        self._polynomial = not any(den_slots) and set(den_coeffs) <= {1}
+        self._forms = tuple(forms)
+
+    def at(self, point: Mapping[str, Fraction]
+           ) -> tuple[list[int], list[int] | None]:
+        """Numerators and denominators of the forms at ``point``, which
+        binds coordinates to integers or rationals: form i is
+        nums[i]/dens[i], not reduced, or nums[i] when dens is None, as it is
+        at an integer point of forms whose denominators are 1.  As
+        ``expr.eval_at`` without atom values, a missing coordinate or an
+        atom instance raises UnboundSymbolError, naming the first one in
+        form order, denominator before numerator; at a point that binds
+        them all, a pole of any form raises ZeroDenominatorError."""
+        q = lcm(*(v.denominator for v in point.values()))
+        lifted = {name: v.numerator * (q // v.denominator)
+                  for name, v in point.items()}
+        values = [1]
+        try:
+            for prefix, name, e in self._steps:
+                values.append(values[prefix] * lifted[name] ** e)
+        except KeyError:
+            raise _unbound_symbol([p for f in self._forms for p in (
+                f.denominator, f.numerator)], point) from None
+        if q != 1:
+            values = [v * q ** (self._top - d)
+                      for v, d in zip(values, self._degrees)]
+        nums = _term_sums(self._numerators, values)
+        if q == 1 and self._polynomial:
+            return nums, None
+        dens = _term_sums(self._denominators, values)
+        if 0 in dens:
+            raise ZeroDenominatorError("zero denominator at evaluation point")
+        return nums, dens
+
+
+def _term_sums(terms, values: list[int]) -> list[int]:
+    """The value of each polynomial of a plan: the running sum of all
+    terms' products, differenced at the bounds of each polynomial's run."""
+    slots, coeffs, starts, ends = terms
+    running = list(accumulate(
+        map(operator.mul, coeffs, map(values.__getitem__, slots)), initial=0))
+    return list(map(operator.sub, map(running.__getitem__, ends),
+                    map(running.__getitem__, starts)))
 
 
 def _fraction_sum(num: Poly, den: Poly, tn: Poly, td: Poly) -> tuple[Poly, Poly]:
@@ -813,30 +894,11 @@ def _substitute_poly(p: Poly, forms: Mapping[str, CanonicalForm]) -> tuple[Poly,
     return num, den
 
 
-def _eval_poly(p: Poly, point: Mapping[str, tuple[int, int]]) -> tuple[int, int]:
-    """Value of p at point, which binds coordinates to integer pairs, as an
-    unreduced integer fraction (numerator, positive denominator)."""
-    num, den = 0, 1
-    try:
-        for m, c in p.terms.items():
-            n, d = c, 1
-            for name, e in m:
-                vn, vd = point[name]
-                n *= vn ** e
-                d *= vd ** e
-            if d == den:
-                num += n
-            else:
-                num, den = num * d + n * den, den * d
-    except KeyError:
-        raise _unbound_symbol(p, point) from None
-    return num, den
-
-
-def _unbound_symbol(p: Poly, point: Mapping) -> UnboundSymbolError:
-    """The error for the first generator of p, in term order, that point
-    cannot bind: any atom instance, or a coordinate missing from it."""
-    name = next(n for m in p.terms for n, _ in m
+def _unbound_symbol(polys: Sequence[Poly], point: Mapping) -> UnboundSymbolError:
+    """The error for the first generator of ``polys``, in order and in term
+    order, that point cannot bind: any atom instance, or a coordinate
+    missing from it."""
+    name = next(n for p in polys for m in p.terms for n, _ in m
                 if _atom_parts(n) is not None or n not in point)
     kind = "coordinate" if _atom_parts(name) is None else "atom"
     return UnboundSymbolError(f"{kind} {name!r} is unbound")

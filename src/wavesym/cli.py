@@ -9,6 +9,7 @@ configurations (fixed seeds, sorted keys, canonical expression strings).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -328,7 +329,7 @@ def cmd_equiv(config: RunConfig, f1: str, f2: str,
     report = {"schema": SCHEMA, "command": "equiv", "f1": f1, "f2": f2,
               **result.as_dict()}
     if orbit_search:
-        match = search_orbit_match(a, b)
+        match = search_orbit_match(a, result)
         report["orbit_search"] = {
             "heuristic": True,
             "found": match is not None,
@@ -385,7 +386,10 @@ class _IOError(Exception):
 # entry point
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it as
+    it is, so every ``main`` call shares it."""
     parser = _Parser(prog="wavesym", description=__doc__)
     parser.add_argument("--config", help="JSON file with config keys")
     for key in _INT_KEYS:

@@ -30,12 +30,17 @@ so one set never prolongs a field twice, however many fields it holds.
 
 Generic ranks of prolonged coefficient matrices are computed by exact
 evaluation at seeded random integer points, taking the maximum over
-samples.  A point is turned into integer pairs (numerator, denominator)
-once, each entry is evaluated on them (``CanonicalForm.eval_pair``), each
-row is scaled to integers by the lcm of its denominators
-(``linalg.integer_row``), and the rank is taken by fraction-free
-elimination (``linalg.rank``); no modular or floating-point shortcut is
-made, as a rank modulo a prime can fall below the rank over the rationals.
+samples.  Each rank computation compiles its matrix once into a
+``canonical.EvaluationPlan``: the distinct monomials of every entry, and
+each entry's numerator and denominator terms on them.  At a point every
+monomial is evaluated once and the entries are summed from those values.
+Where every denominator is 1, as at every integer point of polynomial
+coefficients, the numerators are the integer rows; at a rational point, or
+with a rational coefficient, each row is scaled to integers by the lcm of
+its denominators (``linalg.integer_row``).  The rank is taken by
+fraction-free elimination (``linalg.rank``); no modular or floating-point
+shortcut is made, as a rank modulo a prime can fall below the rank over
+the rationals.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .canonical import CanonicalForm, Poly, canonicalize, coordinate
+from .canonical import CanonicalForm, EvaluationPlan, Poly, canonicalize, coordinate
 from .expr import ExprLike, ZeroDenominatorError
 from .jetspace import JetSpace
 from .vfields import PointAction, VectorField, bracket, induce_from_point_action, prolong
@@ -450,14 +455,19 @@ def _sample_point(rng: random.Random, coords: tuple[str, ...],
     return {c: rng.randint(-coordinate_range, coordinate_range) for c in coords}
 
 
-def _integer_rows(fields, coords, point) -> list[list[int]]:
-    """The coefficient matrix at a rational point, each row scaled to
-    integers by ``linalg.integer_row``, which keeps the rank.  The point is
-    turned into integer pairs once and every entry evaluated on them."""
-    pairs = {c: (v.numerator, v.denominator) for c, v in point.items()}
-    return [linalg.integer_row([
-        f.coefficients[c].eval_pair(pairs) if c in f.coefficients else (0, 1)
-        for c in coords]) for f in fields]
+def _integer_rows(plan: EvaluationPlan, width: int,
+                  point) -> list[list[int]]:
+    """The coefficient matrix that ``plan`` holds row by row, ``width``
+    entries a row, at ``point`` as integer rows.  Where every denominator
+    is 1, as at every integer point of polynomial coefficients, the
+    numerators are the rows; otherwise each row is scaled to integers by
+    ``linalg.integer_row``, which keeps the rank."""
+    nums, dens = plan.at(point)
+    starts = range(0, len(nums), width)
+    if dens is None:
+        return [nums[i:i + width] for i in starts]
+    return [linalg.integer_row(list(zip(nums[i:i + width], dens[i:i + width])))
+            for i in starts]
 
 
 def _sampled_matrices(fields, coords, samples, seed, coordinate_range,
@@ -471,6 +481,7 @@ def _sampled_matrices(fields, coords, samples, seed, coordinate_range,
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     sample_seeds = [rng.randrange(2 ** 32) for _ in range(samples)]
+    plan = EvaluationPlan([f.coefficient(c) for f in fields for c in coords])
     for s in sample_seeds:
         sub = random.Random(s)
         for _ in range(_MAX_RESAMPLES):
@@ -480,7 +491,7 @@ def _sampled_matrices(fields, coords, samples, seed, coordinate_range,
                 if point is None:
                     continue
             try:
-                rows = _integer_rows(fields, coords, point)
+                rows = _integer_rows(plan, len(coords), point)
             except ZeroDenominatorError:
                 continue
             yield rows

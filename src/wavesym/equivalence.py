@@ -222,12 +222,13 @@ def affine_transformation(a, b, c) -> FiniteTransformation:
     return FiniteTransformation(_U * a + b, (_U - b) / a, Fraction(c))
 
 
-def search_orbit_match(a: EquationInstance,
-                       b: EquationInstance) -> FiniteTransformation | None:
+def search_orbit_match(a: EquationInstance, checked: EquivalenceResult
+                       ) -> FiniteTransformation | None:
     """Heuristic: scan the affine reparameterizations and rational dilations
     of the grid above, in its order, for a transformation whose push-forward
-    of ``a`` matches ``b``'s signature literally.  Finding none proves
-    nothing.
+    of ``a`` matches the signature of ``b`` literally, where ``checked`` is
+    ``check_equivalence(a, b)`` and carries both signatures.  Finding none
+    proves nothing.
 
     rho1 and rho2 are absolute invariants, so the push-forward by T has the
     signature (rho1, rho2) of ``a`` composed with T^-1 = {u: (u - b)/a,
@@ -238,8 +239,7 @@ def search_orbit_match(a: EquationInstance,
     A degenerate ``a`` stays degenerate under every push-forward and
     matches nothing.  A point whose substitution breaks the atom rule is
     skipped, as its push-forward would fail too."""
-    sig_a = signature_of(a)
-    sig_b = signature_of(b)
+    sig_a, sig_b = checked.signature_a, checked.signature_b
     if sig_a.degenerate or sig_b.degenerate:
         return None
     for av in _ORBIT_SCALES:

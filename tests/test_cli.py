@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wavesym.cli import main
+from wavesym.cli import _build_parser, main
 from wavesym.expr import parse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -305,6 +305,23 @@ def test_console_entry_point():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "rank" in proc.stdout
+
+
+def test_the_shared_parser_leaks_no_state_between_runs(capsys):
+    """main() builds its parser once per process: runs one after another,
+    a usage error among them, each give what a fresh process gives."""
+    runs = [["rank", "--order", "7"],
+            ["--output", "json", "rank", "--order", "2"],
+            ["equiv", "u*sigma^2", "(u-1)*sigma^2", "--orbit-search"],
+            ["--K", "7", "rank", "--order", "5"],
+            ["rank", "--order", "7"]]
+    in_process = [run_cli(capsys, *argv) for argv in runs]
+    assert _build_parser() is _build_parser()
+    for argv, got in zip(runs, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "wavesym.cli", *argv],
+                               capture_output=True, text=True,
+                               env=_child_env())
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 @pytest.mark.parametrize("output", ["text", "json"])

@@ -219,8 +219,9 @@ def _rank_reference(g: GeneratorSet):
         keys = sorted(set().union(*rows, *extra))
 
         def rank(tables):
-            return linalg.rank([[t.get(k, Fraction(0)) for k in keys]
-                                for t in tables])
+            return linalg.rank([linalg.integer_row(
+                [(t[k].numerator, t[k].denominator) if k in t else (0, 1)
+                 for k in keys]) for t in tables])
 
         return rank(rows) == rank(rows + extra)
 
@@ -345,28 +346,41 @@ _RATIONAL_LOCI = ("3*sigma - u*f", "2*f_sigma - u*sigma")
        weights=st.lists(st.lists(st.integers(-2, 2), min_size=8, max_size=8),
                         min_size=1, max_size=10),
        constraint=st.sampled_from((None,) + _RATIONAL_LOCI),
-       seed=st.integers(0, 10 ** 6))
+       seed=st.integers(0, 10 ** 6), pole=st.booleans())
 # Y^1, Y^2 and their sum: rank 2 only if each row keeps its own scale
 @example(source="derived", order=1,
          weights=[[0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0],
                   [0, 0, 0, 0, 0, 1, 1, 0]],
-         constraint="2*f_sigma - u*sigma", seed=0)
+         constraint="2*f_sigma - u*sigma", seed=0, pole=False)
+# denominators other than 1 at integer points
+@example(source="derived", order=2, weights=[[0, 0, 0, 0, 0, 1, 0, 0]],
+         constraint=None, seed=0, pole=True)
 def test_integer_row_rank_agrees_with_sympy(source, order, weights,
-                                            constraint, seed):
-    """Random combinations of prolonged generators, sampled at integer
-    points and at rational points on a locus: the rank of the scaled
-    integer rows is sympy's rank of the Fraction matrix of eval_at."""
+                                            constraint, seed, pole):
+    """Random combinations of prolonged generators, with the pole field
+    1/u d_u + 1/(u*sigma) d_sigma and its sum with the first combination
+    among them when ``pole``, sampled at integer points and at rational
+    points on a locus: the rank of the integer rows is sympy's rank of the
+    Fraction matrix of eval_at."""
     sympy = pytest.importorskip("sympy")
     g = build_generators(source, 3)
     combos = tuple(field_combination(*zip(w, g.base_fields)) for w in weights)
+    if pole:
+        # the pole field and its sum with Z0: the sum's row is dependent
+        # only if each entry keeps its own denominator
+        chart = g.base_fields[0].space
+        pole_field = VectorField(chart, {"u": parse("1/u", chart),
+                                         "sigma": parse("1/(u*sigma)", chart)})
+        combos += (pole_field,
+                   field_combination((1, pole_field), (1, combos[0])))
     names = tuple(f"Z{i}" for i in range(len(combos)))
     sub = GeneratorSet(g.source, 3, names, combos, g.base_order)
     seen = []
     integer_rows = eqalgebra._integer_rows
 
-    def recorded(fields, coords, point):
-        rows = integer_rows(fields, coords, point)
-        seen.append((fields, coords, point, rows))
+    def recorded(plan, width, point):
+        rows = integer_rows(plan, width, point)
+        seen.append((point, rows))
         return rows
 
     with mock.patch.object(eqalgebra, "_integer_rows", recorded):
@@ -376,7 +390,8 @@ def test_integer_row_rank_agrees_with_sympy(source, order, weights,
             rank_on_manifold(sub, parse(constraint, JetSpace(1)), order,
                              samples=2, seed=seed)
     assert len(seen) == 2
-    for fields, coords, point, rows in seen:
+    fields, coords = sub.prolonged(order), JetSpace(order).coordinates
+    for point, rows in seen:
         assert all(type(x) is int for row in rows for x in row)
         exact = sympy.Matrix([[_sympy_rational(sympy, f.coefficient(c).eval_at(point))
                                for c in coords] for f in fields])

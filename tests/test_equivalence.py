@@ -243,19 +243,42 @@ def test_residual_vanishes_for_fixture(text):
 
 # --- orbit search and classification -------------------------------------------------
 
+def _orbit_search(a, b):
+    """The orbit search as the CLI runs it, on the signatures that
+    check_equivalence computed."""
+    return search_orbit_match(a, check_equivalence(a, b))
+
+
+def test_orbit_search_reuses_the_checked_signatures(monkeypatch):
+    """The search computes no signature of its inputs, only that of the
+    one push-forward confirming its match."""
+    a, b = eq("u*sigma^2"), eq("(u - 1)*sigma^2")
+    checked = check_equivalence(a, b)
+    real = equivalence.signature_of
+    seen = []
+
+    def counted(instance):
+        seen.append(str(instance))
+        return real(instance)
+
+    monkeypatch.setattr(equivalence, "signature_of", counted)
+    assert str(search_orbit_match(a, checked)) == "u -> u + 1, sigma scale 1"
+    assert seen == ["u*sigma^2 - sigma^2"]
+
+
 def test_orbit_search_finds_a_shift():
     base = eq("u*sigma^2")
     t = FiniteTransformation(uexpr("u + 1"), uexpr("u - 1"), 1)
     moved = apply_finite_transformation(base, t)
     assert check_equivalence(base, moved).verdict == Verdict.NOT_EQUIVALENT
-    found = search_orbit_match(base, moved)
+    found = _orbit_search(base, moved)
     assert found is not None
     assert signature_of(apply_finite_transformation(base, found)).matches(
         signature_of(moved))
 
 
 def test_orbit_search_gives_up_quietly():
-    assert search_orbit_match(eq("sigma^2"), eq("sigma^3")) is None
+    assert _orbit_search(eq("sigma^2"), eq("sigma^3")) is None
 
 
 def _rational(numerators, denominators):
@@ -340,15 +363,15 @@ _ORBIT_CASES = {
 
 @pytest.mark.parametrize("f1, f2", list(_ORBIT_CASES.values()), ids=list(_ORBIT_CASES))
 def test_orbit_search_agrees_with_the_push_forward_scan(f1, f2):
-    found = search_orbit_match(eq(f1), eq(f2))
+    found = _orbit_search(eq(f1), eq(f2))
     assert str(found) == str(_push_forward_scan(eq(f1), eq(f2)))
 
 
 def test_orbit_search_known_answers():
     """The golden files pin the exp(sigma) match and the degenerate case."""
-    assert search_orbit_match(eq("exp(u) + sigma^2"),
-                              eq("exp(u) + 2*sigma^2")) is None
-    assert search_orbit_match(eq(_RATIONAL_F), eq(_RATIONAL_F_MOVED)) is not None
+    assert _orbit_search(eq("exp(u) + sigma^2"),
+                         eq("exp(u) + 2*sigma^2")) is None
+    assert _orbit_search(eq(_RATIONAL_F), eq(_RATIONAL_F_MOVED)) is not None
 
 
 def test_orbit_search_returns_only_a_confirmed_match(monkeypatch):
@@ -362,7 +385,7 @@ def test_orbit_search_returns_only_a_confirmed_match(monkeypatch):
         return eq("sigma^3")
 
     monkeypatch.setattr(equivalence, "apply_finite_transformation", wrong)
-    assert search_orbit_match(eq("u*sigma^2"), eq("(u - 1)*sigma^2")) is None
+    assert _orbit_search(eq("u*sigma^2"), eq("(u - 1)*sigma^2")) is None
     assert calls == ["u -> u + 1, sigma scale 1", "u -> -u + 1, sigma scale 1"]
 
 
@@ -375,7 +398,7 @@ def test_orbit_search_scans_on_past_an_unconfirmed_candidate(monkeypatch):
         return eq("sigma^3") if len(calls) == 1 else real(instance, t)
 
     monkeypatch.setattr(equivalence, "apply_finite_transformation", wrong_once)
-    found = search_orbit_match(eq("u*sigma^2"), eq("(u - 1)*sigma^2"))
+    found = _orbit_search(eq("u*sigma^2"), eq("(u - 1)*sigma^2"))
     assert str(found) == "u -> -u + 1, sigma scale 1"
 
 
