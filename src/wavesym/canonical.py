@@ -1,23 +1,36 @@
 """Canonical rational normal forms for expressions.
 
 An expression canonicalizes to a reduced fraction N/D of expanded
-multivariate polynomials with integer coefficients.  The monomial order is
-total degree first, then lexicographic over a fixed generator order: t, x,
-u, sigma, f, then f-derivatives by total order then index, then internal
-u-derivatives, then instances of the atom exp by their argument.  Each
-exp(v) is treated as an algebraically independent indeterminate whose
-derivative by v is itself, so equality is decided modulo that assumption
-(the only one this module makes).
+multivariate polynomials with integer coefficients.  Each exp(v) is treated
+as an algebraically independent indeterminate whose derivative by v is
+itself, so equality is decided modulo that assumption (the only one this
+module makes).
+
+Every generator (a coordinate, or an instance exp(v) of the atom) has an
+index in one process-wide table, in first-seen order, and a monomial is the
+tuple of its exponents by index with trailing zeros stripped, so each
+monomial has one form and a product is a tuple add.  The table only grows,
+and the grammar bounds it: its names are coordinates of the charts a
+process builds and exp() of them, at most 74 for the command line, whose
+charts stop at order 6.  The kernel needs no term order of its own: exact
+division takes its next term by plain tuple comparison, which is the lex
+order on the exponents by index.  The fixed generator order of
+:func:`gen_key` (t, x, u, sigma, f, then f-derivatives by total order then
+index, then internal u-derivatives, then instances of exp by their
+argument), with total degree first, is read by one key,
+:func:`_gen_order`, for the printer, for the sign rule below and for the
+name an unbound-symbol error reports; so no output depends on the table's
+order.
 
 Expression trees become forms only in :func:`canonicalize`; computation
 starts from forms built by :func:`coordinate` and from rational numbers.
 
 One rule normalizes the pair: gcd(N, D) is constant, the integer contents
-of N and D are coprime and lc(D) > 0; so u/2 is (u, 2) and zero is (0, 1).
-The form is unique, hence canonicalization idempotent and equality a
-dictionary comparison.  Rationals exist only at the edges: parser constants
-enter as (p, q); ``eval_at``, the printer and ``rational_coefficients``
-return them.
+of N and D are coprime and lc(D) > 0, lc the leading coefficient in that
+degree-lex order; so u/2 is (u, 2) and zero is (0, 1).  The form is unique,
+hence canonicalization idempotent and equality a dictionary comparison.
+Rationals exist only at the edges: parser constants enter as (p, q);
+``eval_at``, the printer and ``rational_coefficients`` return them.
 
 The gcd behind each reduction takes one of two paths, which give the same
 normalized result.  The heuristic GCDHEU (Char, Geddes & Gonnet, JSC 1989)
@@ -32,7 +45,6 @@ input whose evaluated integers are estimated above ``_HEU_GCD_MAX_BITS``.
 
 from __future__ import annotations
 
-import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -64,13 +76,11 @@ from .expr import (
 )
 
 # ---------------------------------------------------------------------------
-# generator ordering
+# the generator table
 
 _BASE_KEYS = {"t": (0, 0), "x": (0, 1), "u": (0, 2), "sigma": (0, 3), "f": (1, 0, 0)}
 _F_DERIV_RE = re.compile(r"^f_(u*)((?:sigma)*)$")
 _U_DERIV_RE = re.compile(r"^u_(t*)(x*)$")
-
-_KEY_CACHE: dict[str, tuple[int, ...]] = {}
 
 
 def _atom_parts(name: str) -> tuple[str, str] | None:
@@ -82,93 +92,109 @@ def _atom_parts(name: str) -> tuple[str, str] | None:
 
 
 def gen_key(name: str) -> tuple[int, ...]:
-    """Total-order sort key for a generator (coordinate or atom instance)."""
-    key = _KEY_CACHE.get(name)
-    if key is not None:
-        return key
+    """Total-order sort key for a generator (coordinate or atom instance);
+    any other name raises UnknownIdentifierError."""
     if name in _BASE_KEYS:
-        key = _BASE_KEYS[name]
-    else:
-        m = _F_DERIV_RE.match(name)
-        if m and (m.group(1) or m.group(2)):
-            a = len(m.group(1))
-            b = len(m.group(2)) // len("sigma")
-            key = (1, a + b, b)
-        else:
-            m = _U_DERIV_RE.match(name)
-            if m and (m.group(1) or m.group(2)):
-                a = len(m.group(1))
-                b = len(m.group(2))
-                key = (2, a + b, b)
-            elif (parts := _atom_parts(name)) is not None:
-                atom, arg = parts
-                if atom != ATOM:
-                    raise UnknownIdentifierError(atom)
-                key = (3, 0) + gen_key(arg)
-            else:
-                raise UnknownIdentifierError(name)
-    _KEY_CACHE[name] = key
-    return key
+        return _BASE_KEYS[name]
+    m = _F_DERIV_RE.match(name)
+    if m and (m.group(1) or m.group(2)):
+        a = len(m.group(1))
+        b = len(m.group(2)) // len("sigma")
+        return (1, a + b, b)
+    m = _U_DERIV_RE.match(name)
+    if m and (m.group(1) or m.group(2)):
+        a = len(m.group(1))
+        b = len(m.group(2))
+        return (2, a + b, b)
+    if (parts := _atom_parts(name)) is not None:
+        atom, arg = parts
+        if atom != ATOM:
+            raise UnknownIdentifierError(atom)
+        return (3, 0) + gen_key(arg)
+    raise UnknownIdentifierError(name)
+
+
+# the generator table: index -> name, index -> gen_key(name) and name ->
+# index.  It only grows; the grammar bounds it (see the module docstring).
+_NAMES: list[str] = []
+_KEYS: list[tuple[int, ...]] = []
+_INDEX: dict[str, int] = {}
+
+
+def _gen_index(name: str) -> int:
+    """The table index of a generator; a new name is validated and entered
+    with its gen_key."""
+    i = _INDEX.get(name)
+    if i is None:
+        _KEYS.append(gen_key(name))
+        i = _INDEX[name] = len(_NAMES)
+        _NAMES.append(name)
+    return i
 
 
 # ---------------------------------------------------------------------------
-# monomials: tuples of (generator name, positive exponent), sorted by gen_key
+# monomials: exponents by generator index, trailing zeros stripped
 
-Monomial = tuple[tuple[str, int], ...]
+Monomial = tuple[int, ...]
 
 MONO_ONE: Monomial = ()
 
 
 def mono(name: str, exp: int = 1) -> Monomial:
-    return ((name, exp),)
+    return (0,) * _gen_index(name) + (exp,)
 
 
 def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+    return sum(m)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
     if not b:
         return a
-    merged: dict[str, int] = dict(a)
-    for name, e in b:
-        merged[name] = merged.get(name, 0) + e
-    return tuple(sorted(
-        ((n, e) for n, e in merged.items() if e != 0),
-        key=lambda item: gen_key(item[0]),
-    ))
+    if not a:
+        return b
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(operator.add, a, b)) + a[len(b):]
 
 
-def mono_cmp(a: Monomial, b: Monomial) -> int:
-    """Degree first; ties broken lexicographically, more of an earlier
-    generator winning."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        (na, ea), (nb, eb) = a[ia], b[ib]
-        ka, kb = gen_key(na), gen_key(nb)
-        if ka == kb:
-            if ea != eb:
-                return 1 if ea > eb else -1
-            ia += 1
-            ib += 1
-        elif ka < kb:
-            return 1
-        else:
-            return -1
-    if ia < len(a):
-        return 1
-    if ib < len(b):
-        return -1
-    return 0
+def _strip(m: Monomial) -> Monomial:
+    """m without trailing zero exponents."""
+    n = len(m)
+    while n and not m[n - 1]:
+        n -= 1
+    return m[:n]
 
 
-def _mono_sort_terms(terms) -> list:
-    return sorted(terms, key=functools.cmp_to_key(lambda p, q: mono_cmp(p[0], q[0])))
+def _gen_order(p: "Poly"):
+    """p's generator indices in gen_key order, and the sort key of p's
+    monomials in the degree-lex order over them: total degree first, then
+    the exponents in that generator order, so that more of an earlier
+    generator sorts later.  The only reader of gen_key's order."""
+    gens = sorted(_indices(p), key=_KEYS.__getitem__)
+    if not gens:
+        return gens, sum
+    width = max(gens) + 1
+    exponents = operator.itemgetter(*gens)
+
+    def key(m: Monomial):
+        return sum(m), exponents(m + (0,) * (width - len(m)))
+
+    return gens, key
+
+
+def _named_terms(p: "Poly") -> list[tuple[tuple[tuple[str, int], ...], int]]:
+    """p's terms as the printer reads them: leading term first in the
+    degree-lex order, each monomial as (generator name, exponent) pairs in
+    gen_key order."""
+    gens, key = _gen_order(p)
+    return [(tuple((_NAMES[i], m[i]) for i in gens if i < len(m) and m[i]),
+             p.terms[m]) for m in sorted(p.terms, key=key, reverse=True)]
+
+
+def _indices(p: "Poly") -> set[int]:
+    """The indices of the generators p holds."""
+    return {i for m in p.terms for i, e in enumerate(m) if e}
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +227,7 @@ class Poly:
         return len(self.terms) == 1 and self.terms.get(MONO_ONE) == 1
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for m in self.terms:
-            for name, _ in m:
-                out.add(name)
-        return out
+        return {_NAMES[i] for i in _indices(self)}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -251,53 +273,36 @@ class Poly:
         return out
 
     def leading(self) -> tuple[Monomial, int]:
-        best = None
-        for m in self.terms:
-            if best is None or mono_cmp(m, best) > 0:
-                best = m
-        if best is None:
+        """The leading term in the degree-lex gen_key order."""
+        if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return best, self.terms[best]
+        m = max(self.terms, key=_gen_order(self)[1])
+        return m, self.terms[m]
 
     def degree_in(self, name: str) -> int:
-        d = 0
-        for m in self.terms:
-            for n, e in m:
-                if n == name and e > d:
-                    d = e
-        return d
+        i = _gen_index(name)
+        return max((m[i] for m in self.terms if len(m) > i), default=0)
 
     def coeffs_in(self, name: str) -> dict[int, "Poly"]:
         """Decompose as a univariate polynomial in ``name`` with Poly
         coefficients."""
+        i = _gen_index(name)
         out: dict[int, dict[Monomial, int]] = {}
         for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for n, k in m:
-                if n == name:
-                    e = k
-                else:
-                    rest.append((n, k))
-            out.setdefault(e, {})[tuple(rest)] = c
-        return {e: Poly(t) for e, t in out.items()}
+            e = m[i] if len(m) > i else 0
+            if e:
+                m = _strip(m[:i] + (0,) + m[i + 1:])
+            out.setdefault(e, {})[m] = c
+        return {e: _poly(t) for e, t in out.items()}
 
     def diff(self, name: str) -> "Poly":
         """Partial derivative with the generator treated as a plain
         indeterminate; the chain rule through atoms is applied by
-        ``CanonicalForm.derive``."""
-        out: dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            for i, (n, e) in enumerate(m):
-                if n != name:
-                    continue
-                rest = m[:i] + ((n, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
-                s = out.get(rest, 0) + c * e
-                if s:
-                    out[rest] = s
-                else:
-                    out.pop(rest, None)
-        return Poly(out)
+        ``CanonicalForm.derive``.  Distinct monomials have distinct
+        derivatives, so no terms merge."""
+        i = _gen_index(name)
+        return _poly({_strip(m[:i] + (m[i] - 1,) + m[i + 1:]): c * m[i]
+                      for m, c in self.terms.items() if len(m) > i and m[i]})
 
 
 def _poly(terms: dict[Monomial, int]) -> Poly:
@@ -328,6 +333,8 @@ def _content(p: Poly, *rest: Poly) -> int:
     """The gcd of the coefficients of p and of ``rest``, signed like the
     leading coefficient of p."""
     c = int_gcd(*p.terms.values(), *(v for q in rest for v in q.terms.values()))
+    if min(p.terms.values()) > 0:
+        return c
     return -c if p.leading()[1] < 0 else c
 
 
@@ -336,29 +343,22 @@ def _exact_div(p: Poly, g: Poly) -> Poly:
     not exact."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    gm, gc = g.leading()
+    # plain tuple comparison is the lex order on exponents by index, a
+    # monomial order: each step cancels the largest term of the remainder
+    gm = max(g.terms)
+    gc = g.terms[gm]
     if not gm:
         return _poly({m: _exact_quotient(c, gc) for m, c in p.terms.items()})
     quotient: dict[Monomial, int] = {}
-    r = _poly(dict(p.terms))
-    gdict = dict(gm)
-    while r.terms:
-        rm, rc = r.leading()
-        rdict = dict(rm)
-        tdict = {}
-        for n, e in gdict.items():
-            d = rdict.get(n, 0) - e
-            if d < 0:
-                raise ValueError("not an exact division")
-            if d:
-                tdict[n] = d
-        for n, e in rdict.items():
-            if n not in gdict and e:
-                tdict[n] = e
-        t = tuple(sorted(tdict.items(), key=lambda item: gen_key(item[0])))
-        qc = _exact_quotient(rc, gc)
-        quotient[t] = qc
-        _add_terms(r.terms, {mono_mul(t, m): qc * c for m, c in g.terms.items()},
+    r = dict(p.terms)
+    while r:
+        rm = max(r)
+        t = tuple(map(operator.sub, rm, gm))
+        if len(rm) < len(gm) or min(t) < 0:
+            raise ValueError("not an exact division")
+        t = _strip(t + rm[len(gm):])
+        qc = quotient[t] = _exact_quotient(r[rm], gc)
+        _add_terms(r, {mono_mul(t, m): qc * c for m, c in g.terms.items()},
                    negate=True)
     return _poly(quotient)
 
@@ -448,11 +448,11 @@ _HEU_GCD_TRIES = 6
 def _heu_gcd_bits(p: Poly, q: Poly) -> int:
     """The guard's estimate, in bits, of the integers GCDHEU evaluates p and
     q to."""
-    degrees: dict[str, int] = {}
-    for m in (*p.terms, *q.terms):
-        for n, e in m:
-            if e > degrees.get(n, 0):
-                degrees[n] = e
+    degrees: dict[int, int] = {}
+    for m in chain(p.terms, q.terms):
+        for i, e in enumerate(m):
+            if e > degrees.get(i, 0):
+                degrees[i] = e
     return _first_xi(p, q).bit_length() * prod(d + 1 for d in degrees.values())
 
 
@@ -468,14 +468,14 @@ def _heu_gcd(p: Poly, q: Poly) -> Poly | None:
     content_p = int_gcd(*p.terms.values())
     content_q = int_gcd(*q.terms.values())
     content = Poly.const(int_gcd(content_p, content_q))
-    gens = p.variables() | q.variables()
+    gens = _indices(p) | _indices(q)
     if not gens:
         return content
     p = _exact_div(p, Poly.const(content_p))
     q = _exact_div(q, Poly.const(content_q))
-    # generators are evaluated last first, so that interpolation appends
-    # the evaluated one at the end of each monomial
-    v = max(gens, key=gen_key)
+    # the highest index is evaluated first, so that interpolation appends it
+    # at the end of each monomial
+    v = max(gens)
     # Theorem (Char, Geddes & Gonnet 1989): let xi >= 2*min(|p|, |q|) + 2,
     # |.| the largest absolute coefficient, and h the gcd of p and q at
     # v = xi.  If the primitive part of h interpolated in balanced base xi
@@ -496,30 +496,31 @@ def _heu_gcd(p: Poly, q: Poly) -> Poly | None:
     return None
 
 
-def _evaluate(p: Poly, v: str, xi: int) -> Poly:
-    """p at v = xi; v sorts after every other generator of p."""
+def _evaluate(p: Poly, v: int, xi: int) -> Poly:
+    """p at generator v = xi; no index of p is above v."""
     out: dict[Monomial, int] = {}
     for m, c in p.terms.items():
-        if m and m[-1][0] == v:
-            m, c = m[:-1], c * xi ** m[-1][1]
+        if len(m) > v:
+            m, c = _strip(m[:v]), c * xi ** m[v]
         out[m] = out.get(m, 0) + c
     return Poly(out)
 
 
-def _interpolate(h: Poly, v: str, xi: int) -> Poly:
-    """The polynomial in v whose v^i coefficient holds the i-th balanced
-    base-xi digits, in (-xi/2, xi/2], of h's coefficients; v sorts after
-    every generator of h."""
+def _interpolate(h: Poly, v: int, xi: int) -> Poly:
+    """The polynomial in generator v whose v^i coefficient holds the i-th
+    balanced base-xi digits, in (-xi/2, xi/2], of h's coefficients; v is
+    above every index of h."""
     out: dict[Monomial, int] = {}
     half = xi // 2
     for m, c in h.terms.items():
+        pad = m + (0,) * (v - len(m))
         i = 0
         while c:
             c, d = divmod(c, xi)
             if d > half:
                 c, d = c + 1, d - xi
             if d:
-                out[m + ((v, i),) if i else m] = d
+                out[pad + (i,) if i else m] = d
             i += 1
     return _poly(out)
 
@@ -574,9 +575,9 @@ def _poly_gcd_uncached(p: Poly, q: Poly) -> Poly:
         only_p = pv - qv
         only_q = qv - pv
         if only_p:
-            p, _ = _content_primitive(p, max(only_p, key=gen_key))
+            p, _ = _content_primitive(p, max(only_p, key=_INDEX.get))
         elif only_q:
-            q, _ = _content_primitive(q, max(only_q, key=gen_key))
+            q, _ = _content_primitive(q, max(only_q, key=_INDEX.get))
         else:
             break
         if p.is_zero():
@@ -591,7 +592,7 @@ def _poly_gcd_uncached(p: Poly, q: Poly) -> Poly:
     v = min(shared,
             key=lambda name: (min(p.degree_in(name), q.degree_in(name)),
                               p.degree_in(name) + q.degree_in(name),
-                              gen_key(name)))
+                              _INDEX[name]))
     pc, pp = _content_primitive(p, v)
     qc, qp = _content_primitive(q, v)
     c = poly_gcd(pc, qc)
@@ -733,7 +734,6 @@ ONE_FORM = CanonicalForm(Poly.const(1), _POLY_ONE)
 
 def coordinate(name: str) -> CanonicalForm:
     """The form of one coordinate, or of an atom instance such as exp(u)."""
-    gen_key(name)  # validates the name
     return CanonicalForm(Poly.var(name), _POLY_ONE)
 
 
@@ -761,11 +761,10 @@ class EvaluationPlan:
         def add(m: Monomial) -> int:
             i = slot.get(m)
             if i is None:
-                name, e = m[-1]
-                prefix = add(m[:-1])
+                prefix = add(_strip(m[:-1]))
                 i = slot[m] = len(degrees)
-                steps.append((prefix, name, e))
-                degrees.append(degrees[prefix] + e)
+                steps.append((prefix, _NAMES[len(m) - 1], m[-1]))
+                degrees.append(degrees[prefix] + m[-1])
             return i
 
         numerators = [f.numerator.terms for f in forms]
@@ -800,8 +799,9 @@ class EvaluationPlan:
         at an integer point of forms whose denominators are 1.  As
         ``expr.eval_at`` without atom values, a missing coordinate or an
         atom instance raises UnboundSymbolError, naming the first one in
-        form order, denominator before numerator; at a point that binds
-        them all, a pole of any form raises ZeroDenominatorError."""
+        form order, denominator before numerator, each in print order; at
+        a point that binds them all, a pole of any form raises
+        ZeroDenominatorError."""
         q = lcm(*(v.denominator for v in point.values()))
         lifted = {name: v.numerator * (q // v.denominator)
                   for name, v in point.items()}
@@ -876,7 +876,10 @@ def _substitute_poly(p: Poly, forms: Mapping[str, CanonicalForm]) -> tuple[Poly,
     num, den = Poly(), _POLY_ONE
     for m, c in p.terms.items():
         kept, term_num, term_den = MONO_ONE, _POLY_ONE, _POLY_ONE
-        for name, e in m:
+        for i, e in enumerate(m):
+            if not e:
+                continue
+            name = _NAMES[i]
             if name in forms:
                 term_num = term_num * forms[name].numerator ** e
                 term_den = term_den * forms[name].denominator ** e
@@ -889,17 +892,17 @@ def _substitute_poly(p: Poly, forms: Mapping[str, CanonicalForm]) -> tuple[Poly,
                         f"cannot substitute non-coordinate expression for "
                         f"{parts[1]!r} inside {name}")
                 name = f"{parts[0]}({target})"
-            kept = mono_mul(kept, ((name, e),))
+            kept = mono_mul(kept, mono(name, e))
         num, den = _fraction_sum(num, den, Poly({kept: c}) * term_num, term_den)
     return num, den
 
 
 def _unbound_symbol(polys: Sequence[Poly], point: Mapping) -> UnboundSymbolError:
-    """The error for the first generator of ``polys``, in order and in term
-    order, that point cannot bind: any atom instance, or a coordinate
+    """The error for the first generator of ``polys``, in order and each in
+    print order, that point cannot bind: any atom instance, or a coordinate
     missing from it."""
-    name = next(n for p in polys for m in p.terms for n, _ in m
-                if _atom_parts(n) is not None or n not in point)
+    name = next(n for p in polys for pairs, _ in _named_terms(p)
+                for n, _ in pairs if _atom_parts(n) is not None or n not in point)
     kind = "coordinate" if _atom_parts(name) is None else "atom"
     return UnboundSymbolError(f"{kind} {name!r} is unbound")
 
@@ -909,13 +912,9 @@ def _poly_to_expr(p: Poly, d: int) -> Expr:
     if p.is_zero():
         return Const(Fraction(0))
     terms = []
-    for m, c in _mono_sort_terms(p.terms.items())[::-1]:
-        factors: list[Expr] = []
-        if c != d or not m:
-            factors.append(Const(Fraction(c, d)))
-        for name, e in m:
-            base = _gen_to_expr(name)
-            factors.append(pow_(base, e))
+    for pairs, c in _named_terms(p):
+        factors: list[Expr] = [Const(Fraction(c, d))] if c != d or not pairs else []
+        factors += [pow_(_gen_to_expr(name), e) for name, e in pairs]
         terms.append(mul(*factors))
     return add(*terms)
 
@@ -929,12 +928,9 @@ def _to_fraction(e: Expr) -> tuple[Poly, Poly]:
     if isinstance(e, Const):
         return Poly.const(e.value.numerator), Poly.const(e.value.denominator)
     if isinstance(e, Coord):
-        gen_key(e.name)  # validates the name
         return Poly.var(e.name), Poly.const(1)
     if isinstance(e, AtomApp):
-        name = f"{e.name}({e.arg})"
-        gen_key(name)
-        return Poly.var(name), Poly.const(1)
+        return Poly.var(f"{e.name}({e.arg})"), Poly.const(1)
     if isinstance(e, Sum):
         num, den = Poly(), Poly.const(1)
         for t in e.terms:

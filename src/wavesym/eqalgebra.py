@@ -577,8 +577,8 @@ def rank_on_manifold(
 
     The constraint must isolate one chart coordinate v from a*v + b = 0 by
     exact rational rearrangement; sample points are then drawn on the
-    locus.  a and b are evaluated apart, so a point where a vanishes is
-    rejected even when b shares the vanishing factor.
+    locus.  a and b are evaluated apart, from one plan, so a point where a
+    vanishes is rejected even when b shares the vanishing factor.
     """
     coords = JetSpace(order).coordinates
     cf = canonicalize(constraint)
@@ -586,14 +586,15 @@ def rank_on_manifold(
         return prolonged_rank(g, order, samples=samples, seed=seed,
                               coordinate_range=coordinate_range)
     v, a, b = _linear_solve_coordinate(cf, coords)
-    a, b = (CanonicalForm(p, Poly.const(1)) for p in (a, b))
+    plan = EvaluationPlan([CanonicalForm(p, Poly.const(1)) for p in (a, b)])
 
     def on_locus(point):
         partial = {name: value for name, value in point.items() if name != v}
-        denom = a.eval_at(partial)
-        if denom == 0:
+        (a_num, b_num), dens = plan.at(partial)
+        if a_num == 0:
             return None
-        partial[v] = -b.eval_at(partial) / denom
+        a_den, b_den = dens or (1, 1)
+        partial[v] = Fraction(-b_num * a_den, b_den * a_num)
         return partial
 
     fields = g.prolonged(order)

@@ -266,10 +266,15 @@ def search_orbit_match(a: EquationInstance, checked: EquivalenceResult
 
 
 def class_id_of(sig: Signature) -> str:
-    if sig.degenerate:
+    return _class_id(sig.as_dict())
+
+
+def _class_id(fields: dict) -> str:
+    """The class id of a signature from its printed fields."""
+    if fields["degenerate"]:
         return "degenerate"
-    digest = hashlib.sha256(f"{sig.rho1}|{sig.rho2}".encode()).hexdigest()
-    return digest[:12]
+    digest = hashlib.sha256(f"{fields['rho1']}|{fields['rho2']}".encode())
+    return digest.hexdigest()[:12]
 
 
 def classify_corpus(lines: list[str]) -> list[dict]:
@@ -282,9 +287,9 @@ def classify_corpus(lines: list[str]) -> list[dict]:
         if not text or text.startswith("#"):
             continue
         try:
-            sig = signature_of(EquationInstance.from_text(text))
-            records.append({"input": text, **sig.as_dict(),
-                            "class_id": class_id_of(sig)})
+            fields = signature_of(EquationInstance.from_text(text)).as_dict()
+            records.append({"input": text, **fields,
+                            "class_id": _class_id(fields)})
         except ExprError as exc:
             exc.args = (f"line {number}: {exc}",)
             raise

@@ -1,5 +1,6 @@
 """Shared exact-comparison helpers for the test suite."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -60,11 +61,28 @@ def sympy_of(text):
                             local_dict={**names, "exp": sympy.exp})
 
 
-def agrees(form, expected) -> bool:
-    """Whether a form and a sympy expression are the same rational
-    function."""
+@functools.cache
+def _rational_function_field():
+    """sympy's field of rational functions over Q in the order-2 chart
+    coordinates and exp of each."""
     sympy = pytest.importorskip("sympy")
-    return sympy.cancel(sympy_of(form) - expected) == 0
+    from sympy.polys.fields import field
+    coords = [sympy.Symbol(c) for c in JetSpace(2).coordinates]
+    return field(coords + [sympy.exp(c) for c in coords], sympy.QQ)[0]
+
+
+def rational_function(expr):
+    """A sympy expression as an element of that field, where equality is
+    decided by sparse polynomial arithmetic rather than ``sympy.cancel``."""
+    return _rational_function_field().from_expr(expr)
+
+
+def agrees(form, expected) -> bool:
+    """Whether a form (or a wavesym-grammar string) and a sympy expression
+    are the same rational function.  Their difference is tested, not the
+    two elements: the field does not fix the sign of a denominator, so
+    1/(1 - sigma) and -1/(sigma - 1) compare unequal."""
+    return not rational_function(sympy_of(form)) - rational_function(expected)
 
 
 def in_integer_lattice(vector, basis) -> bool:

@@ -15,6 +15,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -133,6 +134,46 @@ def mismatches() -> list[str]:
 
 def test_cli_and_demo_output_matches_golden():
     assert mismatches() == []
+
+
+# Enters the order-2 chart's generators and exp(u) into the generator table
+# in reverse gen_key order, then prints the golden cases named in argv whose
+# output differs.  wavesym.canonical is loaded under a bare package first,
+# because the package's __init__ imports modules that build forms in u and
+# sigma.
+_REVERSED_TABLE = """
+import sys, types
+sys.modules["wavesym"] = types.ModuleType("wavesym")
+sys.modules["wavesym"].__path__ = [sys.argv[1]]
+from wavesym import canonical
+from wavesym.jetspace import JetSpace
+assert canonical._NAMES == []
+names = sorted([*JetSpace(2).coordinates, "exp(u)"], key=canonical.gen_key,
+               reverse=True)
+for name in names:
+    canonical.coordinate(name)
+del sys.modules["wavesym"]
+import test_golden
+assert canonical._NAMES[:len(names)] == names
+print([name for name in sys.argv[2:]
+       if test_golden.run_case(test_golden.CASES[name]).encode()
+       != (test_golden.GOLDEN / f"{name}.txt").read_bytes()])
+"""
+
+
+def test_generator_table_order_is_not_observable():
+    """The table numbers generators in first-seen order; output reads only
+    the gen_key order, so a table filled in the reverse order prints the
+    same bytes."""
+    cases = ["classify_text", "classify_json", "invariants_verify_text",
+             "invariants_verify_exp_json", "equiv_orbit_match_text",
+             "equiv_orbit_atom_match_text"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _REVERSED_TABLE, str(ROOT / "src" / "wavesym"),
+         *cases], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 if __name__ == "__main__":
