@@ -468,14 +468,14 @@ def _heu_gcd(p: Poly, q: Poly) -> Poly | None:
     content_p = int_gcd(*p.terms.values())
     content_q = int_gcd(*q.terms.values())
     content = Poly.const(int_gcd(content_p, content_q))
-    gens = _indices(p) | _indices(q)
-    if not gens:
+    # the highest index present, the length of the longest monomial less
+    # one, is evaluated first, so that interpolation appends it at the end
+    # of each monomial
+    v = max(map(len, chain(p.terms, q.terms))) - 1
+    if v < 0:
         return content
     p = _exact_div(p, Poly.const(content_p))
     q = _exact_div(q, Poly.const(content_q))
-    # the highest index is evaluated first, so that interpolation appends it
-    # at the end of each monomial
-    v = max(gens)
     # Theorem (Char, Geddes & Gonnet 1989): let xi >= 2*min(|p|, |q|) + 2,
     # |.| the largest absolute coefficient, and h the gcd of p and q at
     # v = xi.  If the primitive part of h interpolated in balanced base xi
