@@ -280,13 +280,17 @@ class Poly:
         return m, self.terms[m]
 
     def degree_in(self, name: str) -> int:
-        i = _gen_index(name)
+        i = _INDEX.get(name)
+        if i is None:
+            return 0
         return max((m[i] for m in self.terms if len(m) > i), default=0)
 
     def coeffs_in(self, name: str) -> dict[int, "Poly"]:
         """Decompose as a univariate polynomial in ``name`` with Poly
         coefficients."""
-        i = _gen_index(name)
+        i = _INDEX.get(name)
+        if i is None:
+            return {0: self}
         out: dict[int, dict[Monomial, int]] = {}
         for m, c in self.terms.items():
             e = m[i] if len(m) > i else 0
@@ -300,7 +304,9 @@ class Poly:
         indeterminate; the chain rule through atoms is applied by
         ``CanonicalForm.derive``.  Distinct monomials have distinct
         derivatives, so no terms merge."""
-        i = _gen_index(name)
+        i = _INDEX.get(name)
+        if i is None:
+            return Poly()
         return _poly({_strip(m[:i] + (m[i] - 1,) + m[i + 1:]): c * m[i]
                       for m, c in self.terms.items() if len(m) > i and m[i]})
 
@@ -333,8 +339,6 @@ def _content(p: Poly, *rest: Poly) -> int:
     """The gcd of the coefficients of p and of ``rest``, signed like the
     leading coefficient of p."""
     c = int_gcd(*p.terms.values(), *(v for q in rest for v in q.terms.values()))
-    if min(p.terms.values()) > 0:
-        return c
     return -c if p.leading()[1] < 0 else c
 
 

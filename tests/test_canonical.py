@@ -112,6 +112,15 @@ def test_deglex_printing_order():
     assert str(cf("f + sigma*f_sigma")) == "sigma*f_sigma + f"
 
 
+def test_queries_on_an_absent_name_are_trivial_and_do_not_grow_the_table():
+    p = cf("u^2 + sigma").numerator
+    size = len(canonical._NAMES)
+    assert p.degree_in("not_a_generator") == 0
+    assert p.coeffs_in("not_a_generator") == {0: p}
+    assert p.diff("not_a_generator").is_zero()
+    assert len(canonical._NAMES) == size
+
+
 def test_poly_gcd_symmetry_up_to_unit():
     p = canonicalize(parse("(u+sigma)*(f-u)^2", CHART2)).numerator
     q = canonicalize(parse("(u+sigma)^2*(f-u)", CHART2)).numerator
