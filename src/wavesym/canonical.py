@@ -23,7 +23,9 @@ name an unbound-symbol error reports; so no output depends on the table's
 order.
 
 Expression trees become forms only in :func:`canonicalize`; computation
-starts from forms built by :func:`coordinate` and from rational numbers.
+starts from forms built by :func:`coordinate` and from rational numbers,
+and a form prints its text straight from its two polynomials, never
+through a tree.
 
 One rule normalizes the pair: gcd(N, D) is constant, the integer contents
 of N and D are coprime and lc(D) > 0, lc the leading coefficient in that
@@ -32,15 +34,18 @@ hence canonicalization idempotent and equality a dictionary comparison.
 Rationals exist only at the edges: parser constants enter as (p, q);
 ``eval_at``, the printer and ``rational_coefficients`` return them.
 
-The gcd behind each reduction takes one of two paths, which give the same
-normalized result.  The heuristic GCDHEU (Char, Geddes & Gonnet, JSC 1989)
-evaluates both polynomials at an integer xi, one generator at a time, takes
-the integer gcd and interpolates it back in balanced base xi.  Its candidate
-is accepted only when it divides both inputs exactly, with
-xi >= 2*min(|p|, |q|) + 2 (largest absolute coefficients), which the paper's
-theorem makes a proof that it is the gcd.  The subresultant remainder
-sequence takes over when six points give no proven candidate, and for every
-input whose evaluated integers are estimated above ``_HEU_GCD_MAX_BITS``.
+The gcd behind each reduction, :func:`poly_gcd`, returns g with both
+cofactors p/g and q/g, so a reduction divides by the gcd only once and
+then by an integer content.  It takes one of two paths, which give the
+same normalized result.  The heuristic GCDHEU (Char, Geddes & Gonnet, JSC
+1989) evaluates both polynomials at an integer xi, one generator at a
+time, takes the integer gcd and interpolates it back in balanced base xi.
+Its candidate is accepted only when it divides both inputs exactly, with
+xi >= 2*min(|p|, |q|) + 2 (largest absolute coefficients), which the
+paper's theorem makes a proof that it is the gcd; the quotients of those
+trial divisions are the cofactors.  The subresultant remainder sequence
+takes over when six points give no proven candidate, and for every input
+whose evaluated integers are estimated above ``_HEU_GCD_MAX_BITS``.
 """
 
 from __future__ import annotations
@@ -68,11 +73,8 @@ from .expr import (
     UnboundSymbolError,
     UnknownIdentifierError,
     ZeroDenominatorError,
-    add,
     as_expr,
-    mul,
-    pow_,
-    to_string,
+    number_text,
 )
 
 # ---------------------------------------------------------------------------
@@ -273,7 +275,10 @@ class Poly:
         return out
 
     def leading(self) -> tuple[Monomial, int]:
-        """The leading term in the degree-lex gen_key order."""
+        """The leading term in the degree-lex gen_key order; a one-term
+        polynomial's only term needs no order."""
+        if len(self.terms) == 1:
+            return next(iter(self.terms.items()))
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=_gen_order(self)[1])
@@ -317,6 +322,16 @@ def _poly(terms: dict[Monomial, int]) -> Poly:
     p = Poly.__new__(Poly)
     p.terms = terms
     return p
+
+
+# the denominator of every form with D = 1 and the trivial gcd: one shared
+# object keeps the many polynomial coefficients of prolonged fields small
+_POLY_ONE = Poly.const(1)
+
+
+def _scale(p: Poly, k: int) -> Poly:
+    """k*p for a nonzero integer k."""
+    return p if k == 1 else _poly({m: c * k for m, c in p.terms.items()})
 
 
 def _add_terms(out: dict[Monomial, int], terms: dict[Monomial, int],
@@ -400,7 +415,7 @@ def _content_primitive(p: Poly, v: str) -> tuple[Poly, Poly]:
     coeffs = list(p.coeffs_in(v).values())
     content = coeffs[0]
     for c in coeffs[1:]:
-        content = poly_gcd(content, c)
+        content = poly_gcd(content, c)[0]
         if content.is_const():
             content = Poly.const(1)
             break
@@ -466,18 +481,20 @@ def _first_xi(p: Poly, q: Poly) -> int:
                    max(map(abs, q.terms.values()))) + 29
 
 
-def _heu_gcd(p: Poly, q: Poly) -> Poly | None:
-    """gcd(p, q) of nonzero p and q, integer content included, by GCDHEU;
-    None when every evaluation point fails."""
+def _heu_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
+    """(g, p/g, q/g) for nonzero p and q, g = gcd(p, q) with its integer
+    content included, by GCDHEU; None when every evaluation point fails.
+    The cofactors are the quotients of the trial divisions that prove g."""
     content_p = int_gcd(*p.terms.values())
     content_q = int_gcd(*q.terms.values())
-    content = Poly.const(int_gcd(content_p, content_q))
+    content = int_gcd(content_p, content_q)
     # the highest index present, the length of the longest monomial less
     # one, is evaluated first, so that interpolation appends it at the end
     # of each monomial
     v = max(map(len, chain(p.terms, q.terms))) - 1
     if v < 0:
-        return content
+        return (Poly.const(content), _exact_div(p, Poly.const(content)),
+                _exact_div(q, Poly.const(content)))
     p = _exact_div(p, Poly.const(content_p))
     q = _exact_div(q, Poly.const(content_q))
     # Theorem (Char, Geddes & Gonnet 1989): let xi >= 2*min(|p|, |q|) + 2,
@@ -492,10 +509,12 @@ def _heu_gcd(p: Poly, q: Poly) -> Poly | None:
         if not pe.is_zero() and not qe.is_zero():
             h = _heu_gcd(pe, qe)
             if h is not None:
-                g = _interpolate(h, v, xi)
+                g = _interpolate(h[0], v, xi)
                 g = _exact_div(g, Poly.const(int_gcd(*g.terms.values())))
-                if _divides(g, p) and _divides(g, q):
-                    return g * content
+                a = _quotient(p, g)
+                if a is not None and (b := _quotient(q, g)) is not None:
+                    return (_scale(g, content), _scale(a, content_p // content),
+                            _scale(b, content_q // content))
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
@@ -529,49 +548,67 @@ def _interpolate(h: Poly, v: int, xi: int) -> Poly:
     return _poly(out)
 
 
-def _divides(g: Poly, p: Poly) -> bool:
+def _quotient(p: Poly, g: Poly) -> Poly | None:
+    """p/g when g divides p exactly, else None."""
     try:
-        _exact_div(p, g)
+        return _exact_div(p, g)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 # poly_gcd's cache, bounded: it is emptied in place once it holds
 # _GCD_CACHE_MAX_ENTRIES gcds, about five times the 3,309 to 3,421 that one
-# orbit-search benchmark pass leaves (seeds 1 to 3).  It stays a plain dict
-# read with ``get``, and the name is never rebound, so that a profiler can
-# swap in a counting dict.
+# orbit-search benchmark pass leaves (seeds 1 to 3).  Its key is the
+# unordered pair of arguments, and its value (first argument's terms, g,
+# first/g, second/g), so that a hit with the arguments swapped swaps the
+# cofactors.  It stays a plain dict read with one ``get`` a call, and the
+# name is never rebound, so that a profiler can swap in a counting dict.
 _GCD_CACHE_MAX_ENTRIES = 16384
-_GCD_CACHE: dict[tuple, Poly] = {}
+_GCD_CACHE: dict[frozenset, tuple[frozenset, Poly, Poly, Poly]] = {}
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """GCD up to a unit, computed ones made primitive with positive leading
-    coefficient: contents chain gcds, and a unit would grow along a chain."""
+def poly_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, p/g, q/g): the gcd up to a unit and the two exact cofactors.  A
+    computed g is primitive with positive leading coefficient: contents
+    chain gcds, and a unit would grow along a chain."""
     if p.is_zero():
-        return q
+        return q, p, _POLY_ONE
     if q.is_zero():
-        return p
+        return p, _POLY_ONE, q
     if p.is_const() or q.is_const():
-        return Poly.const(1)
-    key = frozenset((frozenset(p.terms.items()), frozenset(q.terms.items())))
+        return _POLY_ONE, p, q
+    first = frozenset(p.terms.items())
+    key = frozenset((first, frozenset(q.terms.items())))
     cached = _GCD_CACHE.get(key)
     if cached is not None:
-        return cached
-    out = _poly_gcd_uncached(p, q)
-    out = _exact_div(out, Poly.const(_content(out)))
+        stored_first, g, a, b = cached
+        if a is None:  # g = 1, whose cofactors are the arguments
+            return g, p, q
+        return (g, a, b) if stored_first == first else (g, b, a)
+    g, a, b = _poly_gcd_uncached(p, q)
     if len(_GCD_CACHE) >= _GCD_CACHE_MAX_ENTRIES:
         _GCD_CACHE.clear()
-    _GCD_CACHE[key] = out
-    return out
+    _GCD_CACHE[key] = (first, g, None, None) if g.is_one() else (first, g, a, b)
+    return g, a, b
 
 
-def _poly_gcd_uncached(p: Poly, q: Poly) -> Poly:
+def _poly_gcd_uncached(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
+    """poly_gcd's triple.  The heuristic's cofactors are kept, scaled by
+    the unit that makes g primitive; the PRS gives g alone, which is made
+    primitive and then divides p and q once."""
     if _heu_gcd_bits(p, q) <= _HEU_GCD_MAX_BITS:
-        g = _heu_gcd(p, q)
-        if g is not None:
-            return g
+        found = _heu_gcd(p, q)
+        if found is not None:
+            g, a, b = found
+            c = _content(g)
+            return _exact_div(g, Poly.const(c)), _scale(a, c), _scale(b, c)
+    g = _prs_gcd(p, q)
+    g = _exact_div(g, Poly.const(_content(g)))
+    return g, _exact_div(p, g), _exact_div(q, g)
+
+
+def _prs_gcd(p: Poly, q: Poly) -> Poly:
+    """gcd(p, q) up to a unit by the subresultant PRS."""
     # variables on one side only cannot appear in the gcd: replace that side
     # by its content with respect to them
     while True:
@@ -599,7 +636,7 @@ def _poly_gcd_uncached(p: Poly, q: Poly) -> Poly:
                               _INDEX[name]))
     pc, pp = _content_primitive(p, v)
     qc, qp = _content_primitive(q, v)
-    c = poly_gcd(pc, qc)
+    c = poly_gcd(pc, qc)[0]
     return c * _subresultant_gcd(pp, qp, v)
 
 
@@ -635,16 +672,32 @@ class CanonicalForm:
         d = _content(self.denominator)
         return {m: Fraction(c, d) for m, c in self.numerator.terms.items()}
 
-    def to_expr(self) -> Expr:
-        """The printed tree: N/d over D/d, d the content of D."""
-        d = _content(self.denominator)
-        num = _poly_to_expr(self.numerator, d)
-        if self.is_polynomial():
-            return num
-        return mul(num, pow_(_poly_to_expr(self.denominator, d), -1))
-
     def __str__(self) -> str:
-        return to_string(self.to_expr())
+        """N/d over D/d in the input grammar, d the content of D, each
+        polynomial in the printer's term order; parsing the text gives the
+        form back.  A numerator of +-d over one-term or summed D prints as
+        a negative power of D: 1/u is u^-1, -1/(u*sigma) is
+        -(u*sigma)^-1."""
+        d = _content(self.denominator)
+        num = _named_terms(self.numerator)
+        if self.is_polynomial():
+            return _sum_text(num, d)
+        den = _named_terms(self.denominator)
+        if len(den) > 1:
+            over = f"({_sum_text(den, d)})"
+        elif len(den[0][0]) > 1:
+            over = f"({_monomial_text(den[0][0])})"
+        else:
+            over = _monomial_text(den[0][0])
+        if len(num) == 1 and not num[0][0] and abs(num[0][1]) == d:
+            sign = "-" if num[0][1] < 0 else ""
+            if len(den) == 1 and len(den[0][0]) == 1:
+                (name, e), = den[0][0]
+                return f"{sign}{name}^{-e}"
+            return f"{sign}{over}^-1"
+        if len(num) > 1:
+            return f"({_sum_text(num, d)})/{over}"
+        return f"{_sum_text(num, d)}/{over}"
 
     def __add__(self, other: "CanonicalForm | ExprLike") -> "CanonicalForm":
         other = canonicalize(other)
@@ -714,22 +767,18 @@ class CanonicalForm:
         return Fraction(nums[0], dens[0] if dens else 1)
 
 
-# the denominator of every form with D = 1: one shared object keeps the many
-# polynomial coefficients of prolonged fields small
-_POLY_ONE = Poly.const(1)
-
-
 def _normalized(num: Poly, den: Poly) -> CanonicalForm:
     if den.is_zero():
         raise DivisionByZeroExpressionError("denominator is identically zero")
     if num.is_zero():
         return CanonicalForm(Poly(), _POLY_ONE)
-    # the gcd is primitive with lc > 0, so the content and sign of the
-    # pair's coefficients survive its division
-    g = poly_gcd(num, den) * Poly.const(_content(den, num))
-    if not g.is_one():
-        num = _exact_div(num, g)
-        den = _exact_div(den, g)
+    # the gcd is primitive with lc > 0, so the cofactors keep the content
+    # and sign of the pair's coefficients
+    _, num, den = poly_gcd(num, den)
+    c = _content(den, num)
+    if c != 1:
+        num = _exact_div(num, Poly.const(c))
+        den = _exact_div(den, Poly.const(c))
     return CanonicalForm(num, _POLY_ONE if den.is_one() else den)
 
 
@@ -843,11 +892,7 @@ def _fraction_sum(num: Poly, den: Poly, tn: Poly, td: Poly) -> tuple[Poly, Poly]
     divided out to keep the denominator from swelling multiplicatively."""
     if td == den:
         return num + tn, den
-    g = poly_gcd(den, td)
-    if g.is_const():
-        return num * td + tn * den, den * td
-    den_red = _exact_div(den, g)
-    td_red = _exact_div(td, g)
+    _, den_red, td_red = poly_gcd(den, td)
     return num * td_red + tn * den_red, den * td_red
 
 
@@ -911,21 +956,31 @@ def _unbound_symbol(polys: Sequence[Poly], point: Mapping) -> UnboundSymbolError
     return UnboundSymbolError(f"{kind} {name!r} is unbound")
 
 
-def _poly_to_expr(p: Poly, d: int) -> Expr:
-    """The tree of p/d."""
-    if p.is_zero():
-        return Const(Fraction(0))
-    terms = []
-    for pairs, c in _named_terms(p):
-        factors: list[Expr] = [Const(Fraction(c, d))] if c != d or not pairs else []
-        factors += [pow_(_gen_to_expr(name), e) for name, e in pairs]
-        terms.append(mul(*factors))
-    return add(*terms)
+def _monomial_text(pairs: tuple[tuple[str, int], ...]) -> str:
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in pairs)
 
 
-def _gen_to_expr(name: str) -> Expr:
-    parts = _atom_parts(name)
-    return Coord(name) if parts is None else AtomApp(*parts)
+def _sum_text(terms: list[tuple[tuple[tuple[str, int], ...], int]],
+              d: int) -> str:
+    """The polynomial of ``_named_terms`` over the positive integer d, each
+    term c/d times its monomial, with the coefficient left out where it is
+    1 and its sign moved to the joining operator."""
+    if not terms:
+        return "0"
+    parts = []
+    for pairs, c in terms:
+        if parts:
+            parts.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            parts.append("-")
+        q = abs(c) if d == 1 else Fraction(abs(c), d)
+        if not pairs:
+            parts.append(number_text(q))
+        elif q == 1:
+            parts.append(_monomial_text(pairs))
+        else:
+            parts.append(f"{number_text(q)}*{_monomial_text(pairs)}")
+    return "".join(parts)
 
 
 def _to_fraction(e: Expr) -> tuple[Poly, Poly]:

@@ -30,10 +30,11 @@ so one set never prolongs a field twice, however many fields it holds.
 
 Generic ranks of prolonged coefficient matrices are computed by exact
 evaluation at seeded random integer points, taking the maximum over
-samples.  Each rank computation compiles its matrix once into a
-``canonical.EvaluationPlan``: the distinct monomials of every entry, and
-each entry's numerator and denominator terms on them.  At a point every
-monomial is evaluated once and the entries are summed from those values.
+samples.  Each matrix is compiled once into a
+``canonical.EvaluationPlan``, kept in one bounded cache of the process:
+the distinct monomials of every entry, and each entry's numerator and
+denominator terms on them.  At a point every monomial is evaluated once
+and the entries are summed from those values.
 Where every denominator is 1, as at every integer point of polynomial
 coefficients, the numerators are the integer rows; at a rational point, or
 with a rational coefficient, each row is scaled to integers by the lcm of
@@ -470,6 +471,29 @@ def _integer_rows(plan: EvaluationPlan, width: int,
             for i in starts]
 
 
+# the compiled plans of sampled coefficient matrices, shared by every rank
+# computation of the process and keyed by (fields, coordinates): fields
+# compare by value, so a set that binds its names to other fields gets its
+# own plan.  Bounded: emptied in place once it holds _PLANS_MAX_ENTRIES
+# plans, four times the 12 (truncations 5 to 8, orders 1 to 3) that one
+# rank-invariants benchmark pass compiles.
+_PLANS_MAX_ENTRIES = 48
+_PLANS: dict[tuple, EvaluationPlan] = {}
+
+
+def _matrix_plan(fields, coords: tuple[str, ...]) -> EvaluationPlan:
+    """The plan of the matrix whose rows are ``fields``' coefficients on
+    ``coords``, compiled once while the cache holds it."""
+    key = (tuple(fields), coords)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = EvaluationPlan([f.coefficient(c) for f in fields for c in coords])
+        if len(_PLANS) >= _PLANS_MAX_ENTRIES:
+            _PLANS.clear()
+        _PLANS[key] = plan
+    return plan
+
+
 def _sampled_matrices(fields, coords, samples, seed, coordinate_range,
                       point_filter=None):
     """The coefficient matrix at one valid point per sample seed.
@@ -481,7 +505,7 @@ def _sampled_matrices(fields, coords, samples, seed, coordinate_range,
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     sample_seeds = [rng.randrange(2 ** 32) for _ in range(samples)]
-    plan = EvaluationPlan([f.coefficient(c) for f in fields for c in coords])
+    plan = _matrix_plan(fields, coords)
     for s in sample_seeds:
         sub = random.Random(s)
         for _ in range(_MAX_RESAMPLES):

@@ -6,8 +6,9 @@ is a power with exponent -1; there is no floating-point mode anywhere.
 
 Text becomes a tree in :func:`parse`, and a tree becomes a canonical form in
 :func:`wavesym.canonical.canonicalize`; all computation happens on forms,
-which turn back into trees only to be printed by :func:`to_string`.  Trees
-have no arithmetic operators.  The constructors below only do cheap local
+which print their own text and never turn back into trees.
+:func:`to_string` prints parsed trees; both printers write numbers through
+:func:`number_text`.  Trees have no arithmetic operators.  The constructors below only do cheap local
 folding (flattening, constant arithmetic, dropping zeros/ones) so trees stay
 small.  ``diff_partial``, ``substitute`` and ``eval_at`` are a tree calculus
 that nothing in the package calls; they stay while the benchmark's
@@ -499,14 +500,20 @@ def _split_sign(t: Expr) -> tuple[bool, Expr]:
     return False, t
 
 
+def number_text(value: int | Fraction) -> str:
+    """``str(value)``; a number of more digits than Python converts to text
+    raises NumberTooLongError."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than str() converts (Python >= 3.11)
+        raise NumberTooLongError(
+            f"number of more than {sys.get_int_max_str_digits()} digits "
+            "is too long to print") from None
+
+
 def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Const):
-        try:
-            text = str(e.value)
-        except ValueError:  # more digits than str() converts (Python >= 3.11)
-            raise NumberTooLongError(
-                f"number of more than {sys.get_int_max_str_digits()} digits "
-                "is too long to print") from None
+        text = number_text(e.value)
         if e.value < 0 or e.value.denominator != 1:
             return text, _P_PROD
         return text, _P_ATOM

@@ -178,7 +178,7 @@ def test_criterion_9_property_suites():
             assert canonicalize(mul(a, add(b, c))) == \
                 canonicalize(add(mul(a, b), mul(a, c)))
             cf = canonicalize(a)
-            assert canonicalize(cf.to_expr()) == cf
+            assert canonicalize(parse(str(cf), JetSpace(0))) == cf
 
         g = build_generators("derived", 4)
         fields = g.prolonged_named(1)
@@ -228,8 +228,9 @@ def test_criterion_9_property_suites():
             instance = EquationInstance.from_text(text)
             sig = signature_of(instance)
             assert not sig.degenerate
-            first, second = pde_residual(instance, sig.rho1.to_expr(),
-                                         sig.rho2.to_expr())
+            first, second = pde_residual(
+                instance, parse(str(sig.rho1), JetSpace(0)),
+                parse(str(sig.rho2), JetSpace(0)))
             assert equals(first, Const(Fraction(0)))
             assert equals(second, Const(Fraction(0)))
             checked += 1

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,19 @@ from helpers import agrees, fraction_text, polynomial_text, sympy_of
 from wavesym import canonical
 from wavesym.canonical import Poly, canonicalize, equals, poly_gcd
 from wavesym.expr import (
+    AtomApp,
     AtomArgumentError,
+    Const,
+    Coord,
     DivisionByZeroExpressionError,
+    NumberTooLongError,
     UnboundSymbolError,
     ZeroDenominatorError,
+    add,
+    mul,
     parse,
+    pow_,
+    to_string,
 )
 from wavesym.jetspace import JetSpace
 
@@ -99,7 +108,7 @@ def test_zero_denominator_raises():
 
 def test_idempotence_on_fraction():
     form = cf("sigma^2*f_sigmasigma/(sigma*f_sigma - f)")
-    assert canonicalize(form.to_expr()) == form
+    assert cf(str(form)) == form
 
 
 def test_atoms_are_independent_indeterminates():
@@ -124,7 +133,7 @@ def test_queries_on_an_absent_name_are_trivial_and_do_not_grow_the_table():
 def test_poly_gcd_symmetry_up_to_unit():
     p = canonicalize(parse("(u+sigma)*(f-u)^2", CHART2)).numerator
     q = canonicalize(parse("(u+sigma)^2*(f-u)", CHART2)).numerator
-    g = poly_gcd(p, q)
+    g = poly_gcd(p, q)[0]
     expected = canonicalize(parse("(u+sigma)*(f-u)", CHART2)).numerator
     ratio = [Fraction(c, expected.terms[m]) for m, c in g.terms.items()
              if m in expected.terms]
@@ -162,9 +171,18 @@ def _sympy_poly(p: Poly):
                           sympy.Integer(0)), *gens)
 
 
+def _assert_cofactors(p: Poly, q: Poly):
+    """poly_gcd's triple (g, a, b): g*a == p and g*b == q exactly, and g
+    primitive with a positive leading coefficient."""
+    g, a, b = poly_gcd(p, q)
+    assert g * a == p and g * b == q
+    assert math.gcd(*g.terms.values()) == 1 and g.leading()[1] > 0
+    return g
+
+
 def _assert_gcd_agrees_with_sympy(p: Poly, q: Poly):
     sympy = pytest.importorskip("sympy")
-    ours = _sympy_poly(poly_gcd(p, q))
+    ours = _sympy_poly(_assert_cofactors(p, q))
     assert ours.monic() == sympy.gcd(_sympy_poly(p), _sympy_poly(q)).monic()
 
 
@@ -209,7 +227,7 @@ def test_heuristic_candidate_that_fails_trial_division_is_rejected(monkeypatch):
         points.append(xi) or interpolate(h, v, xi)))
     monkeypatch.setattr(canonical, "_GCD_CACHE", {})
     u = Poly.var("u")
-    assert poly_gcd(u, u + Poly.const(31)).is_one()
+    assert _assert_cofactors(u, u + Poly.const(31)).is_one()
     assert points == [31, 169]
 
 
@@ -225,7 +243,7 @@ def test_heuristic_that_gives_up_falls_back_to_the_prs(monkeypatch):
     monkeypatch.setattr(canonical, "_GCD_CACHE", {})
     p = cf("(u + sigma)*(u - 2*sigma)").numerator
     q = cf("(u + sigma)*(3*u + sigma^2)").numerator
-    assert poly_gcd(p, q) == cf("u + sigma").numerator
+    assert _assert_cofactors(p, q) == cf("u + sigma").numerator
     assert len(points) >= canonical._HEU_GCD_TRIES and prs_calls
 
 
@@ -236,9 +254,50 @@ def test_gcd_cache_is_bounded_and_evicts_in_place(monkeypatch):
     u, sigma = Poly.var("u"), Poly.var("sigma")
     for k in range(1, 13):
         a = u + Poly.const(k) * sigma
-        assert poly_gcd(a * (u - sigma), a * (u + sigma ** 2)) == a
+        assert poly_gcd(a * (u - sigma), a * (u + sigma ** 2))[0] == a
         assert 0 < len(cache) <= 4
     assert canonical._GCD_CACHE is cache
+
+
+def test_poly_gcd_of_a_polynomial_with_itself():
+    p = cf("-6*u^2*sigma + 4*u*f").numerator
+    assert _assert_cofactors(p, p) == cf("3*u^2*sigma - 2*u*f").numerator
+    assert poly_gcd(p, p)[1:] == (Poly.const(-2), Poly.const(-2))
+
+
+class _CountingDict(dict):
+    def __init__(self):
+        super().__init__()
+        self.gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return dict.get(self, key, default)
+
+
+def test_gcd_cache_hit_with_swapped_arguments_swaps_the_cofactors(monkeypatch):
+    """The cache key is the unordered pair: a second call with the
+    arguments swapped is a hit, and its cofactors follow the call's order.
+    Each call with two non-constant arguments reads the cache once."""
+    cache = _CountingDict()
+    monkeypatch.setattr(canonical, "_GCD_CACHE", cache)
+    p = cf("(u + sigma)*(u - 2*sigma)*3").numerator
+    q = cf("(u + sigma)*(3*u + sigma^2)*2").numerator
+    g, a, b = poly_gcd(p, q)
+    assert (len(cache), cache.gets) == (1, 1)
+    assert poly_gcd(q, p) == (g, b, a)
+    assert (len(cache), cache.gets) == (1, 2)
+    _assert_cofactors(q, p)
+    _assert_cofactors(p, q)
+    assert cache.gets == 4
+    # a trivial gcd is cached without cofactors: they are the arguments
+    r = cf("u*sigma + 1").numerator
+    assert poly_gcd(r, p) == (Poly.const(1), r, p)
+    assert poly_gcd(p, r) == (Poly.const(1), p, r)
+    assert (len(cache), cache.gets) == (2, 6)
+    poly_gcd(p, Poly.const(5))
+    poly_gcd(Poly(), q)
+    assert cache.gets == 6
 
 
 def test_canonical_string_reparses():
@@ -257,6 +316,71 @@ def _form_or_skip(text):
         return cf(text)
     except DivisionByZeroExpressionError:
         return None
+
+
+# The printer writes a form's text straight from its polynomials.  The
+# reference is the expression tree it was once printed through, N/d over
+# D/d with d the content of D, rendered by expr.to_string.
+def _reference_text(form) -> str:
+    d = canonical._content(form.denominator)
+    num = _reference_tree(form.numerator, d)
+    if form.is_polynomial():
+        return to_string(num)
+    return to_string(mul(num, pow_(_reference_tree(form.denominator, d), -1)))
+
+
+def _reference_tree(p: Poly, d: int):
+    """The tree of p/d, its terms in the printer's order."""
+    if p.is_zero():
+        return Const(Fraction(0))
+    terms = []
+    for pairs, c in canonical._named_terms(p):
+        factors = [Const(Fraction(c, d))] if c != d or not pairs else []
+        for name, e in pairs:
+            parts = canonical._atom_parts(name)
+            factors.append(pow_(Coord(name) if parts is None
+                                else AtomApp(*parts), e))
+        terms.append(mul(*factors))
+    return add(*terms)
+
+
+# fractions and polynomials scaled by a rational, so that contents other
+# than 1 and constant numerators and denominators are drawn
+_printed_text = st.tuples(
+    st.one_of(_fraction_text, polynomial_text(_GCD_GENS)),
+    st.integers(-6, 6).filter(bool), st.integers(1, 6),
+).map(lambda t: f"({t[0]})*({t[1]})/{t[2]}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_printed_text)
+@example("1/u")
+@example("-1/u^2")
+@example("-1/(u*sigma)")
+@example("u/(2*sigma)")
+@example("(u+1)/(3*u^2)")
+@example("-1/(2*sigma + 2)")
+@example("3/(2*u*exp(u))")
+@example("0")
+def test_printer_matches_the_tree_printer(text):
+    form = _form_or_skip(text)
+    if form is None:
+        return
+    assert str(form) == _reference_text(form)
+
+
+def test_printer_refuses_a_number_too_long_as_the_tree_printer_does():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    big = "9" * (limit // 2 + 1)
+    for text in (f"{big}^2*u + sigma", f"u/{big}^2 + 1/sigma"):
+        form = cf(text)
+        with pytest.raises(NumberTooLongError) as ours:
+            str(form)
+        with pytest.raises(NumberTooLongError) as reference:
+            _reference_text(form)
+        assert str(ours.value) == str(reference.value)
 
 
 @settings(max_examples=60, deadline=None)
@@ -342,7 +466,7 @@ def _assert_normalized(form):
     assert all(type(c) is int for c in coefficients)
     assert math.gcd(*coefficients) == 1
     assert den.leading()[1] > 0
-    assert poly_gcd(num, den).is_const()
+    assert poly_gcd(num, den)[0].is_const()
 
 
 @settings(max_examples=60, deadline=None)

@@ -115,6 +115,50 @@ def test_a_set_larger_than_the_cache_prolongs_no_field_twice(monkeypatch):
     assert len(calls) == 3 * len(g.base_fields)
 
 
+# --- the shared plan cache ---------------------------------------------------
+
+def test_plan_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
+    """A plan compiled fresh, reused from the cache or compiled again after
+    the cache was emptied gives the same rank and samples_used."""
+    g = build_generators("derived", 5)
+    queries = [(order, seed) for order in (1, 2, 3) for seed in (1, 7)] * 2
+    expected = []
+    for order, seed in queries:
+        monkeypatch.setattr(eqalgebra, "_PLANS", {})
+        expected.append(prolonged_rank(g, order, seed=seed).as_dict())
+    cache = {}
+    monkeypatch.setattr(eqalgebra, "_PLANS", cache)
+    monkeypatch.setattr(eqalgebra, "_PLANS_MAX_ENTRIES", 2)
+    compiled = []
+    plan = eqalgebra.EvaluationPlan
+    monkeypatch.setattr(eqalgebra, "EvaluationPlan",
+                        lambda forms: compiled.append(len(forms)) or plan(forms))
+    got = []
+    for order, seed in queries:
+        got.append(prolonged_rank(g, order, seed=seed).as_dict())
+        assert 0 < len(cache) <= 2
+    assert got == expected
+    # each order's second seed reuses the plan; each round evicts
+    assert len(compiled) == 6
+    assert eqalgebra._PLANS is cache
+
+
+def test_a_set_gets_the_plan_of_its_own_fields(monkeypatch):
+    """Plans are keyed by the fields, not by the names a set gives them: a
+    set binding Y1 and Y2 to each other's fields samples its own rows."""
+    monkeypatch.setattr(eqalgebra, "_PLANS", {})
+    g = build_generators("derived", 0)
+    y1, y2 = g.field_named("Y1"), g.field_named("Y2")
+    plain = GeneratorSet(Source.DERIVED, 0, ("Y1", "Y2"), (y1, y2), 0)
+    swapped = GeneratorSet(Source.DERIVED, 0, ("Y1", "Y2"), (y2, y1), 0)
+    coords = JetSpace(2).coordinates
+    plain_rows, = eqalgebra._sampled_matrices(plain.prolonged(2), coords, 1, 5, 50)
+    swapped_rows, = eqalgebra._sampled_matrices(swapped.prolonged(2), coords,
+                                                1, 5, 50)
+    assert len(eqalgebra._PLANS) == 2
+    assert swapped_rows == plain_rows[::-1] != plain_rows
+
+
 # --- commutator table --------------------------------------------------------
 
 def test_family_bracket_doubles(derived6):

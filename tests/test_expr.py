@@ -171,14 +171,14 @@ def test_multiplication_distributes_on_canonical_forms(a, b, c):
 @given(_exprs)
 def test_canonicalize_idempotent(e):
     cf = canonicalize(e)
-    assert canonicalize(cf.to_expr()) == cf
+    assert canonicalize(parse(str(cf), CHART1)) == cf
 
 
 @settings(max_examples=80, deadline=None)
 @given(_exprs, st.integers(0, 10 ** 6))
 def test_equal_expressions_evaluate_equally(e, salt):
     import random
-    other = canonicalize(e).to_expr()
+    other = parse(str(canonicalize(e)), CHART1)
     assert equals(e, other)
     rng = random.Random(salt)
     for _ in range(3):

@@ -74,6 +74,9 @@ CASES = {
                                     "sigma^2", "--orbit-search"],
     "classify_text": ["classify", "corpus.txt"],
     "classify_json": ["--output", "json", "classify", "corpus.txt"],
+    "classify_negative_power_text": ["classify", "corpus_negative_power.txt"],
+    "classify_negative_power_json": ["--output", "json", "classify",
+                                     "corpus_negative_power.txt"],
     "error_usage_small_k": ["--K", "1", "verify-algebra"],
     "error_usage_rank_order": ["rank", "--order", "7"],
     "error_usage_invariants_small_k": [
