@@ -146,10 +146,6 @@ def mono(name: str, exp: int = 1) -> Monomial:
     return (0,) * _gen_index(name) + (exp,)
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not b:
         return a
@@ -213,11 +209,11 @@ class Poly:
 
     @classmethod
     def const(cls, value: int) -> "Poly":
-        return cls({MONO_ONE: value} if value else {})
+        return _poly({MONO_ONE: value} if value else {})
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls({mono(name): 1})
+        return _poly({mono(name): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -265,7 +261,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(1)
+        out = _POLY_ONE
         base = self
         while n:
             if n & 1:
@@ -332,6 +328,12 @@ _POLY_ONE = Poly.const(1)
 def _scale(p: Poly, k: int) -> Poly:
     """k*p for a nonzero integer k."""
     return p if k == 1 else _poly({m: c * k for m, c in p.terms.items()})
+
+
+def _unscale(p: Poly, k: int) -> Poly:
+    """p/k for a nonzero integer k that divides every coefficient of p, such
+    as a content of p."""
+    return p if k == 1 else _poly({m: c // k for m, c in p.terms.items()})
 
 
 def _add_terms(out: dict[Monomial, int], terms: dict[Monomial, int],
@@ -417,7 +419,7 @@ def _content_primitive(p: Poly, v: str) -> tuple[Poly, Poly]:
     for c in coeffs[1:]:
         content = poly_gcd(content, c)[0]
         if content.is_const():
-            content = Poly.const(1)
+            content = _POLY_ONE
             break
     return content, _exact_div(p, content)
 
@@ -493,10 +495,9 @@ def _heu_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
     # of each monomial
     v = max(map(len, chain(p.terms, q.terms))) - 1
     if v < 0:
-        return (Poly.const(content), _exact_div(p, Poly.const(content)),
-                _exact_div(q, Poly.const(content)))
-    p = _exact_div(p, Poly.const(content_p))
-    q = _exact_div(q, Poly.const(content_q))
+        return Poly.const(content), _unscale(p, content), _unscale(q, content)
+    p = _unscale(p, content_p)
+    q = _unscale(q, content_q)
     # Theorem (Char, Geddes & Gonnet 1989): let xi >= 2*min(|p|, |q|) + 2,
     # |.| the largest absolute coefficient, and h the gcd of p and q at
     # v = xi.  If the primitive part of h interpolated in balanced base xi
@@ -510,7 +511,7 @@ def _heu_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
             h = _heu_gcd(pe, qe)
             if h is not None:
                 g = _interpolate(h[0], v, xi)
-                g = _exact_div(g, Poly.const(int_gcd(*g.terms.values())))
+                g = _unscale(g, int_gcd(*g.terms.values()))
                 a = _quotient(p, g)
                 if a is not None and (b := _quotient(q, g)) is not None:
                     return (_scale(g, content), _scale(a, content_p // content),
@@ -601,9 +602,9 @@ def _poly_gcd_uncached(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         if found is not None:
             g, a, b = found
             c = _content(g)
-            return _exact_div(g, Poly.const(c)), _scale(a, c), _scale(b, c)
+            return _unscale(g, c), _scale(a, c), _scale(b, c)
     g = _prs_gcd(p, q)
-    g = _exact_div(g, Poly.const(_content(g)))
+    g = _unscale(g, _content(g))
     return g, _exact_div(p, g), _exact_div(q, g)
 
 
@@ -776,9 +777,7 @@ def _normalized(num: Poly, den: Poly) -> CanonicalForm:
     # and sign of the pair's coefficients
     _, num, den = poly_gcd(num, den)
     c = _content(den, num)
-    if c != 1:
-        num = _exact_div(num, Poly.const(c))
-        den = _exact_div(den, Poly.const(c))
+    num, den = _unscale(num, c), _unscale(den, c)
     return CanonicalForm(num, _POLY_ONE if den.is_one() else den)
 
 
@@ -942,7 +941,7 @@ def _substitute_poly(p: Poly, forms: Mapping[str, CanonicalForm]) -> tuple[Poly,
                         f"{parts[1]!r} inside {name}")
                 name = f"{parts[0]}({target})"
             kept = mono_mul(kept, mono(name, e))
-        num, den = _fraction_sum(num, den, Poly({kept: c}) * term_num, term_den)
+        num, den = _fraction_sum(num, den, _poly({kept: c}) * term_num, term_den)
     return num, den
 
 

@@ -11,16 +11,24 @@ generator at the monomials u^k.  Two coefficient sources are supported:
                        internal inconsistencies can be reported rather than
                        silently overwritten.
 
-Structure is verified exactly.  Each first-order generator is flattened
-once into a sparse row of rational coefficients keyed by (coordinate,
-monomial), and the rows are brought to one semi-echelon form in generator
-order (``span_basis``, cached per generator set).  The generators are
-linearly independent, so every bracket has at most one decomposition in
-them; each pairwise bracket is reduced against the basis once, giving that
-decomposition or None when a residual is left.  The commutator table is the
-dict of these decompositions keyed by generator pair (left, right), and the
-closure sweep reads their supports: a subset is bracket-closed when every
-bracket of two members decomposes into members only.
+Structure is verified exactly, on integer polynomials.  Each first-order
+generator must have polynomial coefficients; it is flattened once per set
+into integer polynomials over one common integer denominator D.  Read as
+rows of rational coefficients keyed by (coordinate, monomial), the fields
+are brought to one semi-echelon form in generator order (``span_basis``,
+cached per set).  The generators are linearly independent, so every
+bracket has at most one decomposition in them.  Each pairwise bracket is
+summed straight into its row from the flattened fields,
+[X, Y]^v = sum_w (N_X^w d_w N_Y^v - N_Y^w d_w N_X^v) / (D_X D_Y), with the
+chain rule through exp atoms and each partial d_w N^v taken once per set;
+no form or field is built for it (``vfields.bracket`` is the general
+operator on rational fields).  The row is reduced against the basis once,
+giving that decomposition or None when a residual is left.  Row entries
+are ints where integral, so elimination runs on integer arithmetic
+wherever it can.  The commutator table is the dict of these
+decompositions keyed by generator pair (left, right), and the closure
+sweep reads their supports: a subset is bracket-closed when every bracket
+of two members decomposes into members only.
 
 ``GeneratorSet.prolonged`` takes its fields from one bounded cache of the
 process, keyed by the field's value, the order and the base order, so sets
@@ -49,14 +57,27 @@ from __future__ import annotations
 import enum
 import functools
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 from . import linalg
-from .canonical import CanonicalForm, EvaluationPlan, Poly, canonicalize, coordinate
+from .canonical import (
+    ONE_FORM,
+    CanonicalForm,
+    EvaluationPlan,
+    Monomial,
+    Poly,
+    _derive_poly,
+    _strip,
+    canonicalize,
+    coordinate,
+)
 from .expr import ExprLike, ZeroDenominatorError
 from .jetspace import JetSpace
-from .vfields import PointAction, VectorField, bracket, induce_from_point_action, prolong
+from .vfields import PointAction, VectorField, induce_from_point_action, prolong
 
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 8
@@ -228,18 +249,119 @@ def build_generators(source: Source | str = Source.DERIVED,
 # ---------------------------------------------------------------------------
 # exact span decomposition and the commutator table
 
-_Key = tuple[str, tuple]  # (coordinate, monomial)
-_Row = dict[_Key, Fraction]
+_Key = tuple[str, Monomial]  # (coordinate, monomial)
+# a row's entries are exact rationals, held as int where integral, so that
+# elimination runs on integer arithmetic wherever it can
+_Row = dict[_Key, int | Fraction]
+# a first-order field with polynomial coefficients over one positive integer
+# denominator D: (D, coordinate -> D times its coefficient)
+_Flat = tuple[int, dict[str, Poly]]
 
 
-def _field_coefficient_table(f: VectorField) -> _Row:
-    """Flatten a field with polynomial coefficients into (coordinate,
-    monomial) -> rational entries."""
-    return {(v, m): c for v, coeff in f.coefficients.items()
-            for m, c in coeff.rational_coefficients().items()}
+def _flatten(f: VectorField) -> _Flat:
+    """f's coefficients over their common integer denominator; raises
+    ValueError when a coefficient is not a polynomial."""
+    coeffs = {v: c.rational_coefficients() for v, c in f.coefficients.items()}
+    d = lcm(*(q.denominator for terms in coeffs.values() for q in terms.values()))
+    return d, {v: Poly({m: q.numerator * (d // q.denominator)
+                        for m, q in terms.items()})
+               for v, terms in coeffs.items()}
 
 
-def _add_multiple(target: dict, a: Fraction, source: dict) -> None:
+def _ratio(c: int, d: int) -> int | Fraction:
+    """c/d for a positive integer d, an int when d is 1."""
+    return c if d == 1 else Fraction(c, d)
+
+
+def _integral(q: int | Fraction) -> int | Fraction:
+    """q, as an int when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _row(flat: _Flat) -> _Row:
+    d, coeffs = flat
+    return {(v, m): _ratio(c, d) for v, p in coeffs.items()
+            for m, c in p.terms.items()}
+
+
+def field_row(f: VectorField) -> _Row:
+    """A field with polynomial coefficients as the sparse row that span
+    solving reads: (coordinate, monomial) -> rational coefficient."""
+    return _row(_flatten(f))
+
+
+def _flattened(g: GeneratorSet) -> tuple[_Flat, ...]:
+    """g's first-order fields flattened, once per set."""
+    key = "flat"
+    if key not in g._cache:
+        g._cache[key] = tuple(map(_flatten, g.prolonged(1)))
+    return g._cache[key]
+
+
+def _bracket_rows(flats: tuple[_Flat, ...]):
+    """((i, j), row of [X_i, X_j]) for every pair i < j of the flattened
+    fields, in order.
+
+    With X = N_X / D_X, [X, Y] on v is
+    sum_w (N_X^w d_w N_Y^v - N_Y^w d_w N_X^v) / (D_X D_Y).  It is summed on
+    integers, and a Fraction is built only for an entry that survives.  Each
+    partial d_w N^v is taken once, by the derivation of
+    ``CanonicalForm.derive`` and so with its chain rule through atoms, whose
+    derivative is themselves.  Each monomial is packed into one
+    integer, exponent k in bits k*b to k*b + b - 1, so that the product of
+    two monomials is the sum of their packs: a partial raises no exponent,
+    so no exponent of a product exceeds twice the largest one of the
+    fields, which b bits hold."""
+    monomials = [m for _, coeffs in flats for p in coeffs.values()
+                 for m in p.terms]
+    width = max(map(len, monomials), default=0)
+    bits = max(1, (2 * max(chain.from_iterable(monomials), default=0)).bit_length())
+    mask = (1 << bits) - 1
+
+    def pack(p: Poly) -> dict[int, int]:
+        return {sum(e << (bits * k) for k, e in enumerate(m)): c
+                for m, c in p.terms.items()}
+
+    unpacked: dict[int, Monomial] = {}
+
+    def unpack(n: int) -> Monomial:
+        m = unpacked.get(n)
+        if m is None:
+            m = unpacked[n] = _strip(tuple((n >> (bits * k)) & mask
+                                           for k in range(width)))
+        return m
+
+    packed = [{v: pack(p) for v, p in coeffs.items()} for _, coeffs in flats]
+    cache: dict[tuple[int, str], dict[str, dict[int, int]]] = {}
+
+    def partials(i: int, w: str) -> dict[str, dict[int, int]]:
+        """The nonzero d_w N_i^v, packed, by v."""
+        out = cache.get((i, w))
+        if out is None:
+            out = cache[(i, w)] = {
+                v: pack(dp) for v, p in flats[i][1].items()
+                if not (dp := _derive_poly(p, {w: ONE_FORM})[0]).is_zero()}
+        return out
+
+    for i, (x_den, _) in enumerate(flats):
+        for j in range(i + 1, len(flats)):
+            acc: defaultdict[str, defaultdict[int, int]] = defaultdict(
+                lambda: defaultdict(int))
+            for sign, x, y in ((1, i, j), (-1, j, i)):
+                for w, p in packed[x].items():
+                    for v, dp in partials(y, w).items():
+                        terms = acc[v]
+                        for m1, c1 in p.items():
+                            c1 *= sign
+                            for m2, c2 in dp.items():
+                                terms[m1 + m2] += c1 * c2
+            den = x_den * flats[j][0]
+            yield (i, j), {(v, unpack(m)): _ratio(c, den)
+                           for v, terms in acc.items()
+                           for m, c in terms.items() if c}
+
+
+def _add_multiple(target: dict, a: int | Fraction, source: dict) -> None:
     """target += a * source in place, dropping entries that cancel."""
     for key, c in source.items():
         v = target.get(key, 0) + a * c
@@ -255,24 +377,37 @@ class SpanBasis:
 
     Row i is generator i reduced against rows 0..i-1: it carries a pivot
     key, on which it is 1 and every later row is 0, and its combination of
-    the original generators by index.  Reducing a vector against the rows
-    once, in order, leaves its residual outside the span.
+    the original generators by index.  It is 0 on the pivots of rows
+    0..i-1, which were cancelled in turn.  Reducing a vector against the
+    rows once, in order, leaves its residual outside the span.
     """
 
     names: tuple[str, ...]
-    rows: tuple[tuple[_Key, _Row, dict[int, Fraction]], ...]
+    rows: tuple[tuple[_Key, _Row, dict[int, int | Fraction]], ...]
+    pivots: dict[_Key, int]  # pivot key -> index of its row
 
 
-def _eliminate(basis_rows, vector: _Row) -> tuple[_Row, dict[int, Fraction]]:
-    """Subtract basis rows from ``vector``; returns the residual and the
-    generator combination that was subtracted."""
+def _eliminate(rows, pivots: dict[_Key, int],
+               vector: _Row) -> tuple[_Row, dict[int, int | Fraction]]:
+    """Subtract basis rows from ``vector`` in order, each row whose pivot
+    the residual holds; returns the residual and the generator combination
+    that was subtracted.  Row i is 0 on the pivots of the rows before it,
+    so subtracting it brings in only pivots of later rows: the smallest
+    index pending is the next row, and rows the vector never reaches are
+    not visited."""
     residual = dict(vector)
-    removed: dict[int, Fraction] = {}
-    for pivot, row, combination in basis_rows:
+    removed: dict[int, int | Fraction] = {}
+    pending = {pivots[k] for k in residual if k in pivots}
+    while pending:
+        i = min(pending)
+        pending.remove(i)
+        pivot, row, combination = rows[i]
         a = residual.get(pivot)
         if a is not None:
             _add_multiple(residual, -a, row)
             _add_multiple(removed, a, combination)
+            pending.update(pivots[k] for k in row
+                           if k in pivots and k in residual)
     return residual, removed
 
 
@@ -283,31 +418,33 @@ def span_basis(g: GeneratorSet) -> SpanBasis:
     key = "span"
     if key not in g._cache:
         rows = []
-        for i, (name, f) in enumerate(zip(g.names, g.prolonged(1))):
-            residual, removed = _eliminate(rows, _field_coefficient_table(f))
+        pivots: dict[_Key, int] = {}
+        for i, (name, flat) in enumerate(zip(g.names, _flattened(g))):
+            residual, removed = _eliminate(rows, pivots, _row(flat))
             if not residual:
                 raise ValueError(
                     f"generator {name} lies in the span of the generators "
                     f"before it; bracket decompositions would not be unique")
-            pivot = min(residual)
-            inv = 1 / residual[pivot]
-            combination = {j: -c * inv for j, c in removed.items()}
+            # a unit pivot, where there is one, keeps an integer row integral
+            pivot = min(residual, key=lambda k: (abs(residual[k]) != 1, k))
+            inv = _integral(Fraction(1) / residual[pivot])
+            combination = {j: _integral(-c * inv) for j, c in removed.items()}
             combination[i] = inv
-            rows.append((pivot, {k: c * inv for k, c in residual.items()},
-                         combination))
-        g._cache[key] = SpanBasis(g.names, tuple(rows))
+            rows.append((pivot, {k: _integral(c * inv)
+                                 for k, c in residual.items()}, combination))
+            pivots[pivot] = i
+        g._cache[key] = SpanBasis(g.names, tuple(rows), pivots)
     return g._cache[key]
 
 
-def solve_in_span(basis: SpanBasis,
-                  target: VectorField) -> dict[str, Fraction] | None:
-    """The exact rational combination of basis generators equal to
-    ``target``, in generator order, or None when it lies outside their
-    span."""
-    residual, removed = _eliminate(basis.rows, _field_coefficient_table(target))
+def solve_in_span(basis: SpanBasis, row: _Row) -> dict[str, Fraction] | None:
+    """The exact rational combination of basis generators equal to the
+    field whose row (see ``field_row``) is ``row``, in generator order, or
+    None when it lies outside their span."""
+    residual, removed = _eliminate(basis.rows, basis.pivots, row)
     if residual:
         return None
-    return {basis.names[j]: removed[j] for j in sorted(removed)}
+    return {basis.names[j]: Fraction(removed[j]) for j in sorted(removed)}
 
 
 def commutator_table(
@@ -315,17 +452,16 @@ def commutator_table(
     """Every pairwise bracket, keyed by (left, right) with left before right
     in generator order, decomposed exactly in the generator basis: a dict of
     generator coefficients, or None when the bracket lies outside the span.
-    Each bracket is reduced once against ``span_basis(g)``; the table is
-    cached on ``g`` and shared by every caller."""
+    Each bracket is built as a row from the flattened fields
+    (``_bracket_rows``) and reduced once against ``span_basis(g)``; the
+    table is cached on ``g`` and shared by every caller."""
     key = "brackets"
     if key not in g._cache:
         basis = span_basis(g)
-        fields = g.prolonged(1)
         names = g.names
         g._cache[key] = {
-            (names[i], names[j]): solve_in_span(
-                basis, bracket(fields[i], fields[j]))
-            for i in range(len(names)) for j in range(i + 1, len(names))}
+            (names[i], names[j]): solve_in_span(basis, row)
+            for (i, j), row in _bracket_rows(_flattened(g))}
     return g._cache[key]
 
 

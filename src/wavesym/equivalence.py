@@ -265,10 +265,6 @@ def search_orbit_match(a: EquationInstance, checked: EquivalenceResult
 # corpus classification
 
 
-def class_id_of(sig: Signature) -> str:
-    return _class_id(sig.as_dict())
-
-
 def _class_id(fields: dict) -> str:
     """The class id of a signature from its printed fields."""
     if fields["degenerate"]:

@@ -15,7 +15,7 @@ its u_t, u_x, u_tt and u_xx coefficients come the increments of
 sigma = u_t^2 - u_x^2 and of f = u_tt - u_xx; u_tt is eliminated through the
 equation itself by substituting f + u_xx into the form, u_t^2 is folded into
 sigma + u_x^2 in its numerator and denominator, and the result must come out
-independent of the remaining u-derivatives.
+independent of t, x and the remaining u-derivatives.
 """
 
 from __future__ import annotations
@@ -168,8 +168,9 @@ def induce_from_point_action(action: PointAction) -> VectorField:
 
     The second prolongation in the u-jet gives the increments of sigma and f;
     u_tt is eliminated first via u_tt = f + u_xx, then u_t^2 via
-    u_t^2 = sigma + u_x^2.  Residual dependence on u_t, u_x, u_tt, u_tx or
-    u_xx raises NotProjectableError.
+    u_t^2 = sigma + u_x^2.  Residual dependence on t, x, u_t, u_x, u_tt,
+    u_tx or u_xx raises NotProjectableError: the class's f depends on u and
+    sigma alone.
     """
     xi_t, xi_x, eta = action.xi_t, action.xi_x, action.eta_u
     zeta = prolong(VectorField(u_jet(0), {"t": xi_t, "x": xi_x, "u": eta}),
@@ -181,7 +182,7 @@ def induce_from_point_action(action: PointAction) -> VectorField:
 
     sigma_plus_ux2 = Poly.var("sigma") + Poly.var("u_x") * Poly.var("u_x")
     u_tt_by_f = {"u_tt": coordinate("f") + u_xx}
-    residual_vars = ("u_t", "u_x", "u_tt", "u_tx", "u_xx")
+    residual_vars = ("t", "x", "u_t", "u_x", "u_tt", "u_tx", "u_xx")
 
     def project(form: CanonicalForm, label: str) -> CanonicalForm:
         eliminated = form.substitute(u_tt_by_f)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wavesym import eqalgebra, linalg
-from wavesym.canonical import equals
+from wavesym.canonical import CanonicalForm, coordinate, equals
 from wavesym.cli import main
 from wavesym.eqalgebra import (
     GeneratorSet,
@@ -16,6 +16,7 @@ from wavesym.eqalgebra import (
     closure_max_k,
     commutator_table,
     expected_relations,
+    field_row,
     matrix_rank_at_samples,
     min_truncation,
     minimal_generating_set,
@@ -216,6 +217,105 @@ def test_structure_constants_match_where_printed_in_span(derived6, printed6):
     assert compared >= 30
 
 
+# --- the table against the general bracket ----------------------------------
+
+def _solved_brackets(g: GeneratorSet) -> dict:
+    """The reference table: each bracket by ``vfields.bracket`` on the
+    fields, flattened and solved in the span."""
+    basis = span_basis(g)
+    fields = g.prolonged(1)
+    return {(a, b): solve_in_span(basis, field_row(bracket(fields[i], fields[j])))
+            for i, a in enumerate(g.names) for j, b in enumerate(g.names) if i < j}
+
+
+def _custom_set(*coefficients: dict[str, str]) -> GeneratorSet:
+    """Fields X0, X1, ... on the order-1 chart, taken as given."""
+    chart = JetSpace(1)
+    fields = tuple(VectorField(chart, {v: parse(text, chart)
+                                       for v, text in c.items()})
+                   for c in coefficients)
+    names = tuple(f"X{i}" for i in range(len(fields)))
+    return GeneratorSet(Source.PAPER_PRINTED, 0, names, fields, 1)
+
+
+def _assert_table_is_the_solved_brackets(g: GeneratorSet) -> dict:
+    table = commutator_table(g)
+    reference = _solved_brackets(g)
+    assert table == reference
+    assert list(table) == list(reference)
+    assert all(type(c) is Fraction
+               for d in table.values() if d for c in d.values())
+    return table
+
+
+@pytest.mark.parametrize("source", ["derived", "paper"])
+@pytest.mark.parametrize("K", [4, 5, 6, 7, 8])
+def test_table_is_the_solved_general_brackets(source, K):
+    _assert_table_is_the_solved_brackets(build_generators(source, K))
+
+
+def test_table_applies_the_chain_rule_through_exp():
+    table = _assert_table_is_the_solved_brackets(_custom_set(
+        {"u": "1"},
+        {"u": "exp(u)"},
+        {"sigma": "exp(u)*sigma", "f": "exp(u)^2"},
+        {"f": "exp(u)^2"},
+        {"t": "exp(sigma)", "f_u": "sigma"},
+    ))
+    assert table[("X0", "X1")] == {"X1": 1}
+    assert table[("X0", "X3")] == {"X3": 2}
+    # [X0, X2] = exp(u)*sigma d_sigma + 2*exp(u)^2 d_f
+    assert table[("X0", "X2")] == {"X2": 1, "X3": 1}
+    assert table[("X1", "X4")] == {}
+    # exp(u)*sigma*exp(sigma) d_t + exp(u)*sigma d_f_u
+    assert table[("X2", "X4")] is None
+
+
+def test_table_keeps_rational_coefficients():
+    """Fields whose common denominator D is not 1: the bracket is summed
+    over D_X * D_Y and solved to the exact rational combination."""
+    table = _assert_table_is_the_solved_brackets(_custom_set(
+        {"u": "1/3"},
+        {"u": "u/2", "sigma": "sigma/3"},
+        {"u": "u^2/5"},
+        {"t": "t/7", "x": "2/3"},
+        {"t": "1"},
+        {"u": "u"},
+    ))
+    assert table[("X0", "X2")] == {"X5": Fraction(2, 15)}
+    assert table[("X3", "X4")] == {"X4": Fraction(-1, 7)}
+    assert table[("X0", "X1")] == {"X0": Fraction(1, 2)}
+
+
+def test_table_takes_no_form_derivative():
+    g = build_generators("paper", 6)
+    span_basis(g)
+    with mock.patch.object(CanonicalForm, "derive",
+                           side_effect=AssertionError("derive called")):
+        table = commutator_table(g)
+    assert table == commutator_table(build_generators("paper", 6))
+
+
+def test_a_dropped_coefficient_term_fails_the_relations_it_enters():
+    """Drop the sigma term of the derived Y^3's f-coefficient: relations
+    with Y^3 on either side fail, and only they.  [Y^1, Y^3] = 2 Y^3 still
+    holds, since the dropped term 6*u*sigma d_f has weight 2 under Y^1."""
+    g = build_generators("derived", 6)
+    i = g.names.index("Y^3")
+    y3 = g.base_fields[i]
+    u, f = coordinate("u"), coordinate("f")
+    assert equals(y3.coefficient("f"), u * u * f * 3 + u * coordinate("sigma") * 6)
+    mutated = VectorField(y3.space, {**y3.coefficients, "f": u * u * f * 3})
+    fields = g.base_fields[:i] + (mutated,) + g.base_fields[i + 1:]
+    mutant = GeneratorSet(g.source, g.truncation, g.names, fields, g.base_order)
+    _assert_table_is_the_solved_brackets(mutant)
+    report = verify_commutator_table(mutant)
+    assert not report["all_exact"]
+    # [Y^0, Y^3] = 3 Y^2, [Y^0, Y^4] = 4 Y^3, [Y^2, Y^3] = Y^4, [Y^3, Y^4] = Y^6
+    assert report["failing"] == [
+        ("Y^0", "Y^3"), ("Y^0", "Y^4"), ("Y^2", "Y^3"), ("Y^3", "Y^4")]
+
+
 # --- span basis --------------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
@@ -225,14 +325,14 @@ def test_combination_decomposes_to_its_coefficients(derived6, coefficients):
     fields = derived6.prolonged(1)
     target = field_combination(*zip(coefficients, fields))
     expected = {n: c for n, c in zip(derived6.names, coefficients) if c != 0}
-    decomposition = solve_in_span(span_basis(derived6), target)
+    decomposition = solve_in_span(span_basis(derived6), field_row(target))
     assert decomposition == expected
     assert list(decomposition) == list(expected)  # generator order
 
 
 def test_field_outside_span_has_no_decomposition(derived6):
     outside = VectorField(JetSpace(1), {"u": Coord("sigma")})
-    assert solve_in_span(span_basis(derived6), outside) is None
+    assert solve_in_span(span_basis(derived6), field_row(outside)) is None
 
 
 def test_dependent_generators_are_rejected():

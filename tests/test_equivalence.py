@@ -21,7 +21,6 @@ from wavesym.equivalence import (
     affine_transformation,
     apply_finite_transformation,
     check_equivalence,
-    class_id_of,
     classify_corpus,
     pde_residual,
     search_orbit_match,
@@ -425,6 +424,10 @@ def test_classify_corpus():
 
 def test_classify_empty():
     assert classify_corpus([]) == []
+
+
+def class_id_of(sig) -> str:
+    return equivalence._class_id(sig.as_dict())
 
 
 def test_class_id_stability():

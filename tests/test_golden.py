@@ -35,6 +35,8 @@ CASES = {
     "verify_algebra_paper_text": ["--source", "paper", "verify-algebra"],
     "verify_algebra_paper_json": ["--source", "paper", "--output", "json",
                                   "verify-algebra"],
+    "verify_algebra_paper_k24_json": ["--source", "paper", "--output", "json",
+                                      "--K", "24", "verify-algebra"],
     "rank_order1_text": ["rank", "--order", "1"],
     "rank_order2_json": ["--output", "json", "rank", "--order", "2"],
     "rank_order3_text": ["rank", "--order", "3"],

@@ -88,6 +88,16 @@ def test_non_projectable_action_rejected():
         induce_from_point_action(PointAction(U, ZERO, ZERO))
 
 
+def test_conformal_action_rejected_for_its_t_dependence():
+    """(t^2 + x^2) d_t + 2tx d_x leaves no u-derivative in the increments,
+    but they are -4t*sigma and -4t*f: they depend on t, which the class's
+    f(u, sigma) cannot, so the action does not project."""
+    conformal = PointAction(add(mul(T, T), mul(X, X)), mul(2, T, X), ZERO)
+    with pytest.raises(NotProjectableError,
+                       match=r"sigma-coefficient still depends on \['t'\]"):
+        induce_from_point_action(conformal)
+
+
 # --- apply -------------------------------------------------------------------
 
 def test_apply_dilation_to_special_manifold_invariant():
