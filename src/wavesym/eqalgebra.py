@@ -305,17 +305,17 @@ def _bracket_rows(flats: tuple[_Flat, ...]):
     With X = N_X / D_X, [X, Y] on v is
     sum_w (N_X^w d_w N_Y^v - N_Y^w d_w N_X^v) / (D_X D_Y).  It is summed on
     integers, and a Fraction is built only for an entry that survives.  Each
-    partial d_w N^v is taken once, by the derivation of
-    ``CanonicalForm.derive`` and so with its chain rule through atoms, whose
-    derivative is themselves.  Each monomial is packed into one
-    integer, exponent k in bits k*b to k*b + b - 1, so that the product of
-    two monomials is the sum of their packs: a partial raises no exponent,
-    so no exponent of a product exceeds twice the largest one of the
-    fields, which b bits hold."""
+    partial d_w N^v is taken once, by the derivation behind
+    ``CanonicalForm.derive``, so with its chain rule through atoms.  Each
+    monomial is packed into one integer, exponent k in bits k*b to
+    k*b + b - 1, so that the product of two monomials is the sum of their
+    packs: a partial raises no exponent, so no exponent of a product
+    exceeds twice the largest one of the fields, which b bits hold."""
     monomials = [m for _, coeffs in flats for p in coeffs.values()
                  for m in p.terms]
     width = max(map(len, monomials), default=0)
-    bits = max(1, (2 * max(chain.from_iterable(monomials), default=0)).bit_length())
+    top = max(chain.from_iterable(monomials), default=0)
+    bits = max(1, (2 * top).bit_length())
     mask = (1 << bits) - 1
 
     def pack(p: Poly) -> dict[int, int]:
