@@ -13,7 +13,8 @@ grid search over affine u-reparameterizations and rational dilations is
 offered separately and clearly labeled heuristic.  Since rho1 and rho2 are
 absolute invariants, the signature of a pushed-forward equation is the
 original signature composed with the inverse map: the search tests each grid
-map on that composition and pushes f forward only to confirm a hit.
+map on that composition, after an exact evaluation at one rational point has
+failed to tell the two apart, and pushes f forward only to confirm a hit.
 
 A finite-transformation oracle provides the exact push-forward of f under
 u' = phi(u) composed with a t, x dilation, for end-to-end validation, by
@@ -28,8 +29,8 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canonical import CanonicalForm, canonicalize, coordinate
-from .expr import ExprError, ExprLike, parse
+from .canonical import CanonicalForm, EvaluationPlan, canonicalize, coordinate
+from .expr import ExprError, ExprLike, ZeroDenominatorError, parse
 
 
 class NonInvertibleError(Exception):
@@ -222,6 +223,51 @@ def affine_transformation(a, b, c) -> FiniteTransformation:
     return FiniteTransformation(_U * a + b, (_U - b) / a, Fraction(c))
 
 
+# The probe point P of the orbit search: no grid map sends it to u = 0,
+# sigma = 0 or a rational of small height, where signatures have their poles
+_PROBE = {"u": Fraction(7, 11), "sigma": Fraction(5, 13)}
+
+
+def _value_at(plan: EvaluationPlan, point: dict[str, Fraction]
+              ) -> tuple[int, int] | None:
+    """Numerator and denominator of the plan's one form at ``point``, or
+    None at a pole."""
+    try:
+        nums, dens = plan.at(point)
+    except ZeroDenominatorError:
+        return None
+    return nums[0], dens[0] if dens else 1
+
+
+def _probed(rho_a: CanonicalForm, rho_b: CanonicalForm) -> bool:
+    """Whether a signature component gets a probe: both forms are
+    non-constant rational functions of (u, sigma), with no atom such as
+    exp(sigma), which has no value at a rational point."""
+    names = [rho.numerator.variables() | rho.denominator.variables()
+             for rho in (rho_a, rho_b)]
+    return all(names) and all(n <= set(_EQUATION_COORDS) for n in names)
+
+
+class _Probe:
+    """One component of the signatures that ``_probed`` accepts: rho of
+    ``a`` compiled for evaluation, and rho of ``b`` at P."""
+
+    def __init__(self, rho_a: CanonicalForm, rho_b: CanonicalForm):
+        self._plan = EvaluationPlan((rho_a,))
+        self._at_b = _value_at(EvaluationPlan((rho_b,)), _PROBE)
+
+    def rejects(self, point: dict[str, Fraction]) -> bool:
+        """Whether rho_a at ``point`` = T^-1(P) proves rho_a(T^-1) != rho_b:
+        both values are defined and differ."""
+        if self._at_b is None:
+            return False
+        at_a = _value_at(self._plan, point)
+        if at_a is None:
+            return False
+        (n_a, d_a), (n_b, d_b) = at_a, self._at_b
+        return n_a * d_b != n_b * d_a
+
+
 def search_orbit_match(a: EquationInstance, checked: EquivalenceResult
                        ) -> FiniteTransformation | None:
     """Heuristic: scan the affine reparameterizations and rational dilations
@@ -232,22 +278,48 @@ def search_orbit_match(a: EquationInstance, checked: EquivalenceResult
 
     rho1 and rho2 are absolute invariants, so the push-forward by T has the
     signature (rho1, rho2) of ``a`` composed with T^-1 = {u: (u - b)/a,
-    sigma: sigma/(c*a^2)}: each grid point is tested by that substitution,
-    rho1 first, without pushing f forward.  A point that passes is
-    confirmed by one exact push-forward and signature comparison, so a
-    returned transformation is proven; an unconfirmed one is passed over.
-    A degenerate ``a`` stays degenerate under every push-forward and
-    matches nothing.  A point whose substitution breaks the atom rule is
-    skipped, as its push-forward would fail too."""
+    sigma: sigma/(c*a^2)}.  T^-1 keeps a constant form constant and a
+    non-constant one non-constant, so a component that is constant on
+    either side and differs ends the search before the scan.  Each grid
+    map is probed first: each non-constant rho of ``a``, rho1 first, is
+    evaluated exactly at T^-1(P), P a fixed rational point, and where it
+    and rho of ``b`` at P are both defined and differ, the map is passed
+    over.  A map the probe cannot reject (equal values, a pole on either
+    side, or an atom such as exp(sigma)) is tested by that substitution,
+    rho1 first, without pushing f forward.  A map that passes is confirmed
+    by one exact push-forward and signature comparison, so a returned
+    transformation is proven; an unconfirmed one is passed over.  The
+    probe and the constant rule skip only maps the substitution rejects,
+    so the result is that of the substitution scan alone.  A degenerate
+    ``a`` stays degenerate under every push-forward and matches nothing.
+    A map whose substitution breaks the atom rule is skipped, as its
+    push-forward would fail too."""
     sig_a, sig_b = checked.signature_a, checked.signature_b
     if sig_a.degenerate or sig_b.degenerate:
         return None
+    pairs = ((sig_a.rho1, sig_b.rho1), (sig_a.rho2, sig_b.rho2))
+    if any(rho_a != rho_b and not (rho_a.free_coordinates()
+                                   and rho_b.free_coordinates())
+           for rho_a, rho_b in pairs):
+        return None
+    probes = [_Probe(*pair) for pair in pairs if _probed(*pair)]
     for av in _ORBIT_SCALES:
-        sigma_at = [_SIGMA / (Fraction(av) ** 2 * cv) for cv in _ORBIT_DILATIONS]
+        sigma_at = [_PROBE["sigma"] / (cv * av * av) for cv in _ORBIT_DILATIONS]
+        sigma_forms = [None] * len(_ORBIT_DILATIONS)
         for bv in _ORBIT_SHIFTS:
-            u_at = (_U - bv) / av
-            for cv, s_at in zip(_ORBIT_DILATIONS, sigma_at):
-                inverse = {"u": u_at, "sigma": s_at}
+            u_at = (_PROBE["u"] - bv) / av
+            u_form = None
+            for i, cv in enumerate(_ORBIT_DILATIONS):
+                point = {"u": u_at, "sigma": sigma_at[i]}
+                if any(probe.rejects(point) for probe in probes):
+                    continue
+                # each inverse form is built once, for the first map that
+                # passes the probe and needs it
+                if u_form is None:
+                    u_form = (_U - bv) / av
+                if sigma_forms[i] is None:
+                    sigma_forms[i] = _SIGMA / (Fraction(av) ** 2 * cv)
+                inverse = {"u": u_form, "sigma": sigma_forms[i]}
                 try:
                     if (sig_a.rho1.substitute(inverse) != sig_b.rho1
                             or sig_a.rho2.substitute(inverse) != sig_b.rho2):

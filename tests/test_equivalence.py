@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from helpers import (agrees, fraction_text, polynomial_text, rational_function,
                      sympy_of)
 from wavesym import equivalence
-from wavesym.canonical import canonicalize, coordinate, equals
+from wavesym.canonical import CanonicalForm, canonicalize, coordinate, equals
 from wavesym.equivalence import (
     DegenerateEquationError,
     EquationInstance,
@@ -30,6 +30,7 @@ from wavesym.expr import (
     Const,
     DivisionByZeroExpressionError,
     ExprError,
+    ZeroDenominatorError,
     parse,
     substitute,
 )
@@ -354,6 +355,15 @@ _RATIONAL_F_MOVED = str(apply_finite_transformation(
     eq(_RATIONAL_F), affine_transformation(2, -1, 3)))
 
 
+# rho1 = (2*(u + k) + 6*sigma)/(u + k + 2*sigma) has a pole where
+# u + k + 2*sigma = 0; k = 101/858 puts it at T^-1(P) for T = (2, 1, 3), P
+# the probe point (7/11, 5/13), and the push-forward by T has its pole at P
+_POLE_MAP = (2, 1, 3)
+_POLE_F = "sigma^3 + (u + 101/858)*sigma^2"
+_POLE_F_MOVED = str(apply_finite_transformation(
+    eq(_POLE_F), affine_transformation(*_POLE_MAP)))
+
+
 _ORBIT_CASES = {
     **{f"workload-seed1-op{i}": pair
        for i, pair in enumerate(_orbit_workload_pairs(1))},
@@ -361,6 +371,10 @@ _ORBIT_CASES = {
     "exp-sigma-match": ("exp(sigma)*u + sigma^2", "exp(sigma)*u/4 + sigma^2/2"),
     "degenerate-a": ("u*sigma", "sigma^2"),
     "rational-on-grid": (_RATIONAL_F, _RATIONAL_F_MOVED),
+    "match-at-a-pole-of-a": (_POLE_F, _POLE_F_MOVED),
+    # rho1 of b = (78*sigma - 20)/(26*sigma - 10) has its pole at P
+    "b-pole-at-the-probe": ("sigma^3 + sigma^2", "sigma^3 - 10/13*sigma^2"),
+    "one-constant-rho1": ("(u+sigma)^3", "sigma^2"),
 }
 
 
@@ -368,6 +382,119 @@ _ORBIT_CASES = {
 def test_orbit_search_agrees_with_the_push_forward_scan(f1, f2):
     found = _orbit_search(eq(f1), eq(f2))
     assert str(found) == str(_push_forward_scan(eq(f1), eq(f2)))
+
+
+_GRID = list(itertools.product(equivalence._ORBIT_SCALES,
+                               equivalence._ORBIT_SHIFTS,
+                               equivalence._ORBIT_DILATIONS))
+
+
+def _probe_point(av, bv, cv):
+    """T^-1(P) for the grid map T = (a, b, c) and the search's probe point
+    P."""
+    p = equivalence._PROBE
+    return {"u": (p["u"] - bv) / av, "sigma": p["sigma"] / (cv * av * av)}
+
+
+def _inverse(av, bv, cv):
+    return {"u": (coordinate("u") - bv) / av,
+            "sigma": coordinate("sigma") / (Fraction(av) ** 2 * cv)}
+
+
+def test_pole_cases_put_their_poles_at_the_probe():
+    """The probe passes over a pole, so these cases reach the substitution
+    test; a probe point moved off their poles would leave them untested."""
+    probe = equivalence._PROBE
+    for case in ("match-at-a-pole-of-a", "b-pole-at-the-probe"):
+        with pytest.raises(ZeroDenominatorError):
+            signature_of(eq(_ORBIT_CASES[case][1])).rho1.eval_at(probe)
+    with pytest.raises(ZeroDenominatorError):
+        signature_of(eq(_POLE_F)).rho1.eval_at(_probe_point(*_POLE_MAP))
+    assert str(_orbit_search(eq(_POLE_F), eq(_POLE_F_MOVED))) == (
+        "u -> 2*u + 1, sigma scale 3")
+
+
+@settings(max_examples=30, deadline=None)
+@given(fraction_text(EQ_CHART), fraction_text(EQ_CHART),
+       st.sampled_from(_GRID), st.sampled_from(_GRID), st.booleans(),
+       st.booleans())
+@example(f"({_POLE_F})/(1)", "(1)/(1)", _POLE_MAP, _POLE_MAP, True, True)
+def test_probe_rejects_only_maps_whose_substitution_differs(
+        text_a, text_b, pushed, tested, push, same):
+    """Where the probe rejects a grid map T for a component, rho of a
+    composed with T^-1 differs from rho of b.  With ``push``, rho of b is
+    rho of a composed with the inverse of ``pushed``, the signature of its
+    push-forward, and with ``same`` that map is the one tested, where the
+    probe must not reject; the example sends the probe onto a pole."""
+    try:
+        sig_a, sig_b = signature_of(eq(text_a)), signature_of(eq(text_b))
+    except DivisionByZeroExpressionError:
+        assume(False)
+    assume(not sig_a.degenerate and not sig_b.degenerate)
+    tested = pushed if same else tested
+    for rho_a, rho_b in ((sig_a.rho1, sig_b.rho1), (sig_a.rho2, sig_b.rho2)):
+        if push:
+            rho_b = rho_a.substitute(_inverse(*pushed))
+        probe = equivalence._Probe(rho_a, rho_b)
+        if probe.rejects(_probe_point(*tested)):
+            assert rho_a.substitute(_inverse(*tested)) != rho_b
+
+
+def _passes_probe(sig_a, sig_b, point) -> bool:
+    """Whether each rho of a at T^-1(P) equals rho of b at P, or has no
+    value there."""
+    probe = equivalence._PROBE
+    for rho_a, rho_b in ((sig_a.rho1, sig_b.rho1), (sig_a.rho2, sig_b.rho2)):
+        try:
+            if rho_a.eval_at(point) != rho_b.eval_at(probe):
+                return False
+        except ZeroDenominatorError:
+            pass
+    return True
+
+
+def test_orbit_search_substitutes_only_where_the_probe_passes(monkeypatch):
+    """At seed 1 of the orbit-search workload a no-match pair (rho1 = n
+    against m) substitutes nothing; a match pair substitutes rho1 at each
+    grid map up to its match whose probe values agree, and four times in
+    the push-forward that confirms the match."""
+    real = CanonicalForm.substitute
+    calls = []
+
+    def counted(self, bindings):
+        calls.append((self, bindings))
+        return real(self, bindings)
+
+    monkeypatch.setattr(CanonicalForm, "substitute", counted)
+    probe = equivalence._PROBE
+    for f1, f2 in _orbit_workload_pairs(1):
+        a, b = eq(f1), eq(f2)
+        checked = check_equivalence(a, b)
+        sig_a, sig_b = checked.signature_a, checked.signature_b
+        calls.clear()
+        found = search_orbit_match(a, checked)
+        if found is None:
+            assert calls == []
+            continue
+        end = _GRID.index((found.phi.diff("u").eval_at({}),
+                           found.phi.eval_at({"u": 0}), found.dilation)) + 1
+        points = [_probe_point(*m) for m in _GRID[:end]]
+        passing = [p for p in points if _passes_probe(sig_a, sig_b, p)]
+        probed = [{v: form.eval_at(probe) for v, form in bindings.items()}
+                  for form, bindings in calls if form is sig_a.rho1]
+        assert probed == passing
+        others = [form for form, _ in calls
+                  if form is not sig_a.rho1 and form is not sig_a.rho2]
+        assert len(others) == 4
+
+
+def test_a_differing_constant_component_ends_the_search_at_once(monkeypatch):
+    """T^-1 keeps a constant component constant and a non-constant one
+    non-constant, so the search returns before it compiles a probe."""
+    monkeypatch.setattr(equivalence, "EvaluationPlan", None)
+    for f1, f2 in (("sigma^2", "sigma^3"), ("(u+sigma)^3", "sigma^2"),
+                   ("sigma^2", "(u+sigma)^3"), ("sigma^2", "sigma^2 + u")):
+        assert _orbit_search(eq(f1), eq(f2)) is None
 
 
 def test_orbit_search_known_answers():

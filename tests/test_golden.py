@@ -74,6 +74,12 @@ CASES = {
                                     "--orbit-search"],
     "equiv_orbit_degenerate_json": ["--output", "json", "equiv", "u*sigma",
                                     "sigma^2", "--orbit-search"],
+    "equiv_orbit_rational_no_match_json": [
+        "--output", "json", "equiv", "(u+1)*sigma^2/(u^2+sigma)",
+        "(u+2)*sigma^2/(u^2+sigma)", "--orbit-search"],
+    "equiv_orbit_one_constant_json": ["--output", "json", "equiv",
+                                      "(u+sigma)^3", "sigma^2",
+                                      "--orbit-search"],
     "classify_text": ["classify", "corpus.txt"],
     "classify_json": ["--output", "json", "classify", "corpus.txt"],
     "classify_negative_power_text": ["classify", "corpus_negative_power.txt"],
