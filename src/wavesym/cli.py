@@ -58,6 +58,8 @@ SCHEMA = 1
 MAX_RANK_ORDER = 6
 # the chart order of every invariant verdict and block
 _INVARIANT_ORDER = 2
+# highest --samples: every sample's seed is drawn before the first point
+MAX_SAMPLES = 10_000
 
 
 class _UsageError(Exception):
@@ -85,6 +87,8 @@ class RunConfig:
         for name in ("seed", "K"):
             if getattr(self, name) < 0:
                 raise _UsageError(f"{name} must be non-negative")
+        if self.samples > MAX_SAMPLES:
+            raise _UsageError(f"samples must be at most {MAX_SAMPLES}")
 
 
 _INT_KEYS = ("seed", "samples", "K", "coordinate_range")

@@ -38,15 +38,12 @@ so one set never prolongs a field twice, however many fields it holds.
 
 Generic ranks of prolonged coefficient matrices are computed by exact
 evaluation at seeded random integer points, taking the maximum over
-samples.  Each matrix is compiled once into a
-``canonical.EvaluationPlan``, kept in one bounded cache of the process:
-the distinct monomials of every entry, and each entry's numerator and
-denominator terms on them.  At a point every monomial is evaluated once
-and the entries are summed from those values.
-Where every denominator is 1, as at every integer point of polynomial
-coefficients, the numerators are the integer rows; at a rational point, or
-with a rational coefficient, each row is scaled to integers by the lcm of
-its denominators (``linalg.integer_row``).  The rank is taken by
+samples.  Each matrix is compiled once, into one bounded cache of the
+process, to one of the same rank at every point off its poles
+(``_compile``): the family rows beyond ``min_truncation`` are dropped where
+an exact identity proves them redundant, and every constant entry becomes
+a pivot.  The residual left, 3 rows for K >= order + 2, is evaluated by a
+``canonical.EvaluationPlan`` at each point, and its rank taken by
 fraction-free elimination (``linalg.rank``); no modular or floating-point
 shortcut is made, as a rank modulo a prime can fall below the rank over
 the rationals.
@@ -57,11 +54,11 @@ from __future__ import annotations
 import enum
 import functools
 import random
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import comb, lcm, prod
 
 from . import linalg
 from .canonical import (
@@ -70,10 +67,14 @@ from .canonical import (
     EvaluationPlan,
     Monomial,
     Poly,
+    _POLY_ONE,
     _derive_poly,
+    _poly,
     _strip,
     canonicalize,
     coordinate,
+    mono,
+    mono_mul,
 )
 from .expr import ExprLike, ZeroDenominatorError
 from .jetspace import JetSpace
@@ -556,10 +557,14 @@ def min_truncation(order: int) -> int:
     """The smallest truncation K at which Y0..Y3, Y^0..Y^K reach the
     generic rank of the whole algebra at jet order ``order``.
 
-    Measured on both sources: the rank is k + 6 from K = k + 2 on and one
-    less at K = k + 1, for k = 1..6.  Order 0 reaches its rank 5 at K = 1
-    already; it keeps k + 2 so that one rule covers every order.  A rank or
-    an invariant verdict at a smaller K holds for the truncation only.
+    Prolongation is linear in the jet of phi: pr X_phi = sum_j phi^(j) W_j,
+    with only W_0..W_{k+2} nonzero at order k.  So the rows Y^m beyond
+    k + 2 lie in the Q[u]-span of Y^0..Y^{k+2}, and the sampled ranks drop
+    them where that identity holds exactly.  Measured on both sources: the
+    rank is k + 6 from K = k + 2 on and one less at K = k + 1, for
+    k = 1..6.  Order 0 reaches its rank 5 at K = 1 already; it keeps k + 2
+    so that one rule covers every order.  A rank or an invariant verdict at
+    a smaller K holds for the truncation only.
     """
     return order + 2
 
@@ -587,71 +592,138 @@ class RankReport:
         }
 
 
-def _sample_point(rng: random.Random, coords: tuple[str, ...],
-                  coordinate_range: int) -> dict[str, int]:
-    return {c: rng.randint(-coordinate_range, coordinate_range) for c in coords}
+# a matrix compiled by ``_compile``: its constant pivots, and the plan of
+# the rows x width residual, row by row, then of the pole checks
+_RankPlan = namedtuple("_RankPlan", "pivots rows width plan")
 
 
-def _integer_rows(plan: EvaluationPlan, width: int,
-                  point) -> list[list[int]]:
-    """The coefficient matrix that ``plan`` holds row by row, ``width``
-    entries a row, at ``point`` as integer rows.  Where every denominator
-    is 1, as at every integer point of polynomial coefficients, the
-    numerators are the rows; otherwise each row is scaled to integers by
-    ``linalg.integer_row``, which keeps the rank."""
-    nums, dens = plan.at(point)
-    starts = range(0, len(nums), width)
+def _integer_rows(plan: _RankPlan, point) -> list[list[int]]:
+    """The residual of ``plan`` at ``point`` as integer rows, each scaled by
+    ``linalg.integer_row`` unless every denominator is 1, which keeps the
+    rank; ZeroDenominatorError where a denominator of the matrix is 0."""
+    nums, dens = plan.plan.at(point)
+    n, w = plan.rows * plan.width, plan.width or 1
+    if 0 in nums[n:]:
+        raise ZeroDenominatorError("zero denominator at evaluation point")
     if dens is None:
-        return [nums[i:i + width] for i in starts]
-    return [linalg.integer_row(list(zip(nums[i:i + width], dens[i:i + width])))
-            for i in starts]
+        return [nums[i:i + w] for i in range(0, n, w)]
+    return [linalg.integer_row(list(zip(nums[i:i + w], dens[i:i + w])))
+            for i in range(0, n, w)]
 
 
-# the compiled plans of sampled coefficient matrices, shared by every rank
-# computation of the process and keyed by (fields, coordinates): fields
-# compare by value, so a set that binds its names to other fields gets its
-# own plan.  Bounded: emptied in place once it holds _PLANS_MAX_ENTRIES
-# plans, four times the 12 (truncations 5 to 8, orders 1 to 3) that one
-# rank-invariants benchmark pass compiles.
+def _add_product(out: dict, a: dict, row: dict) -> None:
+    """out += a * row in place, on sparse rows of integer polynomials,
+    column -> terms, whose terms out owns; a is the terms of one."""
+    for col, b in row.items():
+        terms = out.setdefault(col, {})
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = mono_mul(m1, m2)
+                s = terms.get(m, 0) + c1 * c2
+                if s:
+                    terms[m] = s
+                else:
+                    del terms[m]
+        if not terms:
+            del out[col]
+
+
+def _compile(fields, coords: tuple[str, ...], family) -> _RankPlan:
+    """The matrix of ``fields``' coefficients on ``coords`` brought to a
+    smaller one of the same rank at every point off its poles.  Each row is
+    cleared of denominators by the product of its distinct ones.  With
+    ``family`` = (s, J), fields s, s+1, ... being Y^0, Y^1, ..., rows
+    Y^0..Y^J become W'_j = sum_i C(j,i) (-u)^(j-i) Y^i, unitriangular over
+    Q[u], and a later Y^m is dropped where Y^m = sum_{j<=J} C(m,j) u^(m-j)
+    W'_j holds exactly (see ``min_truncation``), else kept less that sum.
+    Each nonzero constant entry, smallest first, is then eliminated
+    fraction-free as a pivot.  An atom eliminated with a pivot leaves the
+    rank free of its value; one left raises at sampling."""
+    matrix = [[f.coefficient(c) for c in coords] for f in fields]
+    poles = {e.denominator: 0 for row in matrix for e in row
+             if not e.denominator.is_const()}
+    rows: list[dict[int, dict[Monomial, int]]] = []
+    for row in matrix:
+        dens = {e.denominator: 0 for e in row if not e.denominator.is_one()}
+        rows.append({c: dict(prod((d for d in dens if d != e.denominator),
+                                  start=e.numerator).terms)
+                     for c, e in enumerate(row) if not e.is_zero()})
+    if family is not None:
+        s, top = family
+        ys, rows[s:] = rows[s:], []
+        for m, acc in enumerate(ys):
+            # Y^m less its expansion in the W'_j before it
+            for j, w in enumerate(rows[s:s + min(m, top + 1)]):
+                _add_product(acc, {mono("u", m - j): -comb(m, j)}, w)
+            if acc or m <= top:
+                rows.append(acc)
+    pivots = 0
+    while found := min(((abs(e[()]), r, c) for r, row in enumerate(rows)
+                        for c, e in row.items() if len(e) == 1 and () in e),
+                       default=None):
+        pivot_row = rows.pop(found[1])
+        p = pivot_row.pop(found[2])[()]
+        unit = p if p * p == 1 else 1
+        for row in rows:
+            # row - p*a*pivot_row for a unit p, else p*row - a*pivot_row
+            if (a := row.pop(found[2], None)) is not None:
+                if unit != p:
+                    row.update((col, {m: p * v for m, v in terms.items()})
+                               for col, terms in row.items())
+                _add_product(row, {m: -unit * v for m, v in a.items()},
+                             pivot_row)
+        pivots += 1
+    rows = [row for row in rows if row]
+    live = sorted(set().union(*rows))
+    forms = [CanonicalForm(_poly(row.get(c, {})), _POLY_ONE)
+             for row in rows for c in live]
+    return _RankPlan(pivots, len(rows), len(live), EvaluationPlan(
+        forms + [CanonicalForm(d, _POLY_ONE) for d in poles]))
+
+
+# the compiled matrices of sampled ranks (``_compile``), shared by every
+# rank computation of the process and keyed by (fields, coordinates,
+# family): fields compare by value, so a set that binds its names to other
+# fields gets its own plan.  Bounded: emptied in place once it holds
+# _PLANS_MAX_ENTRIES plans, four times the 12 (truncations 5 to 8, orders
+# 1 to 3) that one rank-invariants benchmark pass compiles.
 _PLANS_MAX_ENTRIES = 48
-_PLANS: dict[tuple, EvaluationPlan] = {}
+_PLANS: dict[tuple, _RankPlan] = {}
 
 
-def _matrix_plan(fields, coords: tuple[str, ...]) -> EvaluationPlan:
-    """The plan of the matrix whose rows are ``fields``' coefficients on
-    ``coords``, compiled once while the cache holds it."""
-    key = (tuple(fields), coords)
+def _matrix_plan(fields, coords: tuple[str, ...], family=None) -> _RankPlan:
+    """``_compile`` of the matrix, once while the cache holds it."""
+    key = (tuple(fields), coords, family)
     plan = _PLANS.get(key)
     if plan is None:
-        plan = EvaluationPlan([f.coefficient(c) for f in fields for c in coords])
+        plan = _compile(fields, coords, family)
         if len(_PLANS) >= _PLANS_MAX_ENTRIES:
             _PLANS.clear()
         _PLANS[key] = plan
     return plan
 
 
-def _sampled_matrices(fields, coords, samples, seed, coordinate_range,
-                      point_filter=None):
-    """The coefficient matrix at one valid point per sample seed.
-
-    Sample seeds are drawn from ``seed`` up front; each seeds its own stream
-    of candidate points, retried on poles or rejection by ``point_filter``.
-    """
+def _sampled_matrices(plan: _RankPlan, coords, samples, seed,
+                      coordinate_range, point_filter=None):
+    """The residual of ``plan`` as integer rows at one valid point per
+    sample seed.  Sample seeds are drawn from ``seed`` up front; each seeds
+    its own stream of candidate points over ``coords``, retried on poles or
+    rejection by ``point_filter``."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     sample_seeds = [rng.randrange(2 ** 32) for _ in range(samples)]
-    plan = _matrix_plan(fields, coords)
     for s in sample_seeds:
         sub = random.Random(s)
         for _ in range(_MAX_RESAMPLES):
-            point = _sample_point(sub, coords, coordinate_range)
+            point = {c: sub.randint(-coordinate_range, coordinate_range)
+                     for c in coords}
             if point_filter is not None:
                 point = point_filter(point)
                 if point is None:
                     continue
             try:
-                rows = _integer_rows(plan, len(coords), point)
+                rows = _integer_rows(plan, point)
             except ZeroDenominatorError:
                 continue
             yield rows
@@ -669,16 +741,27 @@ def matrix_rank_at_samples(
     seed: int = DEFAULT_SEED,
     coordinate_range: int = DEFAULT_COORDINATE_RANGE,
     point_filter=None,
+    family: tuple[int, int] | None = None,
 ) -> tuple[int, int]:
-    """Max exact rank of the coefficient matrix over seeded integer points.
+    """Max exact rank of the coefficient matrix over seeded integer points,
+    each the compiled pivot count plus the residual's rank there.
 
     ``point_filter`` may adjust a candidate point (e.g. force it onto a
-    constraint locus) or reject it by returning None.  Returns (rank,
-    samples_used).
+    constraint locus) or reject it by returning None.  ``family`` marks the
+    rows Y^0, Y^1, ... (see ``_compile``).  Returns (rank, samples_used).
     """
-    ranks = [linalg.rank(rows) for rows in _sampled_matrices(
-        fields, coords, samples, seed, coordinate_range, point_filter)]
+    plan = _matrix_plan(fields, coords, family)
+    ranks = [plan.pivots + linalg.rank(rows) for rows in _sampled_matrices(
+        plan, coords, samples, seed, coordinate_range, point_filter)]
     return max(ranks), len(ranks)
+
+
+def _family(g: GeneratorSet, order: int) -> tuple[int, int] | None:
+    """(s, min_truncation(order)) when g's names end in Y^0, Y^1, ... from
+    index s, else None."""
+    k = sum(n.startswith(FAMILY_PREFIX) for n in g.names)
+    if k and g.names[len(g.names) - k:] == tuple(map(family_name, range(k))):
+        return len(g.names) - k, min_truncation(order)
 
 
 def prolonged_rank(
@@ -694,7 +777,7 @@ def prolonged_rank(
     coords = JetSpace(order).coordinates
     best, used = matrix_rank_at_samples(
         fields, coords, samples=samples, seed=seed,
-        coordinate_range=coordinate_range)
+        coordinate_range=coordinate_range, family=_family(g, order))
     return RankReport(order, best, used, seed, len(coords))
 
 
@@ -760,7 +843,8 @@ def rank_on_manifold(
     fields = g.prolonged(order)
     best, used = matrix_rank_at_samples(
         fields, coords, samples=samples, seed=seed,
-        coordinate_range=coordinate_range, point_filter=on_locus)
+        coordinate_range=coordinate_range, point_filter=on_locus,
+        family=_family(g, order))
     return RankReport(order, best, used, seed, len(coords))
 
 
@@ -780,8 +864,10 @@ def minimal_generating_set(
     ``exhaustive=True`` searches all subsets (only for up to 10 generators).
     """
     coords = JetSpace(order).coordinates
+    plan = _RankPlan(0, len(g.names), len(coords), EvaluationPlan(
+        [f.coefficient(c) for f in g.prolonged(order) for c in coords]))
     matrices = [dict(zip(g.names, rows)) for rows in _sampled_matrices(
-        g.prolonged(order), coords, samples, seed, coordinate_range)]
+        plan, coords, samples, seed, coordinate_range)]
 
     def subset_rank(names) -> int:
         return max(linalg.rank([mat[n] for n in names]) for mat in matrices)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wavesym.cli import _build_parser, main
+from wavesym.cli import MAX_SAMPLES, _build_parser, main
 from wavesym.expr import parse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -64,6 +64,32 @@ def test_rank_out_of_scope_order(capsys):
         code, out, err = run_cli(capsys, "rank", "--order", order)
         assert (code, out) == (1, "")
         assert "usage error" in err and "cap" in err and "6" in err
+
+
+def test_samples_above_the_cap_are_a_usage_error(capsys, monkeypatch,
+                                                 tmp_path):
+    """--samples is capped at MAX_SAMPLES from a flag, the environment and
+    a config file alike, before any sample seed is drawn; the values in
+    use stay accepted."""
+    assert MAX_SAMPLES == 10_000
+    message = "usage error: samples must be at most 10000\n"
+    for args in (("--samples", "100000000"), ("--samples", "10001")):
+        code, out, err = run_cli(capsys, *args, "rank", "--order", "1")
+        assert (code, out, err) == (1, "", message)
+    config = tmp_path / "config.json"
+    config.write_text('{"samples": 10001}')
+    code, out, err = run_cli(capsys, "--config", str(config), "rank",
+                             "--order", "1")
+    assert (code, out, err) == (1, "", message)
+    monkeypatch.setenv("WAVESYM_SAMPLES", "10001")
+    code, out, err = run_cli(capsys, "rank", "--order", "1")
+    assert (code, out, err) == (1, "", message)
+    monkeypatch.delenv("WAVESYM_SAMPLES")
+    for samples in ("2", "4", "8"):
+        code, out, _ = run_cli(capsys, "--output", "json", "--samples",
+                               samples, "rank", "--order", "1")
+        assert code == 0
+        assert json.loads(out)["samples_used"] == int(samples)
 
 
 def test_rank_refuses_an_order_beyond_the_truncation(capsys):

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wavesym import eqalgebra, linalg
-from wavesym.canonical import CanonicalForm, coordinate, equals
+from wavesym.canonical import (
+    CanonicalForm,
+    EvaluationPlan,
+    canonicalize,
+    coordinate,
+    equals,
+)
 from wavesym.cli import main
 from wavesym.eqalgebra import (
     GeneratorSet,
     NotSolvableError,
+    SamplingExhaustedError,
     Source,
     build_generators,
     bracket_closed,
@@ -27,6 +34,7 @@ from wavesym.eqalgebra import (
     verify_commutator_table,
 )
 from wavesym.expr import Coord, UnboundSymbolError, parse
+from wavesym.invariants import NAMED_EXPRESSIONS, functional_independence
 from wavesym.jetspace import JetSpace
 from wavesym.vfields import VectorField, bracket, prolong
 
@@ -146,16 +154,22 @@ def test_plan_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
 
 def test_a_set_gets_the_plan_of_its_own_fields(monkeypatch):
     """Plans are keyed by the fields, not by the names a set gives them: a
-    set binding Y1 and Y2 to each other's fields samples its own rows."""
+    set binding Y0 and Y3 to each other's fields samples its own rows.  (Y1
+    and Y2 would not show it: their constant entries are compiled into
+    pivots, so neither order leaves a row to sample.)"""
     monkeypatch.setattr(eqalgebra, "_PLANS", {})
     g = build_generators("derived", 0)
-    y1, y2 = g.field_named("Y1"), g.field_named("Y2")
-    plain = GeneratorSet(Source.DERIVED, 0, ("Y1", "Y2"), (y1, y2), 0)
-    swapped = GeneratorSet(Source.DERIVED, 0, ("Y1", "Y2"), (y2, y1), 0)
+    y0, y3 = g.field_named("Y0"), g.field_named("Y3")
+    plain = GeneratorSet(Source.DERIVED, 0, ("Y0", "Y3"), (y0, y3), 0)
+    swapped = GeneratorSet(Source.DERIVED, 0, ("Y0", "Y3"), (y3, y0), 0)
     coords = JetSpace(2).coordinates
-    plain_rows, = eqalgebra._sampled_matrices(plain.prolonged(2), coords, 1, 5, 50)
-    swapped_rows, = eqalgebra._sampled_matrices(swapped.prolonged(2), coords,
-                                                1, 5, 50)
+
+    def rows_of(gens):
+        plan = eqalgebra._matrix_plan(gens.prolonged(2), coords)
+        rows, = eqalgebra._sampled_matrices(plan, coords, 1, 5, 50)
+        return rows
+
+    plain_rows, swapped_rows = rows_of(plain), rows_of(swapped)
     assert len(eqalgebra._PLANS) == 2
     assert swapped_rows == plain_rows[::-1] != plain_rows
 
@@ -504,8 +518,9 @@ def test_integer_row_rank_agrees_with_sympy(source, order, weights,
     """Random combinations of prolonged generators, with the pole field
     1/u d_u + 1/(u*sigma) d_sigma and its sum with the first combination
     among them when ``pole``, sampled at integer points and at rational
-    points on a locus: the rank of the integer rows is sympy's rank of the
-    Fraction matrix of eval_at."""
+    points on a locus: the compiled pivot count plus the rank of the
+    integer residual rows is sympy's rank of the Fraction matrix of
+    eval_at."""
     sympy = pytest.importorskip("sympy")
     g = build_generators(source, 3)
     combos = tuple(field_combination(*zip(w, g.base_fields)) for w in weights)
@@ -522,9 +537,10 @@ def test_integer_row_rank_agrees_with_sympy(source, order, weights,
     seen = []
     integer_rows = eqalgebra._integer_rows
 
-    def recorded(plan, width, point):
-        rows = integer_rows(plan, width, point)
-        seen.append((point, rows))
+    def recorded(plan, point):
+        rows = integer_rows(plan, point)
+        assert all(type(x) is int for row in rows for x in row)
+        seen.append((point, plan.pivots + linalg.rank(rows)))
         return rows
 
     with mock.patch.object(eqalgebra, "_integer_rows", recorded):
@@ -535,11 +551,10 @@ def test_integer_row_rank_agrees_with_sympy(source, order, weights,
                              samples=2, seed=seed)
     assert len(seen) == 2
     fields, coords = sub.prolonged(order), JetSpace(order).coordinates
-    for point, rows in seen:
-        assert all(type(x) is int for row in rows for x in row)
+    for point, rank in seen:
         exact = sympy.Matrix([[_sympy_rational(sympy, f.coefficient(c).eval_at(point))
                                for c in coords] for f in fields])
-        assert linalg.rank(rows) == exact.rank()
+        assert rank == exact.rank()
 
 
 def test_rank_on_special_manifold(derived6):
@@ -653,3 +668,137 @@ def test_sampling_exhausted():
     with pytest.raises(SamplingExhaustedError):
         matrix_rank_at_samples(fields, JetSpace(1).coordinates,
                                point_filter=lambda point: None)
+
+
+# --- the compiled rank matrix against the full one --------------------------
+
+def _full_rank(fields, coords, point) -> int:
+    """The rank at ``point`` of the whole coefficient matrix, every row
+    scaled to integers: the sampled rank before matrices were compiled."""
+    nums, dens = EvaluationPlan(
+        [f.coefficient(c) for f in fields for c in coords]).at(point)
+    dens = dens or [1] * len(nums)
+    w = len(coords)
+    return linalg.rank([linalg.integer_row(list(zip(nums[i:i + w],
+                                                    dens[i:i + w])))
+                        for i in range(0, len(nums), w)])
+
+
+def _sampled_ranks(call):
+    """(point, rank) at every point ``call`` samples, the rank being the
+    compiled pivot count plus the residual's rank there."""
+    seen = []
+    integer_rows = eqalgebra._integer_rows
+
+    def recorded(plan, point):
+        rows = integer_rows(plan, point)
+        seen.append((point, plan.pivots + linalg.rank(rows)))
+        return rows
+
+    with mock.patch.object(eqalgebra, "_integer_rows", recorded):
+        call()
+    return seen
+
+
+@pytest.mark.parametrize("source", list(Source))
+@pytest.mark.parametrize("order", range(7))
+def test_compiled_rank_is_the_full_rank_at_every_point(source, order):
+    """At each sampled point, on and off the special manifold, the pivot
+    count plus the residual's rank is the rank of the whole matrix; from
+    K = order + 2 on, the compile leaves order + 3 pivots and 3 rows."""
+    coords = JetSpace(order).coordinates
+    for K in sorted({0, order + 1, order + 2, order + 4}):
+        g = build_generators(source, K)
+        fields = g.prolonged(order)
+        for seed in (1, 7, 1729):
+            calls = [lambda: prolonged_rank(g, order, samples=2, seed=seed)]
+            if order:
+                calls.append(lambda: rank_on_manifold(g, R_EXPR, order,
+                                                      samples=2, seed=seed))
+            for call in calls:
+                seen = _sampled_ranks(call)
+                assert len(seen) == 2
+                for point, rank in seen:
+                    assert rank == _full_rank(fields, coords, point)
+        plan = eqalgebra._matrix_plan(fields, coords,
+                                      eqalgebra._family(g, order))
+        if K >= order + 2:
+            assert (plan.pivots, plan.rows) == (order + 3, 3)
+
+
+@pytest.mark.parametrize("names", [("R1_corrected", "R2"), ("R", "R2"),
+                                   ("R1_printed", "R1_corrected")])
+def test_compiled_jacobian_rank_is_the_full_rank(names):
+    """functional_independence of rational candidates: the Jacobian rows
+    carry denominators, cleared per row, and the rank at each point is the
+    whole Jacobian's."""
+    chart = JetSpace(2)
+    forms = [canonicalize(NAMED_EXPRESSIONS[n]) for n in names]
+    rows = [VectorField(chart, {c: f.diff(c) for c in f.free_coordinates()})
+            for f in forms]
+    assert any(not f.coefficient(c).is_polynomial()
+               for f in rows for c in chart.coordinates)
+    for seed in (1, 7, 1729):
+        seen = _sampled_ranks(lambda: functional_independence(
+            [NAMED_EXPRESSIONS[n] for n in names], chart, seed=seed))
+        assert len(seen) == 8
+        for point, rank in seen:
+            assert rank == _full_rank(rows, chart.coordinates, point)
+
+
+@pytest.mark.parametrize("order", (2, 3))
+def test_a_row_that_fails_the_family_identity_stays(order):
+    """Y^7 with u^3*sigma added to its sigma-coefficient is no longer in
+    the span of W'_0..W'_J: it stays in the matrix, as a fourth residual
+    row, and the rank it adds is counted at every point."""
+    g = build_generators("derived", 8)
+    fields = list(g.prolonged(order))
+    coords = JetSpace(order).coordinates
+    y7 = fields[g.names.index("Y^7")]
+    u, sigma = coordinate("u"), coordinate("sigma")
+    fields[g.names.index("Y^7")] = VectorField(y7.space, {
+        **y7.coefficients, "sigma": y7.coefficient("sigma") + u ** 3 * sigma})
+    family = eqalgebra._family(g, order)
+    plan = eqalgebra._matrix_plan(fields, coords, family)
+    assert (plan.pivots, plan.rows) == (order + 3, 4)
+    seen = _sampled_ranks(lambda: matrix_rank_at_samples(
+        fields, coords, family=family))
+    assert [rank for _, rank in seen] == [order + 7] * 8
+    for point, rank in seen:
+        assert rank == _full_rank(fields, coords, point)
+
+
+def test_a_pole_cancelled_from_the_residual_still_rejects_its_points():
+    """(1/u) d_t is cleared to the constant pivot 1 and leaves nothing of
+    its pole in the residual; the points with u = 0 are rejected all the
+    same, exactly those the whole matrix rejects, and a stream held on
+    u = 0 runs out where the whole matrix's does."""
+    chart = JetSpace(1)
+    g = build_generators("derived", 0)
+    pole = VectorField(chart, {"t": parse("1/u", chart)})
+    fields = (pole,) + g.prolonged(1)[:1] + g.prolonged(1)[3:4]
+    coords = chart.coordinates
+    plan = eqalgebra._matrix_plan(fields, coords)
+    forms = plan.plan._forms
+    assert plan.pivots == 1 and plan.rows == 2
+    assert not any("u" in f.numerator.variables()
+                   for f in forms[:plan.rows * plan.width])
+    assert [str(f) for f in forms[plan.rows * plan.width:]] == ["u"]
+    whole = eqalgebra._RankPlan(0, len(fields), len(coords), EvaluationPlan(
+        [f.coefficient(c) for f in fields for c in coords]))
+    for seed in (1, 7, 1729):
+        points = []
+        for p in (plan, whole):
+            seen = _sampled_ranks(lambda: list(eqalgebra._sampled_matrices(
+                p, coords, 8, seed, 1)))
+            points.append([point for point, _ in seen])
+        assert points[0] == points[1]
+        assert all(point["u"] != 0 for point in points[0])
+        ranks = _sampled_ranks(lambda: matrix_rank_at_samples(
+            fields, coords, seed=seed, coordinate_range=1))
+        assert [r for _, r in ranks] == [_full_rank(fields, coords, point)
+                                         for point in points[1]]
+    on_pole = lambda point: {**point, "u": 0}   # noqa: E731
+    for p in (plan, whole):
+        with pytest.raises(SamplingExhaustedError):
+            list(eqalgebra._sampled_matrices(p, coords, 1, 5, 50, on_pole))
