@@ -36,10 +36,13 @@ Rationals exist only at the edges: parser constants enter as (p, q);
 
 The gcd behind each reduction, :func:`poly_gcd`, returns g with both
 cofactors p/g and q/g, so a reduction divides by the gcd only once and
-then by an integer content.  It takes one of two paths, which give the
-same normalized result.  The heuristic GCDHEU (Char, Geddes & Gonnet, JSC
-1989) evaluates both polynomials at an integer xi, one generator at a
-time, takes the integer gcd and interpolates it back in balanced base xi.
+then by an integer content.  When one argument is a single term, g is
+the monomial of least exponents over the terms of both, since a
+monomial's divisors are monomials.  Otherwise it takes one of two paths,
+which give the same normalized result.  The heuristic GCDHEU (Char,
+Geddes & Gonnet, JSC 1989) evaluates both polynomials at an integer xi,
+one generator at a time, takes the integer gcd and interpolates it back
+in balanced base xi.
 Its candidate is accepted only when it divides both inputs exactly, with
 xi >= 2*min(|p|, |q|) + 2 (largest absolute coefficients), which the
 paper's theorem makes a proof that it is the gcd; the quotients of those
@@ -52,7 +55,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd as int_gcd, isqrt, lcm, prod
@@ -76,6 +78,7 @@ from .expr import (
     as_expr,
     number_text,
 )
+from .value import Value, set_field
 
 # ---------------------------------------------------------------------------
 # the generator table
@@ -578,6 +581,11 @@ def poly_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         return p, _POLY_ONE, q
     if p.is_const() or q.is_const():
         return _POLY_ONE, p, q
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        g = _strip(tuple(map(min, *chain(p.terms, q.terms))))
+        if not g:
+            return _POLY_ONE, p, q
+        return _poly({g: 1}), _monomial_quotient(p, g), _monomial_quotient(q, g)
     first = frozenset(p.terms.items())
     key = frozenset((first, frozenset(q.terms.items())))
     cached = _GCD_CACHE.get(key)
@@ -591,6 +599,12 @@ def poly_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         _GCD_CACHE.clear()
     _GCD_CACHE[key] = (first, g, None, None) if g.is_one() else (first, g, a, b)
     return g, a, b
+
+
+def _monomial_quotient(p: Poly, g: Monomial) -> Poly:
+    """p/g for a monomial g that divides every term of p."""
+    return _poly({_strip(tuple(map(operator.sub, m, g)) + m[len(g):]): c
+                  for m, c in p.terms.items()})
 
 
 def _poly_gcd_uncached(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
@@ -645,8 +659,7 @@ def _prs_gcd(p: Poly, q: Poly) -> Poly:
 # canonical forms
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Value):
     """Reduced fraction of polynomials; the unique normal form of an
     expression (atoms taken as independent indeterminates).
 
@@ -656,8 +669,20 @@ class CanonicalForm:
     takes an integer.
     """
 
-    numerator: Poly
-    denominator: Poly
+    __slots__ = _fields = ("numerator", "denominator")
+
+    def __init__(self, numerator: Poly, denominator: Poly):
+        set_field(self, "numerator", numerator)
+        set_field(self, "denominator", denominator)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.numerator, self.denominator)
+                == (other.numerator, other.denominator))
+
+    def __hash__(self):
+        return hash((self.numerator, self.denominator))
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()

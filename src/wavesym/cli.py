@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .eqalgebra import (
     CLOSURE_MIN_K,
@@ -51,6 +50,7 @@ from .invariants import (
     weight_kernel_search,
 )
 from .jetspace import JetSpace
+from .value import Value
 
 ENV_PREFIX = "WAVESYM_"
 SCHEMA = 1
@@ -60,6 +60,10 @@ MAX_RANK_ORDER = 6
 _INVARIANT_ORDER = 2
 # highest --samples: every sample's seed is drawn before the first point
 MAX_SAMPLES = 10_000
+# highest --K: at K = 300 the slowest command, `--source paper
+# verify-algebra`, takes 7.4 s and 61 MB, and `invariants verify` 4.0 s;
+# verify-algebra grows about as K^2 (10.3 s at K = 500, derived source)
+MAX_K = 300
 
 
 class _UsageError(Exception):
@@ -71,14 +75,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    seed: int = DEFAULT_SEED
-    samples: int = DEFAULT_SAMPLES
-    K: int = DEFAULT_K
-    coordinate_range: int = DEFAULT_COORDINATE_RANGE
-    source: Source = Source.DERIVED
-    output: str = "text"
+class RunConfig(Value):
+    """The run settings; unlike the other value classes, assignable."""
+
+    _fields = ("seed", "samples", "K", "coordinate_range", "source", "output")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
+                 K: int = DEFAULT_K,
+                 coordinate_range: int = DEFAULT_COORDINATE_RANGE,
+                 source: Source = Source.DERIVED, output: str = "text"):
+        self.seed = seed
+        self.samples = samples
+        self.K = K
+        self.coordinate_range = coordinate_range
+        self.source = source
+        self.output = output
 
     def validate(self):
         for name in ("samples", "coordinate_range"):
@@ -89,6 +103,8 @@ class RunConfig:
                 raise _UsageError(f"{name} must be non-negative")
         if self.samples > MAX_SAMPLES:
             raise _UsageError(f"samples must be at most {MAX_SAMPLES}")
+        if self.K > MAX_K:
+            raise _UsageError(f"K must be at most {MAX_K}")
 
 
 _INT_KEYS = ("seed", "samples", "K", "coordinate_range")

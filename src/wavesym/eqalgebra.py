@@ -55,7 +55,6 @@ import enum
 import functools
 import random
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import comb, lcm, prod
@@ -78,6 +77,7 @@ from .canonical import (
 )
 from .expr import ExprLike, ZeroDenominatorError
 from .jetspace import JetSpace
+from .value import Value, set_field
 from .vfields import PointAction, VectorField, induce_from_point_action, prolong
 
 DEFAULT_SEED = 1729
@@ -171,8 +171,7 @@ def _printed_family(k: int) -> VectorField:
     })
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Value):
     """The generators [Y0, Y1, Y2, Y3, Y^0, ..., Y^K] for one source.
 
     ``base_order`` records at which jet order the stored coefficients are
@@ -181,12 +180,17 @@ class GeneratorSet:
     first-order coefficients are data, not recomputed).
     """
 
-    source: Source
-    truncation: int
-    names: tuple[str, ...]
-    base_fields: tuple[VectorField, ...]
-    base_order: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("source", "truncation", "names", "base_fields", "base_order")
+
+    def __init__(self, source: Source, truncation: int, names: tuple[str, ...],
+                 base_fields: tuple[VectorField, ...], base_order: int):
+        set_field(self, "source", source)
+        set_field(self, "truncation", truncation)
+        set_field(self, "names", names)
+        set_field(self, "base_fields", base_fields)
+        set_field(self, "base_order", base_order)
+        # prolonged fields by order and span bases by key; not compared
+        set_field(self, "_cache", {})
 
     def field_named(self, name: str) -> VectorField:
         return self.base_fields[self.names.index(name)]
@@ -372,8 +376,7 @@ def _add_multiple(target: dict, a: int | Fraction, source: dict) -> None:
             del target[key]
 
 
-@dataclass(frozen=True)
-class SpanBasis:
+class SpanBasis(Value):
     """Sparse semi-echelon form of linearly independent generator fields.
 
     Row i is generator i reduced against rows 0..i-1: it carries a pivot
@@ -383,9 +386,14 @@ class SpanBasis:
     rows once, in order, leaves its residual outside the span.
     """
 
-    names: tuple[str, ...]
-    rows: tuple[tuple[_Key, _Row, dict[int, int | Fraction]], ...]
-    pivots: dict[_Key, int]  # pivot key -> index of its row
+    _fields = ("names", "rows", "pivots")
+
+    def __init__(self, names: tuple[str, ...],
+                 rows: tuple[tuple[_Key, _Row, dict[int, int | Fraction]], ...],
+                 pivots: dict[_Key, int]):  # pivot key -> index of its row
+        set_field(self, "names", names)
+        set_field(self, "rows", rows)
+        set_field(self, "pivots", pivots)
 
 
 def _eliminate(rows, pivots: dict[_Key, int],
@@ -569,13 +577,16 @@ def min_truncation(order: int) -> int:
     return order + 2
 
 
-@dataclass(frozen=True)
-class RankReport:
-    order: int
-    rank: int
-    samples_used: int
-    seed: int
-    variable_count: int
+class RankReport(Value):
+    _fields = ("order", "rank", "samples_used", "seed", "variable_count")
+
+    def __init__(self, order: int, rank: int, samples_used: int, seed: int,
+                 variable_count: int):
+        set_field(self, "order", order)
+        set_field(self, "rank", rank)
+        set_field(self, "samples_used", samples_used)
+        set_field(self, "seed", seed)
+        set_field(self, "variable_count", variable_count)
 
     @property
     def invariant_count(self) -> int:

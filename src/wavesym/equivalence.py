@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import CanonicalForm, EvaluationPlan, canonicalize, coordinate
 from .expr import ExprError, ExprLike, ZeroDenominatorError, parse
+from .value import Value, set_field
 
 
 class NonInvertibleError(Exception):
@@ -46,15 +46,14 @@ _U = coordinate("u")
 _SIGMA = coordinate("sigma")
 
 
-@dataclass(frozen=True)
-class EquationInstance:
+class EquationInstance(Value):
     """One member of the class, given by its parameter function f(u, sigma)
     as an expression, a number or a form; it is stored as a form."""
 
-    f: CanonicalForm
+    _fields = ("f",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", canonicalize(self.f))
+    def __init__(self, f: CanonicalForm | ExprLike):
+        set_field(self, "f", canonicalize(f))
         extra = self.f.free_coordinates() - set(_EQUATION_COORDS)
         if extra:
             raise ValueError(
@@ -69,13 +68,16 @@ class EquationInstance:
         return str(self.f)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """Canonical pair (rho1, rho2) in (u, sigma); absent when degenerate."""
 
-    degenerate: bool
-    rho1: CanonicalForm | None = None
-    rho2: CanonicalForm | None = None
+    _fields = ("degenerate", "rho1", "rho2")
+
+    def __init__(self, degenerate: bool, rho1: CanonicalForm | None = None,
+                 rho2: CanonicalForm | None = None):
+        set_field(self, "degenerate", degenerate)
+        set_field(self, "rho1", rho1)
+        set_field(self, "rho2", rho2)
 
     def matches(self, other: "Signature") -> bool:
         if self.degenerate or other.degenerate:
@@ -113,11 +115,14 @@ class Verdict(str, enum.Enum):
     MIXED_DEGENERATE = "mixed-degenerate"
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    verdict: Verdict
-    signature_a: Signature
-    signature_b: Signature
+class EquivalenceResult(Value):
+    _fields = ("verdict", "signature_a", "signature_b")
+
+    def __init__(self, verdict: Verdict, signature_a: Signature,
+                 signature_b: Signature):
+        set_field(self, "verdict", verdict)
+        set_field(self, "signature_a", signature_a)
+        set_field(self, "signature_b", signature_b)
 
     def as_dict(self) -> dict:
         return {
@@ -146,20 +151,19 @@ def check_equivalence(a: EquationInstance, b: EquationInstance) -> EquivalenceRe
     return EquivalenceResult(verdict, sig_a, sig_b)
 
 
-@dataclass(frozen=True)
-class FiniteTransformation:
+class FiniteTransformation(Value):
     """u' = phi(u) composed with the t, x dilation scaling sigma by
     ``dilation``; phi and its inverse are stored as forms.  The inverse
     must be supplied; it is verified, not computed."""
 
-    phi: CanonicalForm
-    phi_inverse: CanonicalForm
-    dilation: Fraction = Fraction(1)
+    _fields = ("phi", "phi_inverse", "dilation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", canonicalize(self.phi))
-        object.__setattr__(self, "phi_inverse", canonicalize(self.phi_inverse))
-        object.__setattr__(self, "dilation", Fraction(self.dilation))
+    def __init__(self, phi: CanonicalForm | ExprLike,
+                 phi_inverse: CanonicalForm | ExprLike,
+                 dilation: Fraction | int = 1):
+        set_field(self, "phi", canonicalize(phi))
+        set_field(self, "phi_inverse", canonicalize(phi_inverse))
+        set_field(self, "dilation", Fraction(dilation))
         for label, form in (("phi", self.phi), ("phi_inverse", self.phi_inverse)):
             if form.free_coordinates() - {"u"}:
                 raise ValueError(f"{label} must be an expression in u alone")

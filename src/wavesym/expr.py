@@ -18,9 +18,10 @@ per-layer metrics name them.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+from .value import Value, set_field
 
 Rational = Fraction
 
@@ -65,60 +66,120 @@ class NumberTooLongError(ExprError):
     """A number has more digits than Python converts to text."""
 
 
-class Expr:
+class Expr(Value):
     __slots__ = ()
 
     def __str__(self) -> str:
         return to_string(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Expr):
-    value: Fraction
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Fraction):
+        set_field(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __repr__(self):
         return f"Const({self.value})"
 
 
-@dataclass(frozen=True, slots=True)
 class Coord(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return f"Coord({self.name})"
 
 
-@dataclass(frozen=True, slots=True)
 class AtomApp(Expr):
     """The atom applied to a coordinate, e.g. exp(u)."""
 
-    name: str
-    arg: str
+    __slots__ = _fields = ("name", "arg")
+
+    def __init__(self, name: str, arg: str):
+        set_field(self, "name", name)
+        set_field(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.arg) == (other.name, other.arg)
+
+    def __hash__(self):
+        return hash((self.name, self.arg))
 
     def __repr__(self):
         return f"AtomApp({self.name}({self.arg}))"
 
 
-@dataclass(frozen=True, slots=True)
 class Sum(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[Expr, ...]):
+        set_field(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     def __repr__(self):
         return f"Sum({', '.join(map(repr, self.terms))})"
 
 
-@dataclass(frozen=True, slots=True)
 class Product(Expr):
-    factors: tuple[Expr, ...]
+    __slots__ = _fields = ("factors",)
+
+    def __init__(self, factors: tuple[Expr, ...]):
+        set_field(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     def __repr__(self):
         return f"Product({', '.join(map(repr, self.factors))})"
 
 
-@dataclass(frozen=True, slots=True)
 class Power(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        set_field(self, "base", base)
+        set_field(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.exponent) == (other.base, other.exponent)
+
+    def __hash__(self):
+        return hash((self.base, self.exponent))
 
     def __repr__(self):
         return f"Power({self.base!r}, {self.exponent})"

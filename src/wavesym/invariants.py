@@ -15,7 +15,6 @@ under each coefficient source; nothing is silently corrected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -32,6 +31,7 @@ from .eqalgebra import (
     matrix_rank_at_samples,
 )
 from .jetspace import JetSpace
+from .value import Value, set_field
 from .vfields import VectorField, apply
 
 
@@ -69,10 +69,14 @@ def relative_weight(f_expr: Expr | CanonicalForm,
     return weight if weight.is_polynomial() else None
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    candidate: Expr | CanonicalForm
-    verdicts: dict[str, tuple[str, CanonicalForm | None]]  # name -> (kind, weight)
+class InvariantReport(Value):
+    _fields = ("candidate", "verdicts")
+
+    def __init__(self, candidate: Expr | CanonicalForm,
+                 verdicts: dict[str, tuple[str, CanonicalForm | None]]):
+        # verdicts: name -> (kind, weight)
+        set_field(self, "candidate", candidate)
+        set_field(self, "verdicts", verdicts)
 
     @property
     def overall(self) -> str:
@@ -134,13 +138,15 @@ def functional_independence(
     return best == len(candidates)
 
 
-@dataclass(frozen=True)
-class WeightedBlock:
+class WeightedBlock(Value):
     """A building block verified relative under the scaling generators,
     together with its weights."""
 
-    expr: Expr
-    weights: dict[str, CanonicalForm]
+    _fields = ("expr", "weights")
+
+    def __init__(self, expr: Expr, weights: dict[str, CanonicalForm]):
+        set_field(self, "expr", expr)
+        set_field(self, "weights", weights)
 
     @classmethod
     def measure(cls, expr: Expr, gens: dict[str, VectorField]) -> "WeightedBlock":

@@ -10,36 +10,47 @@ transformations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .canonical import ONE_FORM, CanonicalForm, canonicalize, coordinate
 from .expr import ExprLike
+from .value import Value, set_field
 
 
 class OrderOverflowError(Exception):
     """A total derivative would leave the chart."""
 
 
-@dataclass(frozen=True)
-class JetSpace:
-    order: int
-    passengers: tuple[str, ...] = ("t", "x")
-    bases: tuple[str, ...] = ("u", "sigma")
-    dependent: str = "f"
-    coordinates: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    # (a, b) of the dependent's derivative f_{u^a sigma^b}, keyed by name,
-    # (0, 0) for the dependent itself
-    _counts: dict[str, tuple[int, int]] = field(init=False, compare=False,
-                                                repr=False)
+class JetSpace(Value):
+    """Compares and hashes by order, passengers, bases and dependent; the
+    coordinates and the derivative table follow from those."""
 
-    def __post_init__(self):
-        if self.order < 0:
+    _fields = ("order", "passengers", "bases", "dependent")
+
+    def __init__(self, order: int, passengers: tuple[str, ...] = ("t", "x"),
+                 bases: tuple[str, ...] = ("u", "sigma"),
+                 dependent: str = "f"):
+        set_field(self, "order", order)
+        set_field(self, "passengers", passengers)
+        set_field(self, "bases", bases)
+        set_field(self, "dependent", dependent)
+        if order < 0:
             raise ValueError("jet order must be non-negative")
+        # (a, b) of the dependent's derivative f_{u^a sigma^b}, keyed by
+        # name, (0, 0) for the dependent itself
         counts = {self.derivative_name(a, m - a): (a, m - a)
-                  for m in range(self.order + 1) for a in range(m, -1, -1)}
-        object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "coordinates", tuple(
-            list(self.passengers) + list(self.bases) + list(counts)))
+                  for m in range(order + 1) for a in range(m, -1, -1)}
+        set_field(self, "_counts", counts)
+        set_field(self, "coordinates",
+                  tuple(list(passengers) + list(bases) + list(counts)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.order, self.passengers, self.bases, self.dependent)
+                == (other.order, other.passengers, other.bases,
+                    other.dependent))
+
+    def __hash__(self):
+        return hash((self.order, self.passengers, self.bases, self.dependent))
 
     def derivative_name(self, a: int, b: int) -> str:
         if a == b == 0:

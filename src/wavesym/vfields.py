@@ -21,12 +21,12 @@ independent of t, x and the remaining u-derivatives.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .canonical import CanonicalForm, Poly, _normalized, canonicalize, coordinate
 from .expr import ExprLike
 from .jetspace import JetSpace, u_jet
+from .value import Value, set_field
 
 
 class NotProjectableError(Exception):
@@ -37,25 +37,31 @@ class NotProjectableError(Exception):
 _ZERO = canonicalize(0)
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Value):
     """Coefficients may be given as expressions, numbers or forms; they are
     stored as nonzero canonical forms.  Fields compare and hash by value
     (chart and coefficients), so equal fields share cache entries; the hash
     is computed once."""
 
-    space: JetSpace
-    coefficients: Mapping[str, CanonicalForm] = field(default_factory=dict)
+    _fields = ("space", "coefficients")
 
-    def __post_init__(self):
+    def __init__(self, space: JetSpace,
+                 coefficients: Mapping[str, CanonicalForm] | None = None):
         cleaned: dict[str, CanonicalForm] = {}
-        for name, coeff in self.coefficients.items():
-            if name not in self.space:
+        for name, coeff in (coefficients or {}).items():
+            if name not in space:
                 raise ValueError(f"{name!r} is not a coordinate of the chart")
             form = canonicalize(coeff)
             if not form.is_zero():
                 cleaned[name] = form
-        object.__setattr__(self, "coefficients", cleaned)
+        set_field(self, "space", space)
+        set_field(self, "coefficients", cleaned)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.space, self.coefficients)
+                == (other.space, other.coefficients))
 
     @functools.cached_property
     def _hash(self) -> int:
@@ -133,23 +139,21 @@ def prolong(x: VectorField, target_order: int, given_order: int = 0) -> VectorFi
 # point actions
 
 
-@dataclass(frozen=True)
-class PointAction:
+class PointAction(Value):
     """Infinitesimal point transformation of (t, x, u).  The coefficients
     may be given as expressions, numbers or forms in (t, x, u); they are
     stored as forms."""
 
-    xi_t: CanonicalForm
-    xi_x: CanonicalForm
-    eta_u: CanonicalForm
+    _fields = ("xi_t", "xi_x", "eta_u")
 
-    def __post_init__(self):
-        for label in ("xi_t", "xi_x", "eta_u"):
-            form = canonicalize(getattr(self, label))
+    def __init__(self, xi_t: CanonicalForm | ExprLike,
+                 xi_x: CanonicalForm | ExprLike, eta_u: CanonicalForm | ExprLike):
+        for label, value in zip(self._fields, (xi_t, xi_x, eta_u)):
+            form = canonicalize(value)
             bad = form.free_coordinates() - {"t", "x", "u"}
             if bad:
                 raise ValueError(f"{label} may only use (t, x, u); found {sorted(bad)}")
-            object.__setattr__(self, label, form)
+            set_field(self, label, form)
 
 
 def _fold_even_powers(p: Poly, var: str, replacement: Poly) -> Poly:

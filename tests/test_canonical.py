@@ -225,10 +225,37 @@ def test_heuristic_candidate_that_fails_trial_division_is_rejected(monkeypatch):
     interpolate = canonical._interpolate
     monkeypatch.setattr(canonical, "_interpolate", lambda h, v, xi: (
         points.append(xi) or interpolate(h, v, xi)))
-    monkeypatch.setattr(canonical, "_GCD_CACHE", {})
     u = Poly.var("u")
-    assert _assert_cofactors(u, u + Poly.const(31)).is_one()
+    q = u + Poly.const(31)
+    g, a, b = canonical._heu_gcd(u, q)
+    assert g * a == u and g * b == q
+    assert g.is_one()
     assert points == [31, 169]
+
+
+# (p, q, gcd) with a one-term argument, as lists of (coefficient, exponents
+# of _GCD_GENS)
+@pytest.mark.parametrize("p, q, g", [
+    # an exp(u) generator
+    ([(2, 1, 0, 0, 0, 2)], [(1, 2, 0, 0, 0, 1), (3, 1, 1, 0, 0, 3)],
+     [(1, 1, 0, 0, 0, 1)]),
+    # negative coefficients
+    ([(-6, 2, 1)], [(4, 3), (-2, 1, 2)], [(1, 1)]),
+    # both arguments one term
+    ([(3, 2, 1)], [(-5, 1, 3, 1)], [(1, 1, 1)]),
+    # a gcd of 1
+    ([(1, 1, 1)], [(1, 2), (-1, 0, 0, 1)], [(1,)]),
+])
+def test_one_term_gcd_is_the_monomial_of_least_exponents(monkeypatch, p, q, g):
+    """gcd(c*m, q) is the monomial of least exponents over the terms of
+    both, found without the cache."""
+    cache = {}
+    monkeypatch.setattr(canonical, "_GCD_CACHE", cache)
+    p, q = _poly(p), _poly(q)
+    for args in ((p, q), (q, p)):
+        _assert_gcd_agrees_with_sympy(*args)
+        assert poly_gcd(*args)[0] == _poly(g)
+    assert not cache
 
 
 def test_heuristic_that_gives_up_falls_back_to_the_prs(monkeypatch):

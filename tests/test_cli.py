@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from wavesym.cli import MAX_SAMPLES, _build_parser, main
+from wavesym import cli
+from wavesym.cli import MAX_K, MAX_SAMPLES, _build_parser, main
 from wavesym.expr import parse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -90,6 +91,33 @@ def test_samples_above_the_cap_are_a_usage_error(capsys, monkeypatch,
                                samples, "rank", "--order", "1")
         assert code == 0
         assert json.loads(out)["samples_used"] == int(samples)
+
+
+def test_K_above_the_cap_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    """--K is capped at MAX_K from a flag, the environment and a config
+    file alike, before any generator is built; the cap itself is
+    accepted."""
+    assert MAX_K == 300
+    message = "usage error: K must be at most 300\n"
+    built = []
+    build = cli.build_generators
+    monkeypatch.setattr(cli, "build_generators", lambda *args: (
+        built.append(args) or build(*args)))
+    code, out, err = run_cli(capsys, "--K", "301", "rank", "--order", "1")
+    assert (code, out, err) == (1, "", message)
+    config = tmp_path / "config.json"
+    config.write_text('{"K": 301}')
+    code, out, err = run_cli(capsys, "--config", str(config), "rank",
+                             "--order", "1")
+    assert (code, out, err) == (1, "", message)
+    monkeypatch.setenv("WAVESYM_K", "301")
+    code, out, err = run_cli(capsys, "rank", "--order", "1")
+    assert (code, out, err) == (1, "", message)
+    assert not built
+    monkeypatch.delenv("WAVESYM_K")
+    code, out, _ = run_cli(capsys, "--output", "json", "--K", "300", "rank",
+                           "--order", "1")
+    assert code == 0 and json.loads(out)["K"] == 300
 
 
 def test_rank_refuses_an_order_beyond_the_truncation(capsys):
@@ -331,6 +359,18 @@ def test_console_entry_point():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "rank" in proc.stdout
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """The value classes are plain classes: importing the command line
+    costs no code generation.  -S keeps site hooks, which may preload
+    modules of their own, out of the result."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, wavesym.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_the_shared_parser_leaks_no_state_between_runs(capsys):
