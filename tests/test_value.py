@@ -7,7 +7,13 @@ import pytest
 
 from wavesym.canonical import canonicalize, coordinate
 from wavesym.cli import RunConfig
-from wavesym.eqalgebra import DEFAULT_K, GeneratorSet, RankReport, Source, build_generators
+from wavesym.eqalgebra import (
+    DEFAULT_K,
+    GeneratorSet,
+    RankReport,
+    Source,
+    build_generators,
+)
 from wavesym.equivalence import (
     EquationInstance,
     EquivalenceResult,
@@ -46,10 +52,13 @@ def _pairs():
            EquivalenceResult(Verdict.BOTH_DEGENERATE, Signature(True),
                              Signature(True)))
     yield EquationInstance(U), EquationInstance(U * 1), EquationInstance(SIGMA)
-    yield (FiniteTransformation(U * 2, U / 2), FiniteTransformation(U * 2, U / 2, 1),
+    yield (FiniteTransformation(U * 2, U / 2),
+           FiniteTransformation(U * 2, U / 2, 1),
            FiniteTransformation(U * 2, U / 2, 3))
-    yield RankReport(1, 7, 8, 0, 7), RankReport(1, 7, 8, 0, 7), RankReport(1, 6, 8, 0, 7)
-    yield (build_generators(Source.DERIVED, 2), build_generators(Source.DERIVED, 2),
+    yield (RankReport(1, 7, 8, 0, 7), RankReport(1, 7, 8, 0, 7),
+           RankReport(1, 6, 8, 0, 7))
+    yield (build_generators(Source.DERIVED, 2),
+           build_generators(Source.DERIVED, 2),
            build_generators(Source.DERIVED, 3))
 
 
@@ -105,8 +114,8 @@ def test_keyword_construction_and_defaults():
     assert VectorField(JetSpace(0)).coefficients == {}
     assert PointAction(xi_t=1, xi_x=0, eta_u=U) == PointAction(1, 0, U)
     config = RunConfig()
-    assert (config.K, config.source, config.output) == (DEFAULT_K, Source.DERIVED,
-                                                        "text")
+    assert (config.K, config.source, config.output) == (
+        DEFAULT_K, Source.DERIVED, "text")
     assert config == RunConfig(K=DEFAULT_K)
     config.K = 9  # the run settings stay assignable
     assert config != RunConfig() and config == RunConfig(K=9)
