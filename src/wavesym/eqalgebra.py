@@ -15,17 +15,17 @@ Structure is verified exactly, on integer polynomials.  Each first-order
 generator must have polynomial coefficients; it is flattened once per set
 into integer polynomials over one common integer denominator D.  Read as
 rows of rational coefficients keyed by (coordinate, monomial), the fields
-are brought to one semi-echelon form in generator order (``span_basis``,
-cached per set).  The generators are linearly independent, so every
+are brought to one semi-echelon form in generator order by the package's
+one elimination over Q, ``linalg.semi_echelon`` (``span_basis``, cached
+per set).  The generators are linearly independent, so every
 bracket has at most one decomposition in them.  Each pairwise bracket is
 summed straight into its row from the flattened fields,
 [X, Y]^v = sum_w (N_X^w d_w N_Y^v - N_Y^w d_w N_X^v) / (D_X D_Y), with the
 chain rule through exp atoms and each partial d_w N^v taken once per set;
 no form or field is built for it (``vfields.bracket`` is the general
-operator on rational fields).  The row is reduced against the basis once,
-giving that decomposition or None when a residual is left.  Row entries
-are ints where integral, so elimination runs on integer arithmetic
-wherever it can.  The commutator table is the dict of these
+operator on rational fields).  The row is reduced against the basis once
+(``linalg.reduce_vector``), giving that decomposition or None when a
+residual is left.  The commutator table is the dict of these
 decompositions keyed by generator pair (left, right), and the closure
 sweep reads their supports: a subset is bracket-closed when every bracket
 of two members decomposes into members only.
@@ -255,8 +255,7 @@ def build_generators(source: Source | str = Source.DERIVED,
 # exact span decomposition and the commutator table
 
 _Key = tuple[str, Monomial]  # (coordinate, monomial)
-# a row's entries are exact rationals, held as int where integral, so that
-# elimination runs on integer arithmetic wherever it can
+# a sparse row of exact rationals for ``linalg.semi_echelon``
 _Row = dict[_Key, int | Fraction]
 # a first-order field with polynomial coefficients over one positive integer
 # denominator D: (D, coordinate -> D times its coefficient)
@@ -276,11 +275,6 @@ def _flatten(f: VectorField) -> _Flat:
 def _ratio(c: int, d: int) -> int | Fraction:
     """c/d for a positive integer d, an int when d is 1."""
     return c if d == 1 else Fraction(c, d)
-
-
-def _integral(q: int | Fraction) -> int | Fraction:
-    """q, as an int when integral."""
-    return q.numerator if q.denominator == 1 else q
 
 
 def _row(flat: _Flat) -> _Row:
@@ -366,58 +360,20 @@ def _bracket_rows(flats: tuple[_Flat, ...]):
                            for m, c in terms.items() if c}
 
 
-def _add_multiple(target: dict, a: int | Fraction, source: dict) -> None:
-    """target += a * source in place, dropping entries that cancel."""
-    for key, c in source.items():
-        v = target.get(key, 0) + a * c
-        if v:
-            target[key] = v
-        else:
-            del target[key]
-
-
 class SpanBasis(Value):
-    """Sparse semi-echelon form of linearly independent generator fields.
-
-    Row i is generator i reduced against rows 0..i-1: it carries a pivot
-    key, on which it is 1 and every later row is 0, and its combination of
-    the original generators by index.  It is 0 on the pivots of rows
-    0..i-1, which were cancelled in turn.  Reducing a vector against the
-    rows once, in order, leaves its residual outside the span.
-    """
+    """The semi-echelon form (``linalg.semi_echelon``) of linearly
+    independent generator fields, with their names: row i is generator i
+    reduced against the rows before it, and reducing a vector against the
+    rows once, in order, leaves its residual outside the span."""
 
     _fields = ("names", "rows", "pivots")
 
     def __init__(self, names: tuple[str, ...],
-                 rows: tuple[tuple[_Key, _Row, dict[int, int | Fraction]], ...],
+                 rows: tuple[linalg.EchelonRow, ...],
                  pivots: dict[_Key, int]):  # pivot key -> index of its row
         set_field(self, "names", names)
         set_field(self, "rows", rows)
         set_field(self, "pivots", pivots)
-
-
-def _eliminate(rows, pivots: dict[_Key, int],
-               vector: _Row) -> tuple[_Row, dict[int, int | Fraction]]:
-    """Subtract basis rows from ``vector`` in order, each row whose pivot
-    the residual holds; returns the residual and the generator combination
-    that was subtracted.  Row i is 0 on the pivots of the rows before it,
-    so subtracting it brings in only pivots of later rows: the smallest
-    index pending is the next row, and rows the vector never reaches are
-    not visited."""
-    residual = dict(vector)
-    removed: dict[int, int | Fraction] = {}
-    pending = {pivots[k] for k in residual if k in pivots}
-    while pending:
-        i = min(pending)
-        pending.remove(i)
-        pivot, row, combination = rows[i]
-        a = residual.get(pivot)
-        if a is not None:
-            _add_multiple(residual, -a, row)
-            _add_multiple(removed, a, combination)
-            pending.update(pivots[k] for k in row
-                           if k in pivots and k in residual)
-    return residual, removed
 
 
 def span_basis(g: GeneratorSet) -> SpanBasis:
@@ -426,22 +382,13 @@ def span_basis(g: GeneratorSet) -> SpanBasis:
     of those before it, since decompositions would then not be unique."""
     key = "span"
     if key not in g._cache:
-        rows = []
-        pivots: dict[_Key, int] = {}
-        for i, (name, flat) in enumerate(zip(g.names, _flattened(g))):
-            residual, removed = _eliminate(rows, pivots, _row(flat))
-            if not residual:
-                raise ValueError(
-                    f"generator {name} lies in the span of the generators "
-                    f"before it; bracket decompositions would not be unique")
-            # a unit pivot, where there is one, keeps an integer row integral
-            pivot = min(residual, key=lambda k: (abs(residual[k]) != 1, k))
-            inv = _integral(Fraction(1) / residual[pivot])
-            combination = {j: _integral(-c * inv) for j, c in removed.items()}
-            combination[i] = inv
-            rows.append((pivot, {k: _integral(c * inv)
-                                 for k, c in residual.items()}, combination))
-            pivots[pivot] = i
+        rows, pivots, dependent = linalg.semi_echelon(
+            map(_row, _flattened(g)))
+        if dependent:
+            raise ValueError(
+                f"generator {g.names[min(dependent)]} lies in the span of the "
+                f"generators before it; bracket decompositions would not be "
+                f"unique")
         g._cache[key] = SpanBasis(g.names, tuple(rows), pivots)
     return g._cache[key]
 
@@ -450,7 +397,7 @@ def solve_in_span(basis: SpanBasis, row: _Row) -> dict[str, Fraction] | None:
     """The exact rational combination of basis generators equal to the
     field whose row (see ``field_row``) is ``row``, in generator order, or
     None when it lies outside their span."""
-    residual, removed = _eliminate(basis.rows, basis.pivots, row)
+    residual, removed = linalg.reduce_vector(basis.rows, basis.pivots, row)
     if residual:
         return None
     return {basis.names[j]: Fraction(removed[j]) for j in sorted(removed)}
@@ -775,6 +722,12 @@ def _family(g: GeneratorSet, order: int) -> tuple[int, int] | None:
         return len(g.names) - k, min_truncation(order)
 
 
+def _chart(fields, order: int) -> tuple[str, ...]:
+    """The coordinates of the order-``order`` chart that the prolonged
+    ``fields`` live on, the default chart's for a set with no fields."""
+    return fields[0].space.coordinates if fields else JetSpace(order).coordinates
+
+
 def prolonged_rank(
     g: GeneratorSet,
     order: int,
@@ -785,7 +738,7 @@ def prolonged_rank(
 ) -> RankReport:
     """Generic rank of the order-``order`` prolonged coefficient matrix."""
     fields = g.prolonged(order)
-    coords = JetSpace(order).coordinates
+    coords = _chart(fields, order)
     best, used = matrix_rank_at_samples(
         fields, coords, samples=samples, seed=seed,
         coordinate_range=coordinate_range, family=_family(g, order))
@@ -834,7 +787,8 @@ def rank_on_manifold(
     locus.  a and b are evaluated apart, from one plan, so a point where a
     vanishes is rejected even when b shares the vanishing factor.
     """
-    coords = JetSpace(order).coordinates
+    fields = g.prolonged(order)
+    coords = _chart(fields, order)
     cf = canonicalize(constraint)
     if cf.is_zero():
         return prolonged_rank(g, order, samples=samples, seed=seed,
@@ -851,7 +805,6 @@ def rank_on_manifold(
         partial[v] = Fraction(-b_num * a_den, b_den * a_num)
         return partial
 
-    fields = g.prolonged(order)
     best, used = matrix_rank_at_samples(
         fields, coords, samples=samples, seed=seed,
         coordinate_range=coordinate_range, point_filter=on_locus,
@@ -874,9 +827,10 @@ def minimal_generating_set(
     (greedy-minimal) but is not guaranteed to be a globally minimum subset.
     ``exhaustive=True`` searches all subsets (only for up to 10 generators).
     """
-    coords = JetSpace(order).coordinates
+    fields = g.prolonged(order)
+    coords = _chart(fields, order)
     plan = _RankPlan(0, len(g.names), len(coords), EvaluationPlan(
-        [f.coefficient(c) for f in g.prolonged(order) for c in coords]))
+        [f.coefficient(c) for f in fields for c in coords]))
     matrices = [dict(zip(g.names, rows)) for rows in _sampled_matrices(
         plan, coords, samples, seed, coordinate_range)]
 

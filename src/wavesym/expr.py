@@ -79,14 +79,6 @@ class Const(Expr):
     def __init__(self, value: Fraction):
         set_field(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
-
     def __repr__(self):
         return f"Const({self.value})"
 
@@ -96,14 +88,6 @@ class Coord(Expr):
 
     def __init__(self, name: str):
         set_field(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
 
     def __repr__(self):
         return f"Coord({self.name})"
@@ -118,14 +102,6 @@ class AtomApp(Expr):
         set_field(self, "name", name)
         set_field(self, "arg", arg)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.arg) == (other.name, other.arg)
-
-    def __hash__(self):
-        return hash((self.name, self.arg))
-
     def __repr__(self):
         return f"AtomApp({self.name}({self.arg}))"
 
@@ -135,14 +111,6 @@ class Sum(Expr):
 
     def __init__(self, terms: tuple[Expr, ...]):
         set_field(self, "terms", terms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.terms,))
 
     def __repr__(self):
         return f"Sum({', '.join(map(repr, self.terms))})"
@@ -154,14 +122,6 @@ class Product(Expr):
     def __init__(self, factors: tuple[Expr, ...]):
         set_field(self, "factors", factors)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash((self.factors,))
-
     def __repr__(self):
         return f"Product({', '.join(map(repr, self.factors))})"
 
@@ -172,14 +132,6 @@ class Power(Expr):
     def __init__(self, base: Expr, exponent: int):
         set_field(self, "base", base)
         set_field(self, "exponent", exponent)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.exponent) == (other.base, other.exponent)
-
-    def __hash__(self):
-        return hash((self.base, self.exponent))
 
     def __repr__(self):
         return f"Power({self.base!r}, {self.exponent})"

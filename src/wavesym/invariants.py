@@ -15,8 +15,6 @@ under each coefficient source; nothing is silently corrected.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .canonical import ONE_FORM, CanonicalForm, canonicalize
 from .expr import Expr, parse, to_string
@@ -166,27 +164,29 @@ def weight_kernel_search(
 ) -> list[tuple[int, ...]]:
     """Integer exponent vectors e with sum_i e_i * weight_i == 0 for every
     scaling generator; each vector makes prod blocks^e_i absolute under those
-    generators (re-verified before returning)."""
-    gen_names = list(scaling_gens)
-    rows: list[list[Fraction]] = []
-    keys = []
+    generators (re-verified before returning).
+
+    Each block's weights form one sparse column keyed by (generator,
+    monomial).  Block i whose column is sum_j c_j times the columns of the
+    independent blocks before it (``linalg.semi_echelon``) gives the kernel
+    vector e_i - sum_j c_j e_j, one per such block in block order: the
+    basis that reduced row echelon form reads off its free columns."""
     columns = []
     for block in blocks:
         column = {}
-        for gname in gen_names:
+        for gname in scaling_gens:
             w = block.weights.get(gname)
             if w is None:
                 raise ValueError("every block needs a weight for every generator")
             for m, c in w.rational_coefficients().items():
                 column[(gname, m)] = c
         columns.append(column)
-        keys.extend(column)
-    keys = sorted(set(keys))
-    rows = [[col.get(key, Fraction(0)) for col in columns] for key in keys]
-    kernel = linalg.nullspace(rows) if rows else [
-        [Fraction(1) if i == j else Fraction(0) for j in range(len(blocks))]
-        for i in range(len(blocks))]
-    vectors = [linalg.primitive_integer_vector(v) for v in kernel]
+    _, _, dependent = linalg.semi_echelon(columns)
+    vectors = []
+    for i, combination in dependent.items():
+        v = [-combination.get(j, 0) for j in range(len(blocks))]
+        v[i] = 1
+        vectors.append(linalg.primitive_integer_vector(v))
     for vec in vectors:
         candidate = candidate_from_exponents(blocks, vec)
         for gname, x in scaling_gens.items():

@@ -1,12 +1,13 @@
-"""Exact linear algebra over the rationals: row reduction, rank and integer
-kernels.
+"""Exact linear algebra over the rationals: one sparse elimination, ranks
+and integer vectors.
 
-``rank`` takes integer rows; a row of rationals is scaled by the lcm of its
-denominators (``integer_row``) first, which keeps the rank.  The rows are
-brought to echelon form by fraction-free (Bareiss) elimination, whose
-entries are minors of the integer matrix, so every division is exact.
-``rref`` and ``nullspace`` keep Fraction entries, since a kernel basis
-needs the reduced rows.
+``semi_echelon`` is the package's one elimination over Q, on sparse
+vectors (key -> int or Fraction) taken in input order.  It gives both the
+bracket decompositions of ``eqalgebra`` and the weight kernels of
+``invariants``.  ``rank`` takes integer rows (a row of rationals is scaled
+by ``integer_row`` first, which keeps the rank) and brings them to echelon
+form by fraction-free (Bareiss) elimination, whose entries are minors of
+the integer matrix, so every division is exact.
 """
 
 from __future__ import annotations
@@ -15,10 +16,83 @@ from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 
 Matrix = list[list[Fraction]]
+# a row of the semi-echelon form: its pivot key, the row, and the row's
+# combination of the input vectors by index
+EchelonRow = tuple[object, dict, dict[int, int | Fraction]]
+
+
+def _integral(q: int | Fraction) -> int | Fraction:
+    """q, as an int when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _add_multiple(target: dict, a: int | Fraction, source: dict) -> None:
+    """target += a * source in place, dropping entries that cancel."""
+    for key, c in source.items():
+        v = target.get(key, 0) + a * c
+        if v:
+            target[key] = v
+        else:
+            del target[key]
+
+
+def reduce_vector(rows: list[EchelonRow], pivots: dict,
+                  vector: dict) -> tuple[dict, dict[int, int | Fraction]]:
+    """Subtract echelon rows from ``vector`` in order, each row whose pivot
+    the residual holds; returns the residual and the combination of the
+    input vectors that was subtracted.  Row i is 0 on the pivots of the
+    rows before it, so subtracting it brings in only pivots of later rows:
+    the smallest index pending is the next row, and rows the vector never
+    reaches are not visited."""
+    residual = dict(vector)
+    removed: dict[int, int | Fraction] = {}
+    pending = {pivots[k] for k in residual if k in pivots}
+    while pending:
+        i = min(pending)
+        pending.remove(i)
+        pivot, row, combination = rows[i]
+        a = residual.get(pivot)
+        if a is not None:
+            _add_multiple(residual, -a, row)
+            _add_multiple(removed, a, combination)
+            pending.update(pivots[k] for k in row
+                           if k in pivots and k in residual)
+    return residual, removed
+
+
+def semi_echelon(vectors) -> tuple[list[EchelonRow], dict,
+                                   dict[int, dict[int, int | Fraction]]]:
+    """The semi-echelon form of sparse vectors with mutually comparable
+    keys, reduced in input order: (rows, pivot key -> index of its row,
+    dependent).  A vector with a residual against the rows before it
+    becomes a row, scaled to 1 on its pivot; a pivot where the residual is
+    +-1, if there is one, keeps an integer row integral, and entries are
+    ints where integral, so elimination runs on integer arithmetic
+    wherever it can.  A vector without a residual is in ``dependent``,
+    keyed by its index, with its unique combination of the independent
+    vectors before it (empty for a zero vector)."""
+    rows: list[EchelonRow] = []
+    pivots: dict = {}
+    dependent: dict[int, dict[int, int | Fraction]] = {}
+    for i, vector in enumerate(vectors):
+        residual, removed = reduce_vector(rows, pivots, vector)
+        if not residual:
+            dependent[i] = removed
+            continue
+        pivot = min(residual, key=lambda k: (abs(residual[k]) != 1, k))
+        inv = _integral(Fraction(1) / residual[pivot])
+        combination = {j: _integral(-c * inv) for j, c in removed.items()}
+        combination[i] = inv
+        pivots[pivot] = len(rows)
+        rows.append((pivot, {k: _integral(c * inv)
+                             for k, c in residual.items()}, combination))
+    return rows, pivots, dependent
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
+    """Reduced row echelon form and the pivot column indices.  Nothing in
+    the package calls it; it stays while the benchmark's per-layer metrics
+    name it."""
     m = [list(map(Fraction, row)) for row in rows]
     if not m:
         return [], []
@@ -99,24 +173,7 @@ def _fraction_free_pivots(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def nullspace(a: Matrix) -> list[list[Fraction]]:
-    """Basis of the rational kernel, one vector per free column."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    reduced, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(v)
-    return basis
-
-
-def primitive_integer_vector(v: list[Fraction]) -> tuple[int, ...]:
+def primitive_integer_vector(v: list[int | Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers; the first nonzero entry
     is made positive."""
     ints = integer_row([(x.numerator, x.denominator) for x in v])

@@ -6,9 +6,10 @@ assignment.  Instances compare equal when they are of the same class with
 equal fields and hash by the tuple of those fields.  The classes are
 written out rather than generated by ``dataclasses``, whose import and
 per-class code generation cost more start-up time than a whole command's
-own work; the hot classes (expression nodes, canonical forms, charts and
-vector fields) define their own ``__eq__`` and ``__hash__`` without the
-loop over field names below.
+own work.  The hot classes (canonical forms, charts and vector fields)
+define their own ``__eq__`` and ``__hash__`` without the loop over field
+names below.  Expression nodes keep these, since no command compares or
+hashes a parsed tree.
 """
 
 from __future__ import annotations

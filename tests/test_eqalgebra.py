@@ -572,6 +572,34 @@ def test_rank_on_sigma_zero(derived6):
     assert report.rank <= 7
 
 
+def test_ranks_read_their_chart_from_the_prolonged_fields(monkeypatch):
+    g = build_generators("derived", 5)
+    g.prolonged(2)
+    built = []
+    original = JetSpace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetSpace, "__init__", counted)
+    assert prolonged_rank(g, 2).variable_count == 10
+    assert rank_on_manifold(g, R_EXPR, 2).variable_count == 10
+    minimal_generating_set(g, 2)
+    assert built == []
+
+
+@pytest.mark.parametrize("order, variables", [(0, 5), (1, 7), (2, 10)])
+def test_ranks_of_a_set_without_fields(order, variables):
+    g = GeneratorSet(Source.DERIVED, 0, (), (), 0)
+    expected = {"order": order, "rank": 0, "samples_used": 8, "seed": 1729,
+                "variable_count": variables, "invariant_count": variables}
+    assert prolonged_rank(g, order).as_dict() == expected
+    if order:
+        assert rank_on_manifold(g, R_EXPR, order).as_dict() == expected
+    assert minimal_generating_set(g, order) == ()
+
+
 def test_unsolvable_constraint(derived6):
     with pytest.raises(NotSolvableError):
         rank_on_manifold(derived6, parse("sigma^2 - f^2", JetSpace(1)), 1)

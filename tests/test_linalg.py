@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from wavesym.linalg import (
     _fraction_free_pivots,
     integer_row,
-    nullspace,
     primitive_integer_vector,
     rank,
+    reduce_vector,
     rref,
+    semi_echelon,
 )
 
 F = Fraction
@@ -122,17 +123,37 @@ def test_fraction_free_pivots_end_in_the_determinant(a):
         assert abs(pivots[-1]) == abs(det)
 
 
-# --- nullspace -----------------------------------------------------------------
+# --- the sparse elimination and kernels ----------------------------------------
 
-def test_nullspace_one_vector_per_free_column():
-    basis = nullspace([[1, 2, 3], [2, 4, 6]])
+def _columns(a):
+    """The columns of a dense matrix as sparse vectors keyed by row."""
+    ncols = len(a[0]) if a else 0
+    return [{r: F(row[c]) for r, row in enumerate(a) if row[c]}
+            for c in range(ncols)]
+
+
+def _kernel(a):
+    """The kernel basis that ``invariants.weight_kernel_search`` takes from
+    ``semi_echelon`` of the columns: e_i - sum_j c_j e_j for each column i
+    that is sum_j c_j times the independent columns before it."""
+    ncols = len(a[0]) if a else 0
+    basis = []
+    for i, combination in semi_echelon(_columns(a))[2].items():
+        v = [-F(combination.get(j, 0)) for j in range(ncols)]
+        v[i] = F(1)
+        basis.append(v)
+    return basis
+
+
+def test_kernel_one_vector_per_free_column():
+    basis = _kernel([[1, 2, 3], [2, 4, 6]])
     assert basis == [[-2, 1, 0], [-3, 0, 1]]
 
 
-def test_nullspace_of_full_rank_and_zero_matrices():
-    assert nullspace([[1, 0], [0, 1]]) == []
-    assert nullspace([[0, 0]]) == [[1, 0], [0, 1]]
-    assert nullspace([]) == []
+def test_kernel_of_full_rank_and_zero_matrices():
+    assert _kernel([[1, 0], [0, 1]]) == []
+    assert _kernel([[0, 0]]) == [[1, 0], [0, 1]]
+    assert _kernel([]) == []
 
 
 _matrices = st.integers(1, 4).flatmap(lambda ncols: st.lists(
@@ -142,13 +163,68 @@ _matrices = st.integers(1, 4).flatmap(lambda ncols: st.lists(
 
 @settings(max_examples=80, deadline=None)
 @given(_matrices)
-def test_nullspace_is_kernel_with_rank_nullity(a):
-    basis = nullspace(a)
+def test_kernel_is_kernel_with_rank_nullity(a):
+    basis = _kernel(a)
     assert len(basis) + rank(a) == len(a[0])
     for v in basis:
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
     if basis:
         assert rank(_scaled(basis)) == len(basis)
+
+
+@st.composite
+def _matrices_with_zero_columns(draw):
+    rows = draw(_rational_matrices())
+    for c in draw(st.sets(st.integers(0, len(rows[0]) - 1), max_size=2)):
+        for row in rows:
+            row[c] = F(0)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices_with_zero_columns())
+@example([[F(0)] * 3] * 2)
+@example([[F(1), F(0), F(2)], [F(3), F(0), F(6)]])
+def test_kernel_agrees_with_sympy_vector_for_vector(rows):
+    sympy = pytest.importorskip("sympy")
+    expected = [primitive_integer_vector([F(int(x.p), int(x.q)) for x in v])
+                for v in sympy.Matrix([[sympy.Rational(x.numerator,
+                                                       x.denominator)
+                                        for x in row] for row in rows]
+                                      ).nullspace()]
+    assert [primitive_integer_vector(v) for v in _kernel(rows)] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices_with_zero_columns())
+def test_semi_echelon_rows_and_combinations(rows):
+    """Every row is its combination of the inputs, 1 on its pivot, and 0
+    on the pivots of the rows before it; every dependent vector is its
+    combination of the independent ones before it, and reduces to no
+    residual with that combination."""
+    vectors = _columns(rows)
+
+    def combine(combination):
+        out = {}
+        for j, c in combination.items():
+            for key, x in vectors[j].items():
+                out[key] = out.get(key, 0) + c * x
+        return {key: x for key, x in out.items() if x}
+
+    echelon, pivots, dependent = semi_echelon(vectors)
+    assert len(echelon) + len(dependent) == len(vectors)
+    assert len(echelon) == rank(_scaled(rows))
+    for i, (pivot, row, combination) in enumerate(echelon):
+        assert pivots[pivot] == i
+        assert row[pivot] == 1
+        assert all(earlier not in row for earlier, _, _ in echelon[:i])
+        assert combine(combination) == row
+    for i, combination in dependent.items():
+        assert all(j < i and j not in dependent for j in combination)
+        assert combine(combination) == vectors[i]
+        residual, removed = reduce_vector(echelon, pivots, vectors[i])
+        assert residual == {}
+        assert removed == combination
 
 
 # --- primitive integer vectors -------------------------------------------------
