@@ -64,6 +64,10 @@ MAX_SAMPLES = 10_000
 # verify-algebra`, takes 7.4 s and 61 MB, and `invariants verify` 4.0 s;
 # verify-algebra grows about as K^2 (10.3 s at K = 500, derived source)
 MAX_K = 300
+# highest --coordinate-range: at 10^6, `--K 300 --samples 10000 rank --order
+# 6` takes 5.4 s against 4.8 s at the default 50; the integers of a sample
+# grow with it (over 100 s at 10^1000)
+MAX_COORDINATE_RANGE = 10 ** 6
 
 
 class _UsageError(Exception):
@@ -105,6 +109,9 @@ class RunConfig(Value):
             raise _UsageError(f"samples must be at most {MAX_SAMPLES}")
         if self.K > MAX_K:
             raise _UsageError(f"K must be at most {MAX_K}")
+        if self.coordinate_range > MAX_COORDINATE_RANGE:
+            raise _UsageError(
+                f"coordinate_range must be at most {MAX_COORDINATE_RANGE}")
 
 
 _INT_KEYS = ("seed", "samples", "K", "coordinate_range")

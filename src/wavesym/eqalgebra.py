@@ -38,15 +38,17 @@ so one set never prolongs a field twice, however many fields it holds.
 
 Generic ranks of prolonged coefficient matrices are computed by exact
 evaluation at seeded random integer points, taking the maximum over
-samples.  Each matrix is compiled once, into one bounded cache of the
-process, to one of the same rank at every point off its poles
-(``_compile``): the family rows beyond ``min_truncation`` are dropped where
-an exact identity proves them redundant, and every constant entry becomes
-a pivot.  The residual left, 3 rows for K >= order + 2, is evaluated by a
-``canonical.EvaluationPlan`` at each point, and its rank taken by
-fraction-free elimination (``linalg.rank``); no modular or floating-point
-shortcut is made, as a rank modulo a prime can fall below the rank over
-the rationals.
+samples; each sampled rank is a lower bound on the generic rank.  Each
+matrix is compiled once, into one bounded cache of the process, to one of
+the same rank at every point off its poles (``_compile``): the family rows
+beyond ``min_truncation`` are dropped where an exact identity proves them
+redundant, and every constant entry becomes a pivot.  A rank on a locus
+a*v + b = 0 goes through the same compiled matrix, with v = -b/a
+substituted into what is left.  The residual, 3 rows for K >= order + 2,
+is evaluated by a ``canonical.EvaluationPlan`` at each point, and its rank
+taken by fraction-free elimination (``linalg.rank``); no modular or
+floating-point shortcut is made, as a rank modulo a prime can fall below
+the rank over the rationals.
 """
 
 from __future__ import annotations
@@ -586,7 +588,7 @@ def _add_product(out: dict, a: dict, row: dict) -> None:
             del out[col]
 
 
-def _compile(fields, coords: tuple[str, ...], family) -> _RankPlan:
+def _compile(fields, coords: tuple[str, ...], family, locus) -> _RankPlan:
     """The matrix of ``fields``' coefficients on ``coords`` brought to a
     smaller one of the same rank at every point off its poles.  Each row is
     cleared of denominators by the product of its distinct ones.  With
@@ -596,7 +598,11 @@ def _compile(fields, coords: tuple[str, ...], family) -> _RankPlan:
     W'_j holds exactly (see ``min_truncation``), else kept less that sum.
     Each nonzero constant entry, smallest first, is then eliminated
     fraction-free as a pivot.  An atom eliminated with a pivot leaves the
-    rank free of its value; one left raises at sampling."""
+    rank free of its value; one left raises at sampling.  With ``locus`` =
+    (v, a, b), v = -b/a is substituted into the residual and the pole
+    checks, and a is one more pole check: the plan then reads only the
+    other coordinates, and its rank at a point is the whole matrix's at
+    that point with v on the locus."""
     matrix = [[f.coefficient(c) for c in coords] for f in fields]
     poles = {e.denominator: 0 for row in matrix for e in row
              if not e.denominator.is_const()}
@@ -635,26 +641,32 @@ def _compile(fields, coords: tuple[str, ...], family) -> _RankPlan:
     live = sorted(set().union(*rows))
     forms = [CanonicalForm(_poly(row.get(c, {})), _POLY_ONE)
              for row in rows for c in live]
-    return _RankPlan(pivots, len(rows), len(live), EvaluationPlan(
-        forms + [CanonicalForm(d, _POLY_ONE) for d in poles]))
+    forms += [CanonicalForm(d, _POLY_ONE) for d in poles]
+    if locus is not None:
+        v, a, b = locus
+        at = {v: CanonicalForm(-b, _POLY_ONE) / CanonicalForm(a, _POLY_ONE)}
+        forms = [f.substitute(at) for f in forms] + [CanonicalForm(a, _POLY_ONE)]
+    return _RankPlan(pivots, len(rows), len(live), EvaluationPlan(forms))
 
 
 # the compiled matrices of sampled ranks (``_compile``), shared by every
 # rank computation of the process and keyed by (fields, coordinates,
-# family): fields compare by value, so a set that binds its names to other
-# fields gets its own plan.  Bounded: emptied in place once it holds
-# _PLANS_MAX_ENTRIES plans, four times the 12 (truncations 5 to 8, orders
-# 1 to 3) that one rank-invariants benchmark pass compiles.
+# family, locus): fields compare by value, so a set that binds its names to
+# other fields gets its own plan.  Bounded: emptied in place once it holds
+# _PLANS_MAX_ENTRIES plans, three times the 16 (truncations 5 to 8, orders
+# 1 to 3, and order 1 on the special manifold) that one rank-invariants
+# benchmark pass compiles.
 _PLANS_MAX_ENTRIES = 48
 _PLANS: dict[tuple, _RankPlan] = {}
 
 
-def _matrix_plan(fields, coords: tuple[str, ...], family=None) -> _RankPlan:
+def _matrix_plan(fields, coords: tuple[str, ...], family=None,
+                 locus=None) -> _RankPlan:
     """``_compile`` of the matrix, once while the cache holds it."""
-    key = (tuple(fields), coords, family)
+    key = (tuple(fields), coords, family, locus)
     plan = _PLANS.get(key)
     if plan is None:
-        plan = _compile(fields, coords, family)
+        plan = _compile(fields, coords, family, locus)
         if len(_PLANS) >= _PLANS_MAX_ENTRIES:
             _PLANS.clear()
         _PLANS[key] = plan
@@ -662,11 +674,11 @@ def _matrix_plan(fields, coords: tuple[str, ...], family=None) -> _RankPlan:
 
 
 def _sampled_matrices(plan: _RankPlan, coords, samples, seed,
-                      coordinate_range, point_filter=None):
+                      coordinate_range):
     """The residual of ``plan`` as integer rows at one valid point per
     sample seed.  Sample seeds are drawn from ``seed`` up front; each seeds
-    its own stream of candidate points over ``coords``, retried on poles or
-    rejection by ``point_filter``."""
+    its own stream of candidate integer points over ``coords``, retried
+    where a pole check of the plan vanishes."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
@@ -676,10 +688,6 @@ def _sampled_matrices(plan: _RankPlan, coords, samples, seed,
         for _ in range(_MAX_RESAMPLES):
             point = {c: sub.randint(-coordinate_range, coordinate_range)
                      for c in coords}
-            if point_filter is not None:
-                point = point_filter(point)
-                if point is None:
-                    continue
             try:
                 rows = _integer_rows(plan, point)
             except ZeroDenominatorError:
@@ -698,19 +706,20 @@ def matrix_rank_at_samples(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     coordinate_range: int = DEFAULT_COORDINATE_RANGE,
-    point_filter=None,
+    locus: tuple[str, Poly, Poly] | None = None,
     family: tuple[int, int] | None = None,
 ) -> tuple[int, int]:
     """Max exact rank of the coefficient matrix over seeded integer points,
     each the compiled pivot count plus the residual's rank there.
 
-    ``point_filter`` may adjust a candidate point (e.g. force it onto a
-    constraint locus) or reject it by returning None.  ``family`` marks the
-    rows Y^0, Y^1, ... (see ``_compile``).  Returns (rank, samples_used).
+    ``locus`` = (v, a, b) puts the solved coordinate v = -b/a of each point
+    on the locus a*v + b = 0, and rejects the points where a vanishes.
+    ``family`` marks the rows Y^0, Y^1, ... (see ``_compile``).  Returns
+    (rank, samples_used).
     """
-    plan = _matrix_plan(fields, coords, family)
+    plan = _matrix_plan(fields, coords, family, locus)
     ranks = [plan.pivots + linalg.rank(rows) for rows in _sampled_matrices(
-        plan, coords, samples, seed, coordinate_range, point_filter)]
+        plan, coords, samples, seed, coordinate_range)]
     return max(ranks), len(ranks)
 
 
@@ -736,13 +745,10 @@ def prolonged_rank(
     seed: int = DEFAULT_SEED,
     coordinate_range: int = DEFAULT_COORDINATE_RANGE,
 ) -> RankReport:
-    """Generic rank of the order-``order`` prolonged coefficient matrix."""
-    fields = g.prolonged(order)
-    coords = _chart(fields, order)
-    best, used = matrix_rank_at_samples(
-        fields, coords, samples=samples, seed=seed,
-        coordinate_range=coordinate_range, family=_family(g, order))
-    return RankReport(order, best, used, seed, len(coords))
+    """Generic rank of the order-``order`` prolonged coefficient matrix:
+    the rank on the locus 0 = 0, which holds everywhere."""
+    return rank_on_manifold(g, 0, order, samples=samples, seed=seed,
+                            coordinate_range=coordinate_range)
 
 
 def _linear_solve_coordinate(constraint: CanonicalForm, coords: tuple[str, ...]):
@@ -782,32 +788,21 @@ def rank_on_manifold(
 ) -> RankReport:
     """Generic rank on the locus ``constraint = 0``.
 
-    The constraint must isolate one chart coordinate v from a*v + b = 0 by
-    exact rational rearrangement; sample points are then drawn on the
-    locus.  a and b are evaluated apart, from one plan, so a point where a
-    vanishes is rejected even when b shares the vanishing factor.
+    Unless the constraint is identically zero, it must isolate one chart
+    coordinate v from a*v + b = 0 by exact rational rearrangement.  The
+    matrix is compiled as for ``prolonged_rank``, and v = -b/a is then
+    substituted into its residual and pole checks (see ``_compile``), so
+    each integer point of the other coordinates is sampled on the locus.
+    A point is rejected where a vanishes, even when b shares the vanishing
+    factor, or where a denominator of the matrix vanishes on the locus.
     """
     fields = g.prolonged(order)
     coords = _chart(fields, order)
     cf = canonicalize(constraint)
-    if cf.is_zero():
-        return prolonged_rank(g, order, samples=samples, seed=seed,
-                              coordinate_range=coordinate_range)
-    v, a, b = _linear_solve_coordinate(cf, coords)
-    plan = EvaluationPlan([CanonicalForm(p, Poly.const(1)) for p in (a, b)])
-
-    def on_locus(point):
-        partial = {name: value for name, value in point.items() if name != v}
-        (a_num, b_num), dens = plan.at(partial)
-        if a_num == 0:
-            return None
-        a_den, b_den = dens or (1, 1)
-        partial[v] = Fraction(-b_num * a_den, b_den * a_num)
-        return partial
-
+    locus = None if cf.is_zero() else _linear_solve_coordinate(cf, coords)
     best, used = matrix_rank_at_samples(
         fields, coords, samples=samples, seed=seed,
-        coordinate_range=coordinate_range, point_filter=on_locus,
+        coordinate_range=coordinate_range, locus=locus,
         family=_family(g, order))
     return RankReport(order, best, used, seed, len(coords))
 
@@ -823,9 +818,12 @@ def minimal_generating_set(
 ) -> tuple[str, ...]:
     """A subset of generators whose prolongation keeps the full generic rank.
 
-    Greedy elimination by default: the result cannot lose any single member
-    (greedy-minimal) but is not guaranteed to be a globally minimum subset.
-    ``exhaustive=True`` searches all subsets (only for up to 10 generators).
+    Greedy elimination by default: each member in turn is dropped when the
+    rest reach the full set's sampled rank.  Sampled ranks are lower bounds
+    on generic ranks, so a member that was kept may still be droppable (the
+    rest may miss their rank at every sample), and the result is not
+    guaranteed to be a globally minimum subset.  ``exhaustive=True``
+    searches all subsets (only for up to 10 generators).
     """
     fields = g.prolonged(order)
     coords = _chart(fields, order)

@@ -125,7 +125,9 @@ def functional_independence(
     coordinate_range: int = DEFAULT_COORDINATE_RANGE,
 ) -> bool:
     """Whether the Jacobian of the candidates w.r.t. the chart coordinates
-    has full generic rank (sampled exactly)."""
+    has full generic rank, sampled exactly.  A sampled rank is a lower
+    bound on the generic rank, which cannot exceed the row count: True is
+    a proof of independence, while False may be a sampling miss."""
     if not candidates:
         raise ValueError("need at least one candidate")
     rows = [VectorField(space, {c: form.diff(c) for c in form.free_coordinates()})

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from wavesym import cli
-from wavesym.cli import MAX_K, MAX_SAMPLES, _build_parser, main
+from wavesym.cli import (
+    MAX_COORDINATE_RANGE,
+    MAX_K,
+    MAX_SAMPLES,
+    _build_parser,
+    main,
+)
 from wavesym.expr import parse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -118,6 +124,35 @@ def test_K_above_the_cap_is_a_usage_error(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, "--output", "json", "--K", "300", "rank",
                            "--order", "1")
     assert code == 0 and json.loads(out)["K"] == 300
+
+
+def test_coordinate_range_above_the_cap_is_a_usage_error(capsys, monkeypatch,
+                                                         tmp_path):
+    """--coordinate-range is capped at MAX_COORDINATE_RANGE from a flag, the
+    environment and a config file alike, before any generator is built;
+    the cap itself is accepted."""
+    assert MAX_COORDINATE_RANGE == 10 ** 6
+    message = "usage error: coordinate_range must be at most 1000000\n"
+    built = []
+    build = cli.build_generators
+    monkeypatch.setattr(cli, "build_generators", lambda *args: (
+        built.append(args) or build(*args)))
+    code, out, err = run_cli(capsys, "--coordinate-range", "1000001", "rank",
+                             "--order", "1")
+    assert (code, out, err) == (1, "", message)
+    config = tmp_path / "config.json"
+    config.write_text('{"coordinate_range": 1000001}')
+    code, out, err = run_cli(capsys, "--config", str(config), "rank",
+                             "--order", "1")
+    assert (code, out, err) == (1, "", message)
+    monkeypatch.setenv("WAVESYM_COORDINATE_RANGE", "1000001")
+    code, out, err = run_cli(capsys, "rank", "--order", "1")
+    assert (code, out, err) == (1, "", message)
+    assert not built
+    monkeypatch.delenv("WAVESYM_COORDINATE_RANGE")
+    code, out, _ = run_cli(capsys, "--output", "json", "--coordinate-range",
+                           "1000000", "rank", "--order", "1")
+    assert code == 0 and json.loads(out)["rank"] == 7
 
 
 def test_rank_refuses_an_order_beyond_the_truncation(capsys):

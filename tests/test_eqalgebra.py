@@ -8,6 +8,7 @@ from wavesym import eqalgebra, linalg
 from wavesym.canonical import (
     CanonicalForm,
     EvaluationPlan,
+    Poly,
     canonicalize,
     coordinate,
     equals,
@@ -33,7 +34,7 @@ from wavesym.eqalgebra import (
     span_basis,
     verify_commutator_table,
 )
-from wavesym.expr import Coord, UnboundSymbolError, parse
+from wavesym.expr import AtomArgumentError, Coord, UnboundSymbolError, parse
 from wavesym.invariants import NAMED_EXPRESSIONS, functional_independence
 from wavesym.jetspace import JetSpace
 from wavesym.vfields import VectorField, bracket, prolong
@@ -517,10 +518,11 @@ def test_integer_row_rank_agrees_with_sympy(source, order, weights,
                                             constraint, seed, pole):
     """Random combinations of prolonged generators, with the pole field
     1/u d_u + 1/(u*sigma) d_sigma and its sum with the first combination
-    among them when ``pole``, sampled at integer points and at rational
-    points on a locus: the compiled pivot count plus the rank of the
-    integer residual rows is sympy's rank of the Fraction matrix of
-    eval_at."""
+    among them when ``pole``, sampled at integer points, off and on a
+    locus: the compiled pivot count plus the rank of the integer residual
+    rows is sympy's rank of the Fraction matrix of eval_at, at the point
+    itself or, on a locus, at the point with the solved coordinate on
+    it."""
     sympy = pytest.importorskip("sympy")
     g = build_generators(source, 3)
     combos = tuple(field_combination(*zip(w, g.base_fields)) for w in weights)
@@ -552,6 +554,8 @@ def test_integer_row_rank_agrees_with_sympy(source, order, weights,
     assert len(seen) == 2
     fields, coords = sub.prolonged(order), JetSpace(order).coordinates
     for point, rank in seen:
+        if constraint is not None:
+            point = _on_locus(point, parse(constraint, JetSpace(1)), coords)
         exact = sympy.Matrix([[_sympy_rational(sympy, f.coefficient(c).eval_at(point))
                                for c in coords] for f in fields])
         assert rank == exact.rank()
@@ -690,12 +694,11 @@ def test_sampling_resamples_poles_and_refuses_atoms():
 
 
 def test_sampling_exhausted():
-    from wavesym.eqalgebra import SamplingExhaustedError
+    # u*f = 0 is solved for u, with a = f, which is 0 at every point of the
+    # range 0
     g = build_generators("derived", 0)
-    fields = g.prolonged(1)
     with pytest.raises(SamplingExhaustedError):
-        matrix_rank_at_samples(fields, JetSpace(1).coordinates,
-                               point_filter=lambda point: None)
+        rank_on_manifold(g, parse("u*f", JetSpace(1)), 1, coordinate_range=0)
 
 
 # --- the compiled rank matrix against the full one --------------------------
@@ -710,6 +713,16 @@ def _full_rank(fields, coords, point) -> int:
     return linalg.rank([linalg.integer_row(list(zip(nums[i:i + w],
                                                     dens[i:i + w])))
                         for i in range(0, len(nums), w)])
+
+
+def _on_locus(point, constraint, coords):
+    """``point`` with the coordinate v that ``rank_on_manifold`` solves
+    a*v + b = 0 for set to -b/a there: the point on the locus at which a
+    sampled rank is taken.  Raises ZeroDivisionError where a vanishes."""
+    v, a, b = eqalgebra._linear_solve_coordinate(canonicalize(constraint),
+                                                  coords)
+    a, b = (CanonicalForm(p, Poly.const(1)).eval_at(point) for p in (a, b))
+    return {**point, v: -b / a}
 
 
 def _sampled_ranks(call):
@@ -731,23 +744,28 @@ def _sampled_ranks(call):
 @pytest.mark.parametrize("source", list(Source))
 @pytest.mark.parametrize("order", range(7))
 def test_compiled_rank_is_the_full_rank_at_every_point(source, order):
-    """At each sampled point, on and off the special manifold, the pivot
-    count plus the residual's rank is the rank of the whole matrix; from
+    """At each sampled point, off the special manifold, the pivot count
+    plus the residual's rank is the rank of the whole matrix there, and on
+    it, the rank of the whole matrix at the point put on the manifold; from
     K = order + 2 on, the compile leaves order + 3 pivots and 3 rows."""
     coords = JetSpace(order).coordinates
     for K in sorted({0, order + 1, order + 2, order + 4}):
         g = build_generators(source, K)
         fields = g.prolonged(order)
         for seed in (1, 7, 1729):
-            calls = [lambda: prolonged_rank(g, order, samples=2, seed=seed)]
-            if order:
-                calls.append(lambda: rank_on_manifold(g, R_EXPR, order,
-                                                      samples=2, seed=seed))
-            for call in calls:
-                seen = _sampled_ranks(call)
-                assert len(seen) == 2
-                for point, rank in seen:
-                    assert rank == _full_rank(fields, coords, point)
+            seen = _sampled_ranks(lambda: prolonged_rank(g, order, samples=2,
+                                                         seed=seed))
+            assert len(seen) == 2
+            for point, rank in seen:
+                assert rank == _full_rank(fields, coords, point)
+            if not order:
+                continue
+            seen = _sampled_ranks(lambda: rank_on_manifold(
+                g, R_EXPR, order, samples=2, seed=seed))
+            assert len(seen) == 2
+            for point, rank in seen:
+                assert rank == _full_rank(fields, coords,
+                                          _on_locus(point, R_EXPR, coords))
         plan = eqalgebra._matrix_plan(fields, coords,
                                       eqalgebra._family(g, order))
         if K >= order + 2:
@@ -799,8 +817,8 @@ def test_a_row_that_fails_the_family_identity_stays(order):
 def test_a_pole_cancelled_from_the_residual_still_rejects_its_points():
     """(1/u) d_t is cleared to the constant pivot 1 and leaves nothing of
     its pole in the residual; the points with u = 0 are rejected all the
-    same, exactly those the whole matrix rejects, and a stream held on
-    u = 0 runs out where the whole matrix's does."""
+    same, exactly those the whole matrix rejects, and on the locus u = 0
+    no point is left."""
     chart = JetSpace(1)
     g = build_generators("derived", 0)
     pole = VectorField(chart, {"t": parse("1/u", chart)})
@@ -826,7 +844,45 @@ def test_a_pole_cancelled_from_the_residual_still_rejects_its_points():
             fields, coords, seed=seed, coordinate_range=1))
         assert [r for _, r in ranks] == [_full_rank(fields, coords, point)
                                          for point in points[1]]
-    on_pole = lambda point: {**point, "u": 0}   # noqa: E731
-    for p in (plan, whole):
-        with pytest.raises(SamplingExhaustedError):
-            list(eqalgebra._sampled_matrices(p, coords, 1, 5, 50, on_pole))
+    with pytest.raises(SamplingExhaustedError):
+        matrix_rank_at_samples(fields, coords,
+                               locus=("u", Poly.const(1), Poly()))
+
+
+@pytest.mark.parametrize("source", list(Source))
+def test_a_shared_factor_locus_never_samples_where_a_vanishes(source):
+    """sigma*f - sigma*u = 0 is solved for u = -b/a, with a = -sigma and
+    b = sigma*f: the sigma cancels from the substituted u = f, but no point
+    with sigma = 0 is sampled, and each sampled rank is the whole matrix's
+    at the point put on the locus."""
+    constraint = parse("sigma*f - sigma*u", JetSpace(1))
+    g = build_generators(source, 3)
+    for order in (1, 2):
+        fields = g.prolonged(order)
+        coords = fields[0].space.coordinates
+        assert eqalgebra._linear_solve_coordinate(
+            canonicalize(constraint), coords)[:2] == ("u", -Poly.var("sigma"))
+        for seed in range(5):
+            seen = _sampled_ranks(lambda: rank_on_manifold(
+                g, constraint, order, seed=seed, coordinate_range=1))
+            assert len(seen) == 8
+            for point, rank in seen:
+                assert point["sigma"] != 0
+                assert rank == _full_rank(fields, coords,
+                                          _on_locus(point, constraint, coords))
+
+
+def test_an_atom_on_an_eliminated_pivot_row_leaves_the_locus_rank():
+    """A first field d_t + exp(f) d_x among the printed generators: its
+    atom is eliminated with the pivots of d_t and d_x before the special
+    manifold's f = sigma*f_sigma is substituted, which could not be put
+    inside exp(f), and the rank on the manifold stays 6."""
+    chart = JetSpace(1)
+    g = build_generators("paper", 6)
+    first = VectorField(chart, {"t": 1, "x": parse("exp(f)", chart)})
+    sub = GeneratorSet(g.source, 6, g.names, (first,) + g.base_fields[1:],
+                       g.base_order)
+    with pytest.raises(AtomArgumentError):
+        first.coefficient("x").substitute({"f": parse("sigma*f_sigma", chart)})
+    for seed in (1, 7, 1729):
+        assert rank_on_manifold(sub, R_EXPR, 1, seed=seed).rank == 6
