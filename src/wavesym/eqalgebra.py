@@ -560,7 +560,8 @@ _RankPlan = namedtuple("_RankPlan", "pivots rows width plan")
 def _integer_rows(plan: _RankPlan, point) -> list[list[int]]:
     """The residual of ``plan`` at ``point`` as integer rows, each scaled by
     ``linalg.integer_row`` unless every denominator is 1, which keeps the
-    rank; ZeroDenominatorError where a denominator of the matrix is 0."""
+    rank; ZeroDenominatorError at a pole of a form of the plan or a zero
+    of a pole check."""
     nums, dens = plan.plan.at(point)
     n, w = plan.rows * plan.width, plan.width or 1
     if 0 in nums[n:]:
