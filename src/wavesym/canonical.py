@@ -78,6 +78,7 @@ from .expr import (
     as_expr,
     number_text,
 )
+from .linalg import _add_multiple
 from .value import Value, set_field
 
 # ---------------------------------------------------------------------------
@@ -238,12 +239,12 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        _add_terms(out, other.terms)
+        _add_multiple(out, 1, other.terms)
         return _poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        _add_terms(out, other.terms, negate=True)
+        _add_multiple(out, -1, other.terms)
         return _poly(out)
 
     def __neg__(self) -> "Poly":
@@ -251,14 +252,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+        _add_product_terms(out, self.terms, other.terms)
         return _poly(out)
 
     def __pow__(self, n: int) -> "Poly":
@@ -339,20 +333,18 @@ def _unscale(p: Poly, k: int) -> Poly:
     return p if k == 1 else _poly({m: c // k for m, c in p.terms.items()})
 
 
-def _add_terms(out: dict[Monomial, int], terms: dict[Monomial, int],
-               negate: bool = False) -> None:
-    """out += terms (out -= terms when ``negate``) in place; coefficients
+def _add_product_terms(out: dict[Monomial, int], a: dict[Monomial, int],
+                       b: dict[Monomial, int]) -> None:
+    """out += a * b in place, on the terms of polynomials; coefficients
     that cancel are dropped."""
-    for m, c in terms.items():
-        old = out.get(m)
-        if old is None:
-            out[m] = -c if negate else c
-            continue
-        s = old - c if negate else old + c
-        if s:
-            out[m] = s
-        else:
-            del out[m]
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
 
 
 def _content(p: Poly, *rest: Poly) -> int:
@@ -382,8 +374,7 @@ def _exact_div(p: Poly, g: Poly) -> Poly:
             raise ValueError("not an exact division")
         t = _strip(t + rm[len(gm):])
         qc = quotient[t] = _exact_quotient(r[rm], gc)
-        _add_terms(r, {mono_mul(t, m): qc * c for m, c in g.terms.items()},
-                   negate=True)
+        _add_product_terms(r, {t: -qc}, g.terms)
     return _poly(quotient)
 
 
@@ -677,15 +668,6 @@ class CanonicalForm(Value):
     def __init__(self, numerator: Poly, denominator: Poly):
         set_field(self, "numerator", numerator)
         set_field(self, "denominator", denominator)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.numerator, self.denominator)
-                == (other.numerator, other.denominator))
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()

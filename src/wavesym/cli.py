@@ -20,6 +20,7 @@ from .eqalgebra import (
     DEFAULT_K,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    MAX_K,
     Source,
     build_generators,
     closure_max_k,
@@ -60,10 +61,6 @@ MAX_RANK_ORDER = 6
 _INVARIANT_ORDER = 2
 # highest --samples: every sample's seed is drawn before the first point
 MAX_SAMPLES = 10_000
-# highest --K: at K = 300 the slowest command, `--source paper
-# verify-algebra`, takes 7.4 s and 61 MB, and `invariants verify` 4.0 s;
-# verify-algebra grows about as K^2 (10.3 s at K = 500, derived source)
-MAX_K = 300
 # highest --coordinate-range: at 10^6, `--K 300 --samples 10000 rank --order
 # 6` takes 5.4 s against 4.8 s at the default 50; the integers of a sample
 # grow with it (over 100 s at 10^1000)

@@ -69,13 +69,13 @@ from .canonical import (
     Monomial,
     Poly,
     _POLY_ONE,
+    _add_product_terms,
     _derive_poly,
     _poly,
     _strip,
     canonicalize,
     coordinate,
     mono,
-    mono_mul,
 )
 from .expr import ExprLike, ZeroDenominatorError
 from .jetspace import JetSpace
@@ -86,6 +86,10 @@ DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 8
 DEFAULT_COORDINATE_RANGE = 50
 DEFAULT_K = 6
+# highest --K: at K = 300 the slowest command, `--source paper
+# verify-algebra`, takes 7.4 s and 61 MB, and `invariants verify` 4.0 s;
+# verify-algebra grows about as K^2 (10.3 s at K = 500, derived source)
+MAX_K = 300
 # the smallest truncation the closure sweep accepts
 CLOSURE_MIN_K = 4
 _MAX_RESAMPLES = 200
@@ -135,7 +139,9 @@ def _derived_static(name: str) -> VectorField:
     return induce_from_point_action(actions[name])
 
 
-@functools.lru_cache(maxsize=256)
+# holds the whole family up to MAX_K, so a set built again at any --K
+# induces no member twice
+@functools.lru_cache(maxsize=MAX_K + 1)
 def _derived_family(k: int) -> VectorField:
     return induce_from_point_action(PointAction(0, 0, _u_power(k, 0)))
 
@@ -577,14 +583,7 @@ def _add_product(out: dict, a: dict, row: dict) -> None:
     column -> terms, whose terms out owns; a is the terms of one."""
     for col, b in row.items():
         terms = out.setdefault(col, {})
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
+        _add_product_terms(terms, a, b)
         if not terms:
             del out[col]
 

@@ -150,9 +150,10 @@ class WeightedBlock(Value):
 
     @classmethod
     def measure(cls, expr: Expr, gens: dict[str, VectorField]) -> "WeightedBlock":
+        form = canonicalize(expr)
         weights = {}
         for name, x in gens.items():
-            w = relative_weight(expr, x)
+            w = relative_weight(form, x)
             if w is None:
                 raise ValueError(
                     f"block {to_string(expr)} is not relative under {name}")

@@ -42,16 +42,6 @@ class JetSpace(Value):
         set_field(self, "coordinates",
                   tuple(list(passengers) + list(bases) + list(counts)))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.order, self.passengers, self.bases, self.dependent)
-                == (other.order, other.passengers, other.bases,
-                    other.dependent))
-
-    def __hash__(self):
-        return hash((self.order, self.passengers, self.bases, self.dependent))
-
     def derivative_name(self, a: int, b: int) -> str:
         if a == b == 0:
             return self.dependent

@@ -6,10 +6,14 @@ assignment.  Instances compare equal when they are of the same class with
 equal fields and hash by the tuple of those fields.  The classes are
 written out rather than generated by ``dataclasses``, whose import and
 per-class code generation cost more start-up time than a whole command's
-own work.  The hot classes (canonical forms, charts and vector fields)
-define their own ``__eq__`` and ``__hash__`` without the loop over field
-names below.  Expression nodes keep these, since no command compares or
-hashes a parsed tree.
+own work.  Every class compares by the one rule below: no command compares
+or hashes values often enough for a class of its own to pay.  A seed-1
+benchmark pass compares or hashes canonical forms at most 267 times and
+charts at most 52, and `--K 160 --source paper verify-algebra` hashes 1,298
+forms; the loop over field names costs about a microsecond more per call
+than a written-out tuple.  A vector field keeps its own hash, computed
+once, because the caches of prolonged fields and compiled rank matrices
+hash whole fields.  The run settings, which stay assignable, have none.
 """
 
 from __future__ import annotations

@@ -57,12 +57,6 @@ class VectorField(Value):
         set_field(self, "space", space)
         set_field(self, "coefficients", cleaned)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.space, self.coefficients)
-                == (other.space, other.coefficients))
-
     @functools.cached_property
     def _hash(self) -> int:
         return hash((self.space, frozenset(self.coefficients.items())))

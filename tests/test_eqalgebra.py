@@ -15,6 +15,7 @@ from wavesym.canonical import (
 )
 from wavesym.cli import main
 from wavesym.eqalgebra import (
+    MAX_K,
     GeneratorSet,
     NotSolvableError,
     SamplingExhaustedError,
@@ -63,6 +64,15 @@ def test_derived_zeroth_family_member_is_u_shift():
     y0 = g.field_named("Y^0")
     assert set(y0.coefficients) == {"u"}
     assert equals(y0.coefficient("u"), parse("1", JetSpace(0)))
+
+
+def test_a_second_build_at_the_k_cap_induces_no_family_field():
+    build_generators("derived", MAX_K)
+    before = eqalgebra._derived_family.cache_info()
+    build_generators("derived", MAX_K)
+    after = eqalgebra._derived_family.cache_info()
+    assert after.hits - before.hits == MAX_K + 1
+    assert after.misses == before.misses
 
 
 def test_generator_names():

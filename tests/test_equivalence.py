@@ -32,7 +32,6 @@ from wavesym.expr import (
     ExprError,
     ZeroDenominatorError,
     parse,
-    substitute,
 )
 
 U_ONLY = ("u",)
@@ -191,8 +190,7 @@ def test_pushforward_signature_relation():
     w = uexpr("(u - 1)/2")
     scale = parse("sigma/12", EQ_CHART)  # c*phi'^2 = 3*4
     for before, after in ((sig.rho1, sig_moved.rho1), (sig.rho2, sig_moved.rho2)):
-        transported = substitute(parse(str(before), EQ_CHART),
-                                 {"u": w, "sigma": scale})
+        transported = before.substitute({"u": w, "sigma": scale})
         assert equals(transported, parse(str(after), EQ_CHART))
 
 

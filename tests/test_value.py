@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wavesym.canonical import canonicalize, coordinate
+from wavesym.canonical import CanonicalForm, canonicalize, coordinate
 from wavesym.cli import RunConfig
 from wavesym.eqalgebra import (
     DEFAULT_K,
@@ -25,7 +25,7 @@ from wavesym.equivalence import (
 from wavesym.expr import AtomApp, Const, Coord, Power, Product, Sum
 from wavesym.invariants import InvariantReport, WeightedBlock
 from wavesym.jetspace import JetSpace
-from wavesym.value import set_field
+from wavesym.value import Value, set_field
 from wavesym.vfields import PointAction, VectorField
 
 U, SIGMA = coordinate("u"), coordinate("sigma")
@@ -74,6 +74,28 @@ def test_equal_values_compare_and_hash_equal(a, b, other):
         setattr(a, name, getattr(b, name))
     with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
         delattr(a, name)
+
+
+def _value_classes(cls=Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_classes(sub)
+
+
+def test_one_equality_rule_for_every_value_class():
+    """Every value class compares by ``Value``'s rule; all but two hash by
+    it too: a vector field caches its hash, and the run settings, which
+    stay assignable, have none."""
+    classes = set(_value_classes())
+    assert {CanonicalForm, JetSpace, VectorField, RunConfig, Sum} <= classes
+    for cls in classes:
+        assert cls.__eq__ is Value.__eq__, cls.__name__
+        if cls is VectorField:
+            assert cls.__hash__ is not Value.__hash__
+        elif cls is RunConfig:
+            assert cls.__hash__ is None
+        else:
+            assert cls.__hash__ is Value.__hash__, cls.__name__
 
 
 def test_equal_fields_on_different_classes_compare_unequal():
