@@ -30,25 +30,25 @@ decompositions keyed by generator pair (left, right), and the closure
 sweep reads their supports: a subset is bracket-closed when every bracket
 of two members decomposes into members only.
 
-``GeneratorSet.prolonged`` takes its fields from one bounded cache of the
-process, keyed by the field's value, the order and the base order, so sets
-share a field's prolongations while the cache holds them.  A field missing
-there is built from the set's own order k - 1 by one step of the recursion,
-so one set never prolongs a field twice, however many fields it holds.
+``GeneratorSet.prolonged`` builds a field at order k by one step of the
+recursion from the set's own order k - 1, through one LRU cache of the
+process (``_prolonged``) keyed by value, so sets share prolongations while
+the cache holds them, and one set never prolongs a field twice, however
+many fields it holds.
 
 Generic ranks of prolonged coefficient matrices are computed by exact
 evaluation at seeded random integer points, taking the maximum over
 samples; each sampled rank is a lower bound on the generic rank.  Each
-matrix is compiled once, into one bounded cache of the process, to one of
-the same rank at every point off its poles (``_compile``): the family rows
-beyond ``min_truncation`` are dropped where an exact identity proves them
-redundant, and every constant entry becomes a pivot.  A rank on a locus
-a*v + b = 0 goes through the same compiled matrix, with v = -b/a
-substituted into what is left.  The residual, 3 rows for K >= order + 2,
-is evaluated by a ``canonical.EvaluationPlan`` at each point, and its rank
-taken by fraction-free elimination (``linalg.rank``); no modular or
-floating-point shortcut is made, as a rank modulo a prime can fall below
-the rank over the rationals.
+matrix is compiled once while one LRU cache of the process holds it, keyed
+by the fields' values, to one of the same rank at every point off its poles
+(``_compile``): the family rows beyond ``min_truncation`` are dropped where
+an exact identity proves them redundant, and every constant entry becomes a
+pivot.  A rank on a locus a*v + b = 0 goes through the same compiled
+matrix, with v = -b/a substituted into what is left.  The residual, 3 rows
+for K >= order + 2, is evaluated by a ``canonical.EvaluationPlan`` at each
+point, and its rank taken by fraction-free elimination (``linalg.rank``);
+no modular or floating-point shortcut is made, as a rank modulo a prime can
+fall below the rank over the rationals.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import functools
 import random
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import comb, lcm, prod
 
 from . import linalg
@@ -197,7 +197,9 @@ class GeneratorSet(Value):
         set_field(self, "names", names)
         set_field(self, "base_fields", base_fields)
         set_field(self, "base_order", base_order)
-        # prolonged fields by order and span bases by key; not compared
+        # prolonged fields by order (so a set outgrowing ``_prolonged``
+        # prolongs no field twice), and "flat", "span" and "brackets"; not
+        # compared
         set_field(self, "_cache", {})
 
     def field_named(self, name: str) -> VectorField:
@@ -207,38 +209,23 @@ class GeneratorSet(Value):
         if order not in self._cache:
             below = (self.prolonged(order - 1) if order > self.base_order + 1
                      else self.base_fields)
-            self._cache[order] = tuple(
-                _prolonged(f, order, self.base_order, prev)
-                for f, prev in zip(self.base_fields, below))
+            given = max(order - 1, self.base_order)
+            self._cache[order] = tuple(_prolonged(f, order, given)
+                                       for f in below)
         return self._cache[order]
 
     def prolonged_named(self, order: int) -> dict[str, VectorField]:
         return dict(zip(self.names, self.prolonged(order)))
 
 
-# the prolongations of base fields, shared by every generator set of the
-# process and keyed by (field, order, base_order): fields compare by value,
-# not by the name a set gives them.  Bounded: emptied in place once it holds
-# _PROLONGED_MAX_ENTRIES fields, three times the 39 (13 fields, orders 1 to
-# 3) that one rank-invariants benchmark pass leaves.
-_PROLONGED_MAX_ENTRIES = 128
-_PROLONGED: dict[tuple, VectorField] = {}
-
-
-def _prolonged(f: VectorField, order: int, base_order: int,
-               below: VectorField) -> VectorField:
-    """f lifted to the order-``order`` chart, its coefficients up to
-    ``base_order`` taken as given.  ``below`` is f at order - 1, or f itself
-    up to order base_order + 1; a field missing from the cache is one step
-    of the recursion from it."""
-    key = (f, order, base_order)
-    out = _PROLONGED.get(key)
-    if out is None:
-        out = prolong(below, order, given_order=max(order - 1, base_order))
-        if len(_PROLONGED) >= _PROLONGED_MAX_ENTRIES:
-            _PROLONGED.clear()
-        _PROLONGED[key] = out
-    return out
+# keyed by the field below by value, not by its name in a set; 128 entries
+# are three times the 39 (13 fields, orders 1 to 3) one rank-invariants
+# benchmark pass leaves.  It calls ``prolong`` by its module name, so a
+# tracer that swaps that name counts every prolongation.
+@functools.lru_cache(maxsize=128)
+def _prolonged(below: VectorField, order: int,
+               given_order: int) -> VectorField:
+    return prolong(below, order, given_order=given_order)
 
 
 def build_generators(source: Source | str = Source.DERIVED,
@@ -329,26 +316,17 @@ def _bracket_rows(flats: tuple[_Flat, ...]):
         return {sum(e << (bits * k) for k, e in enumerate(m)): c
                 for m, c in p.terms.items()}
 
-    unpacked: dict[int, Monomial] = {}
-
+    @functools.cache
     def unpack(n: int) -> Monomial:
-        m = unpacked.get(n)
-        if m is None:
-            m = unpacked[n] = _strip(tuple((n >> (bits * k)) & mask
-                                           for k in range(width)))
-        return m
+        return _strip(tuple((n >> (bits * k)) & mask for k in range(width)))
 
     packed = [{v: pack(p) for v, p in coeffs.items()} for _, coeffs in flats]
-    cache: dict[tuple[int, str], dict[str, dict[int, int]]] = {}
 
+    @functools.cache
     def partials(i: int, w: str) -> dict[str, dict[int, int]]:
         """The nonzero d_w N_i^v, packed, by v."""
-        out = cache.get((i, w))
-        if out is None:
-            out = cache[(i, w)] = {
-                v: pack(dp) for v, p in flats[i][1].items()
+        return {v: pack(dp) for v, p in flats[i][1].items()
                 if not (dp := _derive_poly(p, {w: ONE_FORM})[0]).is_zero()}
-        return out
 
     for i, (x_den, _) in enumerate(flats):
         for j in range(i + 1, len(flats)):
@@ -588,7 +566,14 @@ def _add_product(out: dict, a: dict, row: dict) -> None:
             del out[col]
 
 
-def _compile(fields, coords: tuple[str, ...], family, locus) -> _RankPlan:
+# keyed by value, so a set binding its names to other fields gets its own
+# plan; 48 entries are three times the 16 (truncations 5 to 8, orders 1 to
+# 3, and order 1 on the special manifold) one rank-invariants benchmark pass
+# compiles.  Called with all four arguments positional, as lru_cache keys
+# keywords apart.
+@functools.lru_cache(maxsize=48)
+def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
+             family, locus) -> _RankPlan:
     """The matrix of ``fields``' coefficients on ``coords`` brought to a
     smaller one of the same rank at every point off its poles.  Each row is
     cleared of denominators by the product of its distinct ones.  With
@@ -649,30 +634,6 @@ def _compile(fields, coords: tuple[str, ...], family, locus) -> _RankPlan:
     return _RankPlan(pivots, len(rows), len(live), EvaluationPlan(forms))
 
 
-# the compiled matrices of sampled ranks (``_compile``), shared by every
-# rank computation of the process and keyed by (fields, coordinates,
-# family, locus): fields compare by value, so a set that binds its names to
-# other fields gets its own plan.  Bounded: emptied in place once it holds
-# _PLANS_MAX_ENTRIES plans, three times the 16 (truncations 5 to 8, orders
-# 1 to 3, and order 1 on the special manifold) that one rank-invariants
-# benchmark pass compiles.
-_PLANS_MAX_ENTRIES = 48
-_PLANS: dict[tuple, _RankPlan] = {}
-
-
-def _matrix_plan(fields, coords: tuple[str, ...], family=None,
-                 locus=None) -> _RankPlan:
-    """``_compile`` of the matrix, once while the cache holds it."""
-    key = (tuple(fields), coords, family, locus)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _compile(fields, coords, family, locus)
-        if len(_PLANS) >= _PLANS_MAX_ENTRIES:
-            _PLANS.clear()
-        _PLANS[key] = plan
-    return plan
-
-
 def _sampled_matrices(plan: _RankPlan, coords, samples, seed,
                       coordinate_range):
     """The residual of ``plan`` as integer rows at one valid point per
@@ -717,7 +678,7 @@ def matrix_rank_at_samples(
     ``family`` marks the rows Y^0, Y^1, ... (see ``_compile``).  Returns
     (rank, samples_used).
     """
-    plan = _matrix_plan(fields, coords, family, locus)
+    plan = _compile(tuple(fields), coords, family, locus)
     ranks = [plan.pivots + linalg.rank(rows) for rows in _sampled_matrices(
         plan, coords, samples, seed, coordinate_range)]
     return max(ranks), len(ranks)
@@ -839,9 +800,8 @@ def minimal_generating_set(
     if exhaustive:
         if len(g.names) > 10:
             raise ValueError("exhaustive search is limited to 10 generators")
-        import itertools
         for size in range(1, len(g.names) + 1):
-            for combo in itertools.combinations(g.names, size):
+            for combo in combinations(g.names, size):
                 if subset_rank(combo) == full_rank:
                     return combo
     # one pass suffices: a member kept once stays needed, since dropping

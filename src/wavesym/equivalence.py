@@ -25,6 +25,7 @@ constructors and leave only when printed.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from fractions import Fraction
 
@@ -307,23 +308,26 @@ def search_orbit_match(a: EquationInstance, checked: EquivalenceResult
            for rho_a, rho_b in pairs):
         return None
     probes = [_Probe(*pair) for pair in pairs if _probed(*pair)]
+
+    # each inverse form is built once, for the first map that passes the
+    # probe and needs it
+    @functools.cache
+    def u_form(av, bv):
+        return (_U - bv) / av
+
+    @functools.cache
+    def sigma_form(av, cv):
+        return _SIGMA / (Fraction(av) ** 2 * cv)
+
     for av in _ORBIT_SCALES:
         sigma_at = [_PROBE["sigma"] / (cv * av * av) for cv in _ORBIT_DILATIONS]
-        sigma_forms = [None] * len(_ORBIT_DILATIONS)
         for bv in _ORBIT_SHIFTS:
             u_at = (_PROBE["u"] - bv) / av
-            u_form = None
             for i, cv in enumerate(_ORBIT_DILATIONS):
                 point = {"u": u_at, "sigma": sigma_at[i]}
                 if any(probe.rejects(point) for probe in probes):
                     continue
-                # each inverse form is built once, for the first map that
-                # passes the probe and needs it
-                if u_form is None:
-                    u_form = (_U - bv) / av
-                if sigma_forms[i] is None:
-                    sigma_forms[i] = _SIGMA / (Fraction(av) ** 2 * cv)
-                inverse = {"u": u_form, "sigma": sigma_forms[i]}
+                inverse = {"u": u_form(av, bv), "sigma": sigma_form(av, cv)}
                 try:
                     if (sig_a.rho1.substitute(inverse) != sig_b.rho1
                             or sig_a.rho2.substitute(inverse) != sig_b.rho2):

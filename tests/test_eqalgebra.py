@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from unittest import mock
 
@@ -102,23 +103,30 @@ def test_a_set_gets_the_prolongations_of_its_own_fields():
     assert fields["Y2"] == prolong(y1, 2)
 
 
+def _fresh_cache(monkeypatch, name, maxsize):
+    """Rebind ``eqalgebra.<name>`` to an empty LRU cache of its function
+    bounded at ``maxsize``, for this test only."""
+    cached = functools.lru_cache(maxsize=maxsize)(
+        getattr(eqalgebra, name).__wrapped__)
+    monkeypatch.setattr(eqalgebra, name, cached)
+    return cached
+
+
 def test_prolongation_cache_is_bounded_and_evicts(monkeypatch):
-    cache = {}
-    monkeypatch.setattr(eqalgebra, "_PROLONGED", cache)
-    monkeypatch.setattr(eqalgebra, "_PROLONGED_MAX_ENTRIES", 4)
+    cache = _fresh_cache(monkeypatch, "_prolonged", 4)
     for source in ("derived", "paper"):
         for k in range(3):
             g = build_generators(source, k)
             for order in (3, 2):
                 for f, cached in zip(g.base_fields, g.prolonged(order)):
                     assert cached == prolong(f, order, given_order=g.base_order)
-                assert 0 < len(cache) <= 4
-    assert eqalgebra._PROLONGED is cache
+                assert 0 < cache.cache_info().currsize <= 4
+    assert cache.cache_info().misses > 4
+    assert eqalgebra._prolonged is cache
 
 
 def test_a_set_larger_than_the_cache_prolongs_no_field_twice(monkeypatch):
-    monkeypatch.setattr(eqalgebra, "_PROLONGED", {})
-    monkeypatch.setattr(eqalgebra, "_PROLONGED_MAX_ENTRIES", 4)
+    _fresh_cache(monkeypatch, "_prolonged", 4)
     calls = []
 
     def counted(f, order, given_order):
@@ -139,16 +147,14 @@ def test_a_set_larger_than_the_cache_prolongs_no_field_twice(monkeypatch):
 
 def test_plan_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
     """A plan compiled fresh, reused from the cache or compiled again after
-    the cache was emptied gives the same rank and samples_used."""
+    it was evicted gives the same rank and samples_used."""
     g = build_generators("derived", 5)
     queries = [(order, seed) for order in (1, 2, 3) for seed in (1, 7)] * 2
     expected = []
     for order, seed in queries:
-        monkeypatch.setattr(eqalgebra, "_PLANS", {})
+        eqalgebra._compile.cache_clear()
         expected.append(prolonged_rank(g, order, seed=seed).as_dict())
-    cache = {}
-    monkeypatch.setattr(eqalgebra, "_PLANS", cache)
-    monkeypatch.setattr(eqalgebra, "_PLANS_MAX_ENTRIES", 2)
+    cache = _fresh_cache(monkeypatch, "_compile", 2)
     compiled = []
     plan = eqalgebra.EvaluationPlan
     monkeypatch.setattr(eqalgebra, "EvaluationPlan",
@@ -156,11 +162,12 @@ def test_plan_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
     got = []
     for order, seed in queries:
         got.append(prolonged_rank(g, order, seed=seed).as_dict())
-        assert 0 < len(cache) <= 2
+        assert 0 < cache.cache_info().currsize <= 2
     assert got == expected
     # each order's second seed reuses the plan; each round evicts
     assert len(compiled) == 6
-    assert eqalgebra._PLANS is cache
+    assert cache.cache_info().hits == 6
+    assert eqalgebra._compile is cache
 
 
 def test_a_set_gets_the_plan_of_its_own_fields(monkeypatch):
@@ -168,7 +175,7 @@ def test_a_set_gets_the_plan_of_its_own_fields(monkeypatch):
     set binding Y0 and Y3 to each other's fields samples its own rows.  (Y1
     and Y2 would not show it: their constant entries are compiled into
     pivots, so neither order leaves a row to sample.)"""
-    monkeypatch.setattr(eqalgebra, "_PLANS", {})
+    cache = _fresh_cache(monkeypatch, "_compile", 48)
     g = build_generators("derived", 0)
     y0, y3 = g.field_named("Y0"), g.field_named("Y3")
     plain = GeneratorSet(Source.DERIVED, 0, ("Y0", "Y3"), (y0, y3), 0)
@@ -176,12 +183,12 @@ def test_a_set_gets_the_plan_of_its_own_fields(monkeypatch):
     coords = JetSpace(2).coordinates
 
     def rows_of(gens):
-        plan = eqalgebra._matrix_plan(gens.prolonged(2), coords)
+        plan = eqalgebra._compile(gens.prolonged(2), coords, None, None)
         rows, = eqalgebra._sampled_matrices(plan, coords, 1, 5, 50)
         return rows
 
     plain_rows, swapped_rows = rows_of(plain), rows_of(swapped)
-    assert len(eqalgebra._PLANS) == 2
+    assert cache.cache_info().currsize == 2
     assert swapped_rows == plain_rows[::-1] != plain_rows
 
 
@@ -776,8 +783,8 @@ def test_compiled_rank_is_the_full_rank_at_every_point(source, order):
             for point, rank in seen:
                 assert rank == _full_rank(fields, coords,
                                           _on_locus(point, R_EXPR, coords))
-        plan = eqalgebra._matrix_plan(fields, coords,
-                                      eqalgebra._family(g, order))
+        plan = eqalgebra._compile(tuple(fields), coords,
+                                  eqalgebra._family(g, order), None)
         if K >= order + 2:
             assert (plan.pivots, plan.rows) == (order + 3, 3)
 
@@ -815,7 +822,7 @@ def test_a_row_that_fails_the_family_identity_stays(order):
     fields[g.names.index("Y^7")] = VectorField(y7.space, {
         **y7.coefficients, "sigma": y7.coefficient("sigma") + u ** 3 * sigma})
     family = eqalgebra._family(g, order)
-    plan = eqalgebra._matrix_plan(fields, coords, family)
+    plan = eqalgebra._compile(tuple(fields), coords, family, None)
     assert (plan.pivots, plan.rows) == (order + 3, 4)
     seen = _sampled_ranks(lambda: matrix_rank_at_samples(
         fields, coords, family=family))
@@ -834,7 +841,7 @@ def test_a_pole_cancelled_from_the_residual_still_rejects_its_points():
     pole = VectorField(chart, {"t": parse("1/u", chart)})
     fields = (pole,) + g.prolonged(1)[:1] + g.prolonged(1)[3:4]
     coords = chart.coordinates
-    plan = eqalgebra._matrix_plan(fields, coords)
+    plan = eqalgebra._compile(tuple(fields), coords, None, None)
     forms = plan.plan._forms
     assert plan.pivots == 1 and plan.rows == 2
     assert not any("u" in f.numerator.variables()
