@@ -62,8 +62,10 @@ _INVARIANT_ORDER = 2
 # highest --samples: every sample's seed is drawn before the first point
 MAX_SAMPLES = 10_000
 # highest --coordinate-range: at 10^6, `--K 300 --samples 10000 rank --order
-# 6` takes 5.4 s against 4.8 s at the default 50; the integers of a sample
-# grow with it (over 100 s at 10^1000)
+# 6` takes 1.7-2.3 s against 1.5-1.6 s at the default 50, its first point
+# certifying the rank.  A rank that is never certified uses every sample,
+# whose integers grow with the range: 4.7-6.0 s at 10^6 when every rank
+# did, over 100 s at 10^1000.
 MAX_COORDINATE_RANGE = 10 ** 6
 
 
@@ -256,7 +258,8 @@ def _rank_text(report: dict):
     yield (f"order {report['order']}: rank {report['rank']} of "
            f"{report['variable_count']} variables "
            f"-> {report['invariant_count']} invariants "
-           f"(seed {report['seed']}, samples {report['samples_used']})")
+           f"(seed {report['seed']}, samples {report['samples_used']}, "
+           f"{'' if report['certified'] else 'not '}certified)")
 
 
 def cmd_invariants_verify(config: RunConfig, expr_text: str | None) -> tuple[int, dict]:

@@ -37,18 +37,24 @@ the cache holds them, and one set never prolongs a field twice, however
 many fields it holds.
 
 Generic ranks of prolonged coefficient matrices are computed by exact
-evaluation at seeded random integer points, taking the maximum over
-samples; each sampled rank is a lower bound on the generic rank.  Each
-matrix is compiled once while one LRU cache of the process holds it, keyed
-by the fields' values, to one of the same rank at every point off its poles
-(``_compile``): the family rows beyond ``min_truncation`` are dropped where
-an exact identity proves them redundant, and every constant entry becomes a
-pivot.  A rank on a locus a*v + b = 0 goes through the same compiled
-matrix, with v = -b/a substituted into what is left.  The residual, 3 rows
-for K >= order + 2, is evaluated by a ``canonical.EvaluationPlan`` at each
-point, and its rank taken by fraction-free elimination (``linalg.rank``);
-no modular or floating-point shortcut is made, as a rank modulo a prime can
-fall below the rank over the rationals.
+evaluation at seeded random integer points and certified against a proven
+bound.  Each matrix is compiled once while one LRU cache of the process
+holds it, keyed by the fields' values, to one with the same rank over
+Q(jet) and the same rank at every point off its poles (``_compile``): the
+family rows beyond ``min_truncation`` are dropped where an exact identity
+proves them redundant, and every constant entry becomes a pivot.  A rank on
+a locus a*v + b = 0 goes through the same compiled matrix, with v = -b/a
+substituted into what is left.  The residual, 3 rows for K >= order + 2, is
+evaluated by a ``canonical.EvaluationPlan`` at each point, and its rank
+taken by fraction-free elimination (``linalg.rank``).  A sampled rank is a
+lower bound on the rank over Q(jet), and the compile bounds that rank from
+above by the pivot count plus the residual's row or column count, whichever
+is smaller.  Sampling stops at the first point whose rank meets the bound,
+which proves it the generic rank.  A first point short of it lowers the
+bound to the exact rank, by an elimination over forms on the residual
+(``_form_rank``, once per compiled matrix).  No modular or floating-point
+shortcut is made, as a rank modulo a prime can fall below the rank over the
+rationals.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from __future__ import annotations
 import enum
 import functools
 import random
-from collections import defaultdict, namedtuple
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb, lcm, prod
@@ -511,15 +517,21 @@ def min_truncation(order: int) -> int:
 
 
 class RankReport(Value):
-    _fields = ("order", "rank", "samples_used", "seed", "variable_count")
+    """A sampled rank: the best over ``samples_used`` points, and whether
+    it is ``certified``, that is, proven the rank over Q(jet) by meeting
+    the bound of its compiled matrix (see ``matrix_rank_at_samples``)."""
+
+    _fields = ("order", "rank", "samples_used", "seed", "variable_count",
+               "certified")
 
     def __init__(self, order: int, rank: int, samples_used: int, seed: int,
-                 variable_count: int):
+                 variable_count: int, certified: bool):
         set_field(self, "order", order)
         set_field(self, "rank", rank)
         set_field(self, "samples_used", samples_used)
         set_field(self, "seed", seed)
         set_field(self, "variable_count", variable_count)
+        set_field(self, "certified", certified)
 
     @property
     def invariant_count(self) -> int:
@@ -530,15 +542,51 @@ class RankReport(Value):
             "order": self.order,
             "rank": self.rank,
             "samples_used": self.samples_used,
+            "certified": self.certified,
             "seed": self.seed,
             "variable_count": self.variable_count,
             "invariant_count": self.invariant_count,
         }
 
 
-# a matrix compiled by ``_compile``: its constant pivots, and the plan of
-# the rows x width residual, row by row, then of the pole checks
-_RankPlan = namedtuple("_RankPlan", "pivots rows width plan")
+class _RankPlan:
+    """A matrix compiled by ``_compile``: its constant pivots and its
+    rows x width ``residual``, row by row, as forms; ``plan`` evaluates the
+    residual and then the pole checks.  Its rank over Q(jet) is the pivot
+    count plus the residual's, so at most ``bound``."""
+
+    def __init__(self, pivots: int, rows: int, width: int,
+                 residual: list[CanonicalForm], checks: list[CanonicalForm]):
+        self.pivots, self.rows, self.width = pivots, rows, width
+        self.residual = residual
+        self.plan = EvaluationPlan(residual + checks)
+        self.bound = pivots + min(rows, width)
+
+    @functools.cached_property
+    def exact_rank(self) -> int:
+        """The rank over Q(jet): computed once per plan, while ``_compile``
+        holds it, and only for a sample short of ``bound``."""
+        w = self.width or 1
+        return self.pivots + _form_rank([self.residual[i:i + w] for i in
+                                         range(0, len(self.residual), w)])
+
+
+def _form_rank(rows: list[list[CanonicalForm]]) -> int:
+    """The rank over Q(jet) of a matrix of forms, by Gaussian elimination
+    on the forms themselves: each step takes the first nonzero entry left
+    as its pivot and clears that column from the other rows.  It is made
+    for residuals of a few rows, so no pivot is chosen for size."""
+    rank = 0
+    while found := next(((r, c) for r, row in enumerate(rows)
+                         for c, e in enumerate(row) if not e.is_zero()), None):
+        r, c = found
+        top = rows.pop(r)
+        for i, row in enumerate(rows):
+            if not row[c].is_zero():
+                a = row[c] / top[c]
+                rows[i] = [e - a * t for e, t in zip(row, top)]
+        rank += 1
+    return rank
 
 
 def _integer_rows(plan: _RankPlan, point) -> list[list[int]]:
@@ -624,14 +672,15 @@ def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
         pivots += 1
     rows = [row for row in rows if row]
     live = sorted(set().union(*rows))
-    forms = [CanonicalForm(_poly(row.get(c, {})), _POLY_ONE)
-             for row in rows for c in live]
-    forms += [CanonicalForm(d, _POLY_ONE) for d in poles]
+    residual = [CanonicalForm(_poly(row.get(c, {})), _POLY_ONE)
+                for row in rows for c in live]
+    checks = [CanonicalForm(d, _POLY_ONE) for d in poles]
     if locus is not None:
         v, a, b = locus
         at = {v: CanonicalForm(-b, _POLY_ONE) / CanonicalForm(a, _POLY_ONE)}
-        forms = [f.substitute(at) for f in forms] + [CanonicalForm(a, _POLY_ONE)]
-    return _RankPlan(pivots, len(rows), len(live), EvaluationPlan(forms))
+        residual = [f.substitute(at) for f in residual]
+        checks = [f.substitute(at) for f in checks] + [CanonicalForm(a, _POLY_ONE)]
+    return _RankPlan(pivots, len(rows), len(live), residual, checks)
 
 
 def _sampled_matrices(plan: _RankPlan, coords, samples, seed,
@@ -669,19 +718,28 @@ def matrix_rank_at_samples(
     coordinate_range: int = DEFAULT_COORDINATE_RANGE,
     locus: tuple[str, Poly, Poly] | None = None,
     family: tuple[int, int] | None = None,
-) -> tuple[int, int]:
+) -> tuple[int, int, bool]:
     """Max exact rank of the coefficient matrix over seeded integer points,
-    each the compiled pivot count plus the residual's rank there.
+    each the compiled pivot count plus the residual's rank there, up to the
+    first point that meets the compiled matrix's bound on the rank over
+    Q(jet).  A first point short of that bound lowers it to the exact rank
+    (``_RankPlan.exact_rank``); every sample seed is drawn up front all the
+    same, so the points are those of a run to the last sample.
 
     ``locus`` = (v, a, b) puts the solved coordinate v = -b/a of each point
     on the locus a*v + b = 0, and rejects the points where a vanishes.
     ``family`` marks the rows Y^0, Y^1, ... (see ``_compile``).  Returns
-    (rank, samples_used).
+    (rank, samples_used, certified): certified when the rank meets the
+    bound, which proves it the rank over Q(jet).
     """
     plan = _compile(tuple(fields), coords, family, locus)
-    ranks = [plan.pivots + linalg.rank(rows) for rows in _sampled_matrices(
-        plan, coords, samples, seed, coordinate_range)]
-    return max(ranks), len(ranks)
+    best = 0
+    for used, rows in enumerate(_sampled_matrices(
+            plan, coords, samples, seed, coordinate_range), 1):
+        best = max(best, plan.pivots + linalg.rank(rows))
+        if best == plan.bound or best == plan.exact_rank:
+            return best, used, True
+    return best, used, False
 
 
 def _family(g: GeneratorSet, order: int) -> tuple[int, int] | None:
@@ -761,11 +819,11 @@ def rank_on_manifold(
     coords = _chart(fields, order)
     cf = canonicalize(constraint)
     locus = None if cf.is_zero() else _linear_solve_coordinate(cf, coords)
-    best, used = matrix_rank_at_samples(
+    best, used, certified = matrix_rank_at_samples(
         fields, coords, samples=samples, seed=seed,
         coordinate_range=coordinate_range, locus=locus,
         family=_family(g, order))
-    return RankReport(order, best, used, seed, len(coords))
+    return RankReport(order, best, used, seed, len(coords), certified)
 
 
 def minimal_generating_set(
@@ -788,8 +846,8 @@ def minimal_generating_set(
     """
     fields = g.prolonged(order)
     coords = _chart(fields, order)
-    plan = _RankPlan(0, len(g.names), len(coords), EvaluationPlan(
-        [f.coefficient(c) for f in fields for c in coords]))
+    plan = _RankPlan(0, len(g.names), len(coords),
+                     [f.coefficient(c) for f in fields for c in coords], [])
     matrices = [dict(zip(g.names, rows)) for rows in _sampled_matrices(
         plan, coords, samples, seed, coordinate_range)]
 

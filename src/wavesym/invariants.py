@@ -127,12 +127,16 @@ def functional_independence(
     """Whether the Jacobian of the candidates w.r.t. the chart coordinates
     has full generic rank, sampled exactly.  A sampled rank is a lower
     bound on the generic rank, which cannot exceed the row count: True is
-    a proof of independence, while False may be a sampling miss."""
+    a proof of independence.  False is a proof once the bound of the
+    compiled Jacobian (see ``eqalgebra.matrix_rank_at_samples``) is below
+    the row count, as it is when the first sample falls short and the
+    exact rank over Q(jet) replaces the bound; only when every sample
+    misses a full exact rank is False a sampling miss."""
     if not candidates:
         raise ValueError("need at least one candidate")
     rows = [VectorField(space, {c: form.diff(c) for c in form.free_coordinates()})
             for form in map(canonicalize, candidates)]
-    best, _ = matrix_rank_at_samples(
+    best, _, _ = matrix_rank_at_samples(
         rows, space.coordinates, samples=samples, seed=seed,
         coordinate_range=coordinate_range)
     return best == len(candidates)

@@ -96,7 +96,9 @@ def test_samples_above_the_cap_are_a_usage_error(capsys, monkeypatch,
         code, out, _ = run_cli(capsys, "--output", "json", "--samples",
                                samples, "rank", "--order", "1")
         assert code == 0
-        assert json.loads(out)["samples_used"] == int(samples)
+        report = json.loads(out)
+        # the first point meets the bound, which ends the sampling
+        assert (report["samples_used"], report["certified"]) == (1, True)
 
 
 def test_K_above_the_cap_is_a_usage_error(capsys, monkeypatch, tmp_path):
@@ -355,7 +357,7 @@ def test_config_file(tmp_path, capsys):
                         "rank", "--order", "1")
     report = json.loads(out)
     assert report["seed"] == 321
-    assert report["samples_used"] == 4
+    assert (report["samples_used"], report["certified"]) == (1, True)
 
 
 @pytest.mark.parametrize("content, message", [

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavesym import eqalgebra, linalg
+from wavesym import cli, eqalgebra, linalg
 from wavesym.canonical import (
     CanonicalForm,
     EvaluationPlan,
@@ -480,8 +480,9 @@ def test_second_order_rank(derived6):
 
 def test_single_translation_has_rank_one(derived6):
     field = derived6.prolonged_named(1)["Y1"]
-    rank, _ = matrix_rank_at_samples([field], JetSpace(1).coordinates)
-    assert rank == 1
+    rank, used, certified = matrix_rank_at_samples([field],
+                                                   JetSpace(1).coordinates)
+    assert (rank, used, certified) == (1, 1, True)
 
 
 def test_rank_determinism(derived6):
@@ -501,7 +502,7 @@ def test_rank_monotone_in_order_and_truncation():
         last = 0
         for k in range(13):
             prefix = fields[:4 + k + 1]
-            r, _ = matrix_rank_at_samples(prefix, coords)
+            r, _, _ = matrix_rank_at_samples(prefix, coords)
             assert r >= last
             last = r
             ranks[(order, k)] = r
@@ -553,21 +554,9 @@ def test_integer_row_rank_agrees_with_sympy(source, order, weights,
                    field_combination((1, pole_field), (1, combos[0])))
     names = tuple(f"Z{i}" for i in range(len(combos)))
     sub = GeneratorSet(g.source, 3, names, combos, g.base_order)
-    seen = []
-    integer_rows = eqalgebra._integer_rows
-
-    def recorded(plan, point):
-        rows = integer_rows(plan, point)
-        assert all(type(x) is int for row in rows for x in row)
-        seen.append((point, plan.pivots + linalg.rank(rows)))
-        return rows
-
-    with mock.patch.object(eqalgebra, "_integer_rows", recorded):
-        if constraint is None:
-            prolonged_rank(sub, order, samples=2, seed=seed)
-        else:
-            rank_on_manifold(sub, parse(constraint, JetSpace(1)), order,
-                             samples=2, seed=seed)
+    locus = None if constraint is None else parse(constraint, JetSpace(1))
+    seen = _sampled_ranks(*_rank_plan(sub, order, locus), samples=2,
+                          seed=seed)
     assert len(seen) == 2
     fields, coords = sub.prolonged(order), JetSpace(order).coordinates
     for point, rank in seen:
@@ -613,8 +602,9 @@ def test_ranks_read_their_chart_from_the_prolonged_fields(monkeypatch):
 @pytest.mark.parametrize("order, variables", [(0, 5), (1, 7), (2, 10)])
 def test_ranks_of_a_set_without_fields(order, variables):
     g = GeneratorSet(Source.DERIVED, 0, (), (), 0)
-    expected = {"order": order, "rank": 0, "samples_used": 8, "seed": 1729,
-                "variable_count": variables, "invariant_count": variables}
+    expected = {"order": order, "rank": 0, "samples_used": 1,
+                "certified": True, "seed": 1729, "variable_count": variables,
+                "invariant_count": variables}
     assert prolonged_rank(g, order).as_dict() == expected
     if order:
         assert rank_on_manifold(g, R_EXPR, order).as_dict() == expected
@@ -704,7 +694,12 @@ def test_sampling_resamples_poles_and_refuses_atoms():
     pole = VectorField(chart, {"u": parse("1/u", chart),
                                "sigma": parse("1/(u*sigma)", chart)})
     assert matrix_rank_at_samples([pole], chart.coordinates,
-                                  coordinate_range=1) == (1, 8)
+                                  coordinate_range=1) == (1, 1, True)
+    plan = eqalgebra._compile((pole,), chart.coordinates, None, None)
+    seen = _sampled_ranks(plan, chart.coordinates, coordinate_range=1)
+    assert len(seen) == 8
+    for point, rank in seen:
+        assert point["u"] * point["sigma"] != 0 and rank == 1
     atom = VectorField(chart, {"u": parse("exp(u)", chart)})
     with pytest.raises(UnboundSymbolError, match=r"^atom 'exp\(u\)' is unbound$"):
         matrix_rank_at_samples([atom], chart.coordinates)
@@ -742,20 +737,37 @@ def _on_locus(point, constraint, coords):
     return {**point, v: -b / a}
 
 
-def _sampled_ranks(call):
-    """(point, rank) at every point ``call`` samples, the rank being the
-    compiled pivot count plus the residual's rank there."""
-    seen = []
+def _rank_plan(g, order, constraint=None):
+    """The compiled matrix that a rank of ``g`` at ``order`` samples, on the
+    locus ``constraint`` = 0 when one is given, and its chart."""
+    fields = g.prolonged(order)
+    coords = eqalgebra._chart(fields, order)
+    locus = None if constraint is None else eqalgebra._linear_solve_coordinate(
+        canonicalize(constraint), coords)
+    return eqalgebra._compile(tuple(fields), coords,
+                              eqalgebra._family(g, order), locus), coords
+
+
+def _sampled_ranks(plan, coords, *, samples=eqalgebra.DEFAULT_SAMPLES,
+                   seed=eqalgebra.DEFAULT_SEED,
+                   coordinate_range=eqalgebra.DEFAULT_COORDINATE_RANGE):
+    """(point, rank) at every point of the whole sample stream of ``plan``
+    (``_sampled_matrices``), the rank being the compiled pivot count plus
+    the rank of the residual's integer rows there.  A rank call stops at
+    the first point that meets its bound; this runs to the last sample."""
+    points = []
     integer_rows = eqalgebra._integer_rows
 
-    def recorded(plan, point):
-        rows = integer_rows(plan, point)
-        seen.append((point, plan.pivots + linalg.rank(rows)))
+    def recorded(p, point):
+        rows = integer_rows(p, point)
+        assert all(type(x) is int for row in rows for x in row)
+        points.append(point)
         return rows
 
     with mock.patch.object(eqalgebra, "_integer_rows", recorded):
-        call()
-    return seen
+        return [(points[-1], plan.pivots + linalg.rank(rows))
+                for rows in eqalgebra._sampled_matrices(
+                    plan, coords, samples, seed, coordinate_range)]
 
 
 @pytest.mark.parametrize("source", list(Source))
@@ -770,21 +782,19 @@ def test_compiled_rank_is_the_full_rank_at_every_point(source, order):
         g = build_generators(source, K)
         fields = g.prolonged(order)
         for seed in (1, 7, 1729):
-            seen = _sampled_ranks(lambda: prolonged_rank(g, order, samples=2,
-                                                         seed=seed))
+            seen = _sampled_ranks(*_rank_plan(g, order), samples=2, seed=seed)
             assert len(seen) == 2
             for point, rank in seen:
                 assert rank == _full_rank(fields, coords, point)
             if not order:
                 continue
-            seen = _sampled_ranks(lambda: rank_on_manifold(
-                g, R_EXPR, order, samples=2, seed=seed))
+            seen = _sampled_ranks(*_rank_plan(g, order, R_EXPR), samples=2,
+                                  seed=seed)
             assert len(seen) == 2
             for point, rank in seen:
                 assert rank == _full_rank(fields, coords,
                                           _on_locus(point, R_EXPR, coords))
-        plan = eqalgebra._compile(tuple(fields), coords,
-                                  eqalgebra._family(g, order), None)
+        plan, _ = _rank_plan(g, order)
         if K >= order + 2:
             assert (plan.pivots, plan.rows) == (order + 3, 3)
 
@@ -801,9 +811,11 @@ def test_compiled_jacobian_rank_is_the_full_rank(names):
             for f in forms]
     assert any(not f.coefficient(c).is_polynomial()
                for f in rows for c in chart.coordinates)
+    assert functional_independence([NAMED_EXPRESSIONS[n] for n in names],
+                                   chart)
+    plan = eqalgebra._compile(tuple(rows), chart.coordinates, None, None)
     for seed in (1, 7, 1729):
-        seen = _sampled_ranks(lambda: functional_independence(
-            [NAMED_EXPRESSIONS[n] for n in names], chart, seed=seed))
+        seen = _sampled_ranks(plan, chart.coordinates, seed=seed)
         assert len(seen) == 8
         for point, rank in seen:
             assert rank == _full_rank(rows, chart.coordinates, point)
@@ -824,8 +836,9 @@ def test_a_row_that_fails_the_family_identity_stays(order):
     family = eqalgebra._family(g, order)
     plan = eqalgebra._compile(tuple(fields), coords, family, None)
     assert (plan.pivots, plan.rows) == (order + 3, 4)
-    seen = _sampled_ranks(lambda: matrix_rank_at_samples(
-        fields, coords, family=family))
+    assert matrix_rank_at_samples(fields, coords, family=family) == (
+        order + 7, 1, True)
+    seen = _sampled_ranks(plan, coords)
     assert [rank for _, rank in seen] == [order + 7] * 8
     for point, rank in seen:
         assert rank == _full_rank(fields, coords, point)
@@ -847,18 +860,16 @@ def test_a_pole_cancelled_from_the_residual_still_rejects_its_points():
     assert not any("u" in f.numerator.variables()
                    for f in forms[:plan.rows * plan.width])
     assert [str(f) for f in forms[plan.rows * plan.width:]] == ["u"]
-    whole = eqalgebra._RankPlan(0, len(fields), len(coords), EvaluationPlan(
-        [f.coefficient(c) for f in fields for c in coords]))
+    whole = eqalgebra._RankPlan(0, len(fields), len(coords), [
+        f.coefficient(c) for f in fields for c in coords], [])
     for seed in (1, 7, 1729):
         points = []
         for p in (plan, whole):
-            seen = _sampled_ranks(lambda: list(eqalgebra._sampled_matrices(
-                p, coords, 8, seed, 1)))
+            seen = _sampled_ranks(p, coords, seed=seed, coordinate_range=1)
             points.append([point for point, _ in seen])
         assert points[0] == points[1]
         assert all(point["u"] != 0 for point in points[0])
-        ranks = _sampled_ranks(lambda: matrix_rank_at_samples(
-            fields, coords, seed=seed, coordinate_range=1))
+        ranks = _sampled_ranks(plan, coords, seed=seed, coordinate_range=1)
         assert [r for _, r in ranks] == [_full_rank(fields, coords, point)
                                          for point in points[1]]
     with pytest.raises(SamplingExhaustedError):
@@ -880,8 +891,8 @@ def test_a_shared_factor_locus_never_samples_where_a_vanishes(source):
         assert eqalgebra._linear_solve_coordinate(
             canonicalize(constraint), coords)[:2] == ("u", -Poly.var("sigma"))
         for seed in range(5):
-            seen = _sampled_ranks(lambda: rank_on_manifold(
-                g, constraint, order, seed=seed, coordinate_range=1))
+            seen = _sampled_ranks(*_rank_plan(g, order, constraint), seed=seed,
+                                  coordinate_range=1)
             assert len(seen) == 8
             for point, rank in seen:
                 assert point["sigma"] != 0
@@ -903,3 +914,74 @@ def test_an_atom_on_an_eliminated_pivot_row_leaves_the_locus_rank():
         first.coefficient("x").substitute({"f": parse("sigma*f_sigma", chart)})
     for seed in (1, 7, 1729):
         assert rank_on_manifold(sub, R_EXPR, 1, seed=seed).rank == 6
+
+
+# --- certified ranks and the early stop ---------------------------------------
+
+@pytest.mark.parametrize("source", list(Source))
+@pytest.mark.parametrize("order", range(7))
+def test_an_early_stopped_rank_is_the_maximum_over_every_sample(source,
+                                                                 order):
+    """The rank a rank call reports after its first point is the maximum
+    over all 8 points of the sample stream, and it is certified: at each
+    K in 4..8, 12 and 30 from order + 2 on, for five seeds, off the special
+    manifold and, at orders 1 to 3, on it."""
+    for K in (k for k in (4, 5, 6, 7, 8, 12, 30) if k >= order + 2):
+        g = build_generators(source, K)
+        for constraint in (None, R_EXPR) if 1 <= order <= 3 else (None,):
+            plan, coords = _rank_plan(g, order, constraint)
+            for seed in (1, 7, 1729, 400, 401):
+                report = (prolonged_rank(g, order, seed=seed)
+                          if constraint is None else
+                          rank_on_manifold(g, constraint, order, seed=seed))
+                full = max(r for _, r in _sampled_ranks(plan, coords,
+                                                        seed=seed))
+                assert (report.rank, report.samples_used,
+                        report.certified) == (full, 1, True)
+
+
+def test_a_rank_short_of_its_bound_at_every_point_is_not_certified():
+    """d_t and (u^3 - u) d_u: d_t compiles to a constant pivot and leaves
+    the 1 x 1 residual u^3 - u, which vanishes at every point of the range
+    -1..1.  So every sample is used and the rank 1 is not certified; the
+    exact elimination still gives the rank over Q(jet), 2, and a wider
+    range meets it at the first point."""
+    chart = JetSpace(1)
+    fields = (VectorField(chart, {"t": 1}),
+              VectorField(chart, {"u": parse("u^3 - u", chart)}))
+    coords = chart.coordinates
+    plan = eqalgebra._compile(fields, coords, None, None)
+    assert (plan.pivots, plan.rows, plan.width, plan.bound) == (1, 1, 1, 2)
+    assert [str(f) for f in plan.residual] == ["u^3 - u"]
+    for samples in (1, 8):
+        assert matrix_rank_at_samples(fields, coords, samples=samples,
+                                      coordinate_range=1) == (1, samples,
+                                                              False)
+    assert plan.exact_rank == 2
+    g = GeneratorSet(Source.PAPER_PRINTED, 0, ("T", "U"), fields, 1)
+    report = prolonged_rank(g, 1, coordinate_range=1)
+    assert report.as_dict() == {
+        "order": 1, "rank": 1, "samples_used": 8, "certified": False,
+        "seed": 1729, "variable_count": 7, "invariant_count": 6}
+    assert next(cli._rank_text(report.as_dict())).endswith(
+        "(seed 1729, samples 8, not certified)")
+    assert matrix_rank_at_samples(fields, coords) == (2, 1, True)
+
+
+def test_the_exact_rank_is_taken_over_the_rational_functions():
+    """The compiled residual on the special manifold at order 1 is 3 x 3
+    with determinant zero there, so no point meets the bound 7 of its 4
+    pivots; the elimination over forms gives rank 2 for it, and the rank 6
+    is certified at the first point."""
+    for source in Source:
+        g = build_generators(source, 6)
+        plan, _ = _rank_plan(g, 1, R_EXPR)
+        assert (plan.pivots, plan.rows, plan.width, plan.bound) == (4, 3, 3, 7)
+        assert plan.exact_rank == 6
+        report = rank_on_manifold(g, R_EXPR, 1)
+        assert (report.rank, report.samples_used, report.certified) == (
+            6, 1, True)
+    rows = [[canonicalize(parse(e, JetSpace(1))) for e in row] for row in (
+        ("u", "sigma", "u*sigma"), ("u^2", "u*sigma", "u^2*sigma"),
+        ("1/u", "sigma/u^2", "f"))]
+    assert eqalgebra._form_rank(rows) == 2
