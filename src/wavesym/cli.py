@@ -62,10 +62,9 @@ _INVARIANT_ORDER = 2
 # highest --samples: every sample's seed is drawn before the first point
 MAX_SAMPLES = 10_000
 # highest --coordinate-range: at 10^6, `--K 300 --samples 10000 rank --order
-# 6` takes 1.7-2.3 s against 1.5-1.6 s at the default 50, its first point
-# certifying the rank.  A rank that is never certified uses every sample,
-# whose integers grow with the range: 4.7-6.0 s at 10^6 when every rank
-# did, over 100 s at 10^1000.
+# 6` takes 1.3-2.3 s, its first point certifying the rank.  A rank that is
+# never certified uses every sample, whose integers grow with the range:
+# 3.7-6.0 s at 10^6 when every rank did, over 100 s at 10^1000.
 MAX_COORDINATE_RANGE = 10 ** 6
 
 
