@@ -3,8 +3,8 @@ signature-based equivalence criterion.
 
 For an equation u_tt - u_xx = f(u, sigma), held as the canonical form of f
 (see :mod:`wavesym.canonical`), the verified second-order basis is evaluated
-on f by form derivatives and arithmetic, producing a pair (rho1, rho2) of
-exact rational functions of (u, sigma).  Equations with sigma*f_sigma - f
+on the numerator and denominator of f by the quotient rule, producing a pair
+(rho1, rho2) of exact rational functions of (u, sigma), each reduced once.  Equations with sigma*f_sigma - f
 identically zero sit on the special manifold and carry no signature.
 
 The criterion compares signatures at identical (u, sigma) arguments; that is
@@ -29,7 +29,9 @@ import functools
 import hashlib
 from fractions import Fraction
 
-from .canonical import CanonicalForm, EvaluationPlan, canonicalize, coordinate
+from .canonical import (ONE_FORM, CanonicalForm, EvaluationPlan, Poly,
+                        _derive_poly, _normalized, _scale, canonicalize,
+                        coordinate)
 from .expr import ExprError, ExprLike, ZeroDenominatorError, parse
 from .value import Value, set_field
 
@@ -45,6 +47,7 @@ class DegenerateEquationError(Exception):
 _EQUATION_COORDS = ("u", "sigma")
 _U = coordinate("u")
 _SIGMA = coordinate("sigma")
+_SIGMA_POLY = Poly.var("sigma")
 
 
 class EquationInstance(Value):
@@ -96,16 +99,32 @@ def signature_of(eq: EquationInstance) -> Signature:
     """Evaluate the verified second-order basis on f and its partials: with
     R = sigma*f_sigma - f, rho1 = sigma^2*f_sigmasigma/R and
     rho2 = (f*(R - 2*sigma^2*f_sigmasigma) + sigma*(f_u - sigma*f_usigma))/R^2.
+
+    With f = N/D, the quotient rule gives every partial over a power of D:
+    f_sigma = A/D^2, f_sigmasigma = A2/D^3, f_u = B/D^2, f_usigma = B2/D^3
+    and R = Rn/D^2 with Rn = sigma*A - N*D, all integer polynomials.  So
+    rho1 = sigma^2*A2/(D*Rn) and
+    rho2 = (N*(Rn*D - 2*sigma^2*A2) + sigma*D*(B*D - sigma*B2))/Rn^2, each
+    reduced once; the signature is degenerate exactly when Rn = 0, and then
+    nothing is reduced.  Partials keep the chain rule through exp atoms.
     """
-    f = eq.f
-    f_s = f.diff("sigma")
-    r = _SIGMA * f_s - f
-    if r.is_zero():
+    n, d = eq.f.numerator, eq.f.denominator
+
+    def diff(p: Poly, v: str) -> Poly:
+        return _derive_poly(p, {v: ONE_FORM})[0]
+
+    d_s = diff(d, "sigma")
+    a = diff(n, "sigma") * d - n * d_s
+    rn = _SIGMA_POLY * a - n * d
+    if rn.is_zero():
         return Signature(degenerate=True)
-    sigma2_f_ss = _SIGMA * _SIGMA * f_s.diff("sigma")
-    rho1 = sigma2_f_ss / r
-    rho2 = (f * (r - sigma2_f_ss * 2)
-            + _SIGMA * (f.diff("u") - _SIGMA * f_s.diff("u"))) / (r * r)
+    b = diff(n, "u") * d - n * diff(d, "u")
+    sigma2_a2 = _SIGMA_POLY * _SIGMA_POLY * (diff(a, "sigma") * d
+                                             - _scale(a * d_s, 2))
+    b2 = diff(b, "sigma") * d - _scale(b * d_s, 2)
+    rho1 = _normalized(sigma2_a2, d * rn)
+    rho2 = _normalized(n * (rn * d - _scale(sigma2_a2, 2))
+                       + _SIGMA_POLY * d * (b * d - _SIGMA_POLY * b2), rn * rn)
     return Signature(False, rho1, rho2)
 
 

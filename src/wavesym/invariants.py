@@ -25,6 +25,7 @@ from .eqalgebra import (
     DEFAULT_SEED,
     GeneratorSet,
     Source,
+    _compile,
     build_generators,
     matrix_rank_at_samples,
 )
@@ -125,21 +126,24 @@ def functional_independence(
     coordinate_range: int = DEFAULT_COORDINATE_RANGE,
 ) -> bool:
     """Whether the Jacobian of the candidates w.r.t. the chart coordinates
-    has full generic rank, sampled exactly.  A sampled rank is a lower
-    bound on the generic rank, which cannot exceed the row count: True is
-    a proof of independence.  False is a proof once the bound of the
-    compiled Jacobian (see ``eqalgebra.matrix_rank_at_samples``) is below
-    the row count, as it is when the first sample falls short and the
-    exact rank over Q(jet) replaces the bound; only when every sample
-    misses a full exact rank is False a sampling miss."""
+    has full rank over Q(jet), which the verdict proves either way.  The
+    rank is sampled exactly (see ``eqalgebra.matrix_rank_at_samples``); a
+    sampled rank that meets the compiled Jacobian's bound is that rank.
+    When no sample meets it, the first sample fell short and the compiled
+    plan's exact rank, by elimination over Q(jet), was already computed to
+    lower the bound: that rank decides instead, so the verdict holds even
+    when every sample lands on the zeros of a Jacobian entry."""
     if not candidates:
         raise ValueError("need at least one candidate")
-    rows = [VectorField(space, {c: form.diff(c) for c in form.free_coordinates()})
-            for form in map(canonicalize, candidates)]
-    best, _, _ = matrix_rank_at_samples(
+    rows = tuple(VectorField(space, {c: form.diff(c)
+                                     for c in form.free_coordinates()})
+                 for form in map(canonicalize, candidates))
+    rank, _, certified = matrix_rank_at_samples(
         rows, space.coordinates, samples=samples, seed=seed,
         coordinate_range=coordinate_range)
-    return best == len(candidates)
+    if not certified:
+        rank = _compile(rows, space.coordinates, None, None).exact_rank
+    return rank == len(candidates)
 
 
 class WeightedBlock(Value):

@@ -10,13 +10,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (agrees, fraction_text, polynomial_text, rational_function,
                      sympy_of)
-from wavesym import equivalence
+from wavesym import canonical, equivalence
 from wavesym.canonical import CanonicalForm, canonicalize, coordinate, equals
 from wavesym.equivalence import (
     DegenerateEquationError,
     EquationInstance,
     FiniteTransformation,
     NonInvertibleError,
+    Signature,
     Verdict,
     affine_transformation,
     apply_finite_transformation,
@@ -82,12 +83,88 @@ def test_signature_of_rational_f_whose_gcd_chains_contents():
         "-9*u^2*sigma^2/((3*u*sigma + u + 1)*(3*u*sigma + 2*u + 2))", EQ_CHART))
 
 
+# f over (u, sigma) and the exp atoms of both, scaled by a rational so that
+# contents other than 1 are drawn, or a degenerate f.  A denominator with
+# atoms is linear in two of the four generators, and the differential test
+# below draws linear numerators over it: on wider fractions the gcd of one
+# reduction can fall to the subresultant sequence for minutes, in the
+# stepwise reference more often than in signature_of, but in both.
+_SIGNATURE_GENS = ("u", "sigma", "exp(u)", "exp(sigma)")
+_DEGENERATE = ("0", "sigma", "u*sigma", "exp(u)*sigma/(u + 1)", "3*u^2*sigma/2")
+
+
+def _scaled(text):
+    return st.tuples(text, st.integers(-6, 6).filter(bool),
+                     st.integers(1, 6)).map(lambda t: f"({t[0]})*({t[1]})/{t[2]}")
+
+
+def _fraction_text(numerator_degree):
+    denominator = st.sampled_from(
+        list(itertools.combinations(_SIGNATURE_GENS, 2))).flatmap(
+        lambda gens: polynomial_text(gens, max_degree=1))
+    return _scaled(st.tuples(
+        polynomial_text(_SIGNATURE_GENS, numerator_degree), denominator).map(
+        lambda pair: f"({pair[0]})/({pair[1]})"))
+
+
+_f_text = st.one_of(_fraction_text(1), _scaled(fraction_text(EQ_CHART)),
+                    _scaled(polynomial_text(_SIGNATURE_GENS)),
+                    st.sampled_from(_DEGENERATE))
+
+
+def _stepwise_signature(instance):
+    """The reference: the signature by reduced form arithmetic, one step at
+    a time, each step its own reduction."""
+    f, sigma = instance.f, coordinate("sigma")
+    f_s = f.diff("sigma")
+    r = sigma * f_s - f
+    if r.is_zero():
+        return Signature(degenerate=True)
+    sigma2_f_ss = sigma * sigma * f_s.diff("sigma")
+    return Signature(False, sigma2_f_ss / r,
+                     (f * (r - sigma2_f_ss * 2)
+                      + sigma * (f.diff("u") - sigma * f_s.diff("u"))) / (r * r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_f_text)
+@example("(5*u + 2)/(3*u*sigma + 2*u + 2)")
+@example("exp(u)*sigma^2/(2*exp(sigma) + u)")
+@example("exp(sigma)")
+def test_signature_equals_the_stepwise_form_arithmetic(text):
+    try:
+        instance = eq(text)
+    except DivisionByZeroExpressionError:
+        return
+    assert signature_of(instance) == _stepwise_signature(instance)
+
+
+@pytest.mark.parametrize("text, reductions", [
+    ("sigma^2", 2), ("(u+sigma)^3/(u^3+sigma+1)", 2), ("u + sigma", 2),
+    ("exp(u)*sigma^2 + exp(sigma)/u", 2),
+    *((text, 0) for text in _DEGENERATE)])
+def test_a_signature_takes_two_reductions(monkeypatch, text, reductions):
+    """Two reductions for a signature and none for a degenerate f, counted
+    wherever a form is reduced."""
+    instance = eq(text)
+    calls = []
+    real = canonical._normalized
+
+    def counted(num, den):
+        calls.append(den)
+        return real(num, den)
+
+    monkeypatch.setattr(canonical, "_normalized", counted)
+    monkeypatch.setattr(equivalence, "_normalized", counted)
+    assert signature_of(instance).degenerate == (reductions == 0)
+    assert len(calls) == reductions
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.tuples(polynomial_text(("u", "sigma")),
-                 polynomial_text(("u", "sigma"))).map(
-    lambda pair: f"({pair[0]})/({pair[1]})"))
+@given(st.one_of(_f_text, _fraction_text(2)))
 @example("(sigma^2)/(1)")
 @example("((1)*u^2*sigma^1)/((3))")
+@example("exp(u)*sigma^2 + exp(sigma)*u")
 def test_signature_agrees_with_sympy(text):
     """rho1 = sigma^2*f_sigmasigma/R and the published rho2, evaluated by
     sympy on the same f; the signature is degenerate exactly when R = 0."""

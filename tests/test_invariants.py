@@ -109,6 +109,19 @@ def test_single_coordinate_is_independent():
     assert functional_independence([Coord("u")], JetSpace(2))
 
 
+def test_independence_is_decided_exactly_when_every_sample_misses():
+    # at coordinate range 1 every point has u in {-1, 0, 1}, where the
+    # Jacobian entry u^3 - u vanishes: no sample reaches rank 2, and the
+    # exact rank over Q(jet) decides
+    chart = JetSpace(1)
+    candidates = [parse("t", chart), parse("u^4/4 - u^2/2", chart)]
+    for coordinate_range in (1, 5):
+        assert functional_independence(candidates, chart,
+                                       coordinate_range=coordinate_range)
+    dependent = [parse("u^3 - u", chart), parse("(u^3 - u)^2", chart)]
+    assert not functional_independence(dependent, chart, coordinate_range=1)
+
+
 def test_counting_consistency(derived6):
     from wavesym.eqalgebra import prolonged_rank
     found = [R1_CORRECTED, R2]
