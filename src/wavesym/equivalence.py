@@ -4,8 +4,9 @@ signature-based equivalence criterion.
 For an equation u_tt - u_xx = f(u, sigma), held as the canonical form of f
 (see :mod:`wavesym.canonical`), the verified second-order basis is evaluated
 on the numerator and denominator of f by the quotient rule, producing a pair
-(rho1, rho2) of exact rational functions of (u, sigma), each reduced once.  Equations with sigma*f_sigma - f
-identically zero sit on the special manifold and carry no signature.
+(rho1, rho2) of exact rational functions of (u, sigma), each reduced once.
+Equations with sigma*f_sigma - f identically zero sit on the special
+manifold and carry no signature.
 
 The criterion compares signatures at identical (u, sigma) arguments; that is
 the published statement, sound as-is for constant signatures.  An orbit-aware
