@@ -22,10 +22,18 @@ argument), with total degree first, is read by one key,
 name an unbound-symbol error reports; so no output depends on the table's
 order.
 
-Expression trees become forms only in :func:`canonicalize`; computation
-starts from forms built by :func:`coordinate` and from rational numbers,
-and a form prints its text straight from its two polynomials, never
-through a tree.
+Text becomes a form in :func:`parse_form`: the one grammar of
+:mod:`wavesym.expr` calls fraction constructors, which build one unreduced
+pair of integer polynomials as they read, and the pair is reduced once at
+the end, so equation text never becomes a tree.  :func:`canonicalize` folds
+a tree, which exists only for an invariant candidate or for printing,
+through the same constructors.  So the one rule on zero denominators lives
+there: a negative power of an identically zero value raises
+DivisionByZeroExpressionError("negative power of an identically zero
+expression"), once the whole text has parsed or the whole tree has folded.
+Computation starts from those forms, from forms built by :func:`coordinate`
+and from rational numbers, and a form prints its text straight from its two
+polynomials, never through a tree.
 
 One rule normalizes the pair: gcd(N, D) is constant, the integer contents
 of N and D are coprime and lc(D) > 0, lc the leading coefficient in that
@@ -48,7 +56,9 @@ xi >= 2*min(|p|, |q|) + 2 (largest absolute coefficients), which the
 paper's theorem makes a proof that it is the gcd; the quotients of those
 trial divisions are the cofactors.  The subresultant remainder sequence
 takes over when six points give no proven candidate, and for every input
-whose evaluated integers are estimated above ``_HEU_GCD_MAX_BITS``.
+whose evaluated integers are estimated above ``_HEU_GCD_MAX_BITS``.  A
+substitution of diagonal affine maps v -> a*v + b takes no gcd at all (see
+:meth:`CanonicalForm.substitute`).
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd as int_gcd, isqrt, lcm, prod
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .expr import (
     ATOM,
@@ -69,6 +79,7 @@ from .expr import (
     DivisionByZeroExpressionError,
     Expr,
     ExprLike,
+    Nodes,
     Power,
     Product,
     Sum,
@@ -77,6 +88,7 @@ from .expr import (
     ZeroDenominatorError,
     as_expr,
     number_text,
+    parse_nodes,
 )
 from .linalg import _add_multiple
 from .value import Value, set_field
@@ -258,6 +270,9 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if n and len(self.terms) == 1:  # a term's power needs no product
+            (m, c), = self.terms.items()
+            return _poly({tuple([e * n for e in m]): c ** n})
         out = _POLY_ONE
         base = self
         while n:
@@ -765,11 +780,21 @@ class CanonicalForm(Value):
         """Simultaneous substitution of coordinates by forms, reduced once;
         unbound coordinates stay.  An atom whose argument is bound must have
         it bound to a plain coordinate, which renames the argument; any
-        other binding there raises AtomArgumentError."""
+        other binding there raises AtomArgumentError.
+
+        When every binding is diagonal affine, v -> a*v + b with a nonzero
+        rational a and a rational b, the substitution is a ring automorphism
+        of Q[generators]: it maps the coprime N and D to coprime images, so
+        the result takes only the content and sign step of the reduction and
+        no gcd.  The orbit search's inverse maps and affine push-forwards are
+        such substitutions."""
         forms = {v: canonicalize(b) for v, b in bindings.items()}
         num, num_den = _substitute_poly(self.numerator, forms)
         den, den_den = _substitute_poly(self.denominator, forms)
-        return _normalized(num * den_den, den * num_den)
+        num, den = num * den_den, den * num_den
+        if all(_is_diagonal_affine(v, form) for v, form in forms.items()):
+            return _content_normalized(num, den)
+        return _normalized(num, den)
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact rational value at ``point``, which binds coordinates to
@@ -781,11 +806,18 @@ class CanonicalForm(Value):
 def _normalized(num: Poly, den: Poly) -> CanonicalForm:
     if den.is_zero():
         raise DivisionByZeroExpressionError("denominator is identically zero")
+    if not num.is_zero():
+        # the gcd is primitive with lc > 0, so the cofactors keep the
+        # content and sign of the pair's coefficients
+        _, num, den = poly_gcd(num, den)
+    return _content_normalized(num, den)
+
+
+def _content_normalized(num: Poly, den: Poly) -> CanonicalForm:
+    """The form of num/den for coprime num and a nonzero den: the integer
+    content divided out and lc(den) made positive."""
     if num.is_zero():
         return CanonicalForm(Poly(), _POLY_ONE)
-    # the gcd is primitive with lc > 0, so the cofactors keep the content
-    # and sign of the pair's coefficients
-    _, num, den = poly_gcd(num, den)
     c = _content(den, num)
     num, den = _unscale(num, c), _unscale(den, c)
     return CanonicalForm(num, _POLY_ONE if den.is_one() else den)
@@ -901,6 +933,8 @@ def _fraction_sum(num: Poly, den: Poly, tn: Poly, td: Poly) -> tuple[Poly, Poly]
     divided out to keep the denominator from swelling multiplicatively."""
     if td == den:
         return num + tn, den
+    if den.is_const() or td.is_const():  # poly_gcd's cofactors, without the call
+        return num * td + tn * den, den * td
     _, den_red, td_red = poly_gcd(den, td)
     return num * td_red + tn * den_red, den * td_red
 
@@ -919,6 +953,16 @@ def _derive_poly(p: Poly, coefficients: Mapping[str, CanonicalForm]) -> tuple[Po
             dp = dp * Poly.var(name)
         num, den = _fraction_sum(num, den, c.numerator * dp, c.denominator)
     return num, den
+
+
+def _is_diagonal_affine(v: str, form: CanonicalForm) -> bool:
+    """Whether the form is a*v + b with rationals a != 0 and b."""
+    i = _INDEX.get(v)
+    if i is None or not form.denominator.is_const():
+        return False
+    m = (0,) * i + (1,)
+    terms = form.numerator.terms
+    return m in terms and all(k == m or not k for k in terms)
 
 
 def _plain_coordinate(form: CanonicalForm) -> str | None:
@@ -992,36 +1036,97 @@ def _sum_text(terms: list[tuple[tuple[tuple[str, int], ...], int]],
     return "".join(parts)
 
 
-def _to_fraction(e: Expr) -> tuple[Poly, Poly]:
-    if isinstance(e, Const):
-        return Poly.const(e.value.numerator), Poly.const(e.value.denominator)
-    if isinstance(e, Coord):
-        return Poly.var(e.name), Poly.const(1)
-    if isinstance(e, AtomApp):
-        return Poly.var(f"{e.name}({e.arg})"), Poly.const(1)
-    if isinstance(e, Sum):
-        num, den = Poly(), Poly.const(1)
-        for t in e.terms:
-            num, den = _fraction_sum(num, den, *_to_fraction(t))
-        return num, den
-    if isinstance(e, Product):
-        num, den = Poly.const(1), Poly.const(1)
-        for f in e.factors:
-            fn, fd = _to_fraction(f)
-            num = num * fn
+# The fraction nodes: each builds an unreduced pair (numerator,
+# denominator) of integer polynomials, or None for a value that holds a
+# negative power of an identically zero value.  None passes up through every
+# node, so the error is raised once, by _reduced, after the whole text has
+# parsed or the whole tree has folded.
+
+
+def _number(n: int | Fraction) -> tuple[Poly, Poly]:
+    return (Poly.const(n.numerator),
+            _POLY_ONE if n.denominator == 1 else Poly.const(n.denominator))
+
+
+def _generator(name: str) -> tuple[Poly, Poly]:
+    return Poly.var(name), _POLY_ONE
+
+
+def _atom(name: str, arg: str) -> tuple[Poly, Poly]:
+    return Poly.var(f"{name}({arg})"), _POLY_ONE
+
+
+def _sum(terms: list) -> tuple[Poly, Poly] | None:
+    """The polynomial terms are summed in place in one dict; the others are
+    added one by one over a common denominator."""
+    if None in terms:
+        return None
+    polynomial: dict[Monomial, int] = {}
+    num, den = Poly(), _POLY_ONE
+    for tn, td in terms:
+        if td.is_one():
+            _add_multiple(polynomial, 1, tn.terms)
+        else:
+            num, den = _fraction_sum(num, den, tn, td)
+    if num.is_zero():
+        return _poly(polynomial), _POLY_ONE
+    return num + _poly(polynomial) * den, den
+
+
+def _product(factors: list) -> tuple[Poly, Poly] | None:
+    if None in factors:
+        return None
+    num, den = factors[0]
+    for fn, fd in factors[1:]:
+        num = num * fn
+        if not fd.is_one():
             den = den * fd
-        return num, den
+    return num, den
+
+
+def _power(base: tuple[Poly, Poly] | None, n: int) -> tuple[Poly, Poly] | None:
+    if base is None:
+        return None
+    num, den = base
+    if n < 0:
+        if num.is_zero():
+            return None
+        num, den, n = den, num, -n
+    return num ** n, den if den.is_one() else den ** n
+
+
+_FRACTION_NODES = Nodes(_number, _generator, _atom, _sum, _product, _power)
+
+
+def _to_fraction(e: Expr) -> tuple[Poly, Poly] | None:
+    """The tree folded through the fraction nodes."""
+    if isinstance(e, Const):
+        return _number(e.value)
+    if isinstance(e, Coord):
+        return _generator(e.name)
+    if isinstance(e, AtomApp):
+        return _atom(e.name, e.arg)
+    if isinstance(e, Sum):
+        return _sum(list(map(_to_fraction, e.terms)))
+    if isinstance(e, Product):
+        return _product(list(map(_to_fraction, e.factors)))
     if isinstance(e, Power):
-        bn, bd = _to_fraction(e.base)
-        n = e.exponent
-        if n >= 0:
-            return bn ** n, bd ** n
-        if bn.is_zero():
-            raise DivisionByZeroExpressionError(
-                "negative power of an identically zero expression"
-            )
-        return bd ** (-n), bn ** (-n)
+        return _power(_to_fraction(e.base), e.exponent)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _reduced(pair: tuple[Poly, Poly] | None) -> CanonicalForm:
+    if pair is None:
+        raise DivisionByZeroExpressionError(
+            "negative power of an identically zero expression")
+    return _normalized(*pair)
+
+
+def parse_form(text: str, coords: Iterable[str]) -> CanonicalForm:
+    """The form of ``text``, read by the one grammar of :func:`expr.parse`
+    straight to one unreduced fraction and reduced once, with no tree; it
+    equals ``canonicalize(parse(text, coords))`` and fails as that does."""
+    return _reduced(parse_nodes(text, coords, _FRACTION_NODES))
 
 
 def canonicalize(e: CanonicalForm | ExprLike) -> CanonicalForm:
@@ -1029,8 +1134,7 @@ def canonicalize(e: CanonicalForm | ExprLike) -> CanonicalForm:
     equal inputs produce identical forms; a form is returned unchanged."""
     if isinstance(e, CanonicalForm):
         return e
-    num, den = _to_fraction(as_expr(e))
-    return _normalized(num, den)
+    return _reduced(_to_fraction(as_expr(e)))
 
 
 def equals(a: CanonicalForm | ExprLike, b: CanonicalForm | ExprLike) -> bool:

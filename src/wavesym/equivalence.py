@@ -2,9 +2,11 @@
 signature-based equivalence criterion.
 
 For an equation u_tt - u_xx = f(u, sigma), held as the canonical form of f
-(see :mod:`wavesym.canonical`), the verified second-order basis is evaluated
-on the numerator and denominator of f by the quotient rule, producing a pair
-(rho1, rho2) of exact rational functions of (u, sigma), each reduced once.
+(see :mod:`wavesym.canonical`) and read from text straight to that form by
+:func:`wavesym.canonical.parse_form`, with no tree, the verified
+second-order basis is evaluated on the numerator and denominator of f by
+the quotient rule, producing a pair (rho1, rho2) of exact rational
+functions of (u, sigma), each reduced once.
 Equations with sigma*f_sigma - f identically zero sit on the special
 manifold and carry no signature.
 
@@ -19,8 +21,10 @@ failed to tell the two apart, and pushes f forward only to confirm a hit.
 
 A finite-transformation oracle provides the exact push-forward of f under
 u' = phi(u) composed with a t, x dilation, for end-to-end validation, by
-substituting forms into f.  Expression trees enter only through the
-constructors and leave only when printed.
+substituting forms into f; an affine phi makes that substitution, and the
+search's inverse maps, take no gcd.  Equation text builds no expression
+tree; a tree passed to a constructor is canonicalized there, and no tree is
+built to print.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from fractions import Fraction
 
 from .canonical import (ONE_FORM, CanonicalForm, EvaluationPlan, Poly,
                         _derive_poly, _normalized, _scale, canonicalize,
-                        coordinate)
-from .expr import ExprError, ExprLike, ZeroDenominatorError, parse
+                        coordinate, parse_form)
+from .expr import ExprError, ExprLike, ZeroDenominatorError
 from .value import Value, set_field
 
 
@@ -53,7 +57,8 @@ _SIGMA_POLY = Poly.var("sigma")
 
 class EquationInstance(Value):
     """One member of the class, given by its parameter function f(u, sigma)
-    as an expression, a number or a form; it is stored as a form."""
+    as an expression, a number or a form; it is stored as a form.  Text is
+    read by :meth:`from_text` straight to the form."""
 
     _fields = ("f",)
 
@@ -67,7 +72,7 @@ class EquationInstance(Value):
 
     @classmethod
     def from_text(cls, text: str) -> "EquationInstance":
-        return cls(parse(text, _EQUATION_COORDS))
+        return cls(parse_form(text, _EQUATION_COORDS))
 
     def __str__(self):
         return str(self.f)

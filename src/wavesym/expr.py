@@ -4,22 +4,30 @@ Nodes are rational constants, coordinate references, the one atom ``exp``
 applied to a single coordinate, sums, products, and integer powers.  Division
 is a power with exponent -1; there is no floating-point mode anywhere.
 
-Text becomes a tree in :func:`parse`, and a tree becomes a canonical form in
-:func:`wavesym.canonical.canonicalize`; all computation happens on forms,
-which print their own text and never turn back into trees.
-:func:`to_string` prints parsed trees; both printers write numbers through
-:func:`number_text`.  Trees have no arithmetic operators.  The constructors below only do cheap local
-folding (flattening, constant arithmetic, dropping zeros/ones) so trees stay
-small.  ``diff_partial``, ``substitute`` and ``eval_at`` are a tree calculus
-that nothing in the package calls; they stay while the benchmark's
-per-layer metrics name them.
+The grammar has one parser, which builds whatever its caller's
+:class:`Nodes` table of node constructors builds.  :func:`parse` passes the
+tree constructors below, for the texts whose trees are kept: invariant
+candidates, whose reports print them.  Equation text is parsed straight to
+a fraction by :func:`wavesym.canonical.parse_form`, which passes fraction
+constructors and builds no tree; a tree becomes a canonical form in
+:func:`wavesym.canonical.canonicalize`, by the same fraction constructors.
+All computation happens on forms, which print their own text and never turn
+back into trees.  :func:`to_string` prints parsed trees; both printers write
+numbers through :func:`number_text`.  Trees have no arithmetic operators.
+The constructors below only do cheap local folding (flattening, constant
+arithmetic, dropping zeros/ones) so trees stay small, and never fold away a
+division: an identically zero denominator is reported by the fraction
+constructors, with one message, after the whole text has parsed, so that
+syntax and identifier errors come first.  ``diff_partial``, ``substitute``
+and ``eval_at`` are a tree calculus that nothing in the package calls; they
+stay while the benchmark's per-layer metrics name them.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .value import Value, set_field
 
@@ -142,7 +150,6 @@ ATOM = "exp"
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
-MINUS_ONE = Const(Fraction(-1))
 
 
 def as_expr(value: ExprLike) -> Expr:
@@ -223,17 +230,23 @@ def _has_negative_power(e: Expr) -> bool:
 
 
 def pow_(base: Expr, exponent: int) -> Expr:
+    """base^exponent, folded only where no division is lost, as ``mul``
+    keeps the factors of a zero product: x^0 is 1 unless x divides by
+    something, (x^a)^b is x^(a*b) unless a and b are both negative, and 0
+    to a negative power stays a power.  So a zero denominator, as in
+    (u/(sigma - sigma))^0 or (1/(sigma - sigma))^-1, is still seen when the
+    tree is canonicalized or evaluated."""
     if not isinstance(exponent, int):
         raise TypeError("exponents must be integers")
     if exponent == 0:
-        return ONE
+        return Power(base, 0) if _has_negative_power(base) else ONE
     if exponent == 1:
         return base
     if isinstance(base, Const):
         if base.value == 0 and exponent < 0:
-            raise DivisionByZeroExpressionError("0 raised to a negative power")
+            return Power(base, exponent)
         return Const(base.value ** exponent)
-    if isinstance(base, Power):
+    if isinstance(base, Power) and not (base.exponent < 0 and exponent < 0):
         return pow_(base.base, base.exponent * exponent)
     return Power(base, exponent)
 
@@ -376,12 +389,36 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+class Nodes(NamedTuple):
+    """The node constructors the parser builds with: a literal (a
+    non-negative integer, or -1 for a minus sign), a coordinate, the atom
+    applied to a coordinate, the sum of two or more terms and the product of
+    two or more factors, each a list of nodes, and a node to an integer
+    power, which is -1 for a division."""
+
+    number: Callable
+    coordinate: Callable
+    atom: Callable
+    sum: Callable
+    product: Callable
+    power: Callable
+
+
+_TREE_NODES = Nodes(lambda n: Const(Fraction(n)), Coord, AtomApp,
+                   lambda terms: add(*terms), lambda factors: mul(*factors),
+                   pow_)
+
+
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], coords: frozenset[str]):
+    def __init__(self, tokens: list[tuple[str, str, int]], coords: frozenset[str],
+                 nodes: Nodes):
         self.tokens = tokens
         self.coords = coords
         self.pos = 0
         self.depth = 0
+        (self.number, self.coordinate, self.atom, self.sum, self.product,
+         self.power) = nodes
+        self.minus_one = self.number(-1)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -399,7 +436,7 @@ class _Parser:
             )
         return self.advance()
 
-    def nested(self, position: int, parse_inner) -> Expr:
+    def nested(self, position: int, parse_inner):
         if self.depth == _MAX_NESTING:
             raise ExpressionSyntaxError(
                 f"nesting deeper than {_MAX_NESTING} levels", position)
@@ -408,23 +445,23 @@ class _Parser:
         self.depth -= 1
         return inner
 
-    def parse_expr(self) -> Expr:
+    def parse_expr(self):
         terms = [self.parse_term()]
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             t = self.parse_term()
-            terms.append(t if op == "+" else mul(MINUS_ONE, t))
-        return add(*terms)
+            terms.append(t if op == "+" else self.product([self.minus_one, t]))
+        return terms[0] if len(terms) == 1 else self.sum(terms)
 
-    def parse_term(self) -> Expr:
+    def parse_term(self):
         factors = [self.parse_factor()]
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
             f = self.parse_factor()
-            factors.append(f if op == "*" else pow_(f, -1))
-        return mul(*factors)
+            factors.append(f if op == "*" else self.power(f, -1))
+        return factors[0] if len(factors) == 1 else self.product(factors)
 
-    def parse_factor(self) -> Expr:
+    def parse_factor(self):
         base = self.parse_base()
         if self.peek()[0] == "^":
             self.advance()
@@ -432,7 +469,7 @@ class _Parser:
             if self.peek()[0] == "-":
                 self.advance()
                 sign = -1
-            return pow_(base, sign * self.integer())
+            return self.power(base, sign * self.integer())
         return base
 
     def integer(self) -> int:
@@ -443,13 +480,14 @@ class _Parser:
             raise ExpressionSyntaxError(
                 f"number of {len(text)} digits is too long", position) from None
 
-    def parse_base(self) -> Expr:
+    def parse_base(self):
         kind, text, position = self.peek()
         if kind == "number":
-            return Const(Fraction(self.integer()))
+            return self.number(self.integer())
         if kind == "-":
             self.advance()
-            return mul(MINUS_ONE, self.nested(position, self.parse_factor))
+            return self.product(
+                [self.minus_one, self.nested(position, self.parse_factor)])
         if kind == "(":
             self.advance()
             inner = self.nested(position, self.parse_expr)
@@ -465,25 +503,32 @@ class _Parser:
                 if arg_text not in self.coords:
                     raise UnknownIdentifierError(arg_text, arg_pos)
                 self.expect(")")
-                return AtomApp(text, arg_text)
+                return self.atom(text, arg_text)
             if text not in self.coords:
                 raise UnknownIdentifierError(text, position)
-            return Coord(text)
+            return self.coordinate(text)
         raise ExpressionSyntaxError(
             f"unexpected {text or 'end of input'!r}", position
         )
 
 
-def parse(text: str, coords: Iterable[str]) -> Expr:
-    """Parse ``text`` against the grammar; identifiers must be chart
-    coordinates or the atom ``exp`` applied to a chart coordinate."""
+def parse_nodes(text: str, coords: Iterable[str], nodes: Nodes):
+    """``text`` read by the grammar and built by ``nodes``; identifiers must
+    be chart coordinates or the atom ``exp`` applied to a chart coordinate.
+    Syntax and identifier errors are raised as the text is read; the nodes
+    raise nothing about the value, so that those errors come first."""
     chart = getattr(coords, "coordinates", coords)
-    parser = _Parser(_tokenize(text), frozenset(chart))
+    parser = _Parser(_tokenize(text), frozenset(chart), nodes)
     e = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "end":
         raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", tok[2])
     return e
+
+
+def parse(text: str, coords: Iterable[str]) -> Expr:
+    """Parse ``text`` to a tree, as :func:`parse_nodes` reads it."""
+    return parse_nodes(text, coords, _TREE_NODES)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,20 @@ import sys
 from fractions import Fraction
 
 import pytest
+from unittest import mock
+
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import agrees, fraction_text, polynomial_text, sympy_of
 from wavesym import canonical
-from wavesym.canonical import Poly, canonicalize, equals, poly_gcd
+from wavesym.canonical import Poly, canonicalize, equals, parse_form, poly_gcd
 from wavesym.expr import (
     AtomApp,
     AtomArgumentError,
     Const,
     Coord,
     DivisionByZeroExpressionError,
+    ExprError,
     NumberTooLongError,
     UnboundSymbolError,
     ZeroDenominatorError,
@@ -100,10 +103,15 @@ def test_zero_denominator_raises():
     with pytest.raises(DivisionByZeroExpressionError):
         cf("u/(sigma - sigma)")
     for text in ("0/(sigma - sigma)", "(1 - 1)/(u*sigma - u*sigma)",
-                 "u + 0*(1 + 1/(sigma - sigma))"):
-        with pytest.raises(DivisionByZeroExpressionError):
-            cf(text)
+                 "u + 0*(1 + 1/(sigma - sigma))", "(1/(sigma - sigma))^-1",
+                 "(u/(sigma - sigma))^0*sigma^2", "0^-2", "(1/0)^0"):
+        for read in (cf, lambda text: parse_form(text, CHART2)):
+            with pytest.raises(DivisionByZeroExpressionError,
+                               match="^negative power of an identically zero "
+                                     "expression$"):
+                read(text)
     assert cf("0/sigma + 0*u").is_zero()
+    assert cf("(sigma - sigma)^0") == cf("0^0") == cf("1")
 
 
 def test_idempotence_on_fraction():
@@ -586,3 +594,125 @@ def test_eval_at_names_the_first_unbound_generator():
         cf("sigma*exp(u) + f").eval_at({"u": 1})
     with pytest.raises(UnboundSymbolError, match="^coordinate 'u' is unbound$"):
         cf("1/(u + 1)").eval_at({})
+
+
+# ---------------------------------------------------------------------------
+# the two parse paths: text straight to a form, and text to a tree that is
+# then canonicalized
+
+_EQ = ("u", "sigma")
+
+
+def _outcome(read, text):
+    """The form ``read`` gives for text on the equation chart, or the class
+    and message of the expression error it raises."""
+    try:
+        return read(text, _EQ)
+    except ExprError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_parse_paths_agree(text):
+    by_form = _outcome(parse_form, text)
+    by_tree = _outcome(lambda t, coords: canonicalize(parse(t, coords)), text)
+    assert by_form == by_tree
+
+
+# the drawn texts, also raised to a power from -2 to 2 and multiplied by
+# another, which draws zero and negative powers of quotients, some of them
+# over a denominator that cancels to zero
+_path_text = st.one_of(fraction_text(_EQ), polynomial_text(_EQ),
+                       fraction_text(("u", "sigma", "exp(u)")), _printed_text)
+_powered_text = st.tuples(_path_text, st.integers(-2, 2), _path_text).map(
+    lambda t: f"({t[0]})^{t[1]}*({t[2]})")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_path_text, _powered_text))
+def test_parse_form_agrees_with_the_canonicalized_tree(text):
+    _assert_parse_paths_agree(text)
+
+
+_DEEP = 100  # expr._MAX_NESTING
+
+
+@pytest.mark.parametrize("text", [
+    # zero powers in every position
+    "u^0", "0^0", "(sigma - sigma)^0", "u^0*sigma", "sigma*u^0", "u^0 + sigma^0",
+    "1/u^0", "(u^0)^-1", "(u^2)^0", "-u^0", "2^0", "(1/u)^0", "(1/0)^0",
+    "(0^-1)^0", "exp(u)^0", "(u + 1/(sigma - sigma))^0*u", "sigma^0/(u - u)",
+    # ^0 and ^-1 of quotients
+    "(u/sigma)^0", "(u/sigma)^-1", "(u/(sigma - sigma))^0",
+    "(u/(sigma - sigma))^-1", "((u - u)/sigma)^-1", "((u - u)/sigma)^0",
+    "(1/(sigma - sigma))^-1", "((1/u)/(1/sigma))^-1", "(u/sigma)^-1^0",
+    "0^-1", "1/0 + sin(u)", "0/(sigma - sigma)", "u/0", "(1/u)^-2",
+    # nesting at and past the limit
+    "(" * _DEEP + "u" + ")" * _DEEP, "(" * (_DEEP + 1) + "u" + ")" * (_DEEP + 1),
+    "-" * _DEEP + "u", "-" * (_DEEP + 1) + "u",
+    "(" * _DEEP + "1/(sigma - sigma)" + ")" * _DEEP,
+    # a literal of more digits than int() converts, and a long one it does
+    "9" * 5000 + "*u", "u^" + "9" * 5000, "7" * 300 + "*u/sigma",
+    # identifiers off the equation chart
+    "sin(u)", "exp(t)", "t + u", "exp(u)*sigma", "u +", "u * * sigma", "",
+])
+def test_parse_paths_agree_on_edge_cases(text):
+    _assert_parse_paths_agree(text)
+
+
+def test_parse_form_reads_the_deepest_nesting_and_refuses_one_more():
+    assert parse_form("(" * _DEEP + "u" + ")" * _DEEP, _EQ) == cf("u")
+    with pytest.raises(ExprError, match="nesting deeper than 100 levels"):
+        parse_form("(" * (_DEEP + 1) + "u" + ")" * (_DEEP + 1), _EQ)
+
+
+# ---------------------------------------------------------------------------
+# substitution of diagonal affine maps takes no gcd
+
+_affine_scale = st.fractions(-4, 4, max_denominator=4).filter(bool)
+_affine_shift = st.fractions(-4, 4, max_denominator=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fraction_text(("u", "sigma", "exp(sigma)")), _affine_scale, _affine_shift,
+       _affine_scale, _affine_shift, st.sampled_from(["u", "sigma", "both"]))
+def test_diagonal_affine_substitution_equals_the_gcd_path(text, a, b, c, d, bound):
+    form = _form_or_skip(text)
+    if form is None:
+        return
+    bindings = {}
+    if bound != "sigma":
+        bindings["u"] = cf("u") * a + b
+    if bound != "u":  # exp(sigma) keeps its argument only when sigma -> sigma
+        bindings["sigma"] = cf("sigma") * c + d
+    try:
+        fast = form.substitute(bindings)
+    except AtomArgumentError:
+        return
+    with mock.patch.object(canonical, "_is_diagonal_affine", lambda v, f: False):
+        assert form.substitute(bindings) == fast
+    _assert_normalized(fast)
+
+
+def test_diagonal_affine_substitution_calls_no_gcd(monkeypatch):
+    calls = []
+    gcd = canonical.poly_gcd
+
+    def counted(p, q):
+        calls.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(canonical, "poly_gcd", counted)
+    form = cf("(u^2 + sigma)/(u*sigma + 1)")
+    inverse = {"u": (cf("u") - 1) / 2, "sigma": cf("sigma") / 4}
+    assert form.substitute(inverse) == cf(
+        "((u - 1)^2/4 + sigma/4)/((u - 1)/2*sigma/4 + 1)")
+    assert form.substitute({"u": cf("-u"), "sigma": cf("sigma + 1/3")}) \
+        == cf("(u^2 + sigma + 1/3)/(1 - u*(sigma + 1/3))")
+    assert form.substitute({}) == form
+    swap = {"u": cf("sigma")}
+    calls.clear()
+    form.substitute(inverse)
+    assert calls == []
+    swapped = form.substitute(swap)
+    assert len(calls) == 1
+    assert swapped == cf("(sigma^2 + sigma)/(sigma^2 + 1)")

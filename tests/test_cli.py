@@ -487,6 +487,24 @@ def test_zero_over_zero_is_a_math_error(capsys):
     assert json.loads(out)["verdict"] == "equivalent-per-criterion"
 
 
+@pytest.mark.parametrize("text", ["(1/(sigma - sigma))^-1",
+                                  "(u/(sigma - sigma))^0*sigma^2"])
+def test_a_power_does_not_hide_a_zero_denominator(capsys, text):
+    """Neither a zero power nor a second inversion drops the division: the
+    equation path and the invariant-candidate path end in the same error."""
+    message = "math error: negative power of an identically zero expression\n"
+    for args in (("equiv", text, "sigma^2"),
+                 ("invariants", "verify", "--expr", text)):
+        assert run_cli(capsys, *args) == (1, "", message)
+
+
+def test_a_parse_error_comes_before_a_zero_denominator(capsys):
+    for args in (("equiv", "1/0 + sin(u)", "sigma^2"),
+                 ("invariants", "verify", "--expr", "1/0 + sin(u)")):
+        assert run_cli(capsys, *args) == (
+            1, "", "parse error: unknown identifier 'sin' at offset 6\n")
+
+
 def test_number_too_long_to_print_is_an_output_error(tmp_path, capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
