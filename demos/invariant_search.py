@@ -1,7 +1,8 @@
 """Find the differential invariants of the equivalence algebra from scratch.
 
-The recipe: prolong the generators to the jet chart of f, measure the generic
-rank of their coefficient matrix at random rational points (exactly), count
+The recipe: prolong the generators to the jet chart of f, take the exact
+generic rank of their coefficient matrix (from one seeded integer point, or
+by elimination over rational functions where that point falls short), count
 invariants as variables minus rank, and then assemble absolute invariants
 from relative building blocks by solving for weight-cancelling exponents.
 

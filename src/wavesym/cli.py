@@ -3,7 +3,9 @@ and corpus classification with reproducible machine-readable reports.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 mathematical mismatch against
 the published fixtures.  JSON output is byte-identical for identical
-configurations (fixed seeds, sorted keys, canonical expression strings).
+configurations (sorted keys, canonical expression strings).  Every rank is
+exact: ``--seed`` picks the one point a rank is evaluated at, is echoed in
+the report and changes no rank.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import sys
 
 from .eqalgebra import (
     CLOSURE_MIN_K,
-    DEFAULT_COORDINATE_RANGE,
     DEFAULT_K,
-    DEFAULT_SAMPLES,
     DEFAULT_SEED,
     MAX_K,
     Source,
@@ -59,13 +59,6 @@ SCHEMA = 1
 MAX_RANK_ORDER = 6
 # the chart order of every invariant verdict and block
 _INVARIANT_ORDER = 2
-# highest --samples: every sample's seed is drawn before the first point
-MAX_SAMPLES = 10_000
-# highest --coordinate-range: at 10^6, `--K 300 --samples 10000 rank --order
-# 6` takes 1.3-2.3 s, its first point certifying the rank.  A rank that is
-# never certified uses every sample, whose integers grow with the range:
-# 3.7-6.0 s at 10^6 when every rank did, over 100 s at 10^1000.
-MAX_COORDINATE_RANGE = 10 ** 6
 
 
 class _UsageError(Exception):
@@ -80,39 +73,27 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig(Value):
     """The run settings; unlike the other value classes, assignable."""
 
-    _fields = ("seed", "samples", "K", "coordinate_range", "source", "output")
+    _fields = ("seed", "K", "source", "output")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(self, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
-                 K: int = DEFAULT_K,
-                 coordinate_range: int = DEFAULT_COORDINATE_RANGE,
+    def __init__(self, seed: int = DEFAULT_SEED, K: int = DEFAULT_K,
                  source: Source = Source.DERIVED, output: str = "text"):
         self.seed = seed
-        self.samples = samples
         self.K = K
-        self.coordinate_range = coordinate_range
         self.source = source
         self.output = output
 
     def validate(self):
-        for name in ("samples", "coordinate_range"):
-            if getattr(self, name) < 1:
-                raise _UsageError(f"{name} must be positive")
         for name in ("seed", "K"):
             if getattr(self, name) < 0:
                 raise _UsageError(f"{name} must be non-negative")
-        if self.samples > MAX_SAMPLES:
-            raise _UsageError(f"samples must be at most {MAX_SAMPLES}")
         if self.K > MAX_K:
             raise _UsageError(f"K must be at most {MAX_K}")
-        if self.coordinate_range > MAX_COORDINATE_RANGE:
-            raise _UsageError(
-                f"coordinate_range must be at most {MAX_COORDINATE_RANGE}")
 
 
-_INT_KEYS = ("seed", "samples", "K", "coordinate_range")
+_INT_KEYS = ("seed", "K")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -246,8 +227,7 @@ def cmd_rank(config: RunConfig, order: int) -> tuple[int, dict]:
                           f"the cap on rank --order")
     _require_truncation(config, order)
     g = build_generators(config.source, config.K)
-    rep = prolonged_rank(g, order, samples=config.samples, seed=config.seed,
-                         coordinate_range=config.coordinate_range)
+    rep = prolonged_rank(g, order, seed=config.seed)
     report = {"schema": SCHEMA, "command": "rank",
               "source": config.source.value, "K": config.K, **rep.as_dict()}
     return 0, report
@@ -258,7 +238,7 @@ def _rank_text(report: dict):
            f"{report['variable_count']} variables "
            f"-> {report['invariant_count']} invariants "
            f"(seed {report['seed']}, samples {report['samples_used']}, "
-           f"{'' if report['certified'] else 'not '}certified)")
+           f"certified)")
 
 
 def cmd_invariants_verify(config: RunConfig, expr_text: str | None) -> tuple[int, dict]:
@@ -419,7 +399,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="wavesym", description=__doc__)
     parser.add_argument("--config", help="JSON file with config keys")
     for key in _INT_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
+        parser.add_argument(f"--{key}", dest=key, type=int)
     parser.add_argument("--source", choices=["paper", "derived"])
     parser.add_argument("--output", choices=["text", "json"])
     sub = parser.add_subparsers(dest="command", required=True)

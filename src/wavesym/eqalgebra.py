@@ -36,25 +36,23 @@ process (``_prolonged``) keyed by value, so sets share prolongations while
 the cache holds them, and one set never prolongs a field twice, however
 many fields it holds.
 
-Generic ranks of prolonged coefficient matrices are computed by exact
-evaluation at seeded random integer points and certified against a proven
-bound.  Each matrix is compiled once while one LRU cache of the process
-holds it, keyed by the fields' values, to one with the same rank over
-Q(jet) and the same rank at every point off its poles (``_compile``): the
-family rows beyond ``min_truncation`` are dropped where an exact identity
-proves them redundant, and every constant entry becomes a pivot.  A rank on
-a locus a*v + b = 0 goes through the same compiled matrix, with v = -b/a
+Generic ranks of prolonged coefficient matrices are exact.  Each matrix
+is compiled once while one LRU cache of the process holds it, keyed by the
+fields' values, to one with the same rank over Q(jet) and the same rank at
+every point off its poles (``_compile``): the family rows beyond
+``min_truncation`` are dropped where an exact identity proves them
+redundant, and every constant entry becomes a pivot.  A rank on a locus
+a*v + b = 0 goes through the same compiled matrix, with v = -b/a
 substituted into what is left.  The residual, 3 rows for K >= order + 2, is
-evaluated by a ``canonical.EvaluationPlan`` at each point, and its rank
-taken by fraction-free elimination (``linalg.rank``).  A sampled rank is a
-lower bound on the rank over Q(jet), and the compile bounds that rank from
-above by the pivot count plus the residual's row or column count, whichever
-is smaller.  Sampling stops at the first point whose rank meets the bound,
-which proves it the generic rank.  A first point short of it lowers the
-bound to the exact rank, by an elimination over forms on the residual
-(``_form_rank``, once per compiled matrix).  No modular or floating-point
-shortcut is made, as a rank modulo a prime can fall below the rank over the
-rationals.
+evaluated by a ``canonical.EvaluationPlan`` at one integer point drawn from
+the seed, and its rank taken there by fraction-free elimination
+(``linalg.rank``).  A rank at a point is a lower bound on the rank over
+Q(jet), and the compile bounds that rank from above by the pivot count plus
+the residual's row or column count, whichever is smaller, so a point whose
+rank meets the bound proves it the generic rank.  At a point short of the
+bound or on a pole, the rank is the exact one, by an elimination over forms
+on the residual (``_form_rank``, once per compiled matrix).  Either way the
+rank is the rank over Q(jet), and no rank depends on the seed.
 """
 
 from __future__ import annotations
@@ -83,14 +81,16 @@ from .canonical import (
     coordinate,
     mono,
 )
-from .expr import ExprLike, ZeroDenominatorError
+from .expr import (
+    DivisionByZeroExpressionError,
+    ExprLike,
+    ZeroDenominatorError,
+)
 from .jetspace import JetSpace
 from .value import Value, set_field
 from .vfields import PointAction, VectorField, induce_from_point_action, prolong
 
 DEFAULT_SEED = 1729
-DEFAULT_SAMPLES = 8
-DEFAULT_COORDINATE_RANGE = 50
 DEFAULT_K = 6
 # highest --K: at K = 300 the slowest command, `--source paper
 # verify-algebra`, takes 7.4 s and 61 MB, and `invariants verify` 4.0 s;
@@ -98,11 +98,8 @@ DEFAULT_K = 6
 MAX_K = 300
 # the smallest truncation the closure sweep accepts
 CLOSURE_MIN_K = 4
-_MAX_RESAMPLES = 200
-
-
-class SamplingExhaustedError(Exception):
-    """No valid evaluation point was found within the retry budget."""
+# a rank's evaluation point has its coordinates in -50..50
+_POINT_RANGE = 50
 
 
 class NotSolvableError(Exception):
@@ -497,7 +494,7 @@ def closure_max_k(g: GeneratorSet) -> int:
 
 
 # ---------------------------------------------------------------------------
-# generic ranks by exact sampling
+# exact generic ranks
 
 
 def min_truncation(order: int) -> int:
@@ -506,7 +503,7 @@ def min_truncation(order: int) -> int:
 
     Prolongation is linear in the jet of phi: pr X_phi = sum_j phi^(j) W_j,
     with only W_0..W_{k+2} nonzero at order k.  So the rows Y^m beyond
-    k + 2 lie in the Q[u]-span of Y^0..Y^{k+2}, and the sampled ranks drop
+    k + 2 lie in the Q[u]-span of Y^0..Y^{k+2}, and the ranks drop
     them where that identity holds exactly.  Measured on both sources: the
     rank is k + 6 from K = k + 2 on and one less at K = k + 1, for
     k = 1..6.  Order 0 reaches its rank 5 at K = 1 already; it keeps k + 2
@@ -517,21 +514,18 @@ def min_truncation(order: int) -> int:
 
 
 class RankReport(Value):
-    """A sampled rank: the best over ``samples_used`` points, and whether
-    it is ``certified``, that is, proven the rank over Q(jet) by meeting
-    the bound of its compiled matrix (see ``matrix_rank_at_samples``)."""
+    """A generic rank, the rank over Q(jet) (see
+    ``matrix_rank_at_samples``), with the seed that drew its point.  Its
+    dict keeps schema 1's ``samples_used`` 1 and ``certified`` true, as
+    every rank is proven."""
 
-    _fields = ("order", "rank", "samples_used", "seed", "variable_count",
-               "certified")
+    _fields = ("order", "rank", "seed", "variable_count")
 
-    def __init__(self, order: int, rank: int, samples_used: int, seed: int,
-                 variable_count: int, certified: bool):
+    def __init__(self, order: int, rank: int, seed: int, variable_count: int):
         set_field(self, "order", order)
         set_field(self, "rank", rank)
-        set_field(self, "samples_used", samples_used)
         set_field(self, "seed", seed)
         set_field(self, "variable_count", variable_count)
-        set_field(self, "certified", certified)
 
     @property
     def invariant_count(self) -> int:
@@ -541,8 +535,8 @@ class RankReport(Value):
         return {
             "order": self.order,
             "rank": self.rank,
-            "samples_used": self.samples_used,
-            "certified": self.certified,
+            "samples_used": 1,
+            "certified": True,
             "seed": self.seed,
             "variable_count": self.variable_count,
             "invariant_count": self.invariant_count,
@@ -565,7 +559,7 @@ class _RankPlan:
     @functools.cached_property
     def exact_rank(self) -> int:
         """The rank over Q(jet): computed once per plan, while ``_compile``
-        holds it, and only for a sample short of ``bound``."""
+        holds it, and only for a point short of ``bound`` or on a pole."""
         w = self.width or 1
         return self.pivots + _form_rank([self.residual[i:i + w] for i in
                                          range(0, len(self.residual), w)])
@@ -631,11 +625,13 @@ def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
     W'_j holds exactly (see ``min_truncation``), else kept less that sum.
     Each nonzero constant entry, smallest first, is then eliminated
     fraction-free as a pivot.  An atom eliminated with a pivot leaves the
-    rank free of its value; one left raises at sampling.  With ``locus`` =
-    (v, a, b), v = -b/a is substituted into the residual and the pole
+    rank free of its value; one left raises at evaluation.  With ``locus``
+    = (v, a, b), v = -b/a is substituted into the residual and the pole
     checks, and a is one more pole check: the plan then reads only the
     other coordinates, and its rank at a point is the whole matrix's at
-    that point with v on the locus."""
+    that point with v on the locus.  A pole check that is identically zero
+    there raises DivisionByZeroExpressionError, as the matrix is then
+    undefined on the whole locus."""
     matrix = [[f.coefficient(c) for c in coords] for f in fields]
     poles = {e.denominator: 0 for row in matrix for e in row
              if not e.denominator.is_const()}
@@ -680,66 +676,46 @@ def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
         at = {v: CanonicalForm(-b, _POLY_ONE) / CanonicalForm(a, _POLY_ONE)}
         residual = [f.substitute(at) for f in residual]
         checks = [f.substitute(at) for f in checks] + [CanonicalForm(a, _POLY_ONE)]
+        if any(f.is_zero() for f in checks):
+            raise DivisionByZeroExpressionError(
+                "a denominator of the matrix vanishes on the whole locus")
     return _RankPlan(pivots, len(rows), len(live), residual, checks)
-
-
-def _sampled_matrices(plan: _RankPlan, coords, samples, seed,
-                      coordinate_range):
-    """The residual of ``plan`` as integer rows at one valid point per
-    sample seed.  Sample seeds are drawn from ``seed`` up front; each seeds
-    its own stream of candidate integer points over ``coords``, retried
-    where a pole check of the plan vanishes."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = random.Random(seed)
-    sample_seeds = [rng.randrange(2 ** 32) for _ in range(samples)]
-    for s in sample_seeds:
-        sub = random.Random(s)
-        for _ in range(_MAX_RESAMPLES):
-            point = {c: sub.randint(-coordinate_range, coordinate_range)
-                     for c in coords}
-            try:
-                rows = _integer_rows(plan, point)
-            except ZeroDenominatorError:
-                continue
-            yield rows
-            break
-        else:
-            raise SamplingExhaustedError(
-                f"no valid sample point found in {_MAX_RESAMPLES} tries")
 
 
 def matrix_rank_at_samples(
     fields,
     coords: tuple[str, ...],
     *,
-    samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    coordinate_range: int = DEFAULT_COORDINATE_RANGE,
     locus: tuple[str, Poly, Poly] | None = None,
     family: tuple[int, int] | None = None,
-) -> tuple[int, int, bool]:
-    """Max exact rank of the coefficient matrix over seeded integer points,
-    each the compiled pivot count plus the residual's rank there, up to the
-    first point that meets the compiled matrix's bound on the rank over
-    Q(jet).  A first point short of that bound lowers it to the exact rank
-    (``_RankPlan.exact_rank``); every sample seed is drawn up front all the
-    same, so the points are those of a run to the last sample.
+) -> int:
+    """The rank over Q(jet) of the fields' coefficient matrix on ``coords``.
 
-    ``locus`` = (v, a, b) puts the solved coordinate v = -b/a of each point
-    on the locus a*v + b = 0, and rejects the points where a vanishes.
-    ``family`` marks the rows Y^0, Y^1, ... (see ``_compile``).  Returns
-    (rank, samples_used, certified): certified when the rank meets the
-    bound, which proves it the rank over Q(jet).
+    The compiled matrix is evaluated at one integer point drawn from
+    ``seed``: where the pivot count plus the residual's rank there meets the
+    compiled bound, that is the rank.  At a point short of the bound or on
+    a pole, the rank is the compiled plan's exact one
+    (``_RankPlan.exact_rank``); so the seed picks the point and never the
+    rank.  An atom left in the residual raises UnboundSymbolError.
+
+    ``locus`` = (v, a, b) puts the solved coordinate v = -b/a of the point
+    on the locus a*v + b = 0, a point where a vanishes being a pole.
+    ``family`` marks the rows Y^0, Y^1, ... (see ``_compile``).
     """
     plan = _compile(tuple(fields), coords, family, locus)
-    best = 0
-    for used, rows in enumerate(_sampled_matrices(
-            plan, coords, samples, seed, coordinate_range), 1):
-        best = max(best, plan.pivots + linalg.rank(rows))
-        if best == plan.bound or best == plan.exact_rank:
-            return best, used, True
-    return best, used, False
+    point = _point(coords, seed)
+    try:
+        rank = plan.pivots + linalg.rank(_integer_rows(plan, point))
+    except ZeroDenominatorError:
+        return plan.exact_rank
+    return rank if rank == plan.bound else plan.exact_rank
+
+
+def _point(coords: tuple[str, ...], seed: int) -> dict[str, int]:
+    """The integer point of a rank, drawn from ``seed``."""
+    rng = random.Random(seed)
+    return {c: rng.randint(-_POINT_RANGE, _POINT_RANGE) for c in coords}
 
 
 def _family(g: GeneratorSet, order: int) -> tuple[int, int] | None:
@@ -756,18 +732,11 @@ def _chart(fields, order: int) -> tuple[str, ...]:
     return fields[0].space.coordinates if fields else JetSpace(order).coordinates
 
 
-def prolonged_rank(
-    g: GeneratorSet,
-    order: int,
-    *,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    coordinate_range: int = DEFAULT_COORDINATE_RANGE,
-) -> RankReport:
+def prolonged_rank(g: GeneratorSet, order: int, *,
+                   seed: int = DEFAULT_SEED) -> RankReport:
     """Generic rank of the order-``order`` prolonged coefficient matrix:
     the rank on the locus 0 = 0, which holds everywhere."""
-    return rank_on_manifold(g, 0, order, samples=samples, seed=seed,
-                            coordinate_range=coordinate_range)
+    return rank_on_manifold(g, 0, order, seed=seed)
 
 
 def _linear_solve_coordinate(constraint: CanonicalForm, coords: tuple[str, ...]):
@@ -801,9 +770,7 @@ def rank_on_manifold(
     constraint: CanonicalForm | ExprLike,
     order: int,
     *,
-    samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    coordinate_range: int = DEFAULT_COORDINATE_RANGE,
 ) -> RankReport:
     """Generic rank on the locus ``constraint = 0``.
 
@@ -811,19 +778,19 @@ def rank_on_manifold(
     coordinate v from a*v + b = 0 by exact rational rearrangement.  The
     matrix is compiled as for ``prolonged_rank``, and v = -b/a is then
     substituted into its residual and pole checks (see ``_compile``), so
-    each integer point of the other coordinates is sampled on the locus.
-    A point is rejected where a vanishes, even when b shares the vanishing
-    factor, or where a denominator of the matrix vanishes on the locus.
+    the integer point of the other coordinates is put on the locus.  The
+    point is a pole where a vanishes, even when b shares the vanishing
+    factor, or where a denominator of the matrix vanishes on the locus;
+    a denominator that vanishes on the whole locus raises
+    DivisionByZeroExpressionError.
     """
     fields = g.prolonged(order)
     coords = _chart(fields, order)
     cf = canonicalize(constraint)
     locus = None if cf.is_zero() else _linear_solve_coordinate(cf, coords)
-    best, used, certified = matrix_rank_at_samples(
-        fields, coords, samples=samples, seed=seed,
-        coordinate_range=coordinate_range, locus=locus,
-        family=_family(g, order))
-    return RankReport(order, best, used, seed, len(coords), certified)
+    rank = matrix_rank_at_samples(fields, coords, seed=seed, locus=locus,
+                                  family=_family(g, order))
+    return RankReport(order, rank, seed, len(coords))
 
 
 def minimal_generating_set(
@@ -831,44 +798,51 @@ def minimal_generating_set(
     order: int,
     *,
     exhaustive: bool = False,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    coordinate_range: int = DEFAULT_COORDINATE_RANGE,
 ) -> tuple[str, ...]:
     """A subset of generators whose prolongation keeps the full generic rank.
 
     Greedy elimination by default: each member in turn is dropped when the
-    rest reach the full set's sampled rank.  Sampled ranks are lower bounds
-    on generic ranks, so a member that was kept may still be droppable (the
-    rest may miss their rank at every sample), and the result is not
-    guaranteed to be a globally minimum subset.  ``exhaustive=True``
+    rest keep the full set's rank.  That rank is exact
+    (``matrix_rank_at_samples``), and no subset exceeds it, so a subset
+    whose rank at the one point of the whole matrix meets it keeps it; any
+    other subset is ranked exactly.  So the result keeps the full rank and
+    every member it keeps is needed: dropping one lowers the rank.  It is
+    not guaranteed to be a globally minimum subset; ``exhaustive=True``
     searches all subsets (only for up to 10 generators).
     """
-    fields = g.prolonged(order)
-    coords = _chart(fields, order)
-    plan = _RankPlan(0, len(g.names), len(coords),
-                     [f.coefficient(c) for f in fields for c in coords], [])
-    matrices = [dict(zip(g.names, rows)) for rows in _sampled_matrices(
-        plan, coords, samples, seed, coordinate_range)]
+    prolonged = g.prolonged(order)
+    fields = dict(zip(g.names, prolonged))
+    coords = _chart(prolonged, order)
+    full_rank = matrix_rank_at_samples(prolonged, coords)
+    whole = _RankPlan(0, len(prolonged), len(coords),
+                      [f.coefficient(c) for f in prolonged for c in coords], [])
+    try:
+        at_point = dict(zip(g.names, _integer_rows(
+            whole, _point(coords, DEFAULT_SEED))))
+    except ZeroDenominatorError:
+        at_point = None
 
-    def subset_rank(names) -> int:
-        return max(linalg.rank([mat[n] for n in names]) for mat in matrices)
+    def keeps_full_rank(names) -> bool:
+        if at_point is not None and linalg.rank(
+                [at_point[n] for n in names]) == full_rank:
+            return True
+        return matrix_rank_at_samples([fields[n] for n in names],
+                                      coords) == full_rank
 
-    full_rank = subset_rank(g.names)
     if exhaustive:
         if len(g.names) > 10:
             raise ValueError("exhaustive search is limited to 10 generators")
         for size in range(1, len(g.names) + 1):
             for combo in combinations(g.names, size):
-                if subset_rank(combo) == full_rank:
+                if keeps_full_rank(combo):
                     return combo
     # one pass suffices: a member kept once stays needed, since dropping
-    # rows from a set can only lower its rank at every sample
+    # rows from a set can only lower its rank
     current = list(g.names)
     for name in g.names:
         if len(current) == 1:
             break
         trial = [n for n in current if n != name]
-        if subset_rank(trial) == full_rank:
+        if keeps_full_rank(trial):
             current = trial
     return tuple(current)

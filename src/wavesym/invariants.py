@@ -19,13 +19,9 @@ from . import linalg
 from .canonical import ONE_FORM, CanonicalForm, canonicalize
 from .expr import Expr, parse, to_string
 from .eqalgebra import (
-    DEFAULT_COORDINATE_RANGE,
     DEFAULT_K,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     GeneratorSet,
     Source,
-    _compile,
     build_generators,
     matrix_rank_at_samples,
 )
@@ -117,33 +113,18 @@ def is_absolute(f_expr: Expr | CanonicalForm, g: GeneratorSet,
     return InvariantReport(f_expr, verdicts)
 
 
-def functional_independence(
-    candidates: list[Expr],
-    space: JetSpace,
-    *,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    coordinate_range: int = DEFAULT_COORDINATE_RANGE,
-) -> bool:
+def functional_independence(candidates: list[Expr], space: JetSpace) -> bool:
     """Whether the Jacobian of the candidates w.r.t. the chart coordinates
-    has full rank over Q(jet), which the verdict proves either way.  The
-    rank is sampled exactly (see ``eqalgebra.matrix_rank_at_samples``); a
-    sampled rank that meets the compiled Jacobian's bound is that rank.
-    When no sample meets it, the first sample fell short and the compiled
-    plan's exact rank, by elimination over Q(jet), was already computed to
-    lower the bound: that rank decides instead, so the verdict holds even
-    when every sample lands on the zeros of a Jacobian entry."""
+    has full rank over Q(jet), which the verdict proves either way: the
+    rank is exact (see ``eqalgebra.matrix_rank_at_samples``), so the
+    verdict holds even where a Jacobian entry vanishes at every integer
+    point of the drawn range."""
     if not candidates:
         raise ValueError("need at least one candidate")
     rows = tuple(VectorField(space, {c: form.diff(c)
                                      for c in form.free_coordinates()})
                  for form in map(canonicalize, candidates))
-    rank, _, certified = matrix_rank_at_samples(
-        rows, space.coordinates, samples=samples, seed=seed,
-        coordinate_range=coordinate_range)
-    if not certified:
-        rank = _compile(rows, space.coordinates, None, None).exact_rank
-    return rank == len(candidates)
+    return matrix_rank_at_samples(rows, space.coordinates) == len(candidates)
 
 
 class WeightedBlock(Value):

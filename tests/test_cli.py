@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,15 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import fraction_text, polynomial_text
 from wavesym import cli
-from wavesym.cli import (
-    MAX_COORDINATE_RANGE,
-    MAX_K,
-    MAX_SAMPLES,
-    _build_parser,
-    main,
-)
+from wavesym.cli import MAX_K, _build_parser, main
 from wavesym.expr import parse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -73,32 +71,29 @@ def test_rank_out_of_scope_order(capsys):
         assert "usage error" in err and "cap" in err and "6" in err
 
 
-def test_samples_above_the_cap_are_a_usage_error(capsys, monkeypatch,
-                                                 tmp_path):
-    """--samples is capped at MAX_SAMPLES from a flag, the environment and
-    a config file alike, before any sample seed is drawn; the values in
-    use stay accepted."""
-    assert MAX_SAMPLES == 10_000
-    message = "usage error: samples must be at most 10000\n"
-    for args in (("--samples", "100000000"), ("--samples", "10001")):
-        code, out, err = run_cli(capsys, *args, "rank", "--order", "1")
-        assert (code, out, err) == (1, "", message)
+@pytest.mark.parametrize("key, value", [("samples", "4"),
+                                        ("coordinate_range", "5")])
+def test_a_removed_sampling_option_is_a_usage_error(capsys, monkeypatch,
+                                                     tmp_path, key, value):
+    """Every rank is exact from one point, so neither --samples nor
+    --coordinate-range exists: the flag is a usage error, the config key
+    an unknown one, and the environment variable changes no output."""
+    flag = "--" + key.replace("_", "-")
+    for args in ((flag, value, "rank", "--order", "1"),
+                 ("rank", "--order", "1", flag, value)):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
     config = tmp_path / "config.json"
-    config.write_text('{"samples": 10001}')
+    config.write_text(json.dumps({key: int(value)}))
     code, out, err = run_cli(capsys, "--config", str(config), "rank",
                              "--order", "1")
-    assert (code, out, err) == (1, "", message)
-    monkeypatch.setenv("WAVESYM_SAMPLES", "10001")
-    code, out, err = run_cli(capsys, "rank", "--order", "1")
-    assert (code, out, err) == (1, "", message)
-    monkeypatch.delenv("WAVESYM_SAMPLES")
-    for samples in ("2", "4", "8"):
-        code, out, _ = run_cli(capsys, "--output", "json", "--samples",
-                               samples, "rank", "--order", "1")
-        assert code == 0
-        report = json.loads(out)
-        # the first point meets the bound, which ends the sampling
-        assert (report["samples_used"], report["certified"]) == (1, True)
+    assert (code, out, err) == (1, "",
+                                f"usage error: unknown config key {key!r}\n")
+    args = ("--output", "json", "rank", "--order", "3")
+    expected = run_cli(capsys, *args)
+    monkeypatch.setenv("WAVESYM_" + key.upper(), value)
+    assert run_cli(capsys, *args) == expected
 
 
 def test_K_above_the_cap_is_a_usage_error(capsys, monkeypatch, tmp_path):
@@ -126,35 +121,6 @@ def test_K_above_the_cap_is_a_usage_error(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, "--output", "json", "--K", "300", "rank",
                            "--order", "1")
     assert code == 0 and json.loads(out)["K"] == 300
-
-
-def test_coordinate_range_above_the_cap_is_a_usage_error(capsys, monkeypatch,
-                                                         tmp_path):
-    """--coordinate-range is capped at MAX_COORDINATE_RANGE from a flag, the
-    environment and a config file alike, before any generator is built;
-    the cap itself is accepted."""
-    assert MAX_COORDINATE_RANGE == 10 ** 6
-    message = "usage error: coordinate_range must be at most 1000000\n"
-    built = []
-    build = cli.build_generators
-    monkeypatch.setattr(cli, "build_generators", lambda *args: (
-        built.append(args) or build(*args)))
-    code, out, err = run_cli(capsys, "--coordinate-range", "1000001", "rank",
-                             "--order", "1")
-    assert (code, out, err) == (1, "", message)
-    config = tmp_path / "config.json"
-    config.write_text('{"coordinate_range": 1000001}')
-    code, out, err = run_cli(capsys, "--config", str(config), "rank",
-                             "--order", "1")
-    assert (code, out, err) == (1, "", message)
-    monkeypatch.setenv("WAVESYM_COORDINATE_RANGE", "1000001")
-    code, out, err = run_cli(capsys, "rank", "--order", "1")
-    assert (code, out, err) == (1, "", message)
-    assert not built
-    monkeypatch.delenv("WAVESYM_COORDINATE_RANGE")
-    code, out, _ = run_cli(capsys, "--output", "json", "--coordinate-range",
-                           "1000000", "rank", "--order", "1")
-    assert code == 0 and json.loads(out)["rank"] == 7
 
 
 def test_rank_refuses_an_order_beyond_the_truncation(capsys):
@@ -352,11 +318,11 @@ def test_classify_corpus_that_is_not_utf8(tmp_path, capsys):
 
 def test_config_file(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 321, "samples": 4}))
+    config.write_text(json.dumps({"seed": 321, "K": 7}))
     _, out, _ = run_cli(capsys, "--config", str(config), "--output", "json",
                         "rank", "--order", "1")
     report = json.loads(out)
-    assert report["seed"] == 321
+    assert (report["seed"], report["K"]) == (321, 7)
     assert (report["samples_used"], report["certified"]) == (1, True)
 
 
@@ -365,7 +331,7 @@ def test_config_file(tmp_path, capsys):
     (b'"seed"', "config file must hold a JSON object"),
     (b'{"seed": 1.5}', "seed must be an integer, got 1.5"),
     (b'{"seed": true}', "seed must be an integer, got True"),
-    (b'{"samples": "4"}', "samples must be an integer, got '4'"),
+    (b'{"K": "4"}', "K must be an integer, got '4'"),
     (b'{"K": null}', "K must be an integer, got None"),
     (b"{", "cannot read config file: "),
     (b"\xff\xfe", "cannot read config file: "),
@@ -554,3 +520,54 @@ def test_classify_error_names_the_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "classify", str(corpus))
     assert (code, out) == (1, "")
     assert err.startswith("math error: line 2: ")
+
+
+# --- a fuzz test of the command grammar ---------------------------------------
+
+_EQUATION_TEXT = st.one_of(polynomial_text(("u", "sigma"), 3),
+                           fraction_text(("u", "sigma"), 3),
+                           st.sampled_from(["", "sigma^", "sin(u)", "1/0",
+                                            "0/(sigma - sigma)", "R"]))
+_CHART_TEXT = st.one_of(polynomial_text(("sigma", "f", "f_sigma"), 3),
+                        st.sampled_from(["R", "R2", "0", "exp(u)", "u_x^"]))
+
+
+def _option(flag, values):
+    return st.lists(values.map(lambda v: [flag, str(v)]), max_size=1)
+
+
+_COMMANDS = st.one_of(
+    st.just(["verify-algebra"]),
+    st.integers(0, 7).map(lambda k: ["rank", "--order", str(k)]),
+    st.just(["invariants", "verify"]),
+    _CHART_TEXT.map(lambda e: ["invariants", "verify", "--expr", e]),
+    st.lists(_CHART_TEXT, min_size=1, max_size=3).map(
+        lambda bs: ["invariants", "search", "--blocks", ",".join(bs)]),
+    st.tuples(_EQUATION_TEXT, _EQUATION_TEXT, st.booleans()).map(
+        lambda t: ["equiv", t[0], t[1]] + ["--orbit-search"] * t[2]),
+    st.just(["classify", "no-such-corpus.txt"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(options=st.tuples(
+    _option("--K", st.integers(0, 12)),
+    _option("--seed", st.integers(0, 10 ** 9)),
+    _option("--source", st.sampled_from(["derived", "paper"])),
+    _option("--output", st.sampled_from(["text", "json"])),
+    # the removed flags, in one argument list of three
+    st.sampled_from([[], [], [], [], ["--samples"], ["--coordinate-range"]])
+    .flatmap(lambda flag: _option(*flag, st.integers(-1, 10)) if flag
+             else st.just([]))),
+    command=_COMMANDS)
+def test_every_command_line_ends_in_a_documented_exit_code(options, command):
+    """Random argument lists from the command grammar, the removed flags
+    among them, end in exit code 0, 1 or 2 and raise nothing."""
+    argv = [a for opt in options for pair in opt for a in pair] + command
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    # an exit 1 always says why
+    assert code != 1 or err.getvalue().count("\n") == 1, argv

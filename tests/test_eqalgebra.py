@@ -1,11 +1,13 @@
 import functools
+import random
 from fractions import Fraction
+from math import prod
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavesym import cli, eqalgebra, linalg
+from wavesym import eqalgebra, linalg
 from wavesym.canonical import (
     CanonicalForm,
     EvaluationPlan,
@@ -19,7 +21,6 @@ from wavesym.eqalgebra import (
     MAX_K,
     GeneratorSet,
     NotSolvableError,
-    SamplingExhaustedError,
     Source,
     build_generators,
     bracket_closed,
@@ -36,7 +37,14 @@ from wavesym.eqalgebra import (
     span_basis,
     verify_commutator_table,
 )
-from wavesym.expr import AtomArgumentError, Coord, UnboundSymbolError, parse
+from wavesym.expr import (
+    AtomArgumentError,
+    Coord,
+    DivisionByZeroExpressionError,
+    UnboundSymbolError,
+    ZeroDenominatorError,
+    parse,
+)
 from wavesym.invariants import NAMED_EXPRESSIONS, functional_independence
 from wavesym.jetspace import JetSpace
 from wavesym.vfields import VectorField, bracket, prolong
@@ -147,7 +155,7 @@ def test_a_set_larger_than_the_cache_prolongs_no_field_twice(monkeypatch):
 
 def test_plan_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
     """A plan compiled fresh, reused from the cache or compiled again after
-    it was evicted gives the same rank and samples_used."""
+    it was evicted gives the same report."""
     g = build_generators("derived", 5)
     queries = [(order, seed) for order in (1, 2, 3) for seed in (1, 7)] * 2
     expected = []
@@ -172,7 +180,7 @@ def test_plan_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
 
 def test_a_set_gets_the_plan_of_its_own_fields(monkeypatch):
     """Plans are keyed by the fields, not by the names a set gives them: a
-    set binding Y0 and Y3 to each other's fields samples its own rows.  (Y1
+    set binding Y0 and Y3 to each other's fields evaluates its own rows.  (Y1
     and Y2 would not show it: their constant entries are compiled into
     pivots, so neither order leaves a row to sample.)"""
     cache = _fresh_cache(monkeypatch, "_compile", 48)
@@ -184,7 +192,7 @@ def test_a_set_gets_the_plan_of_its_own_fields(monkeypatch):
 
     def rows_of(gens):
         plan = eqalgebra._compile(gens.prolonged(2), coords, None, None)
-        rows, = eqalgebra._sampled_matrices(plan, coords, 1, 5, 50)
+        (_, rows), = _oracle_points(plan, coords, samples=1, seed=5)
         return rows
 
     plain_rows, swapped_rows = rows_of(plain), rows_of(swapped)
@@ -480,9 +488,7 @@ def test_second_order_rank(derived6):
 
 def test_single_translation_has_rank_one(derived6):
     field = derived6.prolonged_named(1)["Y1"]
-    rank, used, certified = matrix_rank_at_samples([field],
-                                                   JetSpace(1).coordinates)
-    assert (rank, used, certified) == (1, 1, True)
+    assert matrix_rank_at_samples([field], JetSpace(1).coordinates) == 1
 
 
 def test_rank_determinism(derived6):
@@ -502,7 +508,7 @@ def test_rank_monotone_in_order_and_truncation():
         last = 0
         for k in range(13):
             prefix = fields[:4 + k + 1]
-            r, _, _ = matrix_rank_at_samples(prefix, coords)
+            r = matrix_rank_at_samples(prefix, coords)
             assert r >= last
             last = r
             ranks[(order, k)] = r
@@ -688,13 +694,18 @@ def test_order_three_rank_grows_with_the_truncation():
             for K in (3, 4, 5)] == [7, 8, 9]
 
 
-def test_sampling_resamples_poles_and_refuses_atoms():
+def test_sampling_resamples_poles_and_refuses_atoms(monkeypatch):
     chart = JetSpace(1)
     # at coordinates in -1..1 five points in nine hit a pole, u = 0 or sigma = 0
     pole = VectorField(chart, {"u": parse("1/u", chart),
                                "sigma": parse("1/(u*sigma)", chart)})
-    assert matrix_rank_at_samples([pole], chart.coordinates,
-                                  coordinate_range=1) == (1, 1, True)
+    with monkeypatch.context() as patch:
+        patch.setattr(eqalgebra, "_POINT_RANGE", 1)
+        points = [eqalgebra._point(chart.coordinates, s) for s in range(5)]
+        assert any(p["u"] * p["sigma"] == 0 for p in points)
+        for seed in range(5):
+            assert matrix_rank_at_samples([pole], chart.coordinates,
+                                          seed=seed) == 1
     plan = eqalgebra._compile((pole,), chart.coordinates, None, None)
     seen = _sampled_ranks(plan, chart.coordinates, coordinate_range=1)
     assert len(seen) == 8
@@ -706,11 +717,17 @@ def test_sampling_resamples_poles_and_refuses_atoms():
 
 
 def test_sampling_exhausted():
-    # u*f = 0 is solved for u, with a = f, which is 0 at every point of the
-    # range 0
+    """u*f = 0 is solved for u, with a = f, which is 0 at every point of
+    the range 0, so the oracle's stream finds no point there; the rank
+    needs none, and is the exact rank 4 of the locus u = 0."""
     g = build_generators("derived", 0)
-    with pytest.raises(SamplingExhaustedError):
-        rank_on_manifold(g, parse("u*f", JetSpace(1)), 1, coordinate_range=0)
+    constraint = parse("u*f", JetSpace(1))
+    plan, coords = _rank_plan(g, 1, constraint)
+    with pytest.raises(_NoPointFound):
+        _oracle_points(plan, coords, coordinate_range=0)
+    for seed in (1, 7, 1729):
+        assert rank_on_manifold(g, constraint, 1, seed=seed).rank == 4
+    assert plan.exact_rank == 4
 
 
 # --- the compiled rank matrix against the full one --------------------------
@@ -748,26 +765,43 @@ def _rank_plan(g, order, constraint=None):
                               eqalgebra._family(g, order), locus), coords
 
 
-def _sampled_ranks(plan, coords, *, samples=eqalgebra.DEFAULT_SAMPLES,
-                   seed=eqalgebra.DEFAULT_SEED,
-                   coordinate_range=eqalgebra.DEFAULT_COORDINATE_RANGE):
-    """(point, rank) at every point of the whole sample stream of ``plan``
-    (``_sampled_matrices``), the rank being the compiled pivot count plus
-    the rank of the residual's integer rows there.  A rank call stops at
-    the first point that meets its bound; this runs to the last sample."""
-    points = []
-    integer_rows = eqalgebra._integer_rows
+class _NoPointFound(Exception):
+    """The oracle's stream found no point off the poles for one sample."""
 
-    def recorded(p, point):
-        rows = integer_rows(p, point)
+
+def _oracle_points(plan, coords, *, samples=8, seed=eqalgebra.DEFAULT_SEED,
+                   coordinate_range=50):
+    """(point, integer rows of the residual of ``plan`` there) at each of
+    ``samples`` points, an independent stream that is the tests' oracle
+    for the one point of a rank.  Sample seeds are drawn from ``seed`` up
+    front; each seeds its own stream of candidate integer points over
+    ``coords`` in -coordinate_range..coordinate_range, retried up to 200
+    times where a pole check of the plan vanishes."""
+    rng = random.Random(seed)
+    out = []
+    for s in [rng.randrange(2 ** 32) for _ in range(samples)]:
+        sub = random.Random(s)
+        for _ in range(200):
+            point = {c: sub.randint(-coordinate_range, coordinate_range)
+                     for c in coords}
+            try:
+                out.append((point, eqalgebra._integer_rows(plan, point)))
+                break
+            except ZeroDenominatorError:
+                continue
+        else:
+            raise _NoPointFound(f"no valid point for sample seed {s}")
+    return out
+
+
+def _sampled_ranks(plan, coords, **stream):
+    """(point, rank) at every point of the oracle's stream
+    (``_oracle_points``), the rank being the compiled pivot count plus the
+    rank of the residual's integer rows there."""
+    seen = _oracle_points(plan, coords, **stream)
+    for _, rows in seen:
         assert all(type(x) is int for row in rows for x in row)
-        points.append(point)
-        return rows
-
-    with mock.patch.object(eqalgebra, "_integer_rows", recorded):
-        return [(points[-1], plan.pivots + linalg.rank(rows))
-                for rows in eqalgebra._sampled_matrices(
-                    plan, coords, samples, seed, coordinate_range)]
+    return [(point, plan.pivots + linalg.rank(rows)) for point, rows in seen]
 
 
 @pytest.mark.parametrize("source", list(Source))
@@ -836,8 +870,7 @@ def test_a_row_that_fails_the_family_identity_stays(order):
     family = eqalgebra._family(g, order)
     plan = eqalgebra._compile(tuple(fields), coords, family, None)
     assert (plan.pivots, plan.rows) == (order + 3, 4)
-    assert matrix_rank_at_samples(fields, coords, family=family) == (
-        order + 7, 1, True)
+    assert matrix_rank_at_samples(fields, coords, family=family) == order + 7
     seen = _sampled_ranks(plan, coords)
     assert [rank for _, rank in seen] == [order + 7] * 8
     for point, rank in seen:
@@ -847,8 +880,8 @@ def test_a_row_that_fails_the_family_identity_stays(order):
 def test_a_pole_cancelled_from_the_residual_still_rejects_its_points():
     """(1/u) d_t is cleared to the constant pivot 1 and leaves nothing of
     its pole in the residual; the points with u = 0 are rejected all the
-    same, exactly those the whole matrix rejects, and on the locus u = 0
-    no point is left."""
+    same, exactly those the whole matrix rejects, and on the locus u = 0,
+    where the matrix is undefined everywhere, the compile raises."""
     chart = JetSpace(1)
     g = build_generators("derived", 0)
     pole = VectorField(chart, {"t": parse("1/u", chart)})
@@ -872,7 +905,7 @@ def test_a_pole_cancelled_from_the_residual_still_rejects_its_points():
         ranks = _sampled_ranks(plan, coords, seed=seed, coordinate_range=1)
         assert [r for _, r in ranks] == [_full_rank(fields, coords, point)
                                          for point in points[1]]
-    with pytest.raises(SamplingExhaustedError):
+    with pytest.raises(DivisionByZeroExpressionError):
         matrix_rank_at_samples(fields, coords,
                                locus=("u", Poly.const(1), Poly()))
 
@@ -916,16 +949,16 @@ def test_an_atom_on_an_eliminated_pivot_row_leaves_the_locus_rank():
         assert rank_on_manifold(sub, R_EXPR, 1, seed=seed).rank == 6
 
 
-# --- certified ranks and the early stop ---------------------------------------
+# --- exact ranks from one point ------------------------------------------------
 
 @pytest.mark.parametrize("source", list(Source))
 @pytest.mark.parametrize("order", range(7))
 def test_an_early_stopped_rank_is_the_maximum_over_every_sample(source,
                                                                  order):
-    """The rank a rank call reports after its first point is the maximum
-    over all 8 points of the sample stream, and it is certified: at each
-    K in 4..8, 12 and 30 from order + 2 on, for five seeds, off the special
-    manifold and, at orders 1 to 3, on it."""
+    """The rank a rank call reports from its one point is the maximum over
+    all 8 points of the oracle's stream and the compiled plan's exact rank:
+    at each K in 4..8, 12 and 30 from order + 2 on, for five seeds, off the
+    special manifold and, at orders 1 to 3, on it."""
     for K in (k for k in (4, 5, 6, 7, 8, 12, 30) if k >= order + 2):
         g = build_generators(source, K)
         for constraint in (None, R_EXPR) if 1 <= order <= 3 else (None,):
@@ -936,16 +969,15 @@ def test_an_early_stopped_rank_is_the_maximum_over_every_sample(source,
                           rank_on_manifold(g, constraint, order, seed=seed))
                 full = max(r for _, r in _sampled_ranks(plan, coords,
                                                         seed=seed))
-                assert (report.rank, report.samples_used,
-                        report.certified) == (full, 1, True)
+                assert report.rank == full == plan.exact_rank
 
 
-def test_a_rank_short_of_its_bound_at_every_point_is_not_certified():
+def test_a_rank_short_of_its_bound_at_every_point_is_the_exact_rank(
+        monkeypatch):
     """d_t and (u^3 - u) d_u: d_t compiles to a constant pivot and leaves
     the 1 x 1 residual u^3 - u, which vanishes at every point of the range
-    -1..1.  So every sample is used and the rank 1 is not certified; the
-    exact elimination still gives the rank over Q(jet), 2, and a wider
-    range meets it at the first point."""
+    -1..1.  A point drawn there falls short of the bound 2, and the rank is
+    the exact one over Q(jet), 2, for every seed."""
     chart = JetSpace(1)
     fields = (VectorField(chart, {"t": 1}),
               VectorField(chart, {"u": parse("u^3 - u", chart)}))
@@ -953,34 +985,79 @@ def test_a_rank_short_of_its_bound_at_every_point_is_not_certified():
     plan = eqalgebra._compile(fields, coords, None, None)
     assert (plan.pivots, plan.rows, plan.width, plan.bound) == (1, 1, 1, 2)
     assert [str(f) for f in plan.residual] == ["u^3 - u"]
-    for samples in (1, 8):
-        assert matrix_rank_at_samples(fields, coords, samples=samples,
-                                      coordinate_range=1) == (1, samples,
-                                                              False)
-    assert plan.exact_rank == 2
     g = GeneratorSet(Source.PAPER_PRINTED, 0, ("T", "U"), fields, 1)
-    report = prolonged_rank(g, 1, coordinate_range=1)
-    assert report.as_dict() == {
-        "order": 1, "rank": 1, "samples_used": 8, "certified": False,
-        "seed": 1729, "variable_count": 7, "invariant_count": 6}
-    assert next(cli._rank_text(report.as_dict())).endswith(
-        "(seed 1729, samples 8, not certified)")
-    assert matrix_rank_at_samples(fields, coords) == (2, 1, True)
+    expected = [prolonged_rank(g, 1, seed=s).as_dict() for s in range(5)]
+    monkeypatch.setattr(eqalgebra, "_POINT_RANGE", 1)
+    assert {r for _, r in _sampled_ranks(plan, coords,
+                                         coordinate_range=1)} == {1}
+    for seed in range(5):
+        assert matrix_rank_at_samples(fields, coords, seed=seed) == 2
+        report = prolonged_rank(g, 1, seed=seed)
+        assert report.as_dict() == expected[seed] == {
+            "order": 1, "rank": 2, "samples_used": 1, "certified": True,
+            "seed": seed, "variable_count": 7, "invariant_count": 5}
+
+
+def _vanishing_on_the_range() -> CanonicalForm:
+    """P = prod_{k=-50}^{50} (u - k), zero at every integer u that a
+    rank's point can take."""
+    u = coordinate("u")
+    return prod((u - k for k in range(-50, 51)), start=canonicalize(1))
+
+
+def test_a_field_vanishing_at_every_drawable_point_has_rank_one():
+    chart = JetSpace(1)
+    field = VectorField(chart, {"u": _vanishing_on_the_range()})
+    g = GeneratorSet(Source.PAPER_PRINTED, 0, ("P",), (field,), 1)
+    for seed in (1, 7, 1729):
+        assert prolonged_rank(g, 1, seed=seed).rank == 1
+
+
+def test_a_minimal_generating_set_keeps_every_needed_member():
+    """P d_u and P d_x have rank 2 over Q(jet), though both vanish at every
+    point a rank can draw; the greedy set keeps both, and dropping either
+    lowers the exact rank."""
+    chart = JetSpace(1)
+    p = _vanishing_on_the_range()
+    fields = (VectorField(chart, {"u": p}), VectorField(chart, {"x": p}))
+    g = GeneratorSet(Source.PAPER_PRINTED, 0, ("P", "Q"), fields, 1)
+    assert prolonged_rank(g, 1).rank == 2
+    assert minimal_generating_set(g, 1) == ("P", "Q")
+    assert minimal_generating_set(g, 1, exhaustive=True) == ("P", "Q")
+    for kept in fields:
+        single = GeneratorSet(Source.PAPER_PRINTED, 0, ("P",), (kept,), 1)
+        assert prolonged_rank(single, 1).rank == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), source=st.sampled_from(list(Source)),
+       order=st.integers(0, 6), wide=st.booleans(), manifold=st.booleans())
+def test_no_rank_depends_on_its_seed(seed, source, order, wide, manifold):
+    """Every report equals the one at the default seed 1729 but for the
+    seed it echoes: orders 0 to 6 at K = order + 2 and K = 30, and on the
+    special manifold at orders 1 to 3."""
+    g = build_generators(source, 30 if wide else min_truncation(order))
+    if manifold and 1 <= order <= 3:
+        got, default = (rank_on_manifold(g, R_EXPR, order, seed=s).as_dict()
+                        for s in (seed, 1729))
+    else:
+        got, default = (prolonged_rank(g, order, seed=s).as_dict()
+                        for s in (seed, 1729))
+    assert got.pop("seed") == seed and default.pop("seed") == 1729
+    assert got == default
 
 
 def test_the_exact_rank_is_taken_over_the_rational_functions():
     """The compiled residual on the special manifold at order 1 is 3 x 3
     with determinant zero there, so no point meets the bound 7 of its 4
     pivots; the elimination over forms gives rank 2 for it, and the rank 6
-    is certified at the first point."""
+    is the exact one."""
     for source in Source:
         g = build_generators(source, 6)
         plan, _ = _rank_plan(g, 1, R_EXPR)
         assert (plan.pivots, plan.rows, plan.width, plan.bound) == (4, 3, 3, 7)
         assert plan.exact_rank == 6
-        report = rank_on_manifold(g, R_EXPR, 1)
-        assert (report.rank, report.samples_used, report.certified) == (
-            6, 1, True)
+        assert rank_on_manifold(g, R_EXPR, 1).rank == 6
     rows = [[canonicalize(parse(e, JetSpace(1))) for e in row] for row in (
         ("u", "sigma", "u*sigma"), ("u^2", "u*sigma", "u^2*sigma"),
         ("1/u", "sigma/u^2", "f"))]

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from helpers import in_integer_lattice
-from wavesym.canonical import equals
+from wavesym import eqalgebra
+from wavesym.canonical import canonicalize, coordinate, equals
 from wavesym.expr import Const, Coord, add, mul, parse, pow_
 from wavesym.invariants import (
     NAMED_EXPRESSIONS,
@@ -109,17 +111,27 @@ def test_single_coordinate_is_independent():
     assert functional_independence([Coord("u")], JetSpace(2))
 
 
-def test_independence_is_decided_exactly_when_every_sample_misses():
-    # at coordinate range 1 every point has u in {-1, 0, 1}, where the
-    # Jacobian entry u^3 - u vanishes: no sample reaches rank 2, and the
-    # exact rank over Q(jet) decides
+def test_independence_is_decided_exactly_when_every_sample_misses(
+        monkeypatch):
+    """Q(u) with Q' = P = prod_{k=-50}^{50} (u - k): the Jacobian entry P
+    vanishes at every integer point a rank can draw, and the exact rank
+    over Q(jet) decides.  So it does for u^4/4 - u^2/2, whose entry
+    u^3 - u vanishes at every point of the range -1..1."""
     chart = JetSpace(1)
+    u = coordinate("u")
+    p = prod((u - k for k in range(-50, 51)), start=canonicalize(1))
+    # P's monomials hold only u, so each one's total degree is its power
+    q = sum((u ** (sum(m) + 1) * Fraction(c, sum(m) + 1)
+             for m, c in p.rational_coefficients().items()),
+            start=canonicalize(0))
+    assert equals(q.diff("u"), p)
+    assert functional_independence([parse("t", chart), q], chart)
+    assert not functional_independence([q, q * q], chart)
+    monkeypatch.setattr(eqalgebra, "_POINT_RANGE", 1)
     candidates = [parse("t", chart), parse("u^4/4 - u^2/2", chart)]
-    for coordinate_range in (1, 5):
-        assert functional_independence(candidates, chart,
-                                       coordinate_range=coordinate_range)
+    assert functional_independence(candidates, chart)
     dependent = [parse("u^3 - u", chart), parse("(u^3 - u)^2", chart)]
-    assert not functional_independence(dependent, chart, coordinate_range=1)
+    assert not functional_independence(dependent, chart)
 
 
 def test_counting_consistency(derived6):

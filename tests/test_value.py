@@ -55,8 +55,8 @@ def _pairs():
     yield (FiniteTransformation(U * 2, U / 2),
            FiniteTransformation(U * 2, U / 2, 1),
            FiniteTransformation(U * 2, U / 2, 3))
-    yield (RankReport(1, 7, 8, 0, 7, True), RankReport(1, 7, 8, 0, 7, True),
-           RankReport(1, 6, 8, 0, 7, True))
+    yield (RankReport(1, 7, 0, 7), RankReport(1, 7, 0, 7),
+           RankReport(1, 6, 0, 7))
     yield (build_generators(Source.DERIVED, 2),
            build_generators(Source.DERIVED, 2),
            build_generators(Source.DERIVED, 3))
