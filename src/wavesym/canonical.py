@@ -58,7 +58,8 @@ trial divisions are the cofactors.  The subresultant remainder sequence
 takes over when six points give no proven candidate, and for every input
 whose evaluated integers are estimated above ``_HEU_GCD_MAX_BITS``.  A
 substitution of diagonal affine maps v -> a*v + b takes no gcd at all (see
-:meth:`CanonicalForm.substitute`).
+:meth:`CanonicalForm.substitute`), and neither does a pair whose D is 1,
+an integer polynomial, which is already in normal form.
 """
 
 from __future__ import annotations
@@ -804,6 +805,9 @@ class CanonicalForm(Value):
 
 
 def _normalized(num: Poly, den: Poly) -> CanonicalForm:
+    if den.is_one():
+        # an integer polynomial over 1 is already in normal form
+        return CanonicalForm(num, _POLY_ONE)
     if den.is_zero():
         raise DivisionByZeroExpressionError("denominator is identically zero")
     if not num.is_zero():

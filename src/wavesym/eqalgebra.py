@@ -30,11 +30,14 @@ decompositions keyed by generator pair (left, right), and the closure
 sweep reads their supports: a subset is bracket-closed when every bracket
 of two members decomposes into members only.
 
-``GeneratorSet.prolonged`` builds a field at order k by one step of the
-recursion from the set's own order k - 1, through one LRU cache of the
-process (``_prolonged``) keyed by value, so sets share prolongations while
-the cache holds them, and one set never prolongs a field twice, however
-many fields it holds.
+``build_generators`` returns one set per (source, truncation) while an
+LRU cache of the process (``_generator_set``) holds it, so the set's
+prolonged and flattened fields, span basis and commutator table serve
+every later caller at that (source, truncation).  ``GeneratorSet.prolonged``
+builds a field at order k by one step of the recursion from the set's own
+order k - 1, through one LRU cache of the process (``_prolonged``) keyed
+by value, so sets share prolongations while the cache holds them, and one
+set never prolongs a field twice, however many fields it holds.
 
 Generic ranks of prolonged coefficient matrices are exact.  Each matrix
 is compiled once while one LRU cache of the process holds it, keyed by the
@@ -52,7 +55,10 @@ the residual's row or column count, whichever is smaller, so a point whose
 rank meets the bound proves it the generic rank.  At a point short of the
 bound or on a pole, the rank is the exact one, by an elimination over forms
 on the residual (``_form_rank``, once per compiled matrix).  Either way the
-rank is the rank over Q(jet), and no rank depends on the seed.
+rank is the rank over Q(jet), and no rank depends on the seed.  The
+compiled matrix keeps the rank its first call proves, so a matrix is
+evaluated at one point once per process while the cache holds it, and
+every later rank of it, at any seed, is read back.
 """
 
 from __future__ import annotations
@@ -93,8 +99,9 @@ from .vfields import PointAction, VectorField, induce_from_point_action, prolong
 DEFAULT_SEED = 1729
 DEFAULT_K = 6
 # highest --K: at K = 300 the slowest command, `--source paper
-# verify-algebra`, takes 7.4 s and 61 MB, and `invariants verify` 4.0 s;
-# verify-algebra grows about as K^2 (10.3 s at K = 500, derived source)
+# verify-algebra`, takes 3.2-4.9 s and 61 MB, `invariants verify` 1.8-2.1 s
+# and 57 MB (2-vCPU container, CPython 3.11); verify-algebra grows about
+# as K^2 (5.0 s at K = 500, derived source)
 MAX_K = 300
 # the smallest truncation the closure sweep accepts
 CLOSURE_MIN_K = 4
@@ -233,8 +240,18 @@ def _prolonged(below: VectorField, order: int,
 
 def build_generators(source: Source | str = Source.DERIVED,
                      truncation: int = DEFAULT_K) -> GeneratorSet:
-    """Construct the generator list for the chosen coefficient source."""
-    source = Source(source)
+    """The generator list for the chosen coefficient source, one set per
+    (source, truncation) while ``_generator_set`` holds it: its prolonged
+    fields, flattened fields, span basis and commutator table then serve
+    every later caller at that (source, truncation)."""
+    return _generator_set(Source(source), truncation)
+
+
+# 16 entries are more than twice the 6 distinct sets one benchmark pass
+# builds at most (the algebra sweep's derived sets at K = 4 to 7 and
+# printed sets at K = 4 and 5; a rank-invariants pass builds 5)
+@functools.lru_cache(maxsize=16)
+def _generator_set(source: Source, truncation: int) -> GeneratorSet:
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     names = STATIC_NAMES + tuple(family_name(k) for k in range(truncation + 1))
@@ -547,7 +564,8 @@ class _RankPlan:
     """A matrix compiled by ``_compile``: its constant pivots and its
     rows x width ``residual``, row by row, as forms; ``plan`` evaluates the
     residual and then the pole checks.  Its rank over Q(jet) is the pivot
-    count plus the residual's, so at most ``bound``."""
+    count plus the residual's, so at most ``bound``; ``rank`` keeps it once
+    ``matrix_rank_at_samples`` has proven it, None before."""
 
     def __init__(self, pivots: int, rows: int, width: int,
                  residual: list[CanonicalForm], checks: list[CanonicalForm]):
@@ -555,6 +573,7 @@ class _RankPlan:
         self.residual = residual
         self.plan = EvaluationPlan(residual + checks)
         self.bound = pivots + min(rows, width)
+        self.rank: int | None = None
 
     @functools.cached_property
     def exact_rank(self) -> int:
@@ -692,19 +711,29 @@ def matrix_rank_at_samples(
 ) -> int:
     """The rank over Q(jet) of the fields' coefficient matrix on ``coords``.
 
-    The compiled matrix is evaluated at one integer point drawn from
-    ``seed``: where the pivot count plus the residual's rank there meets the
-    compiled bound, that is the rank.  At a point short of the bound or on
-    a pole, the rank is the compiled plan's exact one
-    (``_RankPlan.exact_rank``); so the seed picks the point and never the
-    rank.  An atom left in the residual raises UnboundSymbolError.
+    The first call on a compiled matrix proves its rank (``_proven_rank``)
+    at one integer point drawn from ``seed``, and the plan keeps it; every
+    later call on that plan, at any seed, returns the kept rank and
+    evaluates nothing.  So only a matrix's first rank in a process is
+    evaluated at its seed's point, and one evicted from ``_compile`` is
+    proven again.  The seed picks the point and never the rank.  An atom
+    left in the residual raises UnboundSymbolError.
 
     ``locus`` = (v, a, b) puts the solved coordinate v = -b/a of the point
     on the locus a*v + b = 0, a point where a vanishes being a pole.
     ``family`` marks the rows Y^0, Y^1, ... (see ``_compile``).
     """
     plan = _compile(tuple(fields), coords, family, locus)
-    point = _point(coords, seed)
+    if plan.rank is None:
+        plan.rank = _proven_rank(plan, _point(coords, seed))
+    return plan.rank
+
+
+def _proven_rank(plan: _RankPlan, point: dict[str, int]) -> int:
+    """The rank over Q(jet) of ``plan``: the pivot count plus the
+    residual's rank at ``point`` where that meets the compiled bound, else
+    (a point short of the bound or on a pole) the plan's exact rank
+    (``_RankPlan.exact_rank``)."""
     try:
         rank = plan.pivots + linalg.rank(_integer_rows(plan, point))
     except ZeroDenominatorError:
@@ -803,9 +832,10 @@ def minimal_generating_set(
 
     Greedy elimination by default: each member in turn is dropped when the
     rest keep the full set's rank.  That rank is exact
-    (``matrix_rank_at_samples``), and no subset exceeds it, so a subset
-    whose rank at the one point of the whole matrix meets it keeps it; any
-    other subset is ranked exactly.  So the result keeps the full rank and
+    (``prolonged_rank``), and no subset exceeds it, so a subset whose rank
+    at the one point of the whole matrix meets it keeps it; any other
+    subset is ranked exactly (``_proven_rank``), on a plan compiled outside
+    the shared ``_compile`` cache.  So the result keeps the full rank and
     every member it keeps is needed: dropping one lowers the rank.  It is
     not guaranteed to be a globally minimum subset; ``exhaustive=True``
     searches all subsets (only for up to 10 generators).
@@ -813,12 +843,12 @@ def minimal_generating_set(
     prolonged = g.prolonged(order)
     fields = dict(zip(g.names, prolonged))
     coords = _chart(prolonged, order)
-    full_rank = matrix_rank_at_samples(prolonged, coords)
+    full_rank = prolonged_rank(g, order).rank
+    point = _point(coords, DEFAULT_SEED)
     whole = _RankPlan(0, len(prolonged), len(coords),
                       [f.coefficient(c) for f in prolonged for c in coords], [])
     try:
-        at_point = dict(zip(g.names, _integer_rows(
-            whole, _point(coords, DEFAULT_SEED))))
+        at_point = dict(zip(g.names, _integer_rows(whole, point)))
     except ZeroDenominatorError:
         at_point = None
 
@@ -826,8 +856,11 @@ def minimal_generating_set(
         if at_point is not None and linalg.rank(
                 [at_point[n] for n in names]) == full_rank:
             return True
-        return matrix_rank_at_samples([fields[n] for n in names],
-                                      coords) == full_rank
+        # compiled outside ``_compile``, whose plans and kept ranks the
+        # rank commands share
+        plan = _compile.__wrapped__(tuple(fields[n] for n in names), coords,
+                                    None, None)
+        return _proven_rank(plan, point) == full_rank
 
     if exhaustive:
         if len(g.names) > 10:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from wavesym import eqalgebra
 from wavesym.canonical import canonicalize, equals
 from wavesym.jetspace import JetSpace
 from wavesym.vfields import VectorField
@@ -20,6 +21,15 @@ def fields_equal(a: VectorField, b: VectorField) -> bool:
         if not equals(a.coefficient(v), b.coefficient(v)):
             return False
     return True
+
+
+def fresh_cache(monkeypatch, name, maxsize):
+    """Rebind ``eqalgebra.<name>`` to an empty LRU cache of its function
+    bounded at ``maxsize``, for this test only."""
+    cached = functools.lru_cache(maxsize=maxsize)(
+        getattr(eqalgebra, name).__wrapped__)
+    monkeypatch.setattr(eqalgebra, name, cached)
+    return cached
 
 
 def field_combination(*pairs) -> VectorField:

@@ -526,6 +526,36 @@ def test_normalization_rule_after_every_operation(a_text, b_text, n,
         _assert_normalized(form)
 
 
+def _reduced_by_gcd(num: Poly, den: Poly):
+    """The whole reduction of num/den: divided by the gcd's cofactors, then
+    by the integer content, with lc(den) made positive."""
+    if not num.is_zero():
+        _, num, den = poly_gcd(num, den)
+    return canonical._content_normalized(num, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6).filter(bool),
+                          st.integers(0, 3), st.integers(0, 4),
+                          st.integers(0, 2), st.integers(0, 1),
+                          st.integers(0, 1)), max_size=4))
+@example([])                                          # zero
+@example([(-4, 0, 0, 0, 0, 0)])                       # a constant
+@example([(2, 0, 0, 0, 0, 1), (-6, 1, 0, 0, 0, 1)])   # exp(u), content 2
+def test_a_denominator_of_one_takes_no_gcd(terms):
+    """An integer polynomial over 1 is already reduced: ``_normalized``
+    returns it as it is, takes no gcd, and gives the whole reduction's
+    form."""
+    num, one = _poly(terms), Poly.const(1)
+    expected = _reduced_by_gcd(num, one)
+    with mock.patch.object(canonical, "poly_gcd",
+                           side_effect=AssertionError("gcd taken")):
+        form = canonical._normalized(num, one)
+    assert form == expected
+    assert form.numerator == num and form.denominator.is_one()
+    _assert_normalized(form)
+
+
 def test_substitute_renames_a_bound_atom_argument():
     assert cf("exp(u)*sigma").substitute({"u": cf("u"), "sigma": cf("2*sigma")}) \
         == cf("2*exp(u)*sigma")

@@ -1,4 +1,3 @@
-import functools
 import random
 from fractions import Fraction
 from math import prod
@@ -49,7 +48,7 @@ from wavesym.invariants import NAMED_EXPRESSIONS, functional_independence
 from wavesym.jetspace import JetSpace
 from wavesym.vfields import VectorField, bracket, prolong
 
-from helpers import field_combination
+from helpers import field_combination, fresh_cache
 
 R_EXPR = parse("sigma*f_sigma - f", JetSpace(1))
 
@@ -75,13 +74,38 @@ def test_derived_zeroth_family_member_is_u_shift():
     assert equals(y0.coefficient("u"), parse("1", JetSpace(0)))
 
 
-def test_a_second_build_at_the_k_cap_induces_no_family_field():
-    build_generators("derived", MAX_K)
+def test_a_second_build_at_the_k_cap_induces_no_family_field(monkeypatch):
+    first = build_generators("derived", MAX_K)
     before = eqalgebra._derived_family.cache_info()
-    build_generators("derived", MAX_K)
+    assert build_generators("derived", MAX_K) is first
+    assert eqalgebra._derived_family.cache_info() == before
+    # a set built again, once the set cache has lost it, takes every
+    # family member from the family cache
+    fresh_cache(monkeypatch, "_generator_set", 16)
+    again = build_generators("derived", MAX_K)
     after = eqalgebra._derived_family.cache_info()
+    assert again is not first and again == first
     assert after.hits - before.hits == MAX_K + 1
     assert after.misses == before.misses
+
+
+def test_one_generator_set_per_source_and_truncation(monkeypatch):
+    assert build_generators("derived", 5) is build_generators(Source.DERIVED, 5)
+    assert build_generators("paper", 5) is not build_generators("derived", 5)
+    bound = eqalgebra._generator_set.cache_info().maxsize
+    assert bound == 16
+    for K in range(2 * bound):
+        build_generators("derived", K)
+        assert eqalgebra._generator_set.cache_info().currsize <= bound
+    # a set evicted and built again has an equal commutator table
+    cache = fresh_cache(monkeypatch, "_generator_set", 1)
+    g = build_generators("derived", 5)
+    table = commutator_table(g)
+    build_generators("paper", 5)
+    rebuilt = build_generators("derived", 5)
+    assert cache.cache_info().misses == 3
+    assert rebuilt is not g and "brackets" not in rebuilt._cache
+    assert commutator_table(rebuilt) == table
 
 
 def test_generator_names():
@@ -111,17 +135,9 @@ def test_a_set_gets_the_prolongations_of_its_own_fields():
     assert fields["Y2"] == prolong(y1, 2)
 
 
-def _fresh_cache(monkeypatch, name, maxsize):
-    """Rebind ``eqalgebra.<name>`` to an empty LRU cache of its function
-    bounded at ``maxsize``, for this test only."""
-    cached = functools.lru_cache(maxsize=maxsize)(
-        getattr(eqalgebra, name).__wrapped__)
-    monkeypatch.setattr(eqalgebra, name, cached)
-    return cached
-
-
 def test_prolongation_cache_is_bounded_and_evicts(monkeypatch):
-    cache = _fresh_cache(monkeypatch, "_prolonged", 4)
+    fresh_cache(monkeypatch, "_generator_set", 16)
+    cache = fresh_cache(monkeypatch, "_prolonged", 4)
     for source in ("derived", "paper"):
         for k in range(3):
             g = build_generators(source, k)
@@ -134,7 +150,8 @@ def test_prolongation_cache_is_bounded_and_evicts(monkeypatch):
 
 
 def test_a_set_larger_than_the_cache_prolongs_no_field_twice(monkeypatch):
-    _fresh_cache(monkeypatch, "_prolonged", 4)
+    fresh_cache(monkeypatch, "_generator_set", 16)
+    fresh_cache(monkeypatch, "_prolonged", 4)
     calls = []
 
     def counted(f, order, given_order):
@@ -162,7 +179,7 @@ def test_plan_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
     for order, seed in queries:
         eqalgebra._compile.cache_clear()
         expected.append(prolonged_rank(g, order, seed=seed).as_dict())
-    cache = _fresh_cache(monkeypatch, "_compile", 2)
+    cache = fresh_cache(monkeypatch, "_compile", 2)
     compiled = []
     plan = eqalgebra.EvaluationPlan
     monkeypatch.setattr(eqalgebra, "EvaluationPlan",
@@ -178,12 +195,50 @@ def test_plan_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
     assert eqalgebra._compile is cache
 
 
+def test_a_compiled_matrix_keeps_its_rank(monkeypatch):
+    """The first rank of a plan is proven at its seed's point; a second
+    rank of that plan, at another seed, evaluates nothing, and a plan
+    evicted from a 1-entry cache proves its rank again."""
+    cache = fresh_cache(monkeypatch, "_compile", 1)
+    g = build_generators("derived", 5)
+    evaluated = []
+    integer_rows = eqalgebra._integer_rows
+    monkeypatch.setattr(eqalgebra, "_integer_rows", lambda plan, point: (
+        evaluated.append(point) or integer_rows(plan, point)))
+    first = prolonged_rank(g, 2, seed=1)
+    assert evaluated == [eqalgebra._point(JetSpace(2).coordinates, 1)]
+    with monkeypatch.context() as patch:
+        patch.setattr(eqalgebra, "_integer_rows", mock.Mock(
+            side_effect=AssertionError("evaluated a kept rank")))
+        again = prolonged_rank(g, 2, seed=7)
+    assert (again.rank, again.seed) == (first.rank, 7)
+    assert cache.cache_info().hits == 1
+    prolonged_rank(g, 3, seed=7)                   # evicts the order-2 plan
+    assert len(evaluated) == 2
+    assert prolonged_rank(g, 2, seed=7) == again
+    assert evaluated[2] == eqalgebra._point(JetSpace(2).coordinates, 7)
+    assert cache.cache_info().misses == 3
+
+
+def test_a_minimal_generating_set_leaves_the_plan_cache_alone(monkeypatch):
+    """Subset plans are compiled outside ``_compile``: after the exhaustive
+    search, the rank the set had before is still a cache hit."""
+    cache = fresh_cache(monkeypatch, "_compile", 48)
+    g = build_generators("derived", 5)
+    rank = prolonged_rank(g, 3)
+    assert minimal_generating_set(g, 3, exhaustive=True)
+    assert cache.cache_info().currsize == 1
+    hits = cache.cache_info().hits
+    assert prolonged_rank(g, 3) == rank
+    assert cache.cache_info().hits == hits + 1
+
+
 def test_a_set_gets_the_plan_of_its_own_fields(monkeypatch):
     """Plans are keyed by the fields, not by the names a set gives them: a
     set binding Y0 and Y3 to each other's fields evaluates its own rows.  (Y1
     and Y2 would not show it: their constant entries are compiled into
     pivots, so neither order leaves a row to sample.)"""
-    cache = _fresh_cache(monkeypatch, "_compile", 48)
+    cache = fresh_cache(monkeypatch, "_compile", 48)
     g = build_generators("derived", 0)
     y0, y3 = g.field_named("Y0"), g.field_named("Y3")
     plain = GeneratorSet(Source.DERIVED, 0, ("Y0", "Y3"), (y0, y3), 0)
@@ -327,7 +382,8 @@ def test_table_keeps_rational_coefficients():
     assert table[("X0", "X1")] == {"X0": Fraction(1, 2)}
 
 
-def test_table_takes_no_form_derivative():
+def test_table_takes_no_form_derivative(monkeypatch):
+    fresh_cache(monkeypatch, "_generator_set", 16)
     g = build_generators("derived", 6)
     span_basis(g)  # prolongs and flattens the fields
     with mock.patch.object(CanonicalForm, "derive",
@@ -435,6 +491,7 @@ def test_verify_algebra_reduces_each_bracket_once(monkeypatch, capsys):
         return original(basis, target)
 
     monkeypatch.setattr(eqalgebra, "solve_in_span", counted)
+    fresh_cache(monkeypatch, "_generator_set", 16)
     assert main(["--K", "4", "--source", "paper", "verify-algebra"]) == 0
     capsys.readouterr()
     # 9 generators, 36 pairs, once for the derived and once for the printed set
@@ -699,14 +756,15 @@ def test_sampling_resamples_poles_and_refuses_atoms(monkeypatch):
     # at coordinates in -1..1 five points in nine hit a pole, u = 0 or sigma = 0
     pole = VectorField(chart, {"u": parse("1/u", chart),
                                "sigma": parse("1/(u*sigma)", chart)})
+    plan = eqalgebra._compile((pole,), chart.coordinates, None, None)
     with monkeypatch.context() as patch:
         patch.setattr(eqalgebra, "_POINT_RANGE", 1)
         points = [eqalgebra._point(chart.coordinates, s) for s in range(5)]
         assert any(p["u"] * p["sigma"] == 0 for p in points)
-        for seed in range(5):
+        for seed, point in enumerate(points):
+            assert eqalgebra._proven_rank(plan, point) == 1
             assert matrix_rank_at_samples([pole], chart.coordinates,
                                           seed=seed) == 1
-    plan = eqalgebra._compile((pole,), chart.coordinates, None, None)
     seen = _sampled_ranks(plan, chart.coordinates, coordinate_range=1)
     assert len(seen) == 8
     for point, rank in seen:
@@ -969,7 +1027,11 @@ def test_an_early_stopped_rank_is_the_maximum_over_every_sample(source,
                           rank_on_manifold(g, constraint, order, seed=seed))
                 full = max(r for _, r in _sampled_ranks(plan, coords,
                                                         seed=seed))
-                assert report.rank == full == plan.exact_rank
+                # the plan keeps its first rank, so the seed's own point
+                # is proven directly
+                proven = eqalgebra._proven_rank(
+                    plan, eqalgebra._point(coords, seed))
+                assert report.rank == proven == full == plan.exact_rank
 
 
 def test_a_rank_short_of_its_bound_at_every_point_is_the_exact_rank(
@@ -990,12 +1052,20 @@ def test_a_rank_short_of_its_bound_at_every_point_is_the_exact_rank(
     monkeypatch.setattr(eqalgebra, "_POINT_RANGE", 1)
     assert {r for _, r in _sampled_ranks(plan, coords,
                                          coordinate_range=1)} == {1}
+    exact = []
+    form_rank = eqalgebra._form_rank
+    monkeypatch.setattr(eqalgebra, "_form_rank",
+                        lambda rows: exact.append(rows) or form_rank(rows))
     for seed in range(5):
+        # fresh plans, so that each rank is proven at this seed's point
+        fresh_cache(monkeypatch, "_compile", 48)
         assert matrix_rank_at_samples(fields, coords, seed=seed) == 2
+        fresh_cache(monkeypatch, "_compile", 48)
         report = prolonged_rank(g, 1, seed=seed)
         assert report.as_dict() == expected[seed] == {
             "order": 1, "rank": 2, "samples_used": 1, "certified": True,
             "seed": seed, "variable_count": 7, "invariant_count": 5}
+        assert len(exact) == 2 * (seed + 1)
 
 
 def _vanishing_on_the_range() -> CanonicalForm:
@@ -1037,7 +1107,8 @@ def test_no_rank_depends_on_its_seed(seed, source, order, wide, manifold):
     seed it echoes: orders 0 to 6 at K = order + 2 and K = 30, and on the
     special manifold at orders 1 to 3."""
     g = build_generators(source, 30 if wide else min_truncation(order))
-    if manifold and 1 <= order <= 3:
+    constraint = R_EXPR if manifold and 1 <= order <= 3 else None
+    if constraint is not None:
         got, default = (rank_on_manifold(g, R_EXPR, order, seed=s).as_dict()
                         for s in (seed, 1729))
     else:
@@ -1045,6 +1116,11 @@ def test_no_rank_depends_on_its_seed(seed, source, order, wide, manifold):
                         for s in (seed, 1729))
     assert got.pop("seed") == seed and default.pop("seed") == 1729
     assert got == default
+    # the plan keeps its first rank, so the seed's own point is proven
+    # directly
+    plan, coords = _rank_plan(g, order, constraint)
+    assert eqalgebra._proven_rank(
+        plan, eqalgebra._point(coords, seed)) == default["rank"]
 
 
 def test_the_exact_rank_is_taken_over_the_rational_functions():

@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from helpers import in_integer_lattice
+from helpers import fresh_cache, in_integer_lattice
 from wavesym import eqalgebra
 from wavesym.canonical import canonicalize, coordinate, equals
 from wavesym.expr import Const, Coord, add, mul, parse, pow_
@@ -125,13 +125,23 @@ def test_independence_is_decided_exactly_when_every_sample_misses(
              for m, c in p.rational_coefficients().items()),
             start=canonicalize(0))
     assert equals(q.diff("u"), p)
+    # fresh plans, so that each rank is proven here
+    fresh_cache(monkeypatch, "_compile", 48)
+    exact = []
+    form_rank = eqalgebra._form_rank
+    monkeypatch.setattr(eqalgebra, "_form_rank",
+                        lambda rows: exact.append(rows) or form_rank(rows))
     assert functional_independence([parse("t", chart), q], chart)
     assert not functional_independence([q, q * q], chart)
+    assert len(exact) == 2
     monkeypatch.setattr(eqalgebra, "_POINT_RANGE", 1)
     candidates = [parse("t", chart), parse("u^4/4 - u^2/2", chart)]
     assert functional_independence(candidates, chart)
+    assert len(exact) == 3
+    # 3*u^2 - 1 is nonzero at each point of the range: rank 1 meets its bound
     dependent = [parse("u^3 - u", chart), parse("(u^3 - u)^2", chart)]
     assert not functional_independence(dependent, chart)
+    assert len(exact) == 3
 
 
 def test_counting_consistency(derived6):

@@ -57,8 +57,11 @@ def _pairs():
            FiniteTransformation(U * 2, U / 2, 3))
     yield (RankReport(1, 7, 0, 7), RankReport(1, 7, 0, 7),
            RankReport(1, 6, 0, 7))
-    yield (build_generators(Source.DERIVED, 2),
-           build_generators(Source.DERIVED, 2),
+    # build_generators returns one set per (source, K), so the equal twin
+    # is constructed
+    g = build_generators(Source.DERIVED, 2)
+    yield (g, GeneratorSet(g.source, g.truncation, g.names, g.base_fields,
+                           g.base_order),
            build_generators(Source.DERIVED, 3))
 
 
