@@ -60,6 +60,16 @@ whose evaluated integers are estimated above ``_HEU_GCD_MAX_BITS``.  A
 substitution of diagonal affine maps v -> a*v + b takes no gcd at all (see
 :meth:`CanonicalForm.substitute`), and neither does a pair whose D is 1,
 an integer polynomial, which is already in normal form.
+
+A derivation sum_v c_v * d/dv, keyed by coordinate, acts on a polynomial
+in one pass over its generators (:func:`_derive_poly`): exp(v) contributes
+c_v times each term by its exponent of exp(v), the chain rule through the
+atom.  A coefficient over 1, as are those of the prolonged generators of
+both sources, adds its product into one term dict; only the others are
+summed as fractions, joined to that sum once.  A single d/dv, for a
+bracket row or a signature, is :func:`_partial`, which needs no
+coefficient at all.  A form N/D is derived by the quotient rule and
+reduced once.
 """
 
 from __future__ import annotations
@@ -316,8 +326,8 @@ class Poly:
     def diff(self, name: str) -> "Poly":
         """Partial derivative with the generator treated as a plain
         indeterminate; the chain rule through atoms is applied by
-        ``CanonicalForm.derive``.  Distinct monomials have distinct
-        derivatives, so no terms merge."""
+        :func:`_derive_poly` and :func:`_partial`.  Distinct monomials have
+        distinct derivatives, so no terms merge."""
         i = _INDEX.get(name)
         if i is None:
             return Poly()
@@ -944,19 +954,49 @@ def _fraction_sum(num: Poly, den: Poly, tn: Poly, td: Poly) -> tuple[Poly, Poly]
 
 
 def _derive_poly(p: Poly, coefficients: Mapping[str, CanonicalForm]) -> tuple[Poly, Poly]:
-    """sum_v c_v * dp/dv as an unreduced fraction; an atom instance exp(v)
-    contributes c_v * exp(v) * dp/dexp(v)."""
+    """sum_v c_v * dp/dv as an unreduced fraction, in one pass over p's
+    generators; an atom instance exp(v) contributes c_v * exp(v) *
+    dp/dexp(v), which is c_v times each term of p by its exponent of
+    exp(v).  A coefficient over 1 adds its product into one term dict;
+    only the others are summed as fractions, and that sum is joined to
+    the polynomial part once, at the end."""
+    terms: dict[Monomial, int] = {}
     num, den = Poly(), _POLY_ONE
-    for name in p.variables():
+    for i in _indices(p):
+        name = _NAMES[i]
         parts = _atom_parts(name)
         c = coefficients.get(name if parts is None else parts[1])
         if c is None:
             continue
-        dp = p.diff(name)
-        if parts is not None:
-            dp = dp * Poly.var(name)
-        num, den = _fraction_sum(num, den, c.numerator * dp, c.denominator)
-    return num, den
+        dp = p.diff(name).terms if parts is None else _exponent_weighted(p, i)
+        if not c.denominator.is_one():
+            num, den = _fraction_sum(num, den, c.numerator * _poly(dp),
+                                     c.denominator)
+        elif c.numerator.is_one():
+            _add_multiple(terms, 1, dp)
+        else:
+            _add_product_terms(terms, c.numerator.terms, dp)
+    if num.is_zero():
+        return _poly(terms), _POLY_ONE
+    return num + _poly(terms) * den, den
+
+
+def _exponent_weighted(p: Poly, i: int) -> dict[Monomial, int]:
+    """The terms of x_i * dp/dx_i for generator index i: each term of p
+    times its exponent of x_i."""
+    return {m: c * m[i] for m, c in p.terms.items() if len(m) > i and m[i]}
+
+
+def _partial(p: Poly, v: str) -> Poly:
+    """dp/dv for the coordinate v, with the chain rule through its one atom
+    instance: dp/dv + exp(v) * dp/dexp(v)."""
+    dp = p.diff(v)
+    i = _INDEX.get(f"{ATOM}({v})")
+    if i is None:
+        return dp
+    terms = dict(dp.terms)
+    _add_multiple(terms, 1, _exponent_weighted(p, i))
+    return _poly(terms)
 
 
 def _is_diagonal_affine(v: str, form: CanonicalForm) -> bool:

@@ -73,14 +73,13 @@ from math import comb, lcm, prod
 
 from . import linalg
 from .canonical import (
-    ONE_FORM,
     CanonicalForm,
     EvaluationPlan,
     Monomial,
     Poly,
     _POLY_ONE,
     _add_product_terms,
-    _derive_poly,
+    _partial,
     _poly,
     _strip,
     canonicalize,
@@ -99,9 +98,10 @@ from .vfields import PointAction, VectorField, induce_from_point_action, prolong
 DEFAULT_SEED = 1729
 DEFAULT_K = 6
 # highest --K: at K = 300 the slowest command, `--source paper
-# verify-algebra`, takes 3.2-4.9 s and 61 MB, `invariants verify` 1.8-2.1 s
-# and 57 MB (2-vCPU container, CPython 3.11); verify-algebra grows about
-# as K^2 (5.0 s at K = 500, derived source)
+# verify-algebra`, takes 3.4-6.4 s (median 4.0 s) and 61 MB,
+# `invariants verify` 2.0-3.5 s (median 2.6 s) and 55 MB (20 runs each on a
+# 2-vCPU container whose speed drifted up to 1.8x, CPython 3.11);
+# verify-algebra grows about as K^2 (5.0 s at K = 500, derived source)
 MAX_K = 300
 # the smallest truncation the closure sweep accepts
 CLOSURE_MIN_K = 4
@@ -319,12 +319,12 @@ def _bracket_rows(flats: tuple[_Flat, ...]):
     With X = N_X / D_X, [X, Y] on v is
     sum_w (N_X^w d_w N_Y^v - N_Y^w d_w N_X^v) / (D_X D_Y).  It is summed on
     integers, and a Fraction is built only for an entry that survives.  Each
-    partial d_w N^v is taken once, by the derivation behind
-    ``CanonicalForm.derive``, so with its chain rule through atoms.  Each
-    monomial is packed into one integer, exponent k in bits k*b to
-    k*b + b - 1, so that the product of two monomials is the sum of their
-    packs: a partial raises no exponent, so no exponent of a product
-    exceeds twice the largest one of the fields, which b bits hold."""
+    partial d_w N^v is taken once, by ``canonical._partial``, d/dw with the
+    chain rule through exp(w).  Each monomial is packed into one integer,
+    exponent k in bits k*b to k*b + b - 1, so that the product of two
+    monomials is the sum of their packs: a partial raises no exponent, so
+    no exponent of a product exceeds twice the largest one of the fields,
+    which b bits hold."""
     monomials = [m for _, coeffs in flats for p in coeffs.values()
                  for m in p.terms]
     width = max(map(len, monomials), default=0)
@@ -346,7 +346,7 @@ def _bracket_rows(flats: tuple[_Flat, ...]):
     def partials(i: int, w: str) -> dict[str, dict[int, int]]:
         """The nonzero d_w N_i^v, packed, by v."""
         return {v: pack(dp) for v, p in flats[i][1].items()
-                if not (dp := _derive_poly(p, {w: ONE_FORM})[0]).is_zero()}
+                if not (dp := _partial(p, w)).is_zero()}
 
     for i, (x_den, _) in enumerate(flats):
         for j in range(i + 1, len(flats)):

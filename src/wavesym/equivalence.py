@@ -34,9 +34,9 @@ import functools
 import hashlib
 from fractions import Fraction
 
-from .canonical import (ONE_FORM, CanonicalForm, EvaluationPlan, Poly,
-                        _derive_poly, _normalized, _scale, canonicalize,
-                        coordinate, parse_form)
+from .canonical import (CanonicalForm, EvaluationPlan, Poly, _normalized,
+                        _partial, _scale, canonicalize, coordinate,
+                        parse_form)
 from .expr import ExprError, ExprLike, ZeroDenominatorError
 from .value import Value, set_field
 
@@ -115,19 +115,15 @@ def signature_of(eq: EquationInstance) -> Signature:
     nothing is reduced.  Partials keep the chain rule through exp atoms.
     """
     n, d = eq.f.numerator, eq.f.denominator
-
-    def diff(p: Poly, v: str) -> Poly:
-        return _derive_poly(p, {v: ONE_FORM})[0]
-
-    d_s = diff(d, "sigma")
-    a = diff(n, "sigma") * d - n * d_s
+    d_s = _partial(d, "sigma")
+    a = _partial(n, "sigma") * d - n * d_s
     rn = _SIGMA_POLY * a - n * d
     if rn.is_zero():
         return Signature(degenerate=True)
-    b = diff(n, "u") * d - n * diff(d, "u")
-    sigma2_a2 = _SIGMA_POLY * _SIGMA_POLY * (diff(a, "sigma") * d
+    b = _partial(n, "u") * d - n * _partial(d, "u")
+    sigma2_a2 = _SIGMA_POLY * _SIGMA_POLY * (_partial(a, "sigma") * d
                                              - _scale(a * d_s, 2))
-    b2 = diff(b, "sigma") * d - _scale(b * d_s, 2)
+    b2 = _partial(b, "sigma") * d - _scale(b * d_s, 2)
     rho1 = _normalized(sigma2_a2, d * rn)
     rho2 = _normalized(n * (rn * d - _scale(sigma2_a2, 2))
                        + _SIGMA_POLY * d * (b * d - _SIGMA_POLY * b2), rn * rn)

@@ -11,9 +11,17 @@ relative invariant R = sigma*f_sigma - f, the published second-order pair,
 and the corrected first component sigma^2*f_sigmasigma/(sigma*f_sigma - f).
 Verification reports state which published formulas pass and which fail
 under each coefficient source; nothing is silently corrected.
+
+Every verdict of a prolonged generator on a candidate, with its weight,
+comes from one LRU cache of the process (``_verdict``) keyed by the
+field's and the candidate's values: ``is_absolute``, ``relative_weight``
+and the kernel search's re-verification read it, so a process applies a
+generator to a candidate once while the cache holds the pair.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import linalg
 from .canonical import ONE_FORM, CanonicalForm, canonicalize
@@ -60,8 +68,26 @@ def relative_weight(f_expr: Expr | CanonicalForm,
     form = canonicalize(f_expr)
     if form.is_zero():
         raise ZeroCandidateError("cannot compute a weight for the zero expression")
-    weight = apply(x, form) / form
-    return weight if weight.is_polynomial() else None
+    kind, weight = _verdict(x, form)
+    return canonicalize(0) if kind == "absolute" else weight
+
+
+@functools.lru_cache(maxsize=256)
+def _verdict(x: VectorField, form: CanonicalForm
+             ) -> tuple[str, CanonicalForm | None]:
+    """How the field acts on the candidate: ("absolute", None) when
+    X(F) = 0, ("relative", lambda) when X(F) = lambda * F for a polynomial
+    lambda, else ("neither", None).  Kept per (field, candidate) value, so
+    a process applies a prolonged generator to a candidate once while the
+    cache holds the pair; ``apply`` is looked up in this module when
+    called."""
+    image = apply(x, form)
+    if image.is_zero():
+        return "absolute", None
+    weight = image / form
+    if weight.is_polynomial():
+        return "relative", weight
+    return "neither", None
 
 
 class InvariantReport(Value):
@@ -96,21 +122,12 @@ class InvariantReport(Value):
 
 def is_absolute(f_expr: Expr | CanonicalForm, g: GeneratorSet,
                 order: int) -> InvariantReport:
-    """Apply every prolonged generator once; absolute iff all images
-    vanish, relative where the image is a polynomial multiple of F."""
+    """The verdict of every prolonged generator on F: absolute iff all
+    images vanish, relative where the image is a polynomial multiple of F."""
     form = canonicalize(f_expr)
-    verdicts: dict[str, tuple[str, CanonicalForm | None]] = {}
-    for name, x in g.prolonged_named(order).items():
-        image = apply(x, form)
-        if image.is_zero():
-            verdicts[name] = ("absolute", None)
-            continue
-        weight = image / form
-        if weight.is_polynomial():
-            verdicts[name] = ("relative", weight)
-        else:
-            verdicts[name] = ("neither", None)
-    return InvariantReport(f_expr, verdicts)
+    return InvariantReport(f_expr, {
+        name: _verdict(x, form)
+        for name, x in g.prolonged_named(order).items()})
 
 
 def functional_independence(candidates: list[Expr], space: JetSpace) -> bool:
@@ -182,7 +199,7 @@ def weight_kernel_search(
     for vec in vectors:
         candidate = candidate_from_exponents(blocks, vec)
         for gname, x in scaling_gens.items():
-            if not apply(x, candidate).is_zero():
+            if _verdict(x, candidate)[0] != "absolute":
                 raise AssertionError(
                     f"kernel vector {vec} failed re-verification under {gname}")
     return vectors

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from wavesym import eqalgebra
 from wavesym.canonical import canonicalize, equals
 from wavesym.jetspace import JetSpace
 from wavesym.vfields import VectorField
@@ -23,12 +22,12 @@ def fields_equal(a: VectorField, b: VectorField) -> bool:
     return True
 
 
-def fresh_cache(monkeypatch, name, maxsize):
-    """Rebind ``eqalgebra.<name>`` to an empty LRU cache of its function
+def fresh_cache(monkeypatch, module, name, maxsize):
+    """Rebind ``<module>.<name>`` to an empty LRU cache of its function
     bounded at ``maxsize``, for this test only."""
     cached = functools.lru_cache(maxsize=maxsize)(
-        getattr(eqalgebra, name).__wrapped__)
-    monkeypatch.setattr(eqalgebra, name, cached)
+        getattr(module, name).__wrapped__)
+    monkeypatch.setattr(module, name, cached)
     return cached
 
 

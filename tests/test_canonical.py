@@ -449,6 +449,70 @@ def test_form_diff_agrees_with_sympy(text, v):
     assert agrees(form.diff(v), sympy.diff(sympy_of(text), sympy.Symbol(v)))
 
 
+def _derive_by_fraction_sums(p: Poly, coefficients):
+    """sum_v c_v * dp/dv as one fraction sum per generator of p, each on a
+    new copy of the numerator; exp(v) contributes c_v * exp(v) *
+    dp/dexp(v).  The oracle of the one-pass ``_derive_poly``."""
+    num, den = Poly(), Poly.const(1)
+    for name in p.variables():
+        parts = canonical._atom_parts(name)
+        c = coefficients.get(name if parts is None else parts[1])
+        if c is None:
+            continue
+        dp = p.diff(name)
+        if parts is not None:
+            dp = dp * Poly.var(name)
+        num, den = canonical._fraction_sum(num, den, c.numerator * dp,
+                                           c.denominator)
+    return num, den
+
+
+# polynomials to derive, zero among them, and coefficients: absent, 1,
+# polynomials with exp(u), and fractions, whose denominator may be constant
+_derived_text = st.one_of(
+    st.just("0"), polynomial_text(("u", "sigma", "f", "exp(u)", "exp(sigma)")))
+_coefficient_texts = st.fixed_dictionaries({v: st.one_of(
+    st.none(), st.just("1"), polynomial_text(("u", "sigma", "exp(u)")),
+    fraction_text(("u", "sigma"))) for v in ("u", "sigma", "f")})
+
+
+@settings(max_examples=120, deadline=None)
+@given(_derived_text, _coefficient_texts)
+@example("0", {"u": "(u)/(sigma)", "sigma": "1", "f": None})
+# the fractions cancel to 0 over sigma: only the polynomial u is left
+@example("u + sigma + f", {"u": "(1)/(sigma)", "sigma": "(-1)/(sigma)",
+                           "f": "u"})
+@example("exp(u)*u^2 + exp(sigma)*f", {"u": "(u)/(2)", "sigma": "sigma^2",
+                                       "f": "(1)/(u + sigma)"})
+def test_one_pass_derivation_agrees_with_the_fraction_sums(text,
+                                                           coefficient_texts):
+    """The one-pass derivation reduces to the oracle's form, and with every
+    coefficient over 1 it is the same polynomial over 1."""
+    p = cf(text).numerator
+    coefficients = {v: _form_or_skip(t)
+                    for v, t in coefficient_texts.items() if t is not None}
+    if None in coefficients.values():
+        return
+    got = canonical._derive_poly(p, coefficients)
+    expected = _derive_by_fraction_sums(p, coefficients)
+    assert canonical._normalized(*got) == canonical._normalized(*expected)
+    if all(c.denominator.is_one() for c in coefficients.values()):
+        assert got == expected and got[1].is_one()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_derived_text, st.sampled_from(("u", "sigma")))
+@example("exp(u)*u^2 - 2*exp(u)*u", "u")
+@example("exp(sigma)^2*exp(u)*sigma + f", "sigma")
+def test_a_partial_is_the_derivation_by_its_coordinate(text, v):
+    """d/dv with the chain rule through exp(v), where exp(u) and
+    exp(sigma) are both generators of the table."""
+    p = cf(text).numerator
+    expected, den = _derive_by_fraction_sums(p, {v: canonical.ONE_FORM})
+    assert den.is_one()
+    assert canonical._partial(p, v) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(_fraction_text, _fraction_text, st.booleans())
 def test_equals_agrees_with_sympy(a_text, b_text, rewrite):

@@ -81,7 +81,7 @@ def test_a_second_build_at_the_k_cap_induces_no_family_field(monkeypatch):
     assert eqalgebra._derived_family.cache_info() == before
     # a set built again, once the set cache has lost it, takes every
     # family member from the family cache
-    fresh_cache(monkeypatch, "_generator_set", 16)
+    fresh_cache(monkeypatch, eqalgebra, "_generator_set", 16)
     again = build_generators("derived", MAX_K)
     after = eqalgebra._derived_family.cache_info()
     assert again is not first and again == first
@@ -98,7 +98,7 @@ def test_one_generator_set_per_source_and_truncation(monkeypatch):
         build_generators("derived", K)
         assert eqalgebra._generator_set.cache_info().currsize <= bound
     # a set evicted and built again has an equal commutator table
-    cache = fresh_cache(monkeypatch, "_generator_set", 1)
+    cache = fresh_cache(monkeypatch, eqalgebra, "_generator_set", 1)
     g = build_generators("derived", 5)
     table = commutator_table(g)
     build_generators("paper", 5)
@@ -136,8 +136,8 @@ def test_a_set_gets_the_prolongations_of_its_own_fields():
 
 
 def test_prolongation_cache_is_bounded_and_evicts(monkeypatch):
-    fresh_cache(monkeypatch, "_generator_set", 16)
-    cache = fresh_cache(monkeypatch, "_prolonged", 4)
+    fresh_cache(monkeypatch, eqalgebra, "_generator_set", 16)
+    cache = fresh_cache(monkeypatch, eqalgebra, "_prolonged", 4)
     for source in ("derived", "paper"):
         for k in range(3):
             g = build_generators(source, k)
@@ -150,8 +150,8 @@ def test_prolongation_cache_is_bounded_and_evicts(monkeypatch):
 
 
 def test_a_set_larger_than_the_cache_prolongs_no_field_twice(monkeypatch):
-    fresh_cache(monkeypatch, "_generator_set", 16)
-    fresh_cache(monkeypatch, "_prolonged", 4)
+    fresh_cache(monkeypatch, eqalgebra, "_generator_set", 16)
+    fresh_cache(monkeypatch, eqalgebra, "_prolonged", 4)
     calls = []
 
     def counted(f, order, given_order):
@@ -179,7 +179,7 @@ def test_plan_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
     for order, seed in queries:
         eqalgebra._compile.cache_clear()
         expected.append(prolonged_rank(g, order, seed=seed).as_dict())
-    cache = fresh_cache(monkeypatch, "_compile", 2)
+    cache = fresh_cache(monkeypatch, eqalgebra, "_compile", 2)
     compiled = []
     plan = eqalgebra.EvaluationPlan
     monkeypatch.setattr(eqalgebra, "EvaluationPlan",
@@ -199,7 +199,7 @@ def test_a_compiled_matrix_keeps_its_rank(monkeypatch):
     """The first rank of a plan is proven at its seed's point; a second
     rank of that plan, at another seed, evaluates nothing, and a plan
     evicted from a 1-entry cache proves its rank again."""
-    cache = fresh_cache(monkeypatch, "_compile", 1)
+    cache = fresh_cache(monkeypatch, eqalgebra, "_compile", 1)
     g = build_generators("derived", 5)
     evaluated = []
     integer_rows = eqalgebra._integer_rows
@@ -223,7 +223,7 @@ def test_a_compiled_matrix_keeps_its_rank(monkeypatch):
 def test_a_minimal_generating_set_leaves_the_plan_cache_alone(monkeypatch):
     """Subset plans are compiled outside ``_compile``: after the exhaustive
     search, the rank the set had before is still a cache hit."""
-    cache = fresh_cache(monkeypatch, "_compile", 48)
+    cache = fresh_cache(monkeypatch, eqalgebra, "_compile", 48)
     g = build_generators("derived", 5)
     rank = prolonged_rank(g, 3)
     assert minimal_generating_set(g, 3, exhaustive=True)
@@ -238,7 +238,7 @@ def test_a_set_gets_the_plan_of_its_own_fields(monkeypatch):
     set binding Y0 and Y3 to each other's fields evaluates its own rows.  (Y1
     and Y2 would not show it: their constant entries are compiled into
     pivots, so neither order leaves a row to sample.)"""
-    cache = fresh_cache(monkeypatch, "_compile", 48)
+    cache = fresh_cache(monkeypatch, eqalgebra, "_compile", 48)
     g = build_generators("derived", 0)
     y0, y3 = g.field_named("Y0"), g.field_named("Y3")
     plain = GeneratorSet(Source.DERIVED, 0, ("Y0", "Y3"), (y0, y3), 0)
@@ -383,7 +383,7 @@ def test_table_keeps_rational_coefficients():
 
 
 def test_table_takes_no_form_derivative(monkeypatch):
-    fresh_cache(monkeypatch, "_generator_set", 16)
+    fresh_cache(monkeypatch, eqalgebra, "_generator_set", 16)
     g = build_generators("derived", 6)
     span_basis(g)  # prolongs and flattens the fields
     with mock.patch.object(CanonicalForm, "derive",
@@ -491,7 +491,7 @@ def test_verify_algebra_reduces_each_bracket_once(monkeypatch, capsys):
         return original(basis, target)
 
     monkeypatch.setattr(eqalgebra, "solve_in_span", counted)
-    fresh_cache(monkeypatch, "_generator_set", 16)
+    fresh_cache(monkeypatch, eqalgebra, "_generator_set", 16)
     assert main(["--K", "4", "--source", "paper", "verify-algebra"]) == 0
     capsys.readouterr()
     # 9 generators, 36 pairs, once for the derived and once for the printed set
@@ -1058,9 +1058,9 @@ def test_a_rank_short_of_its_bound_at_every_point_is_the_exact_rank(
                         lambda rows: exact.append(rows) or form_rank(rows))
     for seed in range(5):
         # fresh plans, so that each rank is proven at this seed's point
-        fresh_cache(monkeypatch, "_compile", 48)
+        fresh_cache(monkeypatch, eqalgebra, "_compile", 48)
         assert matrix_rank_at_samples(fields, coords, seed=seed) == 2
-        fresh_cache(monkeypatch, "_compile", 48)
+        fresh_cache(monkeypatch, eqalgebra, "_compile", 48)
         report = prolonged_rank(g, 1, seed=seed)
         assert report.as_dict() == expected[seed] == {
             "order": 1, "rank": 2, "samples_used": 1, "certified": True,

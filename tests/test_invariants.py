@@ -4,13 +4,14 @@ from math import prod
 import pytest
 
 from helpers import fresh_cache, in_integer_lattice
-from wavesym import eqalgebra
+from wavesym import eqalgebra, invariants
 from wavesym.canonical import canonicalize, coordinate, equals
 from wavesym.expr import Const, Coord, add, mul, parse, pow_
 from wavesym.invariants import (
     NAMED_EXPRESSIONS,
     WeightedBlock,
     ZeroCandidateError,
+    _verdict,
     candidate_from_exponents,
     compare_sources,
     functional_independence,
@@ -25,6 +26,24 @@ R = NAMED_EXPRESSIONS["R"]
 R1_PRINTED = NAMED_EXPRESSIONS["R1_printed"]
 R1_CORRECTED = NAMED_EXPRESSIONS["R1_corrected"]
 R2 = NAMED_EXPRESSIONS["R2"]
+
+
+@pytest.fixture(autouse=True)
+def fresh_verdicts(monkeypatch):
+    """An empty verdict cache of the module's bound for every test, so that
+    each test applies the generators it names itself."""
+    return fresh_cache(monkeypatch, invariants, "_verdict",
+                       _verdict.cache_info().maxsize)
+
+
+def _counted_applications(monkeypatch) -> list:
+    """The (field, candidate) pair of every ``apply`` the module makes from
+    here on."""
+    calls = []
+    apply = invariants.apply
+    monkeypatch.setattr(invariants, "apply",
+                        lambda x, f: calls.append((x, f)) or apply(x, f))
+    return calls
 
 
 # --- relative weights ---------------------------------------------------------
@@ -97,6 +116,58 @@ def test_absolute_invariants_form_a_field(derived6):
         assert is_absolute(combo, derived6, 2).overall == "absolute"
 
 
+# --- one verdict per (prolonged generator, candidate) ------------------------
+
+def test_each_generator_is_applied_to_a_candidate_once(monkeypatch):
+    """The four named candidates at K = 4..7 take 168 verdicts of 48
+    distinct (prolonged field, candidate) pairs, since a generator's field
+    is the same at every K that has it: 48 applications."""
+    calls = _counted_applications(monkeypatch)
+    verdicts = 0
+    for k in range(4, 8):
+        g = eqalgebra.build_generators("derived", k)
+        for name, expr in NAMED_EXPRESSIONS.items():
+            order = 1 if name == "R" else 2
+            verdicts += len(is_absolute(expr, g, order).verdicts)
+    assert (verdicts, len(calls), len(set(calls))) == (168, 48, 48)
+
+
+@pytest.mark.parametrize("source, expr, kinds", [
+    ("derived", R1_PRINTED, {"absolute", "relative"}),
+    ("paper", R, {"absolute", "neither"}),
+])
+def test_a_weight_reads_the_verdict_of_its_pair(monkeypatch, source, expr,
+                                                kinds):
+    g = eqalgebra.build_generators(source, 6)
+    report = is_absolute(expr, g, 2)
+    assert {kind for kind, _ in report.verdicts.values()} == kinds
+    calls = _counted_applications(monkeypatch)
+    for name, x in g.prolonged_named(2).items():
+        kind, weight = report.verdicts[name]
+        expected = canonicalize(0) if kind == "absolute" else weight
+        assert relative_weight(expr, x) == expected, name
+    assert calls == []
+
+
+def test_the_verdict_cache_is_bounded_and_an_evicted_verdict_comes_back_equal(
+        derived6, monkeypatch):
+    assert _verdict.cache_info().maxsize == 256
+    cache = fresh_cache(monkeypatch, invariants, "_verdict", 2)
+    first = is_absolute(R1_PRINTED, derived6, 2).verdicts
+    assert len(first) > 2 and cache.cache_info().currsize == 2
+    calls = _counted_applications(monkeypatch)
+    assert is_absolute(R1_PRINTED, derived6, 2).verdicts == first
+    assert len(calls) == len(first) and cache.cache_info().currsize == 2
+
+
+def test_the_zero_candidate_is_absolute_and_has_no_weight(derived6):
+    zero = parse("u - u", JetSpace(1))
+    assert is_absolute(zero, derived6, 2).overall == "absolute"
+    for x in derived6.prolonged_named(2).values():
+        with pytest.raises(ZeroCandidateError):
+            relative_weight(zero, x)
+
+
 # --- functional independence --------------------------------------------------
 
 def test_basis_is_functionally_independent():
@@ -126,7 +197,7 @@ def test_independence_is_decided_exactly_when_every_sample_misses(
             start=canonicalize(0))
     assert equals(q.diff("u"), p)
     # fresh plans, so that each rank is proven here
-    fresh_cache(monkeypatch, "_compile", 48)
+    fresh_cache(monkeypatch, eqalgebra, "_compile", 48)
     exact = []
     form_rank = eqalgebra._form_rank
     monkeypatch.setattr(eqalgebra, "_form_rank",
