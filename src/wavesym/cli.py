@@ -4,8 +4,9 @@ and corpus classification with reproducible machine-readable reports.
 Exit codes: 0 success, 1 usage or I/O error, 2 mathematical mismatch against
 the published fixtures.  JSON output is byte-identical for identical
 configurations (sorted keys, canonical expression strings).  Every rank is
-exact: ``--seed`` picks the one point a rank is evaluated at, is echoed in
-the report and changes no rank.
+exact, proven at one fixed integer point of its chart.  ``--seed`` reaches
+no rank and is only echoed in the rank report; it stays so that schema 1
+reports, config files and scripts that pass it keep working.
 """
 
 from __future__ import annotations

@@ -40,25 +40,25 @@ by value, so sets share prolongations while the cache holds them, and one
 set never prolongs a field twice, however many fields it holds.
 
 Generic ranks of prolonged coefficient matrices are exact.  Each matrix
-is compiled once while one LRU cache of the process holds it, keyed by the
-fields' values, to one with the same rank over Q(jet) and the same rank at
-every point off its poles (``_compile``): the family rows beyond
+is first brought to one with the same rank over Q(jet) and the same rank
+at every point off its poles (``_compile``): the family rows beyond
 ``min_truncation`` are dropped where an exact identity proves them
 redundant, and every constant entry becomes a pivot.  A rank on a locus
 a*v + b = 0 goes through the same compiled matrix, with v = -b/a
 substituted into what is left.  The residual, 3 rows for K >= order + 2, is
-evaluated by a ``canonical.EvaluationPlan`` at one integer point drawn from
-the seed, and its rank taken there by fraction-free elimination
-(``linalg.rank``).  A rank at a point is a lower bound on the rank over
-Q(jet), and the compile bounds that rank from above by the pivot count plus
-the residual's row or column count, whichever is smaller, so a point whose
-rank meets the bound proves it the generic rank.  At a point short of the
-bound or on a pole, the rank is the exact one, by an elimination over forms
-on the residual (``_form_rank``, once per compiled matrix).  Either way the
-rank is the rank over Q(jet), and no rank depends on the seed.  The
-compiled matrix keeps the rank its first call proves, so a matrix is
-evaluated at one point once per process while the cache holds it, and
-every later rank of it, at any seed, is read back.
+evaluated by a ``canonical.EvaluationPlan`` at one fixed integer point of
+its chart (``_point``), and its rank taken there by fraction-free
+elimination (``linalg.rank``).  A rank at a point is a lower bound on the
+rank over Q(jet), and the compile bounds that rank from above by the pivot
+count plus the residual's row or column count, whichever is smaller, so a
+point whose rank meets the bound proves it the generic rank.  At a point
+short of the bound or on a pole, the rank is the exact one, by an
+elimination over forms on the residual (``_form_rank``).  Either way the
+rank is the rank over Q(jet).  A rank is one integer, kept by one LRU
+cache of the process (``_rank``) keyed by the fields' values, so a matrix
+is compiled and evaluated once per process while the cache holds it.  No
+seed reaches the rank layer: a command's ``--seed`` is only echoed in its
+rank report.
 """
 
 from __future__ import annotations
@@ -532,9 +532,10 @@ def min_truncation(order: int) -> int:
 
 class RankReport(Value):
     """A generic rank, the rank over Q(jet) (see
-    ``matrix_rank_at_samples``), with the seed that drew its point.  Its
-    dict keeps schema 1's ``samples_used`` 1 and ``certified`` true, as
-    every rank is proven."""
+    ``matrix_rank_at_samples``), with the command's seed, which it only
+    echoes, as schema 1 carries it: no seed reaches the rank.  Its dict
+    keeps schema 1's ``samples_used`` 1 and ``certified`` true, as every
+    rank is proven."""
 
     _fields = ("order", "rank", "seed", "variable_count")
 
@@ -560,30 +561,6 @@ class RankReport(Value):
         }
 
 
-class _RankPlan:
-    """A matrix compiled by ``_compile``: its constant pivots and its
-    rows x width ``residual``, row by row, as forms; ``plan`` evaluates the
-    residual and then the pole checks.  Its rank over Q(jet) is the pivot
-    count plus the residual's, so at most ``bound``; ``rank`` keeps it once
-    ``matrix_rank_at_samples`` has proven it, None before."""
-
-    def __init__(self, pivots: int, rows: int, width: int,
-                 residual: list[CanonicalForm], checks: list[CanonicalForm]):
-        self.pivots, self.rows, self.width = pivots, rows, width
-        self.residual = residual
-        self.plan = EvaluationPlan(residual + checks)
-        self.bound = pivots + min(rows, width)
-        self.rank: int | None = None
-
-    @functools.cached_property
-    def exact_rank(self) -> int:
-        """The rank over Q(jet): computed once per plan, while ``_compile``
-        holds it, and only for a point short of ``bound`` or on a pole."""
-        w = self.width or 1
-        return self.pivots + _form_rank([self.residual[i:i + w] for i in
-                                         range(0, len(self.residual), w)])
-
-
 def _form_rank(rows: list[list[CanonicalForm]]) -> int:
     """The rank over Q(jet) of a matrix of forms, by Gaussian elimination
     on the forms themselves: each step takes the first nonzero entry left
@@ -602,13 +579,16 @@ def _form_rank(rows: list[list[CanonicalForm]]) -> int:
     return rank
 
 
-def _integer_rows(plan: _RankPlan, point) -> list[list[int]]:
-    """The residual of ``plan`` at ``point`` as integer rows, each scaled by
+def _integer_rows(rows: list[list[CanonicalForm]], checks: list[CanonicalForm],
+                  point) -> list[list[int]]:
+    """The rows of forms at ``point`` as integer rows, each scaled by
     ``linalg.integer_row`` unless every denominator is 1, which keeps the
-    rank; ZeroDenominatorError at a pole of a form of the plan or a zero
-    of a pole check."""
-    nums, dens = plan.plan.at(point)
-    n, w = plan.rows * plan.width, plan.width or 1
+    rank; ZeroDenominatorError at a pole of a form or a zero of a pole
+    check.  One ``EvaluationPlan`` evaluates the rows and then the
+    checks."""
+    w = len(rows[0]) if rows else 1
+    n = len(rows) * w
+    nums, dens = EvaluationPlan(list(chain(*rows, checks))).at(point)
     if 0 in nums[n:]:
         raise ZeroDenominatorError("zero denominator at evaluation point")
     if dens is None:
@@ -627,16 +607,13 @@ def _add_product(out: dict, a: dict, row: dict) -> None:
             del out[col]
 
 
-# keyed by value, so a set binding its names to other fields gets its own
-# plan; 48 entries are three times the 16 (truncations 5 to 8, orders 1 to
-# 3, and order 1 on the special manifold) one rank-invariants benchmark pass
-# compiles.  Called with all four arguments positional, as lru_cache keys
-# keywords apart.
-@functools.lru_cache(maxsize=48)
 def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
-             family, locus) -> _RankPlan:
+             family, locus) -> tuple[int, list[list[CanonicalForm]],
+                                     list[CanonicalForm]]:
     """The matrix of ``fields``' coefficients on ``coords`` brought to a
-    smaller one of the same rank at every point off its poles.  Each row is
+    smaller one of the same rank at every point off its poles: (the count
+    of constant pivots, the residual as rows of forms, the pole checks),
+    the rank being the pivot count plus the residual's.  Each row is
     cleared of denominators by the product of its distinct ones.  With
     ``family`` = (s, J), fields s, s+1, ... being Y^0, Y^1, ..., rows
     Y^0..Y^J become W'_j = sum_i C(j,i) (-u)^(j-i) Y^i, unitriangular over
@@ -646,7 +623,7 @@ def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
     fraction-free as a pivot.  An atom eliminated with a pivot leaves the
     rank free of its value; one left raises at evaluation.  With ``locus``
     = (v, a, b), v = -b/a is substituted into the residual and the pole
-    checks, and a is one more pole check: the plan then reads only the
+    checks, and a is one more pole check: the residual then reads only the
     other coordinates, and its rank at a point is the whole matrix's at
     that point with v on the locus.  A pole check that is identically zero
     there raises DivisionByZeroExpressionError, as the matrix is then
@@ -687,63 +664,67 @@ def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
         pivots += 1
     rows = [row for row in rows if row]
     live = sorted(set().union(*rows))
-    residual = [CanonicalForm(_poly(row.get(c, {})), _POLY_ONE)
-                for row in rows for c in live]
+    residual = [[CanonicalForm(_poly(row.get(c, {})), _POLY_ONE)
+                 for c in live] for row in rows]
     checks = [CanonicalForm(d, _POLY_ONE) for d in poles]
     if locus is not None:
         v, a, b = locus
         at = {v: CanonicalForm(-b, _POLY_ONE) / CanonicalForm(a, _POLY_ONE)}
-        residual = [f.substitute(at) for f in residual]
+        residual = [[f.substitute(at) for f in row] for row in residual]
         checks = [f.substitute(at) for f in checks] + [CanonicalForm(a, _POLY_ONE)]
         if any(f.is_zero() for f in checks):
             raise DivisionByZeroExpressionError(
                 "a denominator of the matrix vanishes on the whole locus")
-    return _RankPlan(pivots, len(rows), len(live), residual, checks)
+    return pivots, residual, checks
+
+
+# keyed by value, so a set binding its names to other fields gets its own
+# rank; 48 entries are three times the 16 (truncations 5 to 8, orders 1 to
+# 3, and order 1 on the special manifold) one rank-invariants benchmark pass
+# ranks.  Called with all four arguments positional, as lru_cache keys
+# keywords apart.
+@functools.lru_cache(maxsize=48)
+def _rank(fields: tuple[VectorField, ...], coords: tuple[str, ...],
+          family, locus) -> int:
+    """The rank over Q(jet) of the fields' matrix compiled by ``_compile``:
+    the pivot count plus the residual's rank at ``_point(coords)`` where
+    that meets the bound on it, the residual's row or column count,
+    whichever is smaller; else (a point short of the bound or on a pole)
+    plus the residual's exact rank (``_form_rank``)."""
+    pivots, residual, checks = _compile(fields, coords, family, locus)
+    bound = min(len(residual), len(residual[0]) if residual else 0)
+    try:
+        rank = linalg.rank(_integer_rows(residual, checks, _point(coords)))
+    except ZeroDenominatorError:
+        rank = None
+    return pivots + (rank if rank == bound else _form_rank(residual))
 
 
 def matrix_rank_at_samples(
     fields,
     coords: tuple[str, ...],
     *,
-    seed: int = DEFAULT_SEED,
     locus: tuple[str, Poly, Poly] | None = None,
     family: tuple[int, int] | None = None,
 ) -> int:
-    """The rank over Q(jet) of the fields' coefficient matrix on ``coords``.
-
-    The first call on a compiled matrix proves its rank (``_proven_rank``)
-    at one integer point drawn from ``seed``, and the plan keeps it; every
-    later call on that plan, at any seed, returns the kept rank and
-    evaluates nothing.  So only a matrix's first rank in a process is
-    evaluated at its seed's point, and one evicted from ``_compile`` is
-    proven again.  The seed picks the point and never the rank.  An atom
-    left in the residual raises UnboundSymbolError.
+    """The rank over Q(jet) of the fields' coefficient matrix on ``coords``,
+    proven at one integer point, ``_point(coords)`` (see ``_rank``), and
+    kept by ``_rank``'s cache: a matrix is evaluated once per process while
+    the cache holds it.  No seed reaches the point, so one matrix always
+    reads the same integers.  An atom left in the residual raises
+    UnboundSymbolError.
 
     ``locus`` = (v, a, b) puts the solved coordinate v = -b/a of the point
     on the locus a*v + b = 0, a point where a vanishes being a pole.
     ``family`` marks the rows Y^0, Y^1, ... (see ``_compile``).
     """
-    plan = _compile(tuple(fields), coords, family, locus)
-    if plan.rank is None:
-        plan.rank = _proven_rank(plan, _point(coords, seed))
-    return plan.rank
+    return _rank(tuple(fields), coords, family, locus)
 
 
-def _proven_rank(plan: _RankPlan, point: dict[str, int]) -> int:
-    """The rank over Q(jet) of ``plan``: the pivot count plus the
-    residual's rank at ``point`` where that meets the compiled bound, else
-    (a point short of the bound or on a pole) the plan's exact rank
-    (``_RankPlan.exact_rank``)."""
-    try:
-        rank = plan.pivots + linalg.rank(_integer_rows(plan, point))
-    except ZeroDenominatorError:
-        return plan.exact_rank
-    return rank if rank == plan.bound else plan.exact_rank
-
-
-def _point(coords: tuple[str, ...], seed: int) -> dict[str, int]:
-    """The integer point of a rank, drawn from ``seed``."""
-    rng = random.Random(seed)
+def _point(coords: tuple[str, ...]) -> dict[str, int]:
+    """The integer point of every rank on ``coords``, drawn from
+    ``random.Random(DEFAULT_SEED)``."""
+    rng = random.Random(DEFAULT_SEED)
     return {c: rng.randint(-_POINT_RANGE, _POINT_RANGE) for c in coords}
 
 
@@ -764,7 +745,8 @@ def _chart(fields, order: int) -> tuple[str, ...]:
 def prolonged_rank(g: GeneratorSet, order: int, *,
                    seed: int = DEFAULT_SEED) -> RankReport:
     """Generic rank of the order-``order`` prolonged coefficient matrix:
-    the rank on the locus 0 = 0, which holds everywhere."""
+    the rank on the locus 0 = 0, which holds everywhere.  ``seed`` is only
+    echoed in the report."""
     return rank_on_manifold(g, 0, order, seed=seed)
 
 
@@ -811,13 +793,13 @@ def rank_on_manifold(
     point is a pole where a vanishes, even when b shares the vanishing
     factor, or where a denominator of the matrix vanishes on the locus;
     a denominator that vanishes on the whole locus raises
-    DivisionByZeroExpressionError.
+    DivisionByZeroExpressionError.  ``seed`` is only echoed in the report.
     """
     fields = g.prolonged(order)
     coords = _chart(fields, order)
     cf = canonicalize(constraint)
     locus = None if cf.is_zero() else _linear_solve_coordinate(cf, coords)
-    rank = matrix_rank_at_samples(fields, coords, seed=seed, locus=locus,
+    rank = matrix_rank_at_samples(fields, coords, locus=locus,
                                   family=_family(g, order))
     return RankReport(order, rank, seed, len(coords))
 
@@ -833,22 +815,22 @@ def minimal_generating_set(
     Greedy elimination by default: each member in turn is dropped when the
     rest keep the full set's rank.  That rank is exact
     (``prolonged_rank``), and no subset exceeds it, so a subset whose rank
-    at the one point of the whole matrix meets it keeps it; any other
-    subset is ranked exactly (``_proven_rank``), on a plan compiled outside
-    the shared ``_compile`` cache.  So the result keeps the full rank and
-    every member it keeps is needed: dropping one lowers the rank.  It is
-    not guaranteed to be a globally minimum subset; ``exhaustive=True``
-    searches all subsets (only for up to 10 generators).
+    at the one point of the whole matrix, ``_point(coords)``, meets it
+    keeps it; any other subset is ranked as a rank command ranks it
+    (``_rank``), outside the shared cache.  So the result keeps the full
+    rank and every member it keeps is needed: dropping one lowers the
+    rank.  It is not guaranteed to be a globally minimum subset;
+    ``exhaustive=True`` searches all subsets (only for up to 10
+    generators).
     """
     prolonged = g.prolonged(order)
     fields = dict(zip(g.names, prolonged))
     coords = _chart(prolonged, order)
     full_rank = prolonged_rank(g, order).rank
-    point = _point(coords, DEFAULT_SEED)
-    whole = _RankPlan(0, len(prolonged), len(coords),
-                      [f.coefficient(c) for f in prolonged for c in coords], [])
     try:
-        at_point = dict(zip(g.names, _integer_rows(whole, point)))
+        at_point = dict(zip(g.names, _integer_rows(
+            [[f.coefficient(c) for c in coords] for f in prolonged], [],
+            _point(coords))))
     except ZeroDenominatorError:
         at_point = None
 
@@ -856,11 +838,9 @@ def minimal_generating_set(
         if at_point is not None and linalg.rank(
                 [at_point[n] for n in names]) == full_rank:
             return True
-        # compiled outside ``_compile``, whose plans and kept ranks the
-        # rank commands share
-        plan = _compile.__wrapped__(tuple(fields[n] for n in names), coords,
-                                    None, None)
-        return _proven_rank(plan, point) == full_rank
+        # ranked outside ``_rank``, whose cache the rank commands share
+        return _rank.__wrapped__(tuple(fields[n] for n in names), coords,
+                                 None, None) == full_rank
 
     if exhaustive:
         if len(g.names) > 10:

@@ -168,18 +168,18 @@ def test_a_set_larger_than_the_cache_prolongs_no_field_twice(monkeypatch):
     assert len(calls) == 3 * len(g.base_fields)
 
 
-# --- the shared plan cache ---------------------------------------------------
+# --- the shared rank cache ---------------------------------------------------
 
-def test_plan_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
-    """A plan compiled fresh, reused from the cache or compiled again after
+def test_rank_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
+    """A rank proven fresh, read back from the cache or proven again after
     it was evicted gives the same report."""
     g = build_generators("derived", 5)
     queries = [(order, seed) for order in (1, 2, 3) for seed in (1, 7)] * 2
     expected = []
     for order, seed in queries:
-        eqalgebra._compile.cache_clear()
+        eqalgebra._rank.cache_clear()
         expected.append(prolonged_rank(g, order, seed=seed).as_dict())
-    cache = fresh_cache(monkeypatch, eqalgebra, "_compile", 2)
+    cache = fresh_cache(monkeypatch, eqalgebra, "_rank", 2)
     compiled = []
     plan = eqalgebra.EvaluationPlan
     monkeypatch.setattr(eqalgebra, "EvaluationPlan",
@@ -189,41 +189,42 @@ def test_plan_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
         got.append(prolonged_rank(g, order, seed=seed).as_dict())
         assert 0 < cache.cache_info().currsize <= 2
     assert got == expected
-    # each order's second seed reuses the plan; each round evicts
+    # each order's second seed reads the kept rank; each round evicts
     assert len(compiled) == 6
     assert cache.cache_info().hits == 6
-    assert eqalgebra._compile is cache
+    assert eqalgebra._rank is cache
 
 
 def test_a_compiled_matrix_keeps_its_rank(monkeypatch):
-    """The first rank of a plan is proven at its seed's point; a second
-    rank of that plan, at another seed, evaluates nothing, and a plan
-    evicted from a 1-entry cache proves its rank again."""
-    cache = fresh_cache(monkeypatch, eqalgebra, "_compile", 1)
+    """The first rank of a matrix is proven at ``_point`` of its chart; a
+    second rank of that matrix, at another seed, evaluates nothing, and a
+    rank evicted from a 1-entry cache is proven again at the same point."""
+    cache = fresh_cache(monkeypatch, eqalgebra, "_rank", 1)
     g = build_generators("derived", 5)
     evaluated = []
     integer_rows = eqalgebra._integer_rows
-    monkeypatch.setattr(eqalgebra, "_integer_rows", lambda plan, point: (
-        evaluated.append(point) or integer_rows(plan, point)))
+    monkeypatch.setattr(eqalgebra, "_integer_rows", lambda rows, checks, point: (
+        evaluated.append(point) or integer_rows(rows, checks, point)))
     first = prolonged_rank(g, 2, seed=1)
-    assert evaluated == [eqalgebra._point(JetSpace(2).coordinates, 1)]
+    assert evaluated == [eqalgebra._point(JetSpace(2).coordinates)]
     with monkeypatch.context() as patch:
         patch.setattr(eqalgebra, "_integer_rows", mock.Mock(
             side_effect=AssertionError("evaluated a kept rank")))
         again = prolonged_rank(g, 2, seed=7)
     assert (again.rank, again.seed) == (first.rank, 7)
     assert cache.cache_info().hits == 1
-    prolonged_rank(g, 3, seed=7)                   # evicts the order-2 plan
+    prolonged_rank(g, 3, seed=7)                   # evicts the order-2 rank
     assert len(evaluated) == 2
     assert prolonged_rank(g, 2, seed=7) == again
-    assert evaluated[2] == eqalgebra._point(JetSpace(2).coordinates, 7)
+    assert evaluated[2] == evaluated[0] == eqalgebra._point(
+        JetSpace(2).coordinates)
     assert cache.cache_info().misses == 3
 
 
-def test_a_minimal_generating_set_leaves_the_plan_cache_alone(monkeypatch):
-    """Subset plans are compiled outside ``_compile``: after the exhaustive
+def test_a_minimal_generating_set_leaves_the_rank_cache_alone(monkeypatch):
+    """Subsets are ranked outside ``_rank``'s cache: after the exhaustive
     search, the rank the set had before is still a cache hit."""
-    cache = fresh_cache(monkeypatch, eqalgebra, "_compile", 48)
+    cache = fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
     g = build_generators("derived", 5)
     rank = prolonged_rank(g, 3)
     assert minimal_generating_set(g, 3, exhaustive=True)
@@ -233,26 +234,67 @@ def test_a_minimal_generating_set_leaves_the_plan_cache_alone(monkeypatch):
     assert cache.cache_info().hits == hits + 1
 
 
-def test_a_set_gets_the_plan_of_its_own_fields(monkeypatch):
-    """Plans are keyed by the fields, not by the names a set gives them: a
+def test_a_set_gets_the_rank_of_its_own_fields(monkeypatch):
+    """Ranks are keyed by the fields, not by the names a set gives them: a
     set binding Y0 and Y3 to each other's fields evaluates its own rows.  (Y1
     and Y2 would not show it: their constant entries are compiled into
     pivots, so neither order leaves a row to sample.)"""
-    cache = fresh_cache(monkeypatch, eqalgebra, "_compile", 48)
+    cache = fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
     g = build_generators("derived", 0)
     y0, y3 = g.field_named("Y0"), g.field_named("Y3")
     plain = GeneratorSet(Source.DERIVED, 0, ("Y0", "Y3"), (y0, y3), 0)
     swapped = GeneratorSet(Source.DERIVED, 0, ("Y0", "Y3"), (y3, y0), 0)
     coords = JetSpace(2).coordinates
+    evaluated = []
+    integer_rows = eqalgebra._integer_rows
+    monkeypatch.setattr(eqalgebra, "_integer_rows", lambda *args: (
+        evaluated.append(integer_rows(*args)) or evaluated[-1]))
 
     def rows_of(gens):
-        plan = eqalgebra._compile(gens.prolonged(2), coords, None, None)
-        (_, rows), = _oracle_points(plan, coords, samples=1, seed=5)
+        prolonged_rank(gens, 2)
+        compiled = eqalgebra._compile(gens.prolonged(2), coords, None, None)
+        (_, rows), = _oracle_points(compiled, coords, samples=1, seed=5)
         return rows
 
     plain_rows, swapped_rows = rows_of(plain), rows_of(swapped)
     assert cache.cache_info().currsize == 2
     assert swapped_rows == plain_rows[::-1] != plain_rows
+    # each rank evaluated its own rows: the two calls above and the oracle's
+    # one sample per set
+    plain_at_point, _, swapped_at_point, _ = evaluated
+    assert swapped_at_point == plain_at_point[::-1] != plain_at_point
+
+
+def test_the_seed_never_reaches_the_point(monkeypatch):
+    """Ranks at orders 1 to 3 and on the special manifold, each at three
+    seeds: each matrix is evaluated once, at ``_point`` of its chart, and
+    every report echoes its own seed."""
+    fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
+    evaluated = []
+    integer_rows = eqalgebra._integer_rows
+    monkeypatch.setattr(eqalgebra, "_integer_rows", lambda rows, checks, point: (
+        evaluated.append(point) or integer_rows(rows, checks, point)))
+    g = build_generators("derived", 5)
+    ranks = []
+    for seed in (1, 7, 999983):
+        reports = [prolonged_rank(g, order, seed=seed) for order in (1, 2, 3)]
+        reports.append(rank_on_manifold(g, R_EXPR, 1, seed=seed))
+        assert [r.seed for r in reports] == [seed] * 4
+        ranks.append([r.rank for r in reports])
+    assert ranks == [[7, 8, 9, 6]] * 3
+    assert evaluated == [eqalgebra._point(JetSpace(order).coordinates)
+                         for order in (1, 2, 3, 1)]
+
+
+def test_the_rank_cache_is_keyed_by_the_locus(monkeypatch):
+    """The rank on the special manifold and the rank off it share fields,
+    chart and family rows, and differ only in the locus: each is its own
+    entry, so neither reads the other's rank."""
+    cache = fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
+    g = build_generators("derived", 6)
+    assert [rank_on_manifold(g, R_EXPR, 1).rank, prolonged_rank(g, 1).rank,
+            rank_on_manifold(g, R_EXPR, 1).rank] == [6, 7, 6]
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (2, 1)
 
 
 # --- commutator table --------------------------------------------------------
@@ -751,20 +793,45 @@ def test_order_three_rank_grows_with_the_truncation():
             for K in (3, 4, 5)] == [7, 8, 9]
 
 
+def _drawn_point(coords, seed, coordinate_range):
+    """The integer point over ``coords`` in -coordinate_range..
+    coordinate_range that ``random.Random(seed)`` draws, as ``_point``
+    draws from its fixed seed."""
+    rng = random.Random(seed)
+    return {c: rng.randint(-coordinate_range, coordinate_range)
+            for c in coords}
+
+
+def _proven_at(key, seed) -> int:
+    """The rank of ``_rank``'s arguments ``key`` proven outside its cache
+    at the point ``seed`` draws in ``_point``'s range."""
+    with mock.patch.object(eqalgebra, "_point", lambda coords: _drawn_point(
+            coords, seed, eqalgebra._POINT_RANGE)):
+        return eqalgebra._rank.__wrapped__(*key)
+
+
+def _steer(monkeypatch, point):
+    """Make ``point`` the point of every rank, with an empty ``_rank``
+    cache, so that the next rank of each matrix is proven there."""
+    monkeypatch.setattr(eqalgebra, "_point", lambda coords: dict(point))
+    fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
+
+
 def test_sampling_resamples_poles_and_refuses_atoms(monkeypatch):
     chart = JetSpace(1)
+    coords = chart.coordinates
     # at coordinates in -1..1 five points in nine hit a pole, u = 0 or sigma = 0
     pole = VectorField(chart, {"u": parse("1/u", chart),
                                "sigma": parse("1/(u*sigma)", chart)})
-    plan = eqalgebra._compile((pole,), chart.coordinates, None, None)
+    plan = eqalgebra._compile((pole,), coords, None, None)
+    points = [_drawn_point(coords, s, 1) for s in range(5)]
+    assert any(p["u"] * p["sigma"] == 0 for p in points)
     with monkeypatch.context() as patch:
-        patch.setattr(eqalgebra, "_POINT_RANGE", 1)
-        points = [eqalgebra._point(chart.coordinates, s) for s in range(5)]
-        assert any(p["u"] * p["sigma"] == 0 for p in points)
-        for seed, point in enumerate(points):
-            assert eqalgebra._proven_rank(plan, point) == 1
-            assert matrix_rank_at_samples([pole], chart.coordinates,
-                                          seed=seed) == 1
+        for point in points:
+            _steer(patch, point)
+            assert eqalgebra._rank.__wrapped__((pole,), coords, None,
+                                               None) == 1
+            assert matrix_rank_at_samples([pole], coords) == 1
     seen = _sampled_ranks(plan, chart.coordinates, coordinate_range=1)
     assert len(seen) == 8
     for point, rank in seen:
@@ -785,7 +852,7 @@ def test_sampling_exhausted():
         _oracle_points(plan, coords, coordinate_range=0)
     for seed in (1, 7, 1729):
         assert rank_on_manifold(g, constraint, 1, seed=seed).rank == 4
-    assert plan.exact_rank == 4
+    assert _exact_rank(plan) == 4
 
 
 # --- the compiled rank matrix against the full one --------------------------
@@ -812,15 +879,30 @@ def _on_locus(point, constraint, coords):
     return {**point, v: -b / a}
 
 
-def _rank_plan(g, order, constraint=None):
-    """The compiled matrix that a rank of ``g`` at ``order`` samples, on the
-    locus ``constraint`` = 0 when one is given, and its chart."""
+def _rank_key(g, order, constraint=None):
+    """The arguments of ``_rank`` (and ``_compile``) for a rank of ``g`` at
+    ``order``, on the locus ``constraint`` = 0 when one is given."""
     fields = g.prolonged(order)
     coords = eqalgebra._chart(fields, order)
     locus = None if constraint is None else eqalgebra._linear_solve_coordinate(
         canonicalize(constraint), coords)
-    return eqalgebra._compile(tuple(fields), coords,
-                              eqalgebra._family(g, order), locus), coords
+    return tuple(fields), coords, eqalgebra._family(g, order), locus
+
+
+def _rank_plan(g, order, constraint=None):
+    """The compiled matrix (pivot count, residual rows, pole checks) that a
+    rank of ``g`` at ``order`` samples, on the locus ``constraint`` = 0
+    when one is given, and its chart."""
+    key = _rank_key(g, order, constraint)
+    return eqalgebra._compile(*key), key[1]
+
+
+def _exact_rank(plan) -> int:
+    """The rank over Q(jet) of a compiled matrix: its pivot count plus the
+    residual's rank by ``_form_rank``, on a copy of the rows, which it
+    eliminates in place."""
+    pivots, residual, _ = plan
+    return pivots + eqalgebra._form_rank(list(residual))
 
 
 class _NoPointFound(Exception):
@@ -829,7 +911,8 @@ class _NoPointFound(Exception):
 
 def _oracle_points(plan, coords, *, samples=8, seed=eqalgebra.DEFAULT_SEED,
                    coordinate_range=50):
-    """(point, integer rows of the residual of ``plan`` there) at each of
+    """(point, integer rows of the residual of the compiled ``plan`` there,
+    ``_compile``'s (pivots, residual, checks)) at each of
     ``samples`` points, an independent stream that is the tests' oracle
     for the one point of a rank.  Sample seeds are drawn from ``seed`` up
     front; each seeds its own stream of candidate integer points over
@@ -843,7 +926,7 @@ def _oracle_points(plan, coords, *, samples=8, seed=eqalgebra.DEFAULT_SEED,
             point = {c: sub.randint(-coordinate_range, coordinate_range)
                      for c in coords}
             try:
-                out.append((point, eqalgebra._integer_rows(plan, point)))
+                out.append((point, eqalgebra._integer_rows(*plan[1:], point)))
                 break
             except ZeroDenominatorError:
                 continue
@@ -859,7 +942,7 @@ def _sampled_ranks(plan, coords, **stream):
     seen = _oracle_points(plan, coords, **stream)
     for _, rows in seen:
         assert all(type(x) is int for row in rows for x in row)
-    return [(point, plan.pivots + linalg.rank(rows)) for point, rows in seen]
+    return [(point, plan[0] + linalg.rank(rows)) for point, rows in seen]
 
 
 @pytest.mark.parametrize("source", list(Source))
@@ -886,9 +969,9 @@ def test_compiled_rank_is_the_full_rank_at_every_point(source, order):
             for point, rank in seen:
                 assert rank == _full_rank(fields, coords,
                                           _on_locus(point, R_EXPR, coords))
-        plan, _ = _rank_plan(g, order)
+        (pivots, residual, _), _ = _rank_plan(g, order)
         if K >= order + 2:
-            assert (plan.pivots, plan.rows) == (order + 3, 3)
+            assert (pivots, len(residual)) == (order + 3, 3)
 
 
 @pytest.mark.parametrize("names", [("R1_corrected", "R2"), ("R", "R2"),
@@ -927,7 +1010,7 @@ def test_a_row_that_fails_the_family_identity_stays(order):
         **y7.coefficients, "sigma": y7.coefficient("sigma") + u ** 3 * sigma})
     family = eqalgebra._family(g, order)
     plan = eqalgebra._compile(tuple(fields), coords, family, None)
-    assert (plan.pivots, plan.rows) == (order + 3, 4)
+    assert (plan[0], len(plan[1])) == (order + 3, 4)
     assert matrix_rank_at_samples(fields, coords, family=family) == order + 7
     seen = _sampled_ranks(plan, coords)
     assert [rank for _, rank in seen] == [order + 7] * 8
@@ -946,13 +1029,12 @@ def test_a_pole_cancelled_from_the_residual_still_rejects_its_points():
     fields = (pole,) + g.prolonged(1)[:1] + g.prolonged(1)[3:4]
     coords = chart.coordinates
     plan = eqalgebra._compile(tuple(fields), coords, None, None)
-    forms = plan.plan._forms
-    assert plan.pivots == 1 and plan.rows == 2
+    pivots, residual, checks = plan
+    assert pivots == 1 and len(residual) == 2
     assert not any("u" in f.numerator.variables()
-                   for f in forms[:plan.rows * plan.width])
-    assert [str(f) for f in forms[plan.rows * plan.width:]] == ["u"]
-    whole = eqalgebra._RankPlan(0, len(fields), len(coords), [
-        f.coefficient(c) for f in fields for c in coords], [])
+                   for row in residual for f in row)
+    assert [str(f) for f in checks] == ["u"]
+    whole = (0, [[f.coefficient(c) for c in coords] for f in fields], [])
     for seed in (1, 7, 1729):
         points = []
         for p in (plan, whole):
@@ -1027,11 +1109,11 @@ def test_an_early_stopped_rank_is_the_maximum_over_every_sample(source,
                           rank_on_manifold(g, constraint, order, seed=seed))
                 full = max(r for _, r in _sampled_ranks(plan, coords,
                                                         seed=seed))
-                # the plan keeps its first rank, so the seed's own point
-                # is proven directly
-                proven = eqalgebra._proven_rank(
-                    plan, eqalgebra._point(coords, seed))
-                assert report.rank == proven == full == plan.exact_rank
+                # the cache keeps a matrix's first rank, so the rank is
+                # also proven afresh, outside it, at the point this seed
+                # draws
+                proven = _proven_at(_rank_key(g, order, constraint), seed)
+                assert report.rank == proven == full == _exact_rank(plan)
 
 
 def test_a_rank_short_of_its_bound_at_every_point_is_the_exact_rank(
@@ -1045,11 +1127,12 @@ def test_a_rank_short_of_its_bound_at_every_point_is_the_exact_rank(
               VectorField(chart, {"u": parse("u^3 - u", chart)}))
     coords = chart.coordinates
     plan = eqalgebra._compile(fields, coords, None, None)
-    assert (plan.pivots, plan.rows, plan.width, plan.bound) == (1, 1, 1, 2)
-    assert [str(f) for f in plan.residual] == ["u^3 - u"]
+    pivots, residual, _ = plan
+    assert (pivots, len(residual), len(residual[0]),
+            pivots + min(len(residual), len(residual[0]))) == (1, 1, 1, 2)
+    assert [str(f) for row in residual for f in row] == ["u^3 - u"]
     g = GeneratorSet(Source.PAPER_PRINTED, 0, ("T", "U"), fields, 1)
     expected = [prolonged_rank(g, 1, seed=s).as_dict() for s in range(5)]
-    monkeypatch.setattr(eqalgebra, "_POINT_RANGE", 1)
     assert {r for _, r in _sampled_ranks(plan, coords,
                                          coordinate_range=1)} == {1}
     exact = []
@@ -1057,10 +1140,10 @@ def test_a_rank_short_of_its_bound_at_every_point_is_the_exact_rank(
     monkeypatch.setattr(eqalgebra, "_form_rank",
                         lambda rows: exact.append(rows) or form_rank(rows))
     for seed in range(5):
-        # fresh plans, so that each rank is proven at this seed's point
-        fresh_cache(monkeypatch, eqalgebra, "_compile", 48)
-        assert matrix_rank_at_samples(fields, coords, seed=seed) == 2
-        fresh_cache(monkeypatch, eqalgebra, "_compile", 48)
+        # empty caches, so that each rank is proven at this seed's point
+        _steer(monkeypatch, _drawn_point(coords, seed, 1))
+        assert matrix_rank_at_samples(fields, coords) == 2
+        _steer(monkeypatch, _drawn_point(coords, seed, 1))
         report = prolonged_rank(g, 1, seed=seed)
         assert report.as_dict() == expected[seed] == {
             "order": 1, "rank": 2, "samples_used": 1, "certified": True,
@@ -1116,11 +1199,10 @@ def test_no_rank_depends_on_its_seed(seed, source, order, wide, manifold):
                         for s in (seed, 1729))
     assert got.pop("seed") == seed and default.pop("seed") == 1729
     assert got == default
-    # the plan keeps its first rank, so the seed's own point is proven
-    # directly
-    plan, coords = _rank_plan(g, order, constraint)
-    assert eqalgebra._proven_rank(
-        plan, eqalgebra._point(coords, seed)) == default["rank"]
+    # the cache keeps a matrix's first rank, so the rank is also proven
+    # afresh, outside it, at the point this seed draws
+    assert _proven_at(_rank_key(g, order, constraint),
+                      seed) == default["rank"]
 
 
 def test_the_exact_rank_is_taken_over_the_rational_functions():
@@ -1131,8 +1213,10 @@ def test_the_exact_rank_is_taken_over_the_rational_functions():
     for source in Source:
         g = build_generators(source, 6)
         plan, _ = _rank_plan(g, 1, R_EXPR)
-        assert (plan.pivots, plan.rows, plan.width, plan.bound) == (4, 3, 3, 7)
-        assert plan.exact_rank == 6
+        pivots, residual, _ = plan
+        assert (pivots, len(residual), len(residual[0]),
+                pivots + min(len(residual), len(residual[0]))) == (4, 3, 3, 7)
+        assert _exact_rank(plan) == 6
         assert rank_on_manifold(g, R_EXPR, 1).rank == 6
     rows = [[canonicalize(parse(e, JetSpace(1))) for e in row] for row in (
         ("u", "sigma", "u*sigma"), ("u^2", "u*sigma", "u^2*sigma"),
