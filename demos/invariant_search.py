@@ -1,10 +1,10 @@
 """Find the differential invariants of the equivalence algebra from scratch.
 
 The recipe: prolong the generators to the jet chart of f, take the exact
-generic rank of their coefficient matrix (from one seeded integer point, or
-by elimination over rational functions where that point falls short), count
-invariants as variables minus rank, and then assemble absolute invariants
-from relative building blocks by solving for weight-cancelling exponents.
+generic rank of their coefficient matrix (by one elimination over rational
+functions), count invariants as variables minus rank, and then assemble
+absolute invariants from relative building blocks by solving for
+weight-cancelling exponents.
 
 Run:  python demos/invariant_search.py
 """

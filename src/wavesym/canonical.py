@@ -811,7 +811,7 @@ class CanonicalForm(Value):
         """Exact rational value at ``point``, which binds coordinates to
         integers or rationals; a one-form ``EvaluationPlan``."""
         nums, dens = EvaluationPlan((self,)).at(point)
-        return Fraction(nums[0], dens[0] if dens else 1)
+        return Fraction(nums[0], dens[0])
 
 
 def _normalized(num: Poly, den: Poly) -> CanonicalForm:
@@ -893,23 +893,17 @@ class EvaluationPlan:
 
         self._numerators = terms(numerators)
         self._denominators = terms(denominators)
-        # every denominator is 1 when all their terms sit on slot 0, the
-        # monomial 1, with coefficient 1: a nonzero constant has one term
-        den_slots, den_coeffs = self._denominators[:2]
-        self._polynomial = not any(den_slots) and set(den_coeffs) <= {1}
         self._forms = tuple(forms)
 
     def at(self, point: Mapping[str, Fraction]
-           ) -> tuple[list[int], list[int] | None]:
+           ) -> tuple[list[int], list[int]]:
         """Numerators and denominators of the forms at ``point``, which
         binds coordinates to integers or rationals: form i is
-        nums[i]/dens[i], not reduced, or nums[i] when dens is None, as it is
-        at an integer point of forms whose denominators are 1.  As
-        ``expr.eval_at`` without atom values, a missing coordinate or an
-        atom instance raises UnboundSymbolError, naming the first one in
-        form order, denominator before numerator, each in print order; at
-        a point that binds them all, a pole of any form raises
-        ZeroDenominatorError."""
+        nums[i]/dens[i], not reduced.  As ``expr.eval_at`` without atom
+        values, a missing coordinate or an atom instance raises
+        UnboundSymbolError, naming the first one in form order, denominator
+        before numerator, each in print order; at a point that binds them
+        all, a pole of any form raises ZeroDenominatorError."""
         q = lcm(*(v.denominator for v in point.values()))
         lifted = {name: v.numerator * (q // v.denominator)
                   for name, v in point.items()}
@@ -924,8 +918,6 @@ class EvaluationPlan:
             values = [v * q ** (self._top - d)
                       for v, d in zip(values, self._degrees)]
         nums = _term_sums(self._numerators, values)
-        if q == 1 and self._polynomial:
-            return nums, None
         dens = _term_sums(self._denominators, values)
         if 0 in dens:
             raise ZeroDenominatorError("zero denominator at evaluation point")

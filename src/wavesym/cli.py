@@ -4,9 +4,10 @@ and corpus classification with reproducible machine-readable reports.
 Exit codes: 0 success, 1 usage or I/O error, 2 mathematical mismatch against
 the published fixtures.  JSON output is byte-identical for identical
 configurations (sorted keys, canonical expression strings).  Every rank is
-exact, proven at one fixed integer point of its chart.  ``--seed`` reaches
-no rank and is only echoed in the rank report; it stays so that schema 1
-reports, config files and scripts that pass it keep working.
+exact, by one elimination over the rational functions of its chart.
+``--seed`` reaches no rank and is only echoed in the rank report; it stays
+so that schema 1 reports, config files and scripts that pass it keep
+working.
 """
 
 from __future__ import annotations
@@ -246,7 +247,8 @@ def cmd_invariants_verify(config: RunConfig, expr_text: str | None) -> tuple[int
     _require_truncation(config, _INVARIANT_ORDER)
     if expr_text is None:
         bundle = compare_sources(config.K)
-        report = {"schema": SCHEMA, "command": "invariants-verify", **bundle}
+        # the bundle carries schema 1 of its own, which SCHEMA overrides
+        report = {**bundle, "schema": SCHEMA, "command": "invariants-verify"}
         return 0, report
     expr = _expression(expr_text)
     g = build_generators(config.source, config.K)

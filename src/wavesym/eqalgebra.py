@@ -40,32 +40,25 @@ by value, so sets share prolongations while the cache holds them, and one
 set never prolongs a field twice, however many fields it holds.
 
 Generic ranks of prolonged coefficient matrices are exact.  Each matrix
-is first brought to one with the same rank over Q(jet) and the same rank
-at every point off its poles (``_compile``): the family rows beyond
-``min_truncation`` are dropped where an exact identity proves them
-redundant, and every constant entry becomes a pivot.  A rank on a locus
-a*v + b = 0 goes through the same compiled matrix, with v = -b/a
-substituted into what is left.  The residual, 3 rows for K >= order + 2, is
-evaluated by a ``canonical.EvaluationPlan`` at one fixed integer point of
-its chart (``_point``), and its rank taken there by fraction-free
-elimination (``linalg.rank``).  A rank at a point is a lower bound on the
-rank over Q(jet), and the compile bounds that rank from above by the pivot
-count plus the residual's row or column count, whichever is smaller, so a
-point whose rank meets the bound proves it the generic rank.  At a point
-short of the bound or on a pole, the rank is the exact one, by an
-elimination over forms on the residual (``_form_rank``).  Either way the
-rank is the rank over Q(jet).  A rank is one integer, kept by one LRU
-cache of the process (``_rank``) keyed by the fields' values, so a matrix
-is compiled and evaluated once per process while the cache holds it.  No
-seed reaches the rank layer: a command's ``--seed`` is only echoed in its
-rank report.
+is first brought to one with the same rank over Q(jet) (``_compile``): the
+family rows beyond ``min_truncation`` are dropped where an exact identity
+proves them redundant, and every constant entry becomes a pivot.  A rank
+on a locus a*v + b = 0 goes through the same compiled matrix, with
+v = -b/a substituted into what is left.  The rank is the pivot count plus
+the residual's rank by one Gaussian elimination over canonical forms
+(``_form_rank``); the residual has 3 rows for K >= order + 2.  An atom
+instance exp(v) left in the residual counts as one more indeterminate,
+independent of the coordinates, as ``canonical`` treats it.  A rank is one
+integer, kept by one LRU cache of the process (``_rank``) keyed by the
+fields' values, so a matrix is compiled and eliminated once per process
+while the cache holds it.  No seed reaches the rank layer: a command's
+``--seed`` is only echoed in its rank report.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations
@@ -74,7 +67,6 @@ from math import comb, lcm, prod
 from . import linalg
 from .canonical import (
     CanonicalForm,
-    EvaluationPlan,
     Monomial,
     Poly,
     _POLY_ONE,
@@ -86,11 +78,7 @@ from .canonical import (
     coordinate,
     mono,
 )
-from .expr import (
-    DivisionByZeroExpressionError,
-    ExprLike,
-    ZeroDenominatorError,
-)
+from .expr import DivisionByZeroExpressionError, ExprLike
 from .jetspace import JetSpace
 from .value import Value, set_field
 from .vfields import PointAction, VectorField, induce_from_point_action, prolong
@@ -105,8 +93,6 @@ DEFAULT_K = 6
 MAX_K = 300
 # the smallest truncation the closure sweep accepts
 CLOSURE_MIN_K = 4
-# a rank's evaluation point has its coordinates in -50..50
-_POINT_RANGE = 50
 
 
 class NotSolvableError(Exception):
@@ -563,13 +549,17 @@ class RankReport(Value):
 
 def _form_rank(rows: list[list[CanonicalForm]]) -> int:
     """The rank over Q(jet) of a matrix of forms, by Gaussian elimination
-    on the forms themselves: each step takes the first nonzero entry left
-    as its pivot and clears that column from the other rows.  It is made
-    for residuals of a few rows, so no pivot is chosen for size."""
+    on the forms themselves, in a copy of ``rows``: each step takes as its
+    pivot the nonzero entry with the fewest numerator and denominator
+    terms, the first such in row order, and clears its column from the
+    other rows."""
+    rows = list(rows)
     rank = 0
-    while found := next(((r, c) for r, row in enumerate(rows)
-                         for c, e in enumerate(row) if not e.is_zero()), None):
-        r, c = found
+    while found := min(((len(e.numerator.terms) + len(e.denominator.terms),
+                         r, c) for r, row in enumerate(rows)
+                        for c, e in enumerate(row) if not e.is_zero()),
+                       default=None):
+        _, r, c = found
         top = rows.pop(r)
         for i, row in enumerate(rows):
             if not row[c].is_zero():
@@ -577,24 +567,6 @@ def _form_rank(rows: list[list[CanonicalForm]]) -> int:
                 rows[i] = [e - a * t for e, t in zip(row, top)]
         rank += 1
     return rank
-
-
-def _integer_rows(rows: list[list[CanonicalForm]], checks: list[CanonicalForm],
-                  point) -> list[list[int]]:
-    """The rows of forms at ``point`` as integer rows, each scaled by
-    ``linalg.integer_row`` unless every denominator is 1, which keeps the
-    rank; ZeroDenominatorError at a pole of a form or a zero of a pole
-    check.  One ``EvaluationPlan`` evaluates the rows and then the
-    checks."""
-    w = len(rows[0]) if rows else 1
-    n = len(rows) * w
-    nums, dens = EvaluationPlan(list(chain(*rows, checks))).at(point)
-    if 0 in nums[n:]:
-        raise ZeroDenominatorError("zero denominator at evaluation point")
-    if dens is None:
-        return [nums[i:i + w] for i in range(0, n, w)]
-    return [linalg.integer_row(list(zip(nums[i:i + w], dens[i:i + w])))
-            for i in range(0, n, w)]
 
 
 def _add_product(out: dict, a: dict, row: dict) -> None:
@@ -608,29 +580,24 @@ def _add_product(out: dict, a: dict, row: dict) -> None:
 
 
 def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
-             family, locus) -> tuple[int, list[list[CanonicalForm]],
-                                     list[CanonicalForm]]:
+             family, locus) -> tuple[int, list[list[CanonicalForm]]]:
     """The matrix of ``fields``' coefficients on ``coords`` brought to a
-    smaller one of the same rank at every point off its poles: (the count
-    of constant pivots, the residual as rows of forms, the pole checks),
-    the rank being the pivot count plus the residual's.  Each row is
-    cleared of denominators by the product of its distinct ones.  With
-    ``family`` = (s, J), fields s, s+1, ... being Y^0, Y^1, ..., rows
-    Y^0..Y^J become W'_j = sum_i C(j,i) (-u)^(j-i) Y^i, unitriangular over
-    Q[u], and a later Y^m is dropped where Y^m = sum_{j<=J} C(m,j) u^(m-j)
-    W'_j holds exactly (see ``min_truncation``), else kept less that sum.
-    Each nonzero constant entry, smallest first, is then eliminated
-    fraction-free as a pivot.  An atom eliminated with a pivot leaves the
-    rank free of its value; one left raises at evaluation.  With ``locus``
-    = (v, a, b), v = -b/a is substituted into the residual and the pole
-    checks, and a is one more pole check: the residual then reads only the
-    other coordinates, and its rank at a point is the whole matrix's at
-    that point with v on the locus.  A pole check that is identically zero
-    there raises DivisionByZeroExpressionError, as the matrix is then
-    undefined on the whole locus."""
+    smaller one of the same rank over Q(jet): (the count of constant
+    pivots, the residual as rows of forms), the rank being the pivot count
+    plus the residual's.  Each row is cleared of denominators by the
+    product of its distinct ones.  With ``family`` = (s, J), fields s,
+    s+1, ... being Y^0, Y^1, ..., rows Y^0..Y^J become
+    W'_j = sum_i C(j,i) (-u)^(j-i) Y^i, unitriangular over Q[u], and a
+    later Y^m is dropped where Y^m = sum_{j<=J} C(m,j) u^(m-j) W'_j holds
+    exactly (see ``min_truncation``), else kept less that sum.  Each
+    nonzero constant entry, smallest first, is then eliminated
+    fraction-free as a pivot, so an atom eliminated with a pivot leaves
+    the rank.  With ``locus`` = (v, a, b), v = -b/a is substituted into
+    the residual, which then reads only the other coordinates, and its
+    rank is the whole matrix's rank on the locus.  That holds unless a
+    denominator of the matrix vanishes on the whole locus, where the
+    matrix is undefined: that raises DivisionByZeroExpressionError."""
     matrix = [[f.coefficient(c) for c in coords] for f in fields]
-    poles = {e.denominator: 0 for row in matrix for e in row
-             if not e.denominator.is_const()}
     rows: list[dict[int, dict[Monomial, int]]] = []
     for row in matrix:
         dens = {e.denominator: 0 for e in row if not e.denominator.is_one()}
@@ -666,16 +633,17 @@ def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
     live = sorted(set().union(*rows))
     residual = [[CanonicalForm(_poly(row.get(c, {})), _POLY_ONE)
                  for c in live] for row in rows]
-    checks = [CanonicalForm(d, _POLY_ONE) for d in poles]
     if locus is not None:
         v, a, b = locus
         at = {v: CanonicalForm(-b, _POLY_ONE) / CanonicalForm(a, _POLY_ONE)}
         residual = [[f.substitute(at) for f in row] for row in residual]
-        checks = [f.substitute(at) for f in checks] + [CanonicalForm(a, _POLY_ONE)]
-        if any(f.is_zero() for f in checks):
+        poles = {e.denominator for row in matrix for e in row
+                 if not e.denominator.is_const()}
+        if any(CanonicalForm(d, _POLY_ONE).substitute(at).is_zero()
+               for d in poles):
             raise DivisionByZeroExpressionError(
                 "a denominator of the matrix vanishes on the whole locus")
-    return pivots, residual, checks
+    return pivots, residual
 
 
 # keyed by value, so a set binding its names to other fields gets its own
@@ -686,18 +654,11 @@ def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
 @functools.lru_cache(maxsize=48)
 def _rank(fields: tuple[VectorField, ...], coords: tuple[str, ...],
           family, locus) -> int:
-    """The rank over Q(jet) of the fields' matrix compiled by ``_compile``:
-    the pivot count plus the residual's rank at ``_point(coords)`` where
-    that meets the bound on it, the residual's row or column count,
-    whichever is smaller; else (a point short of the bound or on a pole)
-    plus the residual's exact rank (``_form_rank``)."""
-    pivots, residual, checks = _compile(fields, coords, family, locus)
-    bound = min(len(residual), len(residual[0]) if residual else 0)
-    try:
-        rank = linalg.rank(_integer_rows(residual, checks, _point(coords)))
-    except ZeroDenominatorError:
-        rank = None
-    return pivots + (rank if rank == bound else _form_rank(residual))
+    """The rank over Q(jet) of the fields' matrix: the pivot count of its
+    compiled form (``_compile``) plus the residual's rank by one exact
+    elimination (``_form_rank``)."""
+    pivots, residual = _compile(fields, coords, family, locus)
+    return pivots + _form_rank(residual)
 
 
 def matrix_rank_at_samples(
@@ -707,25 +668,16 @@ def matrix_rank_at_samples(
     locus: tuple[str, Poly, Poly] | None = None,
     family: tuple[int, int] | None = None,
 ) -> int:
-    """The rank over Q(jet) of the fields' coefficient matrix on ``coords``,
-    proven at one integer point, ``_point(coords)`` (see ``_rank``), and
-    kept by ``_rank``'s cache: a matrix is evaluated once per process while
-    the cache holds it.  No seed reaches the point, so one matrix always
-    reads the same integers.  An atom left in the residual raises
-    UnboundSymbolError.
+    """The rank over Q(jet) of the fields' coefficient matrix on
+    ``coords``, by one exact elimination (see ``_rank``), kept by
+    ``_rank``'s cache: a matrix is ranked once per process while the cache
+    holds it.  An atom instance exp(v) left in the matrix is one more
+    indeterminate, independent of the coordinates.
 
-    ``locus`` = (v, a, b) puts the solved coordinate v = -b/a of the point
-    on the locus a*v + b = 0, a point where a vanishes being a pole.
-    ``family`` marks the rows Y^0, Y^1, ... (see ``_compile``).
+    ``locus`` = (v, a, b) takes the rank on the locus a*v + b = 0, with
+    v = -b/a.  ``family`` marks the rows Y^0, Y^1, ... (see ``_compile``).
     """
     return _rank(tuple(fields), coords, family, locus)
-
-
-def _point(coords: tuple[str, ...]) -> dict[str, int]:
-    """The integer point of every rank on ``coords``, drawn from
-    ``random.Random(DEFAULT_SEED)``."""
-    rng = random.Random(DEFAULT_SEED)
-    return {c: rng.randint(-_POINT_RANGE, _POINT_RANGE) for c in coords}
 
 
 def _family(g: GeneratorSet, order: int) -> tuple[int, int] | None:
@@ -788,11 +740,9 @@ def rank_on_manifold(
     Unless the constraint is identically zero, it must isolate one chart
     coordinate v from a*v + b = 0 by exact rational rearrangement.  The
     matrix is compiled as for ``prolonged_rank``, and v = -b/a is then
-    substituted into its residual and pole checks (see ``_compile``), so
-    the integer point of the other coordinates is put on the locus.  The
-    point is a pole where a vanishes, even when b shares the vanishing
-    factor, or where a denominator of the matrix vanishes on the locus;
-    a denominator that vanishes on the whole locus raises
+    substituted into its residual (see ``_compile``), whose rank is taken
+    over the rational functions of the other coordinates.  A denominator
+    of the matrix that vanishes on the whole locus raises
     DivisionByZeroExpressionError.  ``seed`` is only echoed in the report.
     """
     fields = g.prolonged(order)
@@ -810,52 +760,42 @@ def minimal_generating_set(
     *,
     exhaustive: bool = False,
 ) -> tuple[str, ...]:
-    """A subset of generators whose prolongation keeps the full generic rank.
+    """A subset of generators whose prolongation keeps the full generic
+    rank (``prolonged_rank``), with as many members as that rank.
 
-    Greedy elimination by default: each member in turn is dropped when the
-    rest keep the full set's rank.  That rank is exact
-    (``prolonged_rank``), and no subset exceeds it, so a subset whose rank
-    at the one point of the whole matrix, ``_point(coords)``, meets it
-    keeps it; any other subset is ranked as a rank command ranks it
-    (``_rank``), outside the shared cache.  So the result keeps the full
-    rank and every member it keeps is needed: dropping one lowers the
-    rank.  It is not guaranteed to be a globally minimum subset;
-    ``exhaustive=True`` searches all subsets (only for up to 10
-    generators).
+    By default the names are scanned from the last: a generator is kept
+    when it raises the exact rank of those already kept, and the scan
+    stops once they reach the full rank.  The members kept are independent
+    and span every row, so none can be dropped.  This is the set that
+    dropping members front to back, each where the rest keep the full
+    rank, would leave, since that drops a member exactly when it lies in
+    the span of the members after it.  With a full rank of 0 it is the
+    last name.  ``exhaustive=True`` returns the first subset, by size and
+    then in name order, that keeps the full rank (only for up to 10
+    generators).  Subsets are ranked outside ``_rank``, whose cache the
+    rank commands share.
     """
     prolonged = g.prolonged(order)
     fields = dict(zip(g.names, prolonged))
     coords = _chart(prolonged, order)
     full_rank = prolonged_rank(g, order).rank
-    try:
-        at_point = dict(zip(g.names, _integer_rows(
-            [[f.coefficient(c) for c in coords] for f in prolonged], [],
-            _point(coords))))
-    except ZeroDenominatorError:
-        at_point = None
 
-    def keeps_full_rank(names) -> bool:
-        if at_point is not None and linalg.rank(
-                [at_point[n] for n in names]) == full_rank:
-            return True
-        # ranked outside ``_rank``, whose cache the rank commands share
+    def rank_of(names) -> int:
         return _rank.__wrapped__(tuple(fields[n] for n in names), coords,
-                                 None, None) == full_rank
+                                 None, None)
 
     if exhaustive:
         if len(g.names) > 10:
             raise ValueError("exhaustive search is limited to 10 generators")
-        for size in range(1, len(g.names) + 1):
+        # no subset of fewer members reaches the full rank
+        for size in range(max(full_rank, 1), len(g.names) + 1):
             for combo in combinations(g.names, size):
-                if keeps_full_rank(combo):
+                if rank_of(combo) == full_rank:
                     return combo
-    # one pass suffices: a member kept once stays needed, since dropping
-    # rows from a set can only lower its rank
-    current = list(g.names)
-    for name in g.names:
-        if len(current) == 1:
+    kept: tuple[str, ...] = ()
+    for name in reversed(g.names):
+        if len(kept) == full_rank:
             break
-        trial = [n for n in current if n != name]
-        if keeps_full_rank(trial):
-            current = trial
-    return tuple(current)
+        if rank_of((name,) + kept) > len(kept):
+            kept = (name,) + kept
+    return kept or g.names[-1:]

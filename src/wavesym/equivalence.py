@@ -262,7 +262,7 @@ def _value_at(plan: EvaluationPlan, point: dict[str, Fraction]
         nums, dens = plan.at(point)
     except ZeroDenominatorError:
         return None
-    return nums[0], dens[0] if dens else 1
+    return nums[0], dens[0]
 
 
 def _probed(rho_a: CanonicalForm, rho_b: CanonicalForm) -> bool:

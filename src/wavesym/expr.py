@@ -59,7 +59,7 @@ class DivisionByZeroExpressionError(ExprError):
 
 
 class ZeroDenominatorError(ExprError):
-    """Evaluation hit a pole at the given point (caller may resample)."""
+    """Evaluation hit a pole at the given point."""
 
 
 class UnboundSymbolError(ExprError):

@@ -133,9 +133,9 @@ def is_absolute(f_expr: Expr | CanonicalForm, g: GeneratorSet,
 def functional_independence(candidates: list[Expr], space: JetSpace) -> bool:
     """Whether the Jacobian of the candidates w.r.t. the chart coordinates
     has full rank over Q(jet), which the verdict proves either way: the
-    rank is exact (see ``eqalgebra.matrix_rank_at_samples``), so the
-    verdict holds even where a Jacobian entry vanishes at the fixed point
-    the rank is evaluated at, or at every integer point of its range."""
+    rank is taken by one exact elimination over the Jacobian's rational
+    functions (see ``eqalgebra.matrix_rank_at_samples``), so it holds even
+    where a Jacobian entry vanishes at every integer point."""
     if not candidates:
         raise ValueError("need at least one candidate")
     rows = tuple(VectorField(space, {c: form.diff(c)

@@ -7,7 +7,10 @@ bracket decompositions of ``eqalgebra`` and the weight kernels of
 ``invariants``.  ``rank`` takes integer rows (a row of rationals is scaled
 by ``integer_row`` first, which keeps the rank) and brings them to echelon
 form by fraction-free (Bareiss) elimination, whose entries are minors of
-the integer matrix, so every division is exact.
+the integer matrix, so every division is exact.  Nothing in the package
+calls ``rank`` or ``rref``: generic ranks are eliminations over forms
+(``eqalgebra._rank``), and both stay while the benchmark's per-layer
+metrics name them; the tests also take ``rank`` as their oracle.
 """
 
 from __future__ import annotations
@@ -119,7 +122,9 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(rows: list[list[int]]) -> int:
     """Exact rank of a matrix of integers; a row of rationals is scaled to
-    integers by ``integer_row`` first.  The rows are not modified."""
+    integers by ``integer_row`` first.  The rows are not modified.  Nothing
+    in the package calls it; it stays while the benchmark's per-layer
+    metrics name it, and the tests rank integer matrices with it."""
     return len(_fraction_free_pivots(rows))
 
 

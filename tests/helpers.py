@@ -1,12 +1,16 @@
 """Shared exact-comparison helpers for the test suite."""
 
 import functools
+import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import strategies as st
 
-from wavesym.canonical import canonicalize, equals
+from wavesym import linalg
+from wavesym.canonical import EvaluationPlan, canonicalize, equals
+from wavesym.expr import ZeroDenominatorError
 from wavesym.jetspace import JetSpace
 from wavesym.vfields import VectorField
 
@@ -103,3 +107,25 @@ def in_integer_lattice(vector, basis) -> bool:
         if tuple(vector) == tuple(b) or tuple(-x for x in vector) == tuple(b):
             return True
     return False
+
+
+def drawn_point(coords, seed, coordinate_range) -> dict[str, int]:
+    """The integer point over ``coords`` in -coordinate_range..
+    coordinate_range that ``random.Random(seed)`` draws."""
+    rng = random.Random(seed)
+    return {c: rng.randint(-coordinate_range, coordinate_range)
+            for c in coords}
+
+
+def integer_rows(rows, checks, point) -> list[list[int]]:
+    """The rows of forms at ``point`` as integer rows, each scaled by
+    ``linalg.integer_row``, which keeps the rank; ZeroDenominatorError at a
+    pole of a form or a zero of a pole check.  One ``EvaluationPlan``
+    evaluates the rows and then the checks."""
+    w = len(rows[0]) if rows else 1
+    n = len(rows) * w
+    nums, dens = EvaluationPlan(list(chain(*rows, checks))).at(point)
+    if 0 in nums[n:]:
+        raise ZeroDenominatorError("zero denominator at evaluation point")
+    return [linalg.integer_row(list(zip(nums[i:i + w], dens[i:i + w])))
+            for i in range(0, n, w)]

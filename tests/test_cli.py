@@ -194,6 +194,17 @@ def test_invariants_verify_bundle(capsys):
     assert report["notes"]
 
 
+def test_invariants_verify_reports_the_cli_schema(capsys, monkeypatch):
+    """Both forms of ``invariants verify`` carry ``cli.SCHEMA``, not the
+    schema of the bundle they wrap."""
+    monkeypatch.setattr(cli, "SCHEMA", 2)
+    for extra in ((), ("--expr", "R")):
+        code, out, _ = run_cli(capsys, "--output", "json", "invariants",
+                               "verify", *extra)
+        assert code == 0
+        assert json.loads(out)["schema"] == 2
+
+
 def test_invariants_verify_constant(capsys):
     code, out, _ = run_cli(capsys, "--output", "json",
                            "invariants", "verify", "--expr", "1")

@@ -40,7 +40,6 @@ from wavesym.expr import (
     AtomArgumentError,
     Coord,
     DivisionByZeroExpressionError,
-    UnboundSymbolError,
     ZeroDenominatorError,
     parse,
 )
@@ -48,7 +47,8 @@ from wavesym.invariants import NAMED_EXPRESSIONS, functional_independence
 from wavesym.jetspace import JetSpace
 from wavesym.vfields import VectorField, bracket, prolong
 
-from helpers import field_combination, fresh_cache
+from helpers import (drawn_point, field_combination, fresh_cache,
+                     integer_rows)
 
 R_EXPR = parse("sigma*f_sigma - f", JetSpace(1))
 
@@ -170,6 +170,15 @@ def test_a_set_larger_than_the_cache_prolongs_no_field_twice(monkeypatch):
 
 # --- the shared rank cache ---------------------------------------------------
 
+def _counted_compile(monkeypatch) -> list:
+    """Record the chart of every ``_compile`` call, for this test only."""
+    compiled = []
+    compile_ = eqalgebra._compile
+    monkeypatch.setattr(eqalgebra, "_compile", lambda *key: (
+        compiled.append(key[1]) or compile_(*key)))
+    return compiled
+
+
 def test_rank_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
     """A rank proven fresh, read back from the cache or proven again after
     it was evicted gives the same report."""
@@ -180,10 +189,7 @@ def test_rank_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
         eqalgebra._rank.cache_clear()
         expected.append(prolonged_rank(g, order, seed=seed).as_dict())
     cache = fresh_cache(monkeypatch, eqalgebra, "_rank", 2)
-    compiled = []
-    plan = eqalgebra.EvaluationPlan
-    monkeypatch.setattr(eqalgebra, "EvaluationPlan",
-                        lambda forms: compiled.append(len(forms)) or plan(forms))
+    compiled = _counted_compile(monkeypatch)
     got = []
     for order, seed in queries:
         got.append(prolonged_rank(g, order, seed=seed).as_dict())
@@ -196,28 +202,25 @@ def test_rank_cache_is_bounded_and_eviction_keeps_ranks(monkeypatch):
 
 
 def test_a_compiled_matrix_keeps_its_rank(monkeypatch):
-    """The first rank of a matrix is proven at ``_point`` of its chart; a
-    second rank of that matrix, at another seed, evaluates nothing, and a
-    rank evicted from a 1-entry cache is proven again at the same point."""
+    """The first rank of a matrix compiles and eliminates it; a second rank
+    of that matrix, at another seed, does neither, and a rank evicted from
+    a 1-entry cache is compiled and eliminated again, to the same rank."""
     cache = fresh_cache(monkeypatch, eqalgebra, "_rank", 1)
     g = build_generators("derived", 5)
-    evaluated = []
-    integer_rows = eqalgebra._integer_rows
-    monkeypatch.setattr(eqalgebra, "_integer_rows", lambda rows, checks, point: (
-        evaluated.append(point) or integer_rows(rows, checks, point)))
+    compiled = _counted_compile(monkeypatch)
     first = prolonged_rank(g, 2, seed=1)
-    assert evaluated == [eqalgebra._point(JetSpace(2).coordinates)]
+    assert compiled == [JetSpace(2).coordinates]
     with monkeypatch.context() as patch:
-        patch.setattr(eqalgebra, "_integer_rows", mock.Mock(
-            side_effect=AssertionError("evaluated a kept rank")))
+        for name in ("_compile", "_form_rank"):
+            patch.setattr(eqalgebra, name, mock.Mock(
+                side_effect=AssertionError("ranked a kept rank")))
         again = prolonged_rank(g, 2, seed=7)
     assert (again.rank, again.seed) == (first.rank, 7)
     assert cache.cache_info().hits == 1
     prolonged_rank(g, 3, seed=7)                   # evicts the order-2 rank
-    assert len(evaluated) == 2
+    assert len(compiled) == 2
     assert prolonged_rank(g, 2, seed=7) == again
-    assert evaluated[2] == evaluated[0] == eqalgebra._point(
-        JetSpace(2).coordinates)
+    assert compiled[2] == compiled[0] == JetSpace(2).coordinates
     assert cache.cache_info().misses == 3
 
 
@@ -236,44 +239,40 @@ def test_a_minimal_generating_set_leaves_the_rank_cache_alone(monkeypatch):
 
 def test_a_set_gets_the_rank_of_its_own_fields(monkeypatch):
     """Ranks are keyed by the fields, not by the names a set gives them: a
-    set binding Y0 and Y3 to each other's fields evaluates its own rows.  (Y1
-    and Y2 would not show it: their constant entries are compiled into
-    pivots, so neither order leaves a row to sample.)"""
+    set binding Y0 and Y3 to each other's fields eliminates its own rows.
+    (Y1 and Y2 would not show it: their constant entries are compiled into
+    pivots, so neither order leaves a row to eliminate.)"""
     cache = fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
     g = build_generators("derived", 0)
     y0, y3 = g.field_named("Y0"), g.field_named("Y3")
     plain = GeneratorSet(Source.DERIVED, 0, ("Y0", "Y3"), (y0, y3), 0)
     swapped = GeneratorSet(Source.DERIVED, 0, ("Y0", "Y3"), (y3, y0), 0)
     coords = JetSpace(2).coordinates
-    evaluated = []
-    integer_rows = eqalgebra._integer_rows
-    monkeypatch.setattr(eqalgebra, "_integer_rows", lambda *args: (
-        evaluated.append(integer_rows(*args)) or evaluated[-1]))
+    eliminated = []
+    form_rank = eqalgebra._form_rank
+    monkeypatch.setattr(eqalgebra, "_form_rank", lambda rows: (
+        eliminated.append(rows) or form_rank(rows)))
 
     def rows_of(gens):
         prolonged_rank(gens, 2)
-        compiled = eqalgebra._compile(gens.prolonged(2), coords, None, None)
-        (_, rows), = _oracle_points(compiled, coords, samples=1, seed=5)
+        plan = _plan(gens.prolonged(2), coords, None, None)
+        (_, rows), = _oracle_points(plan, coords, samples=1, seed=5)
         return rows
 
     plain_rows, swapped_rows = rows_of(plain), rows_of(swapped)
     assert cache.cache_info().currsize == 2
     assert swapped_rows == plain_rows[::-1] != plain_rows
-    # each rank evaluated its own rows: the two calls above and the oracle's
-    # one sample per set
-    plain_at_point, _, swapped_at_point, _ = evaluated
-    assert swapped_at_point == plain_at_point[::-1] != plain_at_point
+    # each rank eliminated its own residual
+    plain_residual, swapped_residual = eliminated
+    assert swapped_residual == plain_residual[::-1] != plain_residual
 
 
 def test_the_seed_never_reaches_the_point(monkeypatch):
     """Ranks at orders 1 to 3 and on the special manifold, each at three
-    seeds: each matrix is evaluated once, at ``_point`` of its chart, and
-    every report echoes its own seed."""
+    seeds: each matrix is compiled once, on its chart, whatever the seed,
+    and every report echoes its own seed."""
     fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
-    evaluated = []
-    integer_rows = eqalgebra._integer_rows
-    monkeypatch.setattr(eqalgebra, "_integer_rows", lambda rows, checks, point: (
-        evaluated.append(point) or integer_rows(rows, checks, point)))
+    compiled = _counted_compile(monkeypatch)
     g = build_generators("derived", 5)
     ranks = []
     for seed in (1, 7, 999983):
@@ -282,8 +281,7 @@ def test_the_seed_never_reaches_the_point(monkeypatch):
         assert [r.seed for r in reports] == [seed] * 4
         ranks.append([r.rank for r in reports])
     assert ranks == [[7, 8, 9, 6]] * 3
-    assert evaluated == [eqalgebra._point(JetSpace(order).coordinates)
-                         for order in (1, 2, 3, 1)]
+    assert compiled == [JetSpace(order).coordinates for order in (1, 2, 3, 1)]
 
 
 def test_the_rank_cache_is_keyed_by_the_locus(monkeypatch):
@@ -762,6 +760,60 @@ def test_exhaustive_matches_greedy_rank(derived6):
     assert prolonged_rank(sub, 1).rank == prolonged_rank(g, 1).rank
 
 
+def _deletion_reference(g: GeneratorSet, order: int) -> tuple[str, ...]:
+    """The greedy set by deletion front to back: each member is dropped
+    when the rest keep the full exact rank, while more than one is left."""
+    fields = g.prolonged_named(order)
+    coords = eqalgebra._chart(g.prolonged(order), order)
+
+    def rank_of(names):
+        return eqalgebra._rank.__wrapped__(tuple(fields[n] for n in names),
+                                           coords, None, None)
+
+    full_rank = rank_of(g.names)
+    current = list(g.names)
+    for name in g.names:
+        if len(current) == 1:
+            break
+        trial = [n for n in current if n != name]
+        if rank_of(trial) == full_rank:
+            current = trial
+    return tuple(current)
+
+
+def _shuffled(g: GeneratorSet, rng: random.Random) -> GeneratorSet:
+    order = list(range(len(g.names)))
+    rng.shuffle(order)
+    return GeneratorSet(g.source, g.truncation,
+                        tuple(g.names[i] for i in order),
+                        tuple(g.base_fields[i] for i in order), g.base_order)
+
+
+@pytest.mark.parametrize("source", list(Source))
+def test_the_greedy_set_is_the_one_deletion_leaves(source):
+    """Scanning from the last name and keeping each generator that raises
+    the rank gives the set that deletion front to back leaves, on shuffled
+    generator orders at orders 0 to 6 and K from order + 1 to 8."""
+    rng = random.Random(31)
+    for order in range(7):
+        for K in sorted({order + 1, 8}):
+            g = _shuffled(build_generators(source, K), rng)
+            got = minimal_generating_set(g, order)
+            assert got == _deletion_reference(g, order)
+            assert len(got) == prolonged_rank(g, order).rank
+
+
+def test_a_set_of_zero_fields_keeps_one_name():
+    """With full rank 0 the greedy set is the last name, as deletion front
+    to back leaves it, and the exhaustive search the first name."""
+    chart = JetSpace(1)
+    zero = VectorField(chart, {})
+    g = GeneratorSet(Source.PAPER_PRINTED, 0, ("A", "B", "C"), (zero,) * 3, 1)
+    assert prolonged_rank(g, 1).rank == 0
+    assert minimal_generating_set(g, 1) == ("C",) == _deletion_reference(g, 1)
+    assert minimal_generating_set(g, 1, exhaustive=True) == ("A",)
+
+
 # --- invariant counts and the truncation rule -------------------------------
 
 def test_invariant_counts(derived6):
@@ -793,52 +845,64 @@ def test_order_three_rank_grows_with_the_truncation():
             for K in (3, 4, 5)] == [7, 8, 9]
 
 
-def _drawn_point(coords, seed, coordinate_range):
-    """The integer point over ``coords`` in -coordinate_range..
-    coordinate_range that ``random.Random(seed)`` draws, as ``_point``
-    draws from its fixed seed."""
-    rng = random.Random(seed)
-    return {c: rng.randint(-coordinate_range, coordinate_range)
-            for c in coords}
-
-
-def _proven_at(key, seed) -> int:
-    """The rank of ``_rank``'s arguments ``key`` proven outside its cache
-    at the point ``seed`` draws in ``_point``'s range."""
-    with mock.patch.object(eqalgebra, "_point", lambda coords: _drawn_point(
-            coords, seed, eqalgebra._POINT_RANGE)):
-        return eqalgebra._rank.__wrapped__(*key)
-
-
-def _steer(monkeypatch, point):
-    """Make ``point`` the point of every rank, with an empty ``_rank``
-    cache, so that the next rank of each matrix is proven there."""
-    monkeypatch.setattr(eqalgebra, "_point", lambda coords: dict(point))
-    fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
-
-
-def test_sampling_resamples_poles_and_refuses_atoms(monkeypatch):
+def test_sampling_resamples_poles():
+    """The oracle's stream skips every point where a pole check vanishes;
+    the rank needs no point and is 1."""
     chart = JetSpace(1)
     coords = chart.coordinates
     # at coordinates in -1..1 five points in nine hit a pole, u = 0 or sigma = 0
     pole = VectorField(chart, {"u": parse("1/u", chart),
                                "sigma": parse("1/(u*sigma)", chart)})
-    plan = eqalgebra._compile((pole,), coords, None, None)
-    points = [_drawn_point(coords, s, 1) for s in range(5)]
+    plan = _plan((pole,), coords, None, None)
+    points = [drawn_point(coords, s, 1) for s in range(5)]
     assert any(p["u"] * p["sigma"] == 0 for p in points)
-    with monkeypatch.context() as patch:
-        for point in points:
-            _steer(patch, point)
-            assert eqalgebra._rank.__wrapped__((pole,), coords, None,
-                                               None) == 1
-            assert matrix_rank_at_samples([pole], coords) == 1
+    assert eqalgebra._rank.__wrapped__((pole,), coords, None, None) == 1
+    assert matrix_rank_at_samples([pole], coords) == 1
     seen = _sampled_ranks(plan, chart.coordinates, coordinate_range=1)
     assert len(seen) == 8
     for point, rank in seen:
         assert point["u"] * point["sigma"] != 0 and rank == 1
-    atom = VectorField(chart, {"u": parse("exp(u)", chart)})
-    with pytest.raises(UnboundSymbolError, match=r"^atom 'exp\(u\)' is unbound$"):
-        matrix_rank_at_samples([atom], chart.coordinates)
+
+
+def test_an_atom_left_in_the_residual_is_an_indeterminate():
+    """exp(u) and exp(sigma) are ranked as indeterminates independent of
+    the coordinates and of each other: exp(u) d_u has rank 1, and
+    u*exp(u) d_u adds nothing to it; with d_u + d_sigma, which compiles to
+    a pivot, exp(u) d_u + exp(sigma) d_sigma leaves the residual
+    exp(sigma) - exp(u) and rank 2, and exp(u) d_u + exp(u) d_sigma rank
+    1."""
+    chart = JetSpace(1)
+    coords = chart.coordinates
+
+    def field(**coefficients):
+        return VectorField(chart, {v: parse(e, chart)
+                                   for v, e in coefficients.items()})
+
+    atom = field(u="exp(u)")
+    assert matrix_rank_at_samples([atom], coords) == 1
+    assert matrix_rank_at_samples([atom, field(u="u*exp(u)")], coords) == 1
+    diagonal = field(u="1", sigma="1")
+    two = (diagonal, field(u="exp(u)", sigma="exp(sigma)"))
+    pivots, residual = eqalgebra._compile(two, coords, None, None)
+    assert pivots == 1
+    assert [str(f) for row in residual for f in row] == [
+        "-exp(u) + exp(sigma)"]
+    assert matrix_rank_at_samples(two, coords) == 2
+    assert matrix_rank_at_samples(
+        [diagonal, field(u="exp(u)", sigma="exp(u)")], coords) == 1
+
+
+def test_the_exact_elimination_leaves_its_rows():
+    """``_form_rank`` eliminates a copy of the residual: ranking one
+    compiled residual twice reads the same rank, and the list is as it
+    was.  The order-0 derived matrix at K = 4 has rank 5."""
+    pivots, residual = eqalgebra._compile(
+        *_rank_key(build_generators("derived", 4), 0))
+    before = [list(row) for row in residual]
+    first = eqalgebra._form_rank(residual)
+    assert eqalgebra._form_rank(residual) == first
+    assert residual == before
+    assert pivots + first == 5
 
 
 def test_sampling_exhausted():
@@ -862,7 +926,6 @@ def _full_rank(fields, coords, point) -> int:
     scaled to integers: the sampled rank before matrices were compiled."""
     nums, dens = EvaluationPlan(
         [f.coefficient(c) for f in fields for c in coords]).at(point)
-    dens = dens or [1] * len(nums)
     w = len(coords)
     return linalg.rank([linalg.integer_row(list(zip(nums[i:i + w],
                                                     dens[i:i + w])))
@@ -889,20 +952,40 @@ def _rank_key(g, order, constraint=None):
     return tuple(fields), coords, eqalgebra._family(g, order), locus
 
 
+def _pole_checks(fields, coords, locus) -> list[CanonicalForm]:
+    """The oracle's pole checks for a rank of ``fields``' matrix on
+    ``coords``: its distinct non-constant denominators and, on a locus
+    (v, a, b), those with v = -b/a substituted, and a."""
+    one = Poly.const(1)
+    checks = [CanonicalForm(d, one) for d in dict.fromkeys(
+        f.coefficient(c).denominator for f in fields for c in coords)
+        if not d.is_const()]
+    if locus is None:
+        return checks
+    v, a, b = locus
+    at = {v: CanonicalForm(-b, one) / CanonicalForm(a, one)}
+    return [f.substitute(at) for f in checks] + [CanonicalForm(a, one)]
+
+
+def _plan(fields, coords, family, locus):
+    """The compiled matrix of ``_rank``'s arguments, (pivot count, residual
+    rows, the oracle's pole checks), which the oracle samples."""
+    return (*eqalgebra._compile(tuple(fields), coords, family, locus),
+            _pole_checks(fields, coords, locus))
+
+
 def _rank_plan(g, order, constraint=None):
-    """The compiled matrix (pivot count, residual rows, pole checks) that a
-    rank of ``g`` at ``order`` samples, on the locus ``constraint`` = 0
-    when one is given, and its chart."""
+    """The compiled matrix (``_plan``) of a rank of ``g`` at ``order``, on
+    the locus ``constraint`` = 0 when one is given, and its chart."""
     key = _rank_key(g, order, constraint)
-    return eqalgebra._compile(*key), key[1]
+    return _plan(*key), key[1]
 
 
 def _exact_rank(plan) -> int:
     """The rank over Q(jet) of a compiled matrix: its pivot count plus the
-    residual's rank by ``_form_rank``, on a copy of the rows, which it
-    eliminates in place."""
+    residual's rank by ``_form_rank``."""
     pivots, residual, _ = plan
-    return pivots + eqalgebra._form_rank(list(residual))
+    return pivots + eqalgebra._form_rank(residual)
 
 
 class _NoPointFound(Exception):
@@ -911,13 +994,12 @@ class _NoPointFound(Exception):
 
 def _oracle_points(plan, coords, *, samples=8, seed=eqalgebra.DEFAULT_SEED,
                    coordinate_range=50):
-    """(point, integer rows of the residual of the compiled ``plan`` there,
-    ``_compile``'s (pivots, residual, checks)) at each of
-    ``samples`` points, an independent stream that is the tests' oracle
-    for the one point of a rank.  Sample seeds are drawn from ``seed`` up
-    front; each seeds its own stream of candidate integer points over
-    ``coords`` in -coordinate_range..coordinate_range, retried up to 200
-    times where a pole check of the plan vanishes."""
+    """(point, integer rows of the residual of the compiled ``plan``
+    (``_plan``) there) at each of ``samples`` points, an independent stream
+    that is the tests' oracle for the rank.  Sample seeds are drawn from
+    ``seed`` up front; each seeds its own stream of candidate integer
+    points over ``coords`` in -coordinate_range..coordinate_range, retried
+    up to 200 times where a pole check of the plan vanishes."""
     rng = random.Random(seed)
     out = []
     for s in [rng.randrange(2 ** 32) for _ in range(samples)]:
@@ -926,7 +1008,7 @@ def _oracle_points(plan, coords, *, samples=8, seed=eqalgebra.DEFAULT_SEED,
             point = {c: sub.randint(-coordinate_range, coordinate_range)
                      for c in coords}
             try:
-                out.append((point, eqalgebra._integer_rows(*plan[1:], point)))
+                out.append((point, integer_rows(*plan[1:], point)))
                 break
             except ZeroDenominatorError:
                 continue
@@ -988,7 +1070,7 @@ def test_compiled_jacobian_rank_is_the_full_rank(names):
                for f in rows for c in chart.coordinates)
     assert functional_independence([NAMED_EXPRESSIONS[n] for n in names],
                                    chart)
-    plan = eqalgebra._compile(tuple(rows), chart.coordinates, None, None)
+    plan = _plan(rows, chart.coordinates, None, None)
     for seed in (1, 7, 1729):
         seen = _sampled_ranks(plan, chart.coordinates, seed=seed)
         assert len(seen) == 8
@@ -1009,7 +1091,7 @@ def test_a_row_that_fails_the_family_identity_stays(order):
     fields[g.names.index("Y^7")] = VectorField(y7.space, {
         **y7.coefficients, "sigma": y7.coefficient("sigma") + u ** 3 * sigma})
     family = eqalgebra._family(g, order)
-    plan = eqalgebra._compile(tuple(fields), coords, family, None)
+    plan = _plan(fields, coords, family, None)
     assert (plan[0], len(plan[1])) == (order + 3, 4)
     assert matrix_rank_at_samples(fields, coords, family=family) == order + 7
     seen = _sampled_ranks(plan, coords)
@@ -1020,20 +1102,23 @@ def test_a_row_that_fails_the_family_identity_stays(order):
 
 def test_a_pole_cancelled_from_the_residual_still_rejects_its_points():
     """(1/u) d_t is cleared to the constant pivot 1 and leaves nothing of
-    its pole in the residual; the points with u = 0 are rejected all the
-    same, exactly those the whole matrix rejects, and on the locus u = 0,
-    where the matrix is undefined everywhere, the compile raises."""
+    its pole in the residual; the oracle's pole check rejects the points
+    with u = 0 all the same, exactly those the whole matrix rejects, the
+    compiled rank is the whole matrix's at every other point, and on the
+    locus u = 0, where the matrix is undefined everywhere, the compile
+    raises."""
     chart = JetSpace(1)
     g = build_generators("derived", 0)
     pole = VectorField(chart, {"t": parse("1/u", chart)})
     fields = (pole,) + g.prolonged(1)[:1] + g.prolonged(1)[3:4]
     coords = chart.coordinates
-    plan = eqalgebra._compile(tuple(fields), coords, None, None)
+    plan = _plan(fields, coords, None, None)
     pivots, residual, checks = plan
     assert pivots == 1 and len(residual) == 2
     assert not any("u" in f.numerator.variables()
                    for row in residual for f in row)
     assert [str(f) for f in checks] == ["u"]
+    assert matrix_rank_at_samples(fields, coords) == _exact_rank(plan) == 3
     whole = (0, [[f.coefficient(c) for c in coords] for f in fields], [])
     for seed in (1, 7, 1729):
         points = []
@@ -1095,38 +1180,40 @@ def test_an_atom_on_an_eliminated_pivot_row_leaves_the_locus_rank():
 @pytest.mark.parametrize("order", range(7))
 def test_an_early_stopped_rank_is_the_maximum_over_every_sample(source,
                                                                  order):
-    """The rank a rank call reports from its one point is the maximum over
-    all 8 points of the oracle's stream and the compiled plan's exact rank:
-    at each K in 4..8, 12 and 30 from order + 2 on, for five seeds, off the
-    special manifold and, at orders 1 to 3, on it."""
+    """The rank a rank call reports is the maximum over all 8 points of
+    the oracle's stream, seeded five ways: at each K in 4..8, 12 and 30
+    from order + 2 on, off the special manifold and, at orders 1 to 3, on
+    it."""
     for K in (k for k in (4, 5, 6, 7, 8, 12, 30) if k >= order + 2):
         g = build_generators(source, K)
         for constraint in (None, R_EXPR) if 1 <= order <= 3 else (None,):
             plan, coords = _rank_plan(g, order, constraint)
+            # the cache keeps a matrix's first rank, so the rank is also
+            # proven afresh, outside it
+            proven = eqalgebra._rank.__wrapped__(
+                *_rank_key(g, order, constraint))
+            assert proven == _exact_rank(plan)
             for seed in (1, 7, 1729, 400, 401):
                 report = (prolonged_rank(g, order, seed=seed)
                           if constraint is None else
                           rank_on_manifold(g, constraint, order, seed=seed))
                 full = max(r for _, r in _sampled_ranks(plan, coords,
                                                         seed=seed))
-                # the cache keeps a matrix's first rank, so the rank is
-                # also proven afresh, outside it, at the point this seed
-                # draws
-                proven = _proven_at(_rank_key(g, order, constraint), seed)
-                assert report.rank == proven == full == _exact_rank(plan)
+                assert report.rank == proven == full
 
 
 def test_a_rank_short_of_its_bound_at_every_point_is_the_exact_rank(
         monkeypatch):
     """d_t and (u^3 - u) d_u: d_t compiles to a constant pivot and leaves
     the 1 x 1 residual u^3 - u, which vanishes at every point of the range
-    -1..1.  A point drawn there falls short of the bound 2, and the rank is
-    the exact one over Q(jet), 2, for every seed."""
+    -1..1.  Every point drawn there reads rank 1, short of the bound 2, and
+    each rank, proven afresh by one elimination, is the exact one over
+    Q(jet), 2, for every seed."""
     chart = JetSpace(1)
     fields = (VectorField(chart, {"t": 1}),
               VectorField(chart, {"u": parse("u^3 - u", chart)}))
     coords = chart.coordinates
-    plan = eqalgebra._compile(fields, coords, None, None)
+    plan = _plan(fields, coords, None, None)
     pivots, residual, _ = plan
     assert (pivots, len(residual), len(residual[0]),
             pivots + min(len(residual), len(residual[0]))) == (1, 1, 1, 2)
@@ -1140,10 +1227,10 @@ def test_a_rank_short_of_its_bound_at_every_point_is_the_exact_rank(
     monkeypatch.setattr(eqalgebra, "_form_rank",
                         lambda rows: exact.append(rows) or form_rank(rows))
     for seed in range(5):
-        # empty caches, so that each rank is proven at this seed's point
-        _steer(monkeypatch, _drawn_point(coords, seed, 1))
+        # empty caches, so that each rank is proven here
+        fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
         assert matrix_rank_at_samples(fields, coords) == 2
-        _steer(monkeypatch, _drawn_point(coords, seed, 1))
+        fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
         report = prolonged_rank(g, 1, seed=seed)
         assert report.as_dict() == expected[seed] == {
             "order": 1, "rank": 2, "samples_used": 1, "certified": True,
@@ -1152,8 +1239,8 @@ def test_a_rank_short_of_its_bound_at_every_point_is_the_exact_rank(
 
 
 def _vanishing_on_the_range() -> CanonicalForm:
-    """P = prod_{k=-50}^{50} (u - k), zero at every integer u that a
-    rank's point can take."""
+    """P = prod_{k=-50}^{50} (u - k), zero at every integer u in
+    -50..50."""
     u = coordinate("u")
     return prod((u - k for k in range(-50, 51)), start=canonicalize(1))
 
@@ -1168,8 +1255,8 @@ def test_a_field_vanishing_at_every_drawable_point_has_rank_one():
 
 def test_a_minimal_generating_set_keeps_every_needed_member():
     """P d_u and P d_x have rank 2 over Q(jet), though both vanish at every
-    point a rank can draw; the greedy set keeps both, and dropping either
-    lowers the exact rank."""
+    integer point with u in -50..50; the greedy set keeps both, and dropping
+    either lowers the exact rank."""
     chart = JetSpace(1)
     p = _vanishing_on_the_range()
     fields = (VectorField(chart, {"u": p}), VectorField(chart, {"x": p}))
@@ -1200,16 +1287,16 @@ def test_no_rank_depends_on_its_seed(seed, source, order, wide, manifold):
     assert got.pop("seed") == seed and default.pop("seed") == 1729
     assert got == default
     # the cache keeps a matrix's first rank, so the rank is also proven
-    # afresh, outside it, at the point this seed draws
-    assert _proven_at(_rank_key(g, order, constraint),
-                      seed) == default["rank"]
+    # afresh, outside it
+    assert eqalgebra._rank.__wrapped__(
+        *_rank_key(g, order, constraint)) == default["rank"]
 
 
 def test_the_exact_rank_is_taken_over_the_rational_functions():
     """The compiled residual on the special manifold at order 1 is 3 x 3
-    with determinant zero there, so no point meets the bound 7 of its 4
-    pivots; the elimination over forms gives rank 2 for it, and the rank 6
-    is the exact one."""
+    with determinant zero there, so no point reaches 7, its 4 pivots plus
+    3; the elimination over forms gives rank 2 for it, and the rank 6 is
+    the exact one."""
     for source in Source:
         g = build_generators(source, 6)
         plan, _ = _rank_plan(g, 1, R_EXPR)

@@ -185,9 +185,10 @@ def test_single_coordinate_is_independent():
 def test_independence_is_decided_exactly_when_every_sample_misses(
         monkeypatch):
     """Q(u) with Q' = P = prod_{k=-50}^{50} (u - k): the Jacobian entry P
-    vanishes at every integer point a rank can draw, and the exact rank
-    over Q(jet) decides.  So it does for u^4/4 - u^2/2, whose entry
-    u^3 - u vanishes at every point of the range -1..1."""
+    vanishes at every integer point with u in -50..50, and the exact rank
+    over Q(jet) decides, by one elimination per verdict.  So it does for
+    u^4/4 - u^2/2, whose entry u^3 - u vanishes at every point of the
+    range -1..1."""
     chart = JetSpace(1)
     u = coordinate("u")
     p = prod((u - k for k in range(-50, 51)), start=canonicalize(1))
@@ -205,14 +206,12 @@ def test_independence_is_decided_exactly_when_every_sample_misses(
     assert functional_independence([parse("t", chart), q], chart)
     assert not functional_independence([q, q * q], chart)
     assert len(exact) == 2
-    monkeypatch.setattr(eqalgebra, "_POINT_RANGE", 1)
     candidates = [parse("t", chart), parse("u^4/4 - u^2/2", chart)]
     assert functional_independence(candidates, chart)
     assert len(exact) == 3
-    # 3*u^2 - 1 is nonzero at each point of the range: rank 1 meets its bound
     dependent = [parse("u^3 - u", chart), parse("(u^3 - u)^2", chart)]
     assert not functional_independence(dependent, chart)
-    assert len(exact) == 3
+    assert len(exact) == 4
 
 
 def test_counting_consistency(derived6):
