@@ -15,8 +15,16 @@ under each coefficient source; nothing is silently corrected.
 Every verdict of a prolonged generator on a candidate, with its weight,
 comes from one LRU cache of the process (``_verdict``) keyed by the
 field's and the candidate's values: ``is_absolute``, ``relative_weight``
-and the kernel search's re-verification read it, so a process applies a
-generator to a candidate once while the cache holds the pair.
+and the kernel search's re-verification read it, so a process decides a
+generator on a candidate once while the cache holds the pair.
+
+A verdict takes no gcd when every coefficient of the field is over 1, as
+every prolonged coefficient of both sources is.  On the reduced candidate
+F = N/D it is read from the integer polynomials X(N) and X(D): F is
+absolute exactly when X(N)*D = N*X(D), and relative exactly when N divides
+X(N) and D divides X(D), with weight X(N)/N - X(D)/D.  ``_verdict`` gives
+the proof.  A field with any other coefficient reduces X(F) and then
+X(F)/F.
 """
 
 from __future__ import annotations
@@ -24,7 +32,14 @@ from __future__ import annotations
 import functools
 
 from . import linalg
-from .canonical import ONE_FORM, CanonicalForm, canonicalize
+from .canonical import (
+    ONE_FORM,
+    CanonicalForm,
+    _POLY_ONE,
+    _derive_poly,
+    _quotient,
+    canonicalize,
+)
 from .expr import Expr, parse, to_string
 from .eqalgebra import (
     DEFAULT_K,
@@ -78,16 +93,46 @@ def _verdict(x: VectorField, form: CanonicalForm
     """How the field acts on the candidate: ("absolute", None) when
     X(F) = 0, ("relative", lambda) when X(F) = lambda * F for a polynomial
     lambda, else ("neither", None).  Kept per (field, candidate) value, so
-    a process applies a prolonged generator to a candidate once while the
-    cache holds the pair; ``apply`` is looked up in this module when
-    called."""
-    image = apply(x, form)
-    if image.is_zero():
+    a process decides a prolonged generator on a candidate once while the
+    cache holds the pair.
+
+    When every coefficient c_v of X is over 1, X maps integer polynomials
+    to integer polynomials: exp(v) stays an independent indeterminate, with
+    X(exp(v)) = c_v * exp(v).  Then the verdict on F = N/D, reduced, needs
+    no reduction:
+
+    - X(F) = (X(N)*D - N*X(D))/D^2 vanishes exactly when X(N)*D = N*X(D).
+    - X(F)/F = X(N)/N - X(D)/D = (X(N)*D - N*X(D))/(N*D).  N and D are
+      coprime, so this is a polynomial lambda iff N | X(N) and D | X(D):
+      lambda*N*D = X(N)*D - N*X(D) puts N | X(N)*D, hence N | X(N), and
+      D | N*X(D), hence D | X(D); the converse is plain.
+    - A division that holds over Q holds over the integers.  Write
+      N = c*P with c its content and P primitive.  X(c*P) = c*X(P), so
+      N | X(N) over Q means P | X(P) over Q, hence over the integers by
+      Gauss's lemma, and N | X(N) with the same quotient; likewise for D.
+      So the exact integer division ``_quotient`` finds it, and lambda =
+      X(N)/N - X(D)/D is an integer polynomial, a form over 1.
+
+    A field with any other denominator reduces X(F) by ``apply``, which is
+    looked up in this module when called, and then X(F)/F."""
+    coefficients = x.coefficients
+    if not all(c.denominator.is_one() for c in coefficients.values()):
+        image = apply(x, form)
+        if image.is_zero():
+            return "absolute", None
+        weight = image / form
+        if weight.is_polynomial():
+            return "relative", weight
+        return "neither", None
+    num, den = form.numerator, form.denominator
+    xn, _ = _derive_poly(num, coefficients)
+    xd, _ = _derive_poly(den, coefficients)
+    if xn * den == num * xd:
         return "absolute", None
-    weight = image / form
-    if weight.is_polynomial():
-        return "relative", weight
-    return "neither", None
+    by_num, by_den = _quotient(xn, num), _quotient(xd, den)
+    if by_num is None or by_den is None:
+        return "neither", None
+    return "relative", CanonicalForm(by_num - by_den, _POLY_ONE)
 
 
 class InvariantReport(Value):

@@ -54,6 +54,11 @@ CASES = {
     "invariants_verify_paper_r2_json": ["--source", "paper", "--output",
                                         "json", "invariants", "verify",
                                         "--expr", "R2"],
+    "invariants_verify_neither_text": ["invariants", "verify", "--expr",
+                                       "f_u/(2*f)"],
+    "invariants_verify_contents_json": [
+        "--output", "json", "invariants", "verify", "--expr",
+        "2*sigma^2*f_sigmasigma/(3*sigma*f_sigma - 3*f)"],
     "invariants_search_text": ["invariants", "search", "--blocks",
                                "sigma,R,sigma^2*f_sigmasigma"],
     "invariants_search_json": ["--output", "json", "invariants", "search",

@@ -1,12 +1,23 @@
+import functools
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import fresh_cache, in_integer_lattice
-from wavesym import eqalgebra, invariants
+from helpers import fresh_cache, in_integer_lattice, polynomial_text
+from wavesym import canonical, eqalgebra, invariants, vfields
 from wavesym.canonical import canonicalize, coordinate, equals
-from wavesym.expr import Const, Coord, add, mul, parse, pow_
+from wavesym.expr import (
+    Const,
+    Coord,
+    DivisionByZeroExpressionError,
+    add,
+    mul,
+    parse,
+    pow_,
+)
 from wavesym.invariants import (
     NAMED_EXPRESSIONS,
     WeightedBlock,
@@ -21,6 +32,7 @@ from wavesym.invariants import (
     weight_kernel_search,
 )
 from wavesym.jetspace import JetSpace
+from wavesym.vfields import VectorField
 
 R = NAMED_EXPRESSIONS["R"]
 R1_PRINTED = NAMED_EXPRESSIONS["R1_printed"]
@@ -36,14 +48,20 @@ def fresh_verdicts(monkeypatch):
                        _verdict.cache_info().maxsize)
 
 
-def _counted_applications(monkeypatch) -> list:
-    """The (field, candidate) pair of every ``apply`` the module makes from
-    here on."""
+def _counted_verdicts(monkeypatch, maxsize: int = 256) -> tuple[list, object]:
+    """An empty verdict cache bounded at ``maxsize`` for this test, and the
+    (field, candidate) pair of every verdict it evaluates from here on: a
+    call that misses the cache."""
     calls = []
-    apply = invariants.apply
-    monkeypatch.setattr(invariants, "apply",
-                        lambda x, f: calls.append((x, f)) or apply(x, f))
-    return calls
+    verdict = _verdict.__wrapped__
+
+    def counted(x, form):
+        calls.append((x, form))
+        return verdict(x, form)
+
+    cache = functools.lru_cache(maxsize=maxsize)(counted)
+    monkeypatch.setattr(invariants, "_verdict", cache)
+    return calls, cache
 
 
 # --- relative weights ---------------------------------------------------------
@@ -121,8 +139,8 @@ def test_absolute_invariants_form_a_field(derived6):
 def test_each_generator_is_applied_to_a_candidate_once(monkeypatch):
     """The four named candidates at K = 4..7 take 168 verdicts of 48
     distinct (prolonged field, candidate) pairs, since a generator's field
-    is the same at every K that has it: 48 applications."""
-    calls = _counted_applications(monkeypatch)
+    is the same at every K that has it: 48 evaluations."""
+    calls, _ = _counted_verdicts(monkeypatch)
     verdicts = 0
     for k in range(4, 8):
         g = eqalgebra.build_generators("derived", k)
@@ -139,9 +157,10 @@ def test_each_generator_is_applied_to_a_candidate_once(monkeypatch):
 def test_a_weight_reads_the_verdict_of_its_pair(monkeypatch, source, expr,
                                                 kinds):
     g = eqalgebra.build_generators(source, 6)
+    calls, _ = _counted_verdicts(monkeypatch)
     report = is_absolute(expr, g, 2)
     assert {kind for kind, _ in report.verdicts.values()} == kinds
-    calls = _counted_applications(monkeypatch)
+    calls.clear()
     for name, x in g.prolonged_named(2).items():
         kind, weight = report.verdicts[name]
         expected = canonicalize(0) if kind == "absolute" else weight
@@ -152,12 +171,107 @@ def test_a_weight_reads_the_verdict_of_its_pair(monkeypatch, source, expr,
 def test_the_verdict_cache_is_bounded_and_an_evicted_verdict_comes_back_equal(
         derived6, monkeypatch):
     assert _verdict.cache_info().maxsize == 256
-    cache = fresh_cache(monkeypatch, invariants, "_verdict", 2)
+    calls, cache = _counted_verdicts(monkeypatch, 2)
     first = is_absolute(R1_PRINTED, derived6, 2).verdicts
     assert len(first) > 2 and cache.cache_info().currsize == 2
-    calls = _counted_applications(monkeypatch)
+    calls.clear()
     assert is_absolute(R1_PRINTED, derived6, 2).verdicts == first
     assert len(calls) == len(first) and cache.cache_info().currsize == 2
+
+
+def test_the_named_candidates_take_no_gcd(monkeypatch):
+    """The four named candidates, as forms, at K = 4..7 on both sources:
+    336 verdicts, 80 of them evaluated, and not one gcd."""
+    forms = {name: canonicalize(e) for name, e in NAMED_EXPRESSIONS.items()}
+    sets = [eqalgebra.build_generators(source, k)
+            for source in ("derived", "paper") for k in range(4, 8)]
+    for g in sets:  # prolong before counting
+        g.prolonged_named(2)
+    calls, _ = _counted_verdicts(monkeypatch)
+    gcds = []
+    gcd = canonical.poly_gcd
+    monkeypatch.setattr(canonical, "poly_gcd",
+                        lambda p, q: gcds.append((p, q)) or gcd(p, q))
+    verdicts = 0
+    for g in sets:
+        for name, form in forms.items():
+            order = 1 if name == "R" else 2
+            verdicts += len(is_absolute(form, g, order).verdicts)
+    assert (verdicts, len(calls), len(gcds)) == (336, 80, 0)
+
+
+# --- the verdict by two exact divisions against the reduce path ---------------
+
+def _reduced_verdict(x, form):
+    """The oracle: X(F) reduced, then X(F)/F reduced."""
+    image = vfields.apply(x, form)
+    if image.is_zero():
+        return "absolute", None
+    weight = image / form
+    return ("relative", weight) if weight.is_polynomial() else ("neither", None)
+
+
+# a field whose coefficients are not all over 1, which takes the reduce path
+_FALLBACK = VectorField(JetSpace(2), {
+    v: parse(text, JetSpace(2)) for v, text in (
+        ("u", "u/(sigma + 1)"), ("sigma", "2*sigma"), ("f_sigma", "1/3"))})
+
+
+def _field(key):
+    """The prolonged generator (source, order, name) at K = 4, or the
+    fallback field."""
+    if key == "fallback":
+        return _FALLBACK
+    source, order, name = key
+    return eqalgebra.build_generators(source, 4).prolonged_named(order)[name]
+
+
+_FIELD_KEYS = ["fallback"] + [
+    (source, order, name) for source in ("derived", "paper")
+    for order in (1, 2)
+    for name in ("Y0", "Y1", "Y2", "Y3", "Y^0", "Y^1", "Y^2", "Y^3", "Y^4")]
+
+# a rational constant (integer contents != 1 on N and D) times two blocks,
+# each relative under some generators and exp atoms among them, to powers
+# -2..2, times a drawn polynomial to the power -1, 0 or 1.  The polynomial
+# makes most verdicts neither and, to the power -1, puts a numerator that
+# divides X(N) over a denominator that does not divide X(D).  Candidates
+# stay small: the oracle's gcds grow fast with them.
+_BLOCKS = ("sigma", "sigma*f_sigma - f", "f_sigmasigma", "f_u", "exp(u)",
+           "exp(sigma)", "u + 1")
+_candidate_text = st.builds(
+    lambda p, q, blocks, s, poly: f"({p}/{q})" + "".join(
+        f"*({b})^{e}" for b, e in blocks if e)
+    + (f"*({poly})^{s}" if s else ""),
+    st.integers(-6, 6).filter(bool), st.integers(1, 6),
+    st.lists(st.tuples(st.sampled_from(_BLOCKS), st.integers(-2, 2)),
+             min_size=2, max_size=2),
+    st.integers(-1, 1),
+    polynomial_text(("u", "sigma", "f", "exp(u)"), max_degree=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FIELD_KEYS), _candidate_text)
+@example(("derived", 2, "Y^2"), "2*sigma^2*f_sigmasigma/(3*sigma*f_sigma - 3*f)")
+@example(("derived", 1, "Y^2"), "(5/3)*(sigma*f_sigma - f)^2*exp(u)")
+@example(("derived", 2, "Y^1"), "f_u/(2*f)")
+@example(("paper", 1, "Y^3"), "3/(sigma*f_sigma - f)")
+@example(("derived", 1, "Y^1"), "(2/5)*u^2/(sigma + u*f_sigma)")
+@example("fallback", "(3/2)*sigma*exp(u)/(f + 1)")
+def test_the_verdict_by_two_divisions_is_the_reduced_verdict(key, text):
+    """The verdict equals the oracle's on every drawn pair; a field with
+    every coefficient over 1 is decided without ``apply``, the fallback
+    field through it."""
+    x = _field(key)
+    try:
+        form = canonicalize(parse(text, JetSpace(2)))
+    except DivisionByZeroExpressionError:
+        return
+    with mock.patch.object(invariants, "apply",
+                           side_effect=vfields.apply) as applied:
+        got = _verdict.__wrapped__(x, form)
+    assert got == _reduced_verdict(x, form)
+    assert applied.called == (key == "fallback")
 
 
 def test_the_zero_candidate_is_absolute_and_has_no_weight(derived6):
