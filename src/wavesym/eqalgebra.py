@@ -39,14 +39,15 @@ order k - 1, through one LRU cache of the process (``_prolonged``) keyed
 by value, so sets share prolongations while the cache holds them, and one
 set never prolongs a field twice, however many fields it holds.
 
-Generic ranks of prolonged coefficient matrices are exact.  Each matrix
-is first brought to one with the same rank over Q(jet) (``_compile``): the
-family rows beyond ``min_truncation`` are dropped where an exact identity
-proves them redundant, and every constant entry becomes a pivot.  A rank
-on a locus a*v + b = 0 goes through the same compiled matrix, with
-v = -b/a substituted into what is left.  The rank is the pivot count plus
-the residual's rank by one Gaussian elimination over canonical forms
-(``_form_rank``); the residual has 3 rows for K >= order + 2.  An atom
+Generic ranks of prolonged coefficient matrices are exact.  Each matrix,
+its rows cleared to integer polynomials, is brought to one with the same
+rank over Q(jet) (``_compile``): the family rows beyond ``min_truncation``
+are dropped where an exact identity proves them redundant, and every
+constant entry becomes a pivot.  A rank on a locus a*v + b = 0 goes
+through the same compiled matrix, with v = -b/a substituted into what is
+left.  The rank is the pivot count plus the residual's rank by one
+fraction-free elimination (``_pivot_rows``), which also picks the greedy
+generating set; the residual has 3 rows for K >= order + 2.  An atom
 instance exp(v) left in the residual counts as one more indeterminate,
 independent of the coordinates, as ``canonical`` treats it.  A rank is one
 integer, kept by one LRU cache of the process (``_rank``) keyed by the
@@ -61,7 +62,7 @@ import enum
 import functools
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from math import comb, lcm, prod
 
 from . import linalg
@@ -71,6 +72,7 @@ from .canonical import (
     Poly,
     _POLY_ONE,
     _add_product_terms,
+    _exact_div,
     _partial,
     _poly,
     _strip,
@@ -86,10 +88,9 @@ from .vfields import PointAction, VectorField, induce_from_point_action, prolong
 DEFAULT_SEED = 1729
 DEFAULT_K = 6
 # highest --K: at K = 300 the slowest command, `--source paper
-# verify-algebra`, takes 3.4-6.4 s (median 4.0 s) and 61 MB,
-# `invariants verify` 2.0-3.5 s (median 2.6 s) and 55 MB (20 runs each on a
-# 2-vCPU container whose speed drifted up to 1.8x, CPython 3.11);
-# verify-algebra grows about as K^2 (5.0 s at K = 500, derived source)
+# verify-algebra`, takes 3.2-4.0 s and 61 MB peak RSS, `invariants verify`
+# 0.52-0.70 s and 27 MB (10 runs each, each its own CPython 3.11 process on
+# 2 vCPUs); verify-algebra grows about as K^2
 MAX_K = 300
 # the smallest truncation the closure sweep accepts
 CLOSURE_MIN_K = 4
@@ -547,26 +548,58 @@ class RankReport(Value):
         }
 
 
-def _form_rank(rows: list[list[CanonicalForm]]) -> int:
-    """The rank over Q(jet) of a matrix of forms, by Gaussian elimination
-    on the forms themselves, in a copy of ``rows``: each step takes as its
-    pivot the nonzero entry with the fewest numerator and denominator
-    terms, the first such in row order, and clears its column from the
-    other rows."""
-    rows = list(rows)
-    rank = 0
-    while found := min(((len(e.numerator.terms) + len(e.denominator.terms),
-                         r, c) for r, row in enumerate(rows)
-                        for c, e in enumerate(row) if not e.is_zero()),
-                       default=None):
-        _, r, c = found
-        top = rows.pop(r)
-        for i, row in enumerate(rows):
-            if not row[c].is_zero():
-                a = row[c] / top[c]
-                rows[i] = [e - a * t for e, t in zip(row, top)]
-        rank += 1
-    return rank
+# a sparse row of integer polynomials: column -> terms
+_PolyRow = dict[int, dict[Monomial, int]]
+
+
+def _cleared(row: dict[int, CanonicalForm]) -> _PolyRow:
+    """A sparse row of forms, column -> form, times the product of its
+    distinct denominators, which keeps the rank; it owns its terms."""
+    dens = {e.denominator: 0 for e in row.values()
+            if not e.denominator.is_one()}
+    return {c: dict(prod((d for d in dens if d != e.denominator),
+                         start=e.numerator).terms)
+            for c, e in row.items() if not e.is_zero()}
+
+
+def _pivot_rows(rows: list[_PolyRow]) -> list[int]:
+    """The indices of the rows outside the span over Q(jet) of the rows
+    before them, by one fraction-free (Bareiss, Math. Comp. 22, 1968)
+    elimination of a copy of ``rows`` in their order.  A nonzero row left
+    becomes the next pivot row, its pivot p its entry with the fewest
+    terms, the first such; each entry x of a later row with entry a in the
+    pivot column becomes (p*x - a*y)/prev, y the pivot row's entry in x's
+    column and prev the previous pivot.  Every entry is then a minor of the
+    input (Sylvester's identity), so each division is exact.  A row zero in
+    the pivot column would only be scaled by p/prev: it is kept with the
+    pivot of its last change, ``scale``, standing for itself times
+    prev/scale."""
+    live = [(i, {c: _poly(t) for c, t in row.items()}, _POLY_ONE)
+            for i, row in enumerate(rows) if row]
+    kept: list[int] = []
+    prev = _POLY_ONE
+    zero = Poly()
+    while live:
+        (i, top, scale), *live = live
+        if scale != prev:
+            top = {c: _exact_div(y * prev, scale) for c, y in top.items()}
+        c = min(top, key=lambda c: (len(top[c].terms), c))
+        p = top.pop(c)
+        rest = []
+        for j, row, scale in live:
+            if (a := row.pop(c, None)) is not None:
+                new = {}
+                for col in row.keys() | top.keys():
+                    x = p * row.get(col, zero) - a * top.get(col, zero)
+                    if not x.is_zero():
+                        new[col] = _exact_div(x, scale)
+                row, scale = new, p
+            if row:
+                rest.append((j, row, scale))
+        live = rest
+        kept.append(i)
+        prev = p
+    return kept
 
 
 def _add_product(out: dict, a: dict, row: dict) -> None:
@@ -580,30 +613,24 @@ def _add_product(out: dict, a: dict, row: dict) -> None:
 
 
 def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
-             family, locus) -> tuple[int, list[list[CanonicalForm]]]:
+             family, locus) -> tuple[int, list[_PolyRow]]:
     """The matrix of ``fields``' coefficients on ``coords`` brought to a
     smaller one of the same rank over Q(jet): (the count of constant
-    pivots, the residual as rows of forms), the rank being the pivot count
-    plus the residual's.  Each row is cleared of denominators by the
-    product of its distinct ones.  With ``family`` = (s, J), fields s,
-    s+1, ... being Y^0, Y^1, ..., rows Y^0..Y^J become
+    pivots, the residual as rows of integer polynomials), the rank being
+    the pivot count plus the residual's.  With ``family`` = (s, J), fields
+    s, s+1, ... being Y^0, Y^1, ..., rows Y^0..Y^J become
     W'_j = sum_i C(j,i) (-u)^(j-i) Y^i, unitriangular over Q[u], and a
     later Y^m is dropped where Y^m = sum_{j<=J} C(m,j) u^(m-j) W'_j holds
     exactly (see ``min_truncation``), else kept less that sum.  Each
     nonzero constant entry, smallest first, is then eliminated
     fraction-free as a pivot, so an atom eliminated with a pivot leaves
     the rank.  With ``locus`` = (v, a, b), v = -b/a is substituted into
-    the residual, which then reads only the other coordinates, and its
-    rank is the whole matrix's rank on the locus.  That holds unless a
-    denominator of the matrix vanishes on the whole locus, where the
-    matrix is undefined: that raises DivisionByZeroExpressionError."""
-    matrix = [[f.coefficient(c) for c in coords] for f in fields]
-    rows: list[dict[int, dict[Monomial, int]]] = []
-    for row in matrix:
-        dens = {e.denominator: 0 for e in row if not e.denominator.is_one()}
-        rows.append({c: dict(prod((d for d in dens if d != e.denominator),
-                                  start=e.numerator).terms)
-                     for c, e in enumerate(row) if not e.is_zero()})
+    the residual, whose rows are cleared again and read only the other
+    coordinates; its rank is the whole matrix's rank on the locus.  That
+    holds unless a denominator of the matrix vanishes on the whole locus,
+    where it is undefined: that raises DivisionByZeroExpressionError."""
+    matrix = [dict(enumerate(map(f.coefficient, coords))) for f in fields]
+    rows = list(map(_cleared, matrix))
     if family is not None:
         s, top = family
         ys, rows[s:] = rows[s:], []
@@ -630,20 +657,18 @@ def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
                              pivot_row)
         pivots += 1
     rows = [row for row in rows if row]
-    live = sorted(set().union(*rows))
-    residual = [[CanonicalForm(_poly(row.get(c, {})), _POLY_ONE)
-                 for c in live] for row in rows]
     if locus is not None:
         v, a, b = locus
         at = {v: CanonicalForm(-b, _POLY_ONE) / CanonicalForm(a, _POLY_ONE)}
-        residual = [[f.substitute(at) for f in row] for row in residual]
-        poles = {e.denominator for row in matrix for e in row
+        rows = [_cleared({c: CanonicalForm(_poly(t), _POLY_ONE).substitute(at)
+                          for c, t in row.items()}) for row in rows]
+        poles = {e.denominator for row in matrix for e in row.values()
                  if not e.denominator.is_const()}
         if any(CanonicalForm(d, _POLY_ONE).substitute(at).is_zero()
                for d in poles):
             raise DivisionByZeroExpressionError(
                 "a denominator of the matrix vanishes on the whole locus")
-    return pivots, residual
+    return pivots, rows
 
 
 # keyed by value, so a set binding its names to other fields gets its own
@@ -656,9 +681,9 @@ def _rank(fields: tuple[VectorField, ...], coords: tuple[str, ...],
           family, locus) -> int:
     """The rank over Q(jet) of the fields' matrix: the pivot count of its
     compiled form (``_compile``) plus the residual's rank by one exact
-    elimination (``_form_rank``)."""
+    elimination (``_pivot_rows``)."""
     pivots, residual = _compile(fields, coords, family, locus)
-    return pivots + _form_rank(residual)
+    return pivots + len(_pivot_rows(residual))
 
 
 def matrix_rank_at_samples(
@@ -754,48 +779,20 @@ def rank_on_manifold(
     return RankReport(order, rank, seed, len(coords))
 
 
-def minimal_generating_set(
-    g: GeneratorSet,
-    order: int,
-    *,
-    exhaustive: bool = False,
-) -> tuple[str, ...]:
+def minimal_generating_set(g: GeneratorSet, order: int) -> tuple[str, ...]:
     """A subset of generators whose prolongation keeps the full generic
     rank (``prolonged_rank``), with as many members as that rank.
 
-    By default the names are scanned from the last: a generator is kept
-    when it raises the exact rank of those already kept, and the scan
-    stops once they reach the full rank.  The members kept are independent
-    and span every row, so none can be dropped.  This is the set that
-    dropping members front to back, each where the rest keep the full
-    rank, would leave, since that drops a member exactly when it lies in
-    the span of the members after it.  With a full rank of 0 it is the
-    last name.  ``exhaustive=True`` returns the first subset, by size and
-    then in name order, that keeps the full rank (only for up to 10
-    generators).  Subsets are ranked outside ``_rank``, whose cache the
-    rank commands share.
-    """
-    prolonged = g.prolonged(order)
-    fields = dict(zip(g.names, prolonged))
-    coords = _chart(prolonged, order)
-    full_rank = prolonged_rank(g, order).rank
-
-    def rank_of(names) -> int:
-        return _rank.__wrapped__(tuple(fields[n] for n in names), coords,
-                                 None, None)
-
-    if exhaustive:
-        if len(g.names) > 10:
-            raise ValueError("exhaustive search is limited to 10 generators")
-        # no subset of fewer members reaches the full rank
-        for size in range(max(full_rank, 1), len(g.names) + 1):
-            for combo in combinations(g.names, size):
-                if rank_of(combo) == full_rank:
-                    return combo
-    kept: tuple[str, ...] = ()
-    for name in reversed(g.names):
-        if len(kept) == full_rank:
-            break
-        if rank_of((name,) + kept) > len(kept):
-            kept = (name,) + kept
-    return kept or g.names[-1:]
+    A generator is kept when its row lies outside the span over Q(jet) of
+    the rows after it, by one elimination (``_pivot_rows``) of the rows in
+    reverse name order.  The members kept are independent and span every
+    row, so none can be dropped.  This is the set that dropping members
+    front to back, each where the rest keep the full rank, would leave,
+    since that drops a member exactly when it lies in the span of the
+    members after it.  With a full rank of 0 it is the last name."""
+    fields = g.prolonged(order)
+    coords = _chart(fields, order)
+    last = len(fields) - 1
+    kept = _pivot_rows([_cleared(dict(enumerate(map(f.coefficient, coords))))
+                        for f in reversed(fields)])
+    return tuple(g.names[last - i] for i in reversed(kept)) or g.names[-1:]

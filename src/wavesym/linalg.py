@@ -8,9 +8,9 @@ bracket decompositions of ``eqalgebra`` and the weight kernels of
 by ``integer_row`` first, which keeps the rank) and brings them to echelon
 form by fraction-free (Bareiss) elimination, whose entries are minors of
 the integer matrix, so every division is exact.  Nothing in the package
-calls ``rank`` or ``rref``: generic ranks are eliminations over forms
-(``eqalgebra._rank``), and both stay while the benchmark's per-layer
-metrics name them; the tests also take ``rank`` as their oracle.
+calls ``rank`` or ``rref``: generic ranks are eliminations over integer
+polynomials (``eqalgebra._pivot_rows``), and both stay while the
+benchmark's per-layer metrics name them; the tests take ``rank`` as oracle.
 """
 
 from __future__ import annotations

@@ -3,13 +3,13 @@
 import functools
 import random
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 from hypothesis import strategies as st
 
 from wavesym import linalg
-from wavesym.canonical import EvaluationPlan, canonicalize, equals
+from wavesym.canonical import (CanonicalForm, EvaluationPlan, Poly,
+                               canonicalize, equals)
 from wavesym.expr import ZeroDenominatorError
 from wavesym.jetspace import JetSpace
 from wavesym.vfields import VectorField
@@ -118,13 +118,19 @@ def drawn_point(coords, seed, coordinate_range) -> dict[str, int]:
 
 
 def integer_rows(rows, checks, point) -> list[list[int]]:
-    """The rows of forms at ``point`` as integer rows, each scaled by
-    ``linalg.integer_row``, which keeps the rank; ZeroDenominatorError at a
-    pole of a form or a zero of a pole check.  One ``EvaluationPlan``
-    evaluates the rows and then the checks."""
-    w = len(rows[0]) if rows else 1
-    n = len(rows) * w
-    nums, dens = EvaluationPlan(list(chain(*rows, checks))).at(point)
+    """Sparse rows, column -> entry, at ``point`` as dense integer rows over
+    the columns any row holds, each scaled by ``linalg.integer_row``,
+    which keeps the rank; ZeroDenominatorError at a pole of a form or a
+    zero of a pole check.  An entry is a form, or the terms of an integer
+    polynomial, taken as a form over 1.  One ``EvaluationPlan`` evaluates
+    the rows and then the checks."""
+    cols = sorted(set().union(*rows))
+    w = len(cols) or 1
+    n = len(rows) * len(cols)
+    entries = [CanonicalForm(Poly(e), Poly.const(1)) if isinstance(e, dict)
+               else canonicalize(e)
+               for row in rows for e in (row.get(c, 0) for c in cols)]
+    nums, dens = EvaluationPlan(entries + list(checks)).at(point)
     if 0 in nums[n:]:
         raise ZeroDenominatorError("zero denominator at evaluation point")
     return [linalg.integer_row(list(zip(nums[i:i + w], dens[i:i + w])))

@@ -211,7 +211,7 @@ def test_a_compiled_matrix_keeps_its_rank(monkeypatch):
     first = prolonged_rank(g, 2, seed=1)
     assert compiled == [JetSpace(2).coordinates]
     with monkeypatch.context() as patch:
-        for name in ("_compile", "_form_rank"):
+        for name in ("_compile", "_pivot_rows"):
             patch.setattr(eqalgebra, name, mock.Mock(
                 side_effect=AssertionError("ranked a kept rank")))
         again = prolonged_rank(g, 2, seed=7)
@@ -225,12 +225,12 @@ def test_a_compiled_matrix_keeps_its_rank(monkeypatch):
 
 
 def test_a_minimal_generating_set_leaves_the_rank_cache_alone(monkeypatch):
-    """Subsets are ranked outside ``_rank``'s cache: after the exhaustive
-    search, the rank the set had before is still a cache hit."""
+    """The greedy rows are ranked outside ``_rank``'s cache: after the
+    greedy set, the rank the set had before is still a cache hit."""
     cache = fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
     g = build_generators("derived", 5)
     rank = prolonged_rank(g, 3)
-    assert minimal_generating_set(g, 3, exhaustive=True)
+    assert minimal_generating_set(g, 3)
     assert cache.cache_info().currsize == 1
     hits = cache.cache_info().hits
     assert prolonged_rank(g, 3) == rank
@@ -249,9 +249,9 @@ def test_a_set_gets_the_rank_of_its_own_fields(monkeypatch):
     swapped = GeneratorSet(Source.DERIVED, 0, ("Y0", "Y3"), (y3, y0), 0)
     coords = JetSpace(2).coordinates
     eliminated = []
-    form_rank = eqalgebra._form_rank
-    monkeypatch.setattr(eqalgebra, "_form_rank", lambda rows: (
-        eliminated.append(rows) or form_rank(rows)))
+    pivot_rows = eqalgebra._pivot_rows
+    monkeypatch.setattr(eqalgebra, "_pivot_rows", lambda rows: (
+        eliminated.append(rows) or pivot_rows(rows)))
 
     def rows_of(gens):
         prolonged_rank(gens, 2)
@@ -750,16 +750,6 @@ def test_singleton_is_kept():
     assert minimal_generating_set(single, 1) == ("A",)
 
 
-def test_exhaustive_matches_greedy_rank(derived6):
-    g = build_generators("derived", 3)
-    greedy = minimal_generating_set(g, 1)
-    exhaustive = minimal_generating_set(g, 1, exhaustive=True)
-    assert len(exhaustive) <= len(greedy)
-    sub = GeneratorSet(g.source, g.truncation, exhaustive,
-                       tuple(g.field_named(n) for n in exhaustive), g.base_order)
-    assert prolonged_rank(sub, 1).rank == prolonged_rank(g, 1).rank
-
-
 def _deletion_reference(g: GeneratorSet, order: int) -> tuple[str, ...]:
     """The greedy set by deletion front to back: each member is dropped
     when the rest keep the full exact rank, while more than one is left."""
@@ -805,13 +795,35 @@ def test_the_greedy_set_is_the_one_deletion_leaves(source):
 
 def test_a_set_of_zero_fields_keeps_one_name():
     """With full rank 0 the greedy set is the last name, as deletion front
-    to back leaves it, and the exhaustive search the first name."""
+    to back leaves it."""
     chart = JetSpace(1)
     zero = VectorField(chart, {})
     g = GeneratorSet(Source.PAPER_PRINTED, 0, ("A", "B", "C"), (zero,) * 3, 1)
     assert prolonged_rank(g, 1).rank == 0
     assert minimal_generating_set(g, 1) == ("C",) == _deletion_reference(g, 1)
-    assert minimal_generating_set(g, 1, exhaustive=True) == ("A",)
+
+
+def _family_names(first: int, last: int) -> tuple[str, ...]:
+    return tuple(f"Y^{k}" for k in range(first, last + 1))
+
+
+@pytest.mark.parametrize("source", list(Source))
+@pytest.mark.parametrize("K, order, expected", [
+    (8, 6, ("Y1", "Y2", "Y3") + _family_names(0, 8)),
+    (30, 3, ("Y1", "Y2", "Y3") + _family_names(25, 30)),
+    (5, 1, ("Y1", "Y2", "Y3") + _family_names(2, 5)),
+], ids=["K8-order6", "K30-order3", "K5-order1"])
+def test_greedy_sets_are_pinned(source, K, order, expected):
+    """The greedy sets as the scan that ranked each trial subset on its own
+    found them, written out, so that they do not rest on the elimination
+    that both the greedy set and ``_deletion_reference`` rank with; each
+    has as many members as the full rank, and keeps it alone."""
+    g = build_generators(source, K)
+    assert minimal_generating_set(g, order) == expected
+    assert len(expected) == prolonged_rank(g, order).rank
+    sub = GeneratorSet(g.source, K, expected,
+                       tuple(map(g.field_named, expected)), g.base_order)
+    assert prolonged_rank(sub, order).rank == len(expected)
 
 
 # --- invariant counts and the truncation rule -------------------------------
@@ -885,24 +897,23 @@ def test_an_atom_left_in_the_residual_is_an_indeterminate():
     two = (diagonal, field(u="exp(u)", sigma="exp(sigma)"))
     pivots, residual = eqalgebra._compile(two, coords, None, None)
     assert pivots == 1
-    assert [str(f) for row in residual for f in row] == [
-        "-exp(u) + exp(sigma)"]
+    assert _texts(residual) == ["-exp(u) + exp(sigma)"]
     assert matrix_rank_at_samples(two, coords) == 2
     assert matrix_rank_at_samples(
         [diagonal, field(u="exp(u)", sigma="exp(u)")], coords) == 1
 
 
 def test_the_exact_elimination_leaves_its_rows():
-    """``_form_rank`` eliminates a copy of the residual: ranking one
-    compiled residual twice reads the same rank, and the list is as it
-    was.  The order-0 derived matrix at K = 4 has rank 5."""
+    """``_pivot_rows`` eliminates a copy of the residual: ranking one
+    compiled residual twice reads the same rank, and the rows are as they
+    were.  The order-0 derived matrix at K = 4 has rank 5."""
     pivots, residual = eqalgebra._compile(
         *_rank_key(build_generators("derived", 4), 0))
-    before = [list(row) for row in residual]
-    first = eqalgebra._form_rank(residual)
-    assert eqalgebra._form_rank(residual) == first
+    before = [{c: dict(terms) for c, terms in row.items()} for row in residual]
+    first = eqalgebra._pivot_rows(residual)
+    assert eqalgebra._pivot_rows(residual) == first
     assert residual == before
-    assert pivots + first == 5
+    assert pivots + len(first) == 5
 
 
 def test_sampling_exhausted():
@@ -983,9 +994,21 @@ def _rank_plan(g, order, constraint=None):
 
 def _exact_rank(plan) -> int:
     """The rank over Q(jet) of a compiled matrix: its pivot count plus the
-    residual's rank by ``_form_rank``."""
+    residual's rank by ``_pivot_rows``."""
     pivots, residual, _ = plan
-    return pivots + eqalgebra._form_rank(residual)
+    return pivots + len(eqalgebra._pivot_rows(residual))
+
+
+def _texts(rows) -> list[str]:
+    """The entries of sparse rows of integer polynomials as text, row by
+    row in column order."""
+    return [str(CanonicalForm(Poly(row[c]), Poly.const(1)))
+            for row in rows for c in sorted(row)]
+
+
+def _width(rows) -> int:
+    """The count of columns that sparse rows hold."""
+    return len(set().union(*rows))
 
 
 class _NoPointFound(Exception):
@@ -1115,11 +1138,12 @@ def test_a_pole_cancelled_from_the_residual_still_rejects_its_points():
     plan = _plan(fields, coords, None, None)
     pivots, residual, checks = plan
     assert pivots == 1 and len(residual) == 2
-    assert not any("u" in f.numerator.variables()
-                   for row in residual for f in row)
+    assert not any("u" in Poly(terms).variables()
+                   for row in residual for terms in row.values())
     assert [str(f) for f in checks] == ["u"]
     assert matrix_rank_at_samples(fields, coords) == _exact_rank(plan) == 3
-    whole = (0, [[f.coefficient(c) for c in coords] for f in fields], [])
+    whole = (0, [dict(enumerate(map(f.coefficient, coords)))
+                 for f in fields], [])
     for seed in (1, 7, 1729):
         points = []
         for p in (plan, whole):
@@ -1215,17 +1239,17 @@ def test_a_rank_short_of_its_bound_at_every_point_is_the_exact_rank(
     coords = chart.coordinates
     plan = _plan(fields, coords, None, None)
     pivots, residual, _ = plan
-    assert (pivots, len(residual), len(residual[0]),
-            pivots + min(len(residual), len(residual[0]))) == (1, 1, 1, 2)
-    assert [str(f) for row in residual for f in row] == ["u^3 - u"]
+    assert (pivots, len(residual), _width(residual),
+            pivots + min(len(residual), _width(residual))) == (1, 1, 1, 2)
+    assert _texts(residual) == ["u^3 - u"]
     g = GeneratorSet(Source.PAPER_PRINTED, 0, ("T", "U"), fields, 1)
     expected = [prolonged_rank(g, 1, seed=s).as_dict() for s in range(5)]
     assert {r for _, r in _sampled_ranks(plan, coords,
                                          coordinate_range=1)} == {1}
     exact = []
-    form_rank = eqalgebra._form_rank
-    monkeypatch.setattr(eqalgebra, "_form_rank",
-                        lambda rows: exact.append(rows) or form_rank(rows))
+    pivot_rows = eqalgebra._pivot_rows
+    monkeypatch.setattr(eqalgebra, "_pivot_rows",
+                        lambda rows: exact.append(rows) or pivot_rows(rows))
     for seed in range(5):
         # empty caches, so that each rank is proven here
         fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
@@ -1263,7 +1287,6 @@ def test_a_minimal_generating_set_keeps_every_needed_member():
     g = GeneratorSet(Source.PAPER_PRINTED, 0, ("P", "Q"), fields, 1)
     assert prolonged_rank(g, 1).rank == 2
     assert minimal_generating_set(g, 1) == ("P", "Q")
-    assert minimal_generating_set(g, 1, exhaustive=True) == ("P", "Q")
     for kept in fields:
         single = GeneratorSet(Source.PAPER_PRINTED, 0, ("P",), (kept,), 1)
         assert prolonged_rank(single, 1).rank == 1
@@ -1301,11 +1324,114 @@ def test_the_exact_rank_is_taken_over_the_rational_functions():
         g = build_generators(source, 6)
         plan, _ = _rank_plan(g, 1, R_EXPR)
         pivots, residual, _ = plan
-        assert (pivots, len(residual), len(residual[0]),
-                pivots + min(len(residual), len(residual[0]))) == (4, 3, 3, 7)
+        assert (pivots, len(residual), _width(residual),
+                pivots + min(len(residual), _width(residual))) == (4, 3, 3, 7)
         assert _exact_rank(plan) == 6
         assert rank_on_manifold(g, R_EXPR, 1).rank == 6
-    rows = [[canonicalize(parse(e, JetSpace(1))) for e in row] for row in (
-        ("u", "sigma", "u*sigma"), ("u^2", "u*sigma", "u^2*sigma"),
-        ("1/u", "sigma/u^2", "f"))]
-    assert eqalgebra._form_rank(rows) == 2
+    rows = [{c: canonicalize(parse(e, JetSpace(1))) for c, e in enumerate(row)}
+            for row in (("u", "sigma", "u*sigma"), ("u^2", "u*sigma", "u^2*sigma"),
+                        ("1/u", "sigma/u^2", "f"))]
+    assert len(eqalgebra._pivot_rows(list(map(eqalgebra._cleared, rows)))) == 2
+
+
+# --- the fraction-free elimination against sympy ----------------------------
+
+# the generators of the drawn polynomials: two coordinates and an atom
+_ELIMINATION_GENS = ("u", "sigma", "exp(u)")
+_COLUMNS = 4
+
+# a polynomial as its terms, (coefficient, exponent of each generator)
+_poly_terms = st.lists(
+    st.tuples(st.integers(-3, 3).filter(bool),
+              st.tuples(*[st.integers(0, 2)] * len(_ELIMINATION_GENS))),
+    max_size=3)
+# rows over four columns, column -> terms, and rows put in among them:
+# (position, kind, row a, row b, terms p, terms q), where a "repeat" is a
+# copy of row a and a "combination" is p*a + q*b, both in the span of the
+# rows drawn
+_drawn_rows = st.tuples(
+    st.lists(st.dictionaries(st.integers(0, _COLUMNS - 1), _poly_terms,
+                             max_size=_COLUMNS), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 8),
+                       st.sampled_from(("zero", "repeat", "combination")),
+                       st.integers(0, 3), st.integers(0, 3), _poly_terms,
+                       _poly_terms), max_size=3))
+
+
+def _realized(drawn, entry) -> list[dict]:
+    """The drawn rows with each polynomial built by ``entry`` from its
+    terms, and the rows put in among them built by that arithmetic."""
+    base, extra = drawn
+    rows = [{c: entry(t) for c, t in row.items()} for row in base]
+    out = list(rows)
+    zero = entry([])
+    for at, kind, a, b, p, q in extra:
+        a, b = rows[a % len(rows)], rows[b % len(rows)]
+        if kind == "zero":
+            row = {}
+        elif kind == "repeat":
+            row = dict(a)
+        else:
+            row = {c: entry(p) * a.get(c, zero) + entry(q) * b.get(c, zero)
+                   for c in range(_COLUMNS)}
+        out.insert(min(at, len(out)), row)
+    return out
+
+
+def _poly_of(terms) -> Poly:
+    return sum((prod((Poly.var(g) ** e
+                      for g, e in zip(_ELIMINATION_GENS, exps)),
+                     start=Poly.const(c)) for c, exps in terms), Poly())
+
+
+# the second pivot, u*exp(u) - sigma, divides the third step; the fourth
+# row is independent and the fifth in the span of the first and third
+_NON_CONSTANT_PIVOT = (
+    [{0: [(1, (1, 0, 0))], 1: [(1, (0, 0, 0))]},
+     {0: [(1, (0, 1, 0))], 1: [(1, (0, 0, 1))]},
+     {0: [(1, (0, 0, 0))], 1: [(1, (0, 1, 0))],
+      2: [(1, (1, 0, 0)), (1, (0, 0, 0))], 3: [(1, (0, 0, 0))]},
+     {0: [(1, (1, 0, 0))], 2: [(1, (0, 1, 0))], 3: [(1, (0, 0, 1))]}],
+    [(4, "combination", 0, 2, [(1, (0, 1, 0))], [(2, (0, 0, 1))])])
+# the second drawn row is zero in the first pivot column, so it keeps its
+# old scale while the third is eliminated, and is brought up to date as the
+# second pivot row
+_STALE_ROW = (
+    [{0: [(1, (1, 0, 0))]}, {1: [(1, (0, 1, 0))], 2: [(1, (0, 0, 0))]},
+     {0: [(1, (0, 0, 0))], 1: [(1, (1, 0, 0))]},
+     {1: [(1, (0, 0, 0))], 2: [(1, (0, 1, 0))], 3: [(1, (0, 0, 1))]}],
+    [(0, "zero", 0, 0, [], []), (5, "repeat", 3, 0, [], [])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_drawn_rows)
+@example(drawn=_NON_CONSTANT_PIVOT)
+@example(drawn=_STALE_ROW)
+def test_the_pivot_rows_are_those_outside_the_span_before_them(drawn):
+    """``_pivot_rows`` returns the indices of the rows that raise sympy's
+    exact rank over Q(u, sigma, exp(u)) of the rows before them, on zero,
+    repeated and dependent rows, and leaves its input rows as they were."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    gens = sympy.symbols("u sigma exp_u")
+    ring = sympy.ZZ[gens]
+
+    def sympy_entry(terms):
+        return sum((c * prod(g ** e for g, e in zip(gens, exps))
+                    for c, exps in terms), sympy.Integer(0))
+
+    def exact_rank(rows) -> int:
+        if not rows:
+            return 0
+        return DomainMatrix(
+            [[ring.from_sympy(row.get(c, 0)) for c in range(_COLUMNS)]
+             for row in rows], (len(rows), _COLUMNS), ring).to_field().rank()
+
+    rows = [{c: dict(p.terms) for c, p in row.items() if not p.is_zero()}
+            for row in _realized(drawn, _poly_of)]
+    oracle = _realized(drawn, sympy_entry)
+    before = [{c: dict(t) for c, t in row.items()} for row in rows]
+    kept = eqalgebra._pivot_rows(rows)
+    assert rows == before
+    ranks = [exact_rank(oracle[:i]) for i in range(len(oracle) + 1)]
+    assert kept == [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]

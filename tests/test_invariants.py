@@ -314,9 +314,9 @@ def test_independence_is_decided_exactly_when_every_sample_misses(
     # an empty rank cache, so that each rank is proven here
     fresh_cache(monkeypatch, eqalgebra, "_rank", 48)
     exact = []
-    form_rank = eqalgebra._form_rank
-    monkeypatch.setattr(eqalgebra, "_form_rank",
-                        lambda rows: exact.append(rows) or form_rank(rows))
+    pivot_rows = eqalgebra._pivot_rows
+    monkeypatch.setattr(eqalgebra, "_pivot_rows",
+                        lambda rows: exact.append(rows) or pivot_rows(rows))
     assert functional_independence([parse("t", chart), q], chart)
     assert not functional_independence([q, q * q], chart)
     assert len(exact) == 2
