@@ -33,17 +33,24 @@ of two members decomposes into members only.
 ``build_generators`` returns one set per (source, truncation) while an
 LRU cache of the process (``_generator_set``) holds it, so the set's
 prolonged and flattened fields, span basis and commutator table serve
-every later caller at that (source, truncation).  ``GeneratorSet.prolonged``
-builds a field at order k by one step of the recursion from the set's own
-order k - 1, through one LRU cache of the process (``_prolonged``) keyed
-by value, so sets share prolongations while the cache holds them, and one
-set never prolongs a field twice, however many fields it holds.
+every later caller at that (source, truncation).  Prolongation is linear
+in the jet of phi, so at order k only Y^0..Y^J carry information,
+J = k + 2 (``min_truncation``), and every later member is their exact
+combination over Q[u] (``_combined``; the proof is ``GeneratorSet``'s).
+The derived family induces Y^0, Y^1 and Y^2 alone.  At each order a set
+prolongs only the statics and Y^0..Y^J (``GeneratorSet.prolonged_prefix``),
+each by one step of the recursion from the set's own order k - 1, through
+one LRU cache of the process (``_prolonged``) keyed by value, so sets
+share prolongations while the cache holds them, and one set never prolongs
+a field twice, however many fields it holds.
 
-Generic ranks of prolonged coefficient matrices are exact.  Each matrix,
-its rows cleared to integer polynomials, is brought to one with the same
-rank over Q(jet) (``_compile``): the family rows beyond ``min_truncation``
-are dropped where an exact identity proves them redundant, and every
-constant entry becomes a pivot.  A rank on a locus a*v + b = 0 goes
+Generic ranks of prolonged coefficient matrices are exact.  A set's rank
+is that of its prefix, the statics and Y^0..Y^J, since every later member
+is a combination of those.  Each matrix, its rows cleared to integer
+polynomials, is brought to one with the same rank over Q(jet)
+(``_compile``): the family rows beyond ``min_truncation`` are dropped
+where an exact identity proves them redundant, and every constant entry
+becomes a pivot.  A rank on a locus a*v + b = 0 goes
 through the same compiled matrix, with v = -b/a substituted into what is
 left.  The rank is the pivot count plus the residual's rank by one
 fraction-free elimination (``_pivot_rows``), which also picks the greedy
@@ -60,6 +67,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
@@ -73,6 +81,7 @@ from .canonical import (
     _POLY_ONE,
     _add_product_terms,
     _exact_div,
+    _normalized,
     _partial,
     _poly,
     _strip,
@@ -88,9 +97,10 @@ from .vfields import PointAction, VectorField, induce_from_point_action, prolong
 DEFAULT_SEED = 1729
 DEFAULT_K = 6
 # highest --K: at K = 300 the slowest command, `--source paper
-# verify-algebra`, takes 3.2-4.0 s and 61 MB peak RSS, `invariants verify`
-# 0.52-0.70 s and 27 MB (10 runs each, each its own CPython 3.11 process on
-# 2 vCPUs); verify-algebra grows about as K^2
+# verify-algebra`, takes 3.6-5.6 s and 61 MB peak RSS, `invariants verify`
+# 0.44-0.60 s and 28 MB, `rank --order 6` 0.11-0.27 s and 21 MB (6 runs
+# each, each its own CPython 3.11 process on 2 vCPUs); verify-algebra grows
+# about as K^2
 MAX_K = 300
 # the smallest truncation the closure sweep accepts
 CLOSURE_MIN_K = 4
@@ -137,10 +147,21 @@ def _derived_static(name: str) -> VectorField:
 
 
 # holds the whole family up to MAX_K, so a set built again at any --K
-# induces no member twice
+# builds no member twice
 @functools.lru_cache(maxsize=MAX_K + 1)
 def _derived_family(k: int) -> VectorField:
-    return induce_from_point_action(PointAction(0, 0, _u_power(k, 0)))
+    """Y^k, induced from the point action u -> u + eps*phi(u) at phi = u^k
+    for k <= 2 and the combination of Y^0, Y^1, Y^2 above (``_combined``).
+    The action leaves t and x alone and moves u_t, u_x by phi' u_t,
+    phi' u_x and u_tt, u_xx by phi' u_tt + phi'' u_t^2,
+    phi' u_xx + phi'' u_x^2, so the induced field is phi d_u +
+    2 phi' sigma d_sigma + (phi' f + phi'' sigma) d_f: linear in phi, phi'
+    and phi'' with phi-free coefficients, which is what the combination
+    needs (see ``GeneratorSet``)."""
+    top = min_truncation(0)
+    if k <= top:
+        return induce_from_point_action(PointAction(0, 0, _u_power(k, 0)))
+    return _combined(tuple(map(_derived_family, range(top + 1))), k)
 
 
 def _printed_static(name: str) -> VectorField:
@@ -176,6 +197,39 @@ def _printed_family(k: int) -> VectorField:
     })
 
 
+def _combined(ys: tuple[VectorField, ...], m: int) -> VectorField:
+    """Y^m for m > J from ``ys`` = Y^0..Y^J of a family on one chart:
+    sum_{i<=J} (-1)^(J-i) C(m,i) C(m-i-1, J-i) u^(m-i) Y^i.  That is
+    Y^m = sum_{j<=J} C(m,j) u^(m-j) W'_j with the W'_j of the unitriangular
+    change W'_j = sum_i C(j,i) (-u)^(j-i) Y^i (see ``_compile``) put in, as
+    sum_{j=i}^{J} (-1)^(j-i) C(m,j) C(j,i) = (-1)^(J-i) C(m,i) C(m-i-1, J-i).
+    It equals the member prolonged on its own wherever the family is
+    linear in phi, ..., phi^(J) (see ``GeneratorSet``).  The numerators
+    over one denominator are summed as integer polynomials, and the sums
+    over distinct denominators as forms."""
+    top = len(ys) - 1
+    sums: defaultdict[str, dict[Poly, dict[Monomial, int]]] = defaultdict(dict)
+    for i, y in enumerate(ys):
+        c = (-1) ** (top - i) * comb(m, i) * comb(m - i - 1, top - i)
+        scale = {mono("u", m - i): c}
+        for v, e in y.coefficients.items():
+            _add_product_terms(sums[v].setdefault(e.denominator, {}), scale,
+                               e.numerator.terms)
+    return VectorField(ys[0].space, {
+        v: functools.reduce(operator.add, (_normalized(_poly(terms), d)
+                                           for d, terms in by_den.items()))
+        for v, by_den in sums.items()})
+
+
+def _family_start(names: tuple[str, ...]) -> int:
+    """The index s from which ``names`` are Y^0, Y^1, ..., len(names) when
+    they do not end in Y^0."""
+    k = sum(n.startswith(FAMILY_PREFIX) for n in names)
+    if names[len(names) - k:] == tuple(map(family_name, range(k))):
+        return len(names) - k
+    return len(names)
+
+
 class GeneratorSet(Value):
     """The generators [Y0, Y1, Y2, Y3, Y^0, ..., Y^K] for one source.
 
@@ -183,6 +237,25 @@ class GeneratorSet(Value):
     authoritative: 0 for the derived source (everything above is produced by
     the prolongation recursion), 1 for the printed source (the published
     first-order coefficients are data, not recomputed).
+
+    A family member past Y^J is built from Y^0..Y^J (``_combined``), not
+    prolonged on its own.  The proof: let J0 = min_truncation(base_order),
+    2 for the derived and 3 for the printed source.  A set decides once, at
+    its base order, whether every base member Y^m with m > J0 equals the
+    combination of Y^0..Y^J0 (``_family_top``); every set that
+    ``build_generators`` returns does.  Then, with the fields
+    A_j = W'_j / j! of that change of basis, free of phi, every base member
+    is Y^m = X_phi = sum_{j<=J0} phi^(j)(u) A_j at phi = u^m, for
+    phi^(j) = j! C(m,j) u^(m-j).  The zeta recursion (``prolong``) is linear
+    in the field, and a total derivative takes phi^(j)(u) a to
+    phi^(j+1)(u) a + phi^(j)(u) D_u a along u and to phi^(j)(u) D_sigma a
+    along sigma.  So each order above the base adds at most phi^(J+1):
+    prolonged to order k, X_phi = sum_{j<=J} phi^(j)(u) A_j^(k) with
+    A_j^(k) free of phi and J = J0 + max(k - base_order, 0), and putting
+    phi = u^m in commutes with the recursion.  Hence at order k, too, every
+    Y^m with m > J is the combination of Y^0..Y^J, whose A_j^(k) give the
+    same W'_j for every m.  A set that fails the check (a hand-built one)
+    takes J = K, and so prolongs every member on its own.
     """
 
     _fields = ("source", "truncation", "names", "base_fields", "base_order")
@@ -194,21 +267,67 @@ class GeneratorSet(Value):
         set_field(self, "names", names)
         set_field(self, "base_fields", base_fields)
         set_field(self, "base_order", base_order)
-        # prolonged fields by order (so a set outgrowing ``_prolonged``
-        # prolongs no field twice), and "flat", "span" and "brackets"; not
-        # compared
+        # the prolonged fields by order and the prefixes by ("prefix",
+        # order) (so a set outgrowing ``_prolonged`` prolongs no field
+        # twice), and "top", "flat", "span" and "brackets"; not compared
         set_field(self, "_cache", {})
 
     def field_named(self, name: str) -> VectorField:
         return self.base_fields[self.names.index(name)]
 
-    def prolonged(self, order: int) -> tuple[VectorField, ...]:
-        if order not in self._cache:
-            below = (self.prolonged(order - 1) if order > self.base_order + 1
-                     else self.base_fields)
+    def _family_top(self) -> tuple[int, int]:
+        """(s, J0): the family Y^0, Y^1, ... starts at field s, and every
+        base member past Y^J0 is the combination of Y^0..Y^J0, checked once
+        per set; J0 is K when that check fails."""
+        key = "top"
+        if key not in self._cache:
+            s = _family_start(self.names)
+            ys = self.base_fields[s:]
+            top = min_truncation(self.base_order)
+            if len({y.space for y in ys}) > 1 or not all(
+                    _combined(ys[:top + 1], m) == ys[m]
+                    for m in range(top + 1, len(ys))):
+                top = len(ys) - 1
+            self._cache[key] = s, top
+        return self._cache[key]
+
+    def prolonged_prefix(self, order: int) -> tuple[VectorField, ...]:
+        """The fields up to Y^J prolonged to ``order``, each on its own,
+        J = J0 + max(order - base_order, 0) (see the class): every field of
+        a set that fails the check.  The family members past
+        it are combinations of these, so they leave every rank alone."""
+        key = ("prefix", order)
+        if key not in self._cache:
+            s, top = self._family_top()
+            n = min(len(self.names),
+                    s + top + max(order - self.base_order, 0) + 1)
+            if order > self.base_order + 1:
+                below = self.prolonged_prefix(order - 1)
+                # one member more than the order below, combined there
+                below += tuple(_combined(below[s:], m)
+                               for m in range(len(below) - s, n - s))
+            else:
+                below = self.base_fields[:n]
             given = max(order - 1, self.base_order)
-            self._cache[order] = tuple(_prolonged(f, order, given)
-                                       for f in below)
+            self._cache[key] = tuple(_prolonged(f, order, given)
+                                     for f in below)
+        return self._cache[key]
+
+    def prolonged(self, order: int) -> tuple[VectorField, ...]:
+        """Every field prolonged to ``order``: the prefix, and each family
+        member past it combined from the prefix's (``_combined``), or,
+        at or below the base order, where prolonging only restricts the
+        chart, restricted on its own, which costs less."""
+        if order not in self._cache:
+            s, _ = self._family_top()
+            prefix = self.prolonged_prefix(order)
+            if order <= self.base_order:
+                rest = (prolong(f, order, given_order=self.base_order)
+                        for f in self.base_fields[len(prefix):])
+            else:
+                rest = (_combined(prefix[s:], m)
+                        for m in range(len(prefix) - s, len(self.names) - s))
+            self._cache[order] = prefix + tuple(rest)
         return self._cache[order]
 
     def prolonged_named(self, order: int) -> dict[str, VectorField]:
@@ -216,9 +335,10 @@ class GeneratorSet(Value):
 
 
 # keyed by the field below by value, not by its name in a set; 128 entries
-# are three times the 39 (13 fields, orders 1 to 3) one rank-invariants
-# benchmark pass leaves.  It calls ``prolong`` by its module name, so a
-# tracer that swaps that name counts every prolongation.
+# are over four times the 27 one rank-invariants benchmark pass leaves: the
+# statics and Y^0..Y^(order + 2) at orders 1 to 3, 8 + 9 + 10 fields, the
+# same at every truncation it runs (5 to 8).  It calls ``prolong`` by its
+# module name, so a tracer that swaps that name counts every prolongation.
 @functools.lru_cache(maxsize=128)
 def _prolonged(below: VectorField, order: int,
                given_order: int) -> VectorField:
@@ -507,8 +627,10 @@ def min_truncation(order: int) -> int:
 
     Prolongation is linear in the jet of phi: pr X_phi = sum_j phi^(j) W_j,
     with only W_0..W_{k+2} nonzero at order k.  So the rows Y^m beyond
-    k + 2 lie in the Q[u]-span of Y^0..Y^{k+2}, and the ranks drop
-    them where that identity holds exactly.  Measured on both sources: the
+    k + 2 lie in the Q[u]-span of Y^0..Y^{k+2}: a set builds them as that
+    combination (``GeneratorSet``) and ranks without them, and ``_compile``
+    drops such a row of a matrix given to it where the identity holds
+    exactly.  Measured on both sources: the
     rank is k + 6 from K = k + 2 on and one less at K = k + 1, for
     k = 1..6.  Order 0 reaches its rank 5 at K = 1 already; it keeps k + 2
     so that one rule covers every order.  A rank or an invariant verdict at
@@ -672,9 +794,10 @@ def _compile(fields: tuple[VectorField, ...], coords: tuple[str, ...],
 
 
 # keyed by value, so a set binding its names to other fields gets its own
-# rank; 48 entries are three times the 16 (truncations 5 to 8, orders 1 to
-# 3, and order 1 on the special manifold) one rank-invariants benchmark pass
-# ranks.  Called with all four arguments positional, as lru_cache keys
+# rank; one rank-invariants benchmark pass ranks 4 matrices (orders 1 to 3,
+# and order 1 on the special manifold), as its truncations 5 to 8 share
+# their prefixes, and 48 entries leave room for the CLI's orders 0 to 6 on
+# both sources, off and on a manifold.  Called with all four arguments positional, as lru_cache keys
 # keywords apart.
 @functools.lru_cache(maxsize=48)
 def _rank(fields: tuple[VectorField, ...], coords: tuple[str, ...],
@@ -708,9 +831,9 @@ def matrix_rank_at_samples(
 def _family(g: GeneratorSet, order: int) -> tuple[int, int] | None:
     """(s, min_truncation(order)) when g's names end in Y^0, Y^1, ... from
     index s, else None."""
-    k = sum(n.startswith(FAMILY_PREFIX) for n in g.names)
-    if k and g.names[len(g.names) - k:] == tuple(map(family_name, range(k))):
-        return len(g.names) - k, min_truncation(order)
+    s = _family_start(g.names)
+    if s < len(g.names):
+        return s, min_truncation(order)
 
 
 def _chart(fields, order: int) -> tuple[str, ...]:
@@ -769,8 +892,14 @@ def rank_on_manifold(
     over the rational functions of the other coordinates.  A denominator
     of the matrix that vanishes on the whole locus raises
     DivisionByZeroExpressionError.  ``seed`` is only echoed in the report.
+
+    The matrix is the prefix's (``GeneratorSet.prolonged_prefix``): every
+    family member past it is its combination over Q[u], on the locus too,
+    and each irreducible factor of a denominator of that combination
+    divides a denominator of the prefix, so neither the rank nor a
+    denominator vanishing on the locus depends on the rest.
     """
-    fields = g.prolonged(order)
+    fields = g.prolonged_prefix(order)
     coords = _chart(fields, order)
     cf = canonicalize(constraint)
     locus = None if cf.is_zero() else _linear_solve_coordinate(cf, coords)

@@ -45,7 +45,8 @@ from wavesym.expr import (
 )
 from wavesym.invariants import NAMED_EXPRESSIONS, functional_independence
 from wavesym.jetspace import JetSpace
-from wavesym.vfields import VectorField, bracket, prolong
+from wavesym.vfields import (PointAction, VectorField, bracket,
+                             induce_from_point_action, prolong)
 
 from helpers import (drawn_point, field_combination, fresh_cache,
                      integer_rows)
@@ -75,18 +76,103 @@ def test_derived_zeroth_family_member_is_u_shift():
 
 
 def test_a_second_build_at_the_k_cap_induces_no_family_field(monkeypatch):
-    first = build_generators("derived", MAX_K)
-    before = eqalgebra._derived_family.cache_info()
-    assert build_generators("derived", MAX_K) is first
-    assert eqalgebra._derived_family.cache_info() == before
-    # a set built again, once the set cache has lost it, takes every
-    # family member from the family cache
+    """A fresh family cache induces Y^0, Y^1 and Y^2 alone, at any K >= 2
+    up to the cap, and combines every member above; a set built again,
+    once the set cache has lost it, takes every member from the family
+    cache and induces none."""
+    for name in eqalgebra.STATIC_NAMES:
+        eqalgebra._derived_static(name)
+    induced = []
+    induce = eqalgebra.induce_from_point_action
+    monkeypatch.setattr(eqalgebra, "induce_from_point_action",
+                        lambda action: induced.append(action) or induce(action))
+    u = coordinate("u")
+    for K in (2, 3, 8, MAX_K):
+        sets = fresh_cache(monkeypatch, eqalgebra, "_generator_set", 16)
+        fresh_cache(monkeypatch, eqalgebra, "_derived_family", MAX_K + 1)
+        induced.clear()
+        first = build_generators("derived", K)
+        assert induced == [PointAction(0, 0, u ** k) for k in range(3)], K
+        assert build_generators("derived", K) is first
+        sets.cache_clear()
+        again = build_generators("derived", K)
+        assert again is not first and again == first
+        assert len(induced) == 3, K
+
+
+def test_the_combined_family_is_the_induced_family():
+    """Every derived member up to the cap, the combination of Y^0, Y^1 and
+    Y^2 above Y^2, is the field its point action induces."""
+    u = coordinate("u")
+    for k in range(MAX_K + 1):
+        assert eqalgebra._derived_family(k) == induce_from_point_action(
+            PointAction(0, 0, u ** k)), k
+
+
+@pytest.mark.parametrize("source", ["derived", "paper"])
+@pytest.mark.parametrize("K", [*range(9), 12, 30])
+def test_the_combined_members_are_the_prolonged_members(source, K):
+    """At orders 0 to 6 every field of a set is its base field prolonged on
+    its own, whether the set prolonged or combined it; the set passes its
+    base-order check, and at order k prolongs the statics and Y^0..Y^J on
+    their own, J = k + 2 (3 at order 0 for the printed source)."""
+    g = build_generators(source, K)
+    s, top = g._family_top()
+    assert (s, top) == (4, 2 if source == "derived" else 3)
+    for order in range(7):
+        assert g.prolonged(order) == tuple(
+            prolong(f, order, given_order=g.base_order)
+            for f in g.base_fields), order
+        explicit = min(K, max(order, g.base_order) + 2)
+        assert len(g.prolonged_prefix(order)) == 4 + explicit + 1
+
+
+def _with_u3_sigma_on_y4(g: GeneratorSet) -> GeneratorSet:
+    """g with u^3*sigma added to the sigma-coefficient of its base Y^4."""
+    fields = list(g.base_fields)
+    y4 = fields[g.names.index("Y^4")]
+    fields[g.names.index("Y^4")] = VectorField(y4.space, {
+        **y4.coefficients,
+        "sigma": y4.coefficient("sigma") + coordinate("u") ** 3
+        * coordinate("sigma")})
+    return GeneratorSet(g.source, g.truncation, g.names, tuple(fields),
+                        g.base_order)
+
+
+@pytest.mark.parametrize("order", (2, 3))
+def test_a_set_that_fails_the_family_identity_prolongs_every_member(order):
+    """A hand-built K = 8 set whose base Y^4 is off the family identity
+    fails the base-order check, prolongs every member on its own and ranks
+    all of them: Y^4 adds one to the generic rank."""
+    mutant = _with_u3_sigma_on_y4(build_generators("derived", 8))
+    assert mutant._family_top() == (4, 8)
+    fields = mutant.prolonged(order)
+    assert fields == tuple(prolong(f, order) for f in mutant.base_fields)
+    assert mutant.prolonged_prefix(order) == fields
+    assert prolonged_rank(mutant, order).rank == order + 7
+
+
+@pytest.mark.parametrize("source", ["derived", "paper"])
+@pytest.mark.parametrize("K", [0, 2, 5, 8, 30])
+def test_a_rank_from_the_prefix_is_the_rank_of_every_field(monkeypatch,
+                                                           source, K):
+    """A rank, off and on the special manifold, reads the prefix alone and
+    equals the rank of the matrix of every prolonged field."""
     fresh_cache(monkeypatch, eqalgebra, "_generator_set", 16)
-    again = build_generators("derived", MAX_K)
-    after = eqalgebra._derived_family.cache_info()
-    assert again is not first and again == first
-    assert after.hits - before.hits == MAX_K + 1
-    assert after.misses == before.misses
+    g = build_generators(source, K)
+    for order in range(7):
+        coords = JetSpace(order).coordinates
+        rank = prolonged_rank(g, order).rank
+        assert order not in g._cache
+        assert rank == matrix_rank_at_samples(
+            g.prolonged(order), coords, family=eqalgebra._family(g, order))
+        if order:
+            locus = eqalgebra._linear_solve_coordinate(
+                canonicalize(R_EXPR), coords)
+            assert rank_on_manifold(g, R_EXPR, order).rank == (
+                matrix_rank_at_samples(g.prolonged(order), coords,
+                                       locus=locus,
+                                       family=eqalgebra._family(g, order)))
 
 
 def test_one_generator_set_per_source_and_truncation(monkeypatch):
